@@ -29,7 +29,6 @@ from .bigraph import (
     merge_parallel,
     parallel,
     solidity_violations,
-    support_equivalent,
     tensor,
     unit,
 )
@@ -58,8 +57,6 @@ from .system import (
     label_and_reward,
     next_distribution,
     next_rates,
-    total_weight,
-    total_weight_from,
 )
 from .language import ElabError, LanguageError, ParseError, elaborate, load_model, parse, pretty
 from .analysis import (

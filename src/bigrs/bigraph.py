@@ -10,7 +10,9 @@ Node identifiers are opaque non-negative integers, unique per bigraph.
 Closed links (edges) carry their own integer identifiers.  Region and site
 indices and outer/inner names are part of the interface and are never
 renamed by any operation here; only node and edge identifiers are
-considered anonymous (see :func:`support_equivalent`).
+considered anonymous: two ground bigraphs that differ only in those (and
+in idle edges) are support-equivalent, which
+:func:`bigrs.canon.canonical_key` decides by key equality.
 """
 
 from __future__ import annotations
@@ -693,96 +695,6 @@ def require_solid(b: Bigraph, what: str = "bigraph") -> None:
         raise SolidityError(
             f"{what} is not solid: " + "; ".join(violations), violations
         )
-
-
-# ---------------------------------------------------------------------------
-# support equivalence (direct isomorphism search; the canonical-form route
-# lives in canon.py and the two are cross-checked in the test suite)
-# ---------------------------------------------------------------------------
-
-
-def support_equivalent(f: Bigraph, g: Bigraph) -> bool:
-    """Ground bigraphs equal up to renaming of nodes and closed edges,
-    after discarding idle edges (lean-support equivalence)."""
-    for b in (f, g):
-        if not b.is_ground():
-            raise NotGroundError("support equivalence is defined on ground states")
-    f, g = lean(f), lean(g)
-    if (
-        f.outer.width != g.outer.width
-        or f.outer.names != g.outer.names
-        or len(f.nodes) != len(g.nodes)
-        or len(f.links) != len(g.links)
-    ):
-        return False
-    f_nodes = sorted(f.nodes)
-    by_ctrl: dict = {}
-    for v in g.nodes:
-        by_ctrl.setdefault(g.nodes[v], []).append(v)
-    order = sorted(f_nodes, key=lambda v: len(by_ctrl.get(f.nodes[v], ())))
-
-    def place_ok(m: dict, v: int, w: int) -> bool:
-        pv, pw = f.parent[v], g.parent[w]
-        if pv[0] == REGION:
-            return pw == pv
-        if pw[0] != NODE:
-            return False
-        if pv[1] in m:
-            return m[pv[1]] == pw[1]
-        return f.nodes[pv[1]] == g.nodes[pw[1]]
-
-    def links_ok(m: dict, em: dict, v: int, w: int):
-        em = dict(em)
-        for i in range(f.arity(v)):
-            kf, kg = f.port_link(v, i), g.port_link(w, i)
-            if isinstance(kf, str):
-                if kf != kg:
-                    return None
-            else:
-                if not isinstance(kg, Edge):
-                    return None
-                if kf in em:
-                    if em[kf] != kg:
-                        return None
-                elif kg in em.values():
-                    return None
-                elif len(f.links[kf].ports) != len(g.links[kg].ports):
-                    return None
-                else:
-                    em[kf] = kg
-        return em
-
-    def search(idx: int, m: dict, em: dict) -> bool:
-        if idx == len(order):
-            # edge endpoint sets must correspond exactly
-            for kf, kg in em.items():
-                img = frozenset((m[v], i) for v, i in f.links[kf].ports)
-                if img != g.links[kg].ports:
-                    return False
-            return True
-        v = order[idx]
-        for w in by_ctrl.get(f.nodes[v], ()):
-            if w in m.values():
-                continue
-            if len(f.children((NODE, v))) != len(g.children((NODE, w))):
-                continue
-            if not place_ok(m, v, w):
-                continue
-            if any(
-                c in m and g.parent[m[c]] != (NODE, w)
-                for c in f.children((NODE, v))
-            ):
-                continue
-            em2 = links_ok(m, em, v, w)
-            if em2 is None:
-                continue
-            m[v] = w
-            if search(idx + 1, m, em2):
-                return True
-            del m[v]
-        return False
-
-    return search(0, {}, {})
 
 
 # ---------------------------------------------------------------------------

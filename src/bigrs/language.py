@@ -638,7 +638,12 @@ class _Parser:
 
 def parse(source: str) -> Model:
     """Parse `.big` source into an AST with source positions."""
-    return _Parser(tokenize(source)).model()
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.model()
+    except RecursionError:
+        # recursive descent nests Python calls as deep as the expression
+        raise ParseError("expression nested too deeply", *parser.pos()) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1044,7 +1049,11 @@ def elaborate(model: Model) -> SystemSpec:
     argument tuple the system block uses, and check every rule and
     predicate (solid redexes, equal interfaces, finite nonnegative
     weights, ground initial state)."""
-    return _Elaborator(model).run()
+    try:
+        return _Elaborator(model).run()
+    except RecursionError:
+        # a chain of definitions each nesting the one before
+        raise ElabError("bigraph definitions nested too deeply") from None
 
 
 def load_model(path) -> SystemSpec:

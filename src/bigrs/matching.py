@@ -307,11 +307,6 @@ class _Embedder:
         return True
 
 
-# Two embeddings that differ only by a symmetry of the redex count as one
-# occurrence.  Kept behind one switch: flip it to count raw embeddings
-# instead (every aggregate weight then scales by the automorphism count).
-QUOTIENT_REDEX_SYMMETRY = True
-
 _aut_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -340,8 +335,6 @@ def occurrences(redex: Bigraph, target: Bigraph) -> list[Match]:
         return []
     fixed = sorted(redex.nodes)
     raw.sort(key=lambda m: tuple(m.node_map[v] for v in fixed))
-    if not QUOTIENT_REDEX_SYMMETRY:
-        return raw
     auts = automorphisms(redex)
     seen = set()
     out = []

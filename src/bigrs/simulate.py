@@ -7,13 +7,11 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .bigraph import Bigraph, lean
+from .bigraph import lean
 from .canon import canonical_key
-from .matching import apply_rule_all
-from .system import SystemSpec
+from .system import SystemSpec, _step
 
 
 @dataclass
@@ -28,78 +26,50 @@ class TraceStep:
     time: Optional[float] = None
 
 
-def _digest(g: Bigraph) -> str:
-    return hashlib.sha256(canonical_key(g)).hexdigest()[:16]
+def _digest(key: bytes) -> str:
+    return hashlib.sha256(key).hexdigest()[:16]
 
 
-def _weighted_outcomes(g: Bigraph, rules) -> list:
-    out = []
-    for rule in rules:
-        if rule.weight == 0:
-            continue
-        for o in apply_rule_all(g, rule):
-            out.append((rule.name, o.result, rule.weight * o.count))
-    return out
-
-
-def _pick(rng: random.Random, outcomes):
-    total = sum((m for _, _, m in outcomes), Fraction(0))
+def _pick(rng: random.Random, entries, total):
     x = rng.random() * float(total)
     acc = 0.0
-    for name, res, m in outcomes:
-        acc += float(m)
+    for entry in entries:
+        acc += float(entry[3])
         if x < acc:
-            return name, res, total
-    name, res, _ = outcomes[-1]
-    return name, res, total
+            return entry
+    return entries[-1]
 
 
 def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[TraceStep]:
     """Walk up to `steps` transitions from the initial state, one trace
     entry per applied step (fewer if a terminal state is hit first, empty
-    for a zero step budget)."""
+    for a zero step budget).  A pbrs state where no rule of positive
+    weight applies, and an MDP action none of whose rules of positive
+    weight applies, give a step that stays in place with no rule."""
     rng = random.Random(seed)
     g = lean(spec.initial)
+    key = canonical_key(g)
     now = 0.0 if spec.kind == "sbrs" else None
     trace: list[TraceStep] = []
     for k in range(1, steps + 1):
+        choices = _step(spec.kind, g, spec.rules, spec.actions)
+        if not choices:
+            break
+        # MDP action choice is uniform; the other kinds have one choice
         if spec.kind == "abrs":
-            applicable = [
-                (a, _weighted_outcomes(g, a.rules)) for a in spec.actions
-            ]
-            applicable = [(a, outs) for a, outs in applicable if outs]
-            if not applicable:
-                break
-            action, outs = applicable[rng.randrange(len(applicable))]
-            positive = [o for o in outs if o[2] > 0]
-            if not positive:  # applicable but all weights zero: stay
-                trace.append(TraceStep(k, _digest(g), None, action.name))
-                continue
-            rule, g, _ = _pick(rng, positive)
-            trace.append(TraceStep(k, _digest(g), rule, action.name))
-        elif spec.kind == "sbrs":
-            outs = _weighted_outcomes(g, spec.rules)
-            exit_rate = sum((m for _, _, m in outs), Fraction(0))
-            if exit_rate == 0:
-                break
-            now += rng.expovariate(float(exit_rate))
-            rule, g, _ = _pick(rng, outs)
-            trace.append(TraceStep(k, _digest(g), rule, time=now))
-        elif spec.kind == "pbrs":
-            outs = [o for o in _weighted_outcomes(g, spec.rules) if o[2] > 0]
-            if not outs:  # delta self-loop
-                trace.append(TraceStep(k, _digest(g), None))
-                continue
-            rule, g, _ = _pick(rng, outs)
-            trace.append(TraceStep(k, _digest(g), rule))
-        else:  # brs: uniform over distinct rewrite results
-            outs = []
-            for rule in spec.rules:
-                outs.extend(
-                    (rule.name, o.result) for o in apply_rule_all(g, rule)
-                )
-            if not outs:
-                break
-            rule, g = outs[rng.randrange(len(outs))]
-            trace.append(TraceStep(k, _digest(g), rule))
+            action, entries = choices[rng.randrange(len(choices))]
+        else:
+            action, entries = choices[0]
+        name = action.name if action else None
+        if not entries:  # stay in place
+            trace.append(TraceStep(k, _digest(key), None, name))
+            continue
+        if spec.kind == "brs":  # uniform over distinct rewrite results
+            rule, key, g, _ = entries[rng.randrange(len(entries))]
+        else:
+            total = sum(e[3] for e in entries)
+            if spec.kind == "sbrs":
+                now += rng.expovariate(float(total))
+            rule, key, g, _ = _pick(rng, entries, total)
+        trace.append(TraceStep(k, _digest(key), rule, name, now))
     return trace

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .bigraph import Bigraph, BigraphError, require_solid
+from .bigraph import Bigraph, BigraphError, lean, require_solid
 from .canon import canonical_key
 from .matching import apply_rule_all, has_occurrence
 
@@ -193,68 +193,83 @@ class TransitionSystem:
 
 
 # ---------------------------------------------------------------------------
-# per-state step functions
+# the step kernel and the per-state views over it
 # ---------------------------------------------------------------------------
 
 
-def _successor_masses(g: Bigraph, rules) -> dict:
-    """key -> [bigraph, mass] with mass = sum of weight * occurrence count."""
-    masses: dict = {}
-    for rule in rules:
-        if rule.weight == 0:
-            continue
-        for out in apply_rule_all(g, rule):
-            if out.key in masses:
-                masses[out.key][1] += rule.weight * out.count
-            else:
-                masses[out.key] = [out.result, rule.weight * out.count]
-    return masses
+def _step(kind: str, g: Bigraph, rules=(), actions=()) -> list:
+    """The choices at state g as (action or None, entries): one per
+    applicable action of an abrs, in declaration order, and at most one
+    for the other kinds.  An entry is (rule name, successor key,
+    successor, weight * occurrence count), in rule order and then key
+    order; weight-0 rules give none, and brs ignores weights.
+
+    An empty list means g is terminal.  A choice with no entries means
+    "stay at g": a pbrs state where no rule of positive weight applies,
+    or an applicable action none of whose rules of positive weight does.
+    """
+    outcomes: dict = {}  # rule name -> apply_rule_all result
+
+    def entries(rule_list) -> list:
+        out = []
+        for rule in rule_list:
+            outs = outcomes.get(rule.name)
+            if outs is None:
+                outs = outcomes[rule.name] = apply_rule_all(g, rule)
+            w = 1 if kind == "brs" else rule.weight
+            if outs and w:
+                out.extend(
+                    (rule.name, o.key, o.result, w * o.count) for o in outs
+                )
+        return out
+
+    if kind == "abrs":
+        choices = [(a, entries(a.rules)) for a in actions]
+        return [(a, es) for a, es in choices
+                if any(outcomes[r.name] for r in a.rules)]
+    es = entries(rules)
+    return [(None, es)] if es or kind == "pbrs" else []
 
 
-def total_weight(g: Bigraph, g2: Bigraph, rules) -> Fraction:
-    """Sum over rules of weight times occurrence count from g to g2."""
-    key = canonical_key(g2)
-    total = Fraction(0)
-    for rule in rules:
-        for out in apply_rule_all(g, rule):
-            if out.key == key:
-                total += rule.weight * out.count
-    return total
+def _masses(entries) -> dict:
+    """Successor key -> (successor, summed mass), in first-seen order."""
+    out: dict = {}
+    for _, key, succ, mass in entries:
+        prev = out.get(key)
+        out[key] = (succ, mass) if prev is None else (prev[0], prev[1] + mass)
+    return out
 
 
-def total_weight_from(g: Bigraph, rules) -> Fraction:
-    return sum((m for _, m in _successor_masses(g, rules).values()), Fraction(0))
+def _distribution(g: Bigraph, entries, key: bytes | None = None) -> dict:
+    """Key -> (state, probability): the entries' masses normalized by their
+    total, or the delta on g (whose key may be passed) when there are
+    none."""
+    masses = _masses(entries)
+    total = sum(m for _, m in masses.values())
+    if not total:
+        return {key or canonical_key(g): (g, Fraction(1))}
+    return {k: (b, m / total) for k, (b, m) in masses.items()}
 
 
 def next_distribution(g: Bigraph, rules) -> dict:
     """The reaction probability distribution from g as key -> (state, prob);
     the delta on g itself when nothing (with positive weight) applies."""
-    masses = _successor_masses(g, rules)
-    total = sum((m for _, m in masses.values()), Fraction(0))
-    if total == 0:
-        return {canonical_key(g): (g, Fraction(1))}
-    return {k: (b, m / total) for k, (b, m) in masses.items()}
+    (_, entries), = _step("pbrs", g, rules)
+    return _distribution(g, entries)
 
 
 def next_rates(g: Bigraph, rules) -> dict:
     """Aggregate exit rates from g as key -> (state, rate); zero-rate
     targets are omitted and the map may be empty (CTMC terminal state)."""
-    return {
-        k: (b, m) for k, (b, m) in _successor_masses(g, rules).items() if m > 0
-    }
+    return _masses(e for _, es in _step("sbrs", g, rules) for e in es)
 
 
 def action_step(g: Bigraph, actions) -> list:
-    """One (action, distribution) entry per applicable action, normalized
-    within the action; empty when no action applies."""
-    out = []
-    for action in sorted(actions, key=lambda a: a.name):
-        applies = any(
-            apply_rule_all(g, rule) for rule in action.rules
-        )
-        if applies:
-            out.append((action, next_distribution(g, action.rules)))
-    return out
+    """One (action, distribution) entry per applicable action, in name
+    order, normalized within the action; empty when no action applies."""
+    choices = _step("abrs", g, actions=actions)
+    return [(a, _distribution(g, es))
+            for a, es in sorted(choices, key=lambda c: c[0].name)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +278,15 @@ def action_step(g: Bigraph, actions) -> list:
 
 
 def build_transition_system(
-    spec: SystemSpec,
-    max_states: int = 1_000_000,
-    expansion_cache: dict | None = None,
+    spec: SystemSpec, max_states: int = 1_000_000
 ) -> TransitionSystem:
     """Breadth-first fixed-point closure from the initial state.
 
     States are deduplicated by canonical key and numbered in discovery
     order with each BFS level sorted by key, so indexing is deterministic.
-    ``expansion_cache`` (key -> per-rule outcome lists) may be shared
-    between builds of models that differ only in weights.
     """
     if max_states <= 0:
         raise SystemError_("state cap must be positive")
-    from .bigraph import lean
-
     init = lean(spec.initial)
     key0 = canonical_key(init)
     states = [(key0, init)]
@@ -285,33 +294,21 @@ def build_transition_system(
     raw_rows: list = [None]
     truncated = False
 
-    if spec.kind == "abrs":
-        step_rules = [
-            (a.name, a.rules) for a in sorted(spec.actions, key=lambda a: a.name)
-        ]
-    else:
-        step_rules = [(None, spec.rules)]
-
-    def expand(i: int) -> list:
-        """Returns new (key, bigraph) pairs discovered from state i."""
-        nonlocal truncated
-        g = states[i][1]
-        per_rule = _expand_state(states[i][0], g, spec, expansion_cache)
-        row, new = _assemble_row(i, per_rule, spec, states, index)
-        raw_rows[i] = row
-        return new
-
     frontier = [0]
     while frontier:
         discovered: list = []
         for i in frontier:
-            for key, b in expand(i):
-                if key not in index:
-                    discovered.append((key, b))
-                    index[key] = -1  # reserve; numbered below
-        discovered = [
-            (k, b) for k, b in sorted(discovered, key=lambda kb: kb[0])
-        ]
+            key, g = states[i]
+            choices = _step(spec.kind, g, spec.rules, spec.actions)
+            if spec.kind == "abrs":
+                choices.sort(key=lambda c: c[0].name)
+            raw_rows[i] = _row(spec.kind, key, g, choices)
+            for _, entries in choices:
+                for _, k, succ, _ in entries:
+                    if k not in index:
+                        discovered.append((k, succ))
+                        index[k] = -1  # reserve; numbered below
+        discovered.sort(key=lambda kb: kb[0])
         frontier = []
         for key, b in discovered:
             if len(states) >= max_states:
@@ -337,111 +334,43 @@ def build_transition_system(
     return ts
 
 
-def _expand_state(key: bytes, g: Bigraph, spec: SystemSpec, cache) -> dict:
-    """rule name -> list of (succ key, succ bigraph, count)."""
-    if cache is not None and key in cache:
-        return cache[key]
-    per_rule = {}
-    for rule in spec.rules:
-        outs = apply_rule_all(g, rule)
-        if outs:
-            per_rule[rule.name] = [(o.key, o.result, o.count) for o in outs]
-    if cache is not None:
-        cache[key] = per_rule
-    return per_rule
-
-
-def _assemble_row(i, per_rule, spec, states, index):
-    """Builds the raw row for state i and lists newly seen states."""
-    new = {}
-
-    def masses(rules) -> dict:
-        out: dict = {}
-        for rule in rules:
-            if rule.weight == 0:
-                continue
-            for key, b, count in per_rule.get(rule.name, ()):
-                if key not in index and key not in new:
-                    new[key] = b
-                out[key] = out.get(key, Fraction(0)) + rule.weight * count
-        return {k: m for k, m in out.items() if m > 0}
-
-    if spec.kind == "brs":
-        succs = sorted(
-            {key for outs in per_rule.values() for key, _, _ in outs}
-        )
-        for outs in per_rule.values():
-            for key, b, _ in outs:
-                if key not in index and key not in new:
-                    new[key] = b
-        row = ("brs", succs)
-    elif spec.kind == "pbrs":
-        m = masses(spec.rules)
-        total = sum(m.values(), Fraction(0))
-        if total == 0:
-            row = ("delta", states[i][0])
-        else:
-            row = ("dist", {k: v / total for k, v in m.items()})
-    elif spec.kind == "sbrs":
-        row = ("rates", masses(spec.rules))
-    else:  # abrs
-        entries = []
-        for action in sorted(spec.actions, key=lambda a: a.name):
-            applicable = any(
-                per_rule.get(rule.name) for rule in action.rules
-            )
-            if not applicable:
-                continue
-            m = masses(action.rules)
-            total = sum(m.values(), Fraction(0))
-            if total == 0:
-                entries.append((action.name, ("delta", states[i][0])))
-            else:
-                entries.append(
-                    (action.name, ("dist", {k: v / total for k, v in m.items()}))
-                )
-        row = ("mdp", entries)
-    return row, sorted(new.items())
+def _row(kind: str, key: bytes, g: Bigraph, choices: list):
+    """The row of state (key, g), shaped as in TransitionSystem.rows but
+    over successor keys."""
+    if kind == "brs":
+        return sorted({e[1] for _, es in choices for e in es})
+    if kind == "sbrs":
+        masses = _masses(e for _, es in choices for e in es)
+        return {k: m for k, (_, m) in sorted(masses.items())}
+    dists = [
+        (a and a.name, {k: p for k, (_, p) in _distribution(g, es, key).items()})
+        for a, es in choices
+    ]
+    return dists if kind == "abrs" else dists[0][1]
 
 
 def _finalize(spec, states, raw_rows, index, complete) -> TransitionSystem:
-    def dist(tagged) -> Distribution:
-        tag, payload = tagged
-        if tag == "delta":
-            return Distribution({index[payload]: Fraction(1)})
-        return Distribution({index[k]: p for k, p in payload.items()})
+    def dist(raw) -> Distribution:
+        return Distribution({index[k]: p for k, p in raw.items()})
 
-    def reaches_dropped(raw) -> bool:
-        tag, payload = raw
-        if tag == "delta":
-            return index.get(payload, -1) < 0
-        if tag == "brs":
-            return any(index.get(k, -1) < 0 for k in payload)
-        if tag == "mdp":
-            return any(reaches_dropped(t) for _, t in payload)
-        return any(index.get(k, -1) < 0 for k in payload)
-
-    fillers = {
-        "brs": ("brs", []),
-        "sbrs": ("rates", {}),
-        "abrs": ("mdp", []),
-    }
+    kind = spec.kind
     rows = []
-    for i, raw in enumerate(raw_rows):
-        if raw is None or (not complete and reaches_dropped(raw)):
+    for (key, _), raw in zip(states, raw_rows):
+        dists = raw if kind == "abrs" else [(None, raw)]
+        if raw is None or (not complete and any(
+            index.get(k, -1) < 0 for _, d in dists for k in d
+        )):
             # unexpanded, or expanded into states beyond the cap: replaced
             # by a terminal row so the truncated system stays well-formed
-            raw = fillers.get(spec.kind, ("delta", states[i][0]))
-        tag, payload = raw
-        if tag == "brs":
-            rows.append(tuple(index[k] if isinstance(k, bytes) else k
-                              for k in payload))
-        elif tag == "rates":
-            rows.append({index[k]: r for k, r in sorted(payload.items())})
-        elif tag == "mdp":
-            rows.append([(name, dist(t)) for name, t in payload])
-        else:
+            raw = {"brs": [], "sbrs": {}, "abrs": []}.get(kind, {key: Fraction(1)})
+        if kind == "brs":
+            rows.append(tuple(index[k] for k in raw))
+        elif kind == "sbrs":
+            rows.append({index[k]: r for k, r in raw.items()})
+        elif kind == "pbrs":
             rows.append(dist(raw))
+        else:
+            rows.append([(name, dist(d)) for name, d in raw])
     return TransitionSystem(
         kind=spec.kind,
         states=states,

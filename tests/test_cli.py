@@ -135,3 +135,13 @@ def test_check_mdp_cost(models_dir, capsys):
     assert rc == 0
     value = float(capsys.readouterr().out)
     assert value >= 0
+
+
+def test_validate_deep_nesting_exits_1(tmp_path, capsys):
+    deep = tmp_path / "deep.big"
+    deep.write_text(
+        "ctrl A = 0;\nbig s = " + "A." * 800 + "1;\nbegin brs init = s; rules = []; end\n"
+    )
+    assert main(["validate", str(deep)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2:") and "nested too deeply" in err

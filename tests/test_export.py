@@ -1,5 +1,6 @@
 """PRISM bundles, DOT, JSON, re-import, and trace simulation."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from bigrs.export import (
     rewards_to_states,
     system_to_json,
 )
-from bigrs.language import load_model
+from bigrs.language import elaborate, load_model, parse
 from bigrs.simulate import simulate
 from bigrs.system import Distribution, TransitionSystem, build_transition_system
 
@@ -228,6 +229,74 @@ def test_sim_mdp_records_actions(models_dir):
     spec = load_model(models_dir / "mobile_sink.big")
     trace = simulate(spec, 30, seed=5)
     assert any(s.action == "a_move" for s in trace)
+
+
+# an MDP with an action whose only rule weighs 0: the action applies at
+# the initial state, so the closure gives it a delta row there
+ZERO_WEIGHT_MDP = """
+ctrl A = 0;
+ctrl B = 0;
+big s = A;
+react wait = A -[0.0]-> B;
+react go = A -[1.0]-> B;
+begin abrs
+  init = s;
+  rules = [wait, go];
+  actions = [a_wait = {wait}, a_go = {go}];
+end
+"""
+
+
+def _digest(key):
+    return hashlib.sha256(key).hexdigest()[:16]
+
+
+def test_sim_zero_weight_action_stays():
+    spec = elaborate(parse(ZERO_WEIGHT_MDP))
+    start = _digest(build_transition_system(spec).states[0][0])
+    traces = [simulate(spec, 50, seed=s) for s in range(10)]
+    for trace in traces:
+        # stays under a_wait until a_go moves to the terminal state B
+        *stays, last = trace
+        assert all(
+            (s.action, s.rule, s.state_digest) == ("a_wait", None, start)
+            for s in stays
+        )
+        assert (last.action, last.rule) == ("a_go", "go")
+        assert last.state_digest != start
+    assert any(len(t) > 1 for t in traces)
+
+
+@pytest.mark.parametrize(
+    "model", ["wsn.big", "send_mdp.big", "mobile_sink.big", "zero-weight"]
+)
+def test_sim_agrees_with_closure(models_dir, model):
+    # every simulated step is a positive-probability transition of the
+    # built row (under the recorded action for an MDP), and a trace that
+    # stops short of its budget stops at a terminal row
+    spec = (
+        elaborate(parse(ZERO_WEIGHT_MDP)) if model == "zero-weight"
+        else load_model(models_dir / model)
+    )
+    ts = build_transition_system(spec)
+    index = {_digest(key): i for i, (key, _) in enumerate(ts.states)}
+    budget = 200
+    for seed in (1, 2, 3):
+        trace = simulate(spec, budget, seed=seed)
+        here = 0
+        for step in trace:
+            there = index[step.state_digest]
+            row = ts.rows[here]
+            if ts.kind == "abrs":
+                (dist,) = [d for name, d in row if name == step.action]
+            else:
+                dist = row
+            assert dist[there] > 0
+            if step.rule is None:
+                assert there == here
+            here = there
+        if len(trace) < budget:
+            assert ts.rows[here] == []
 
 
 def test_sim_occupancy_tracks_stationary_distribution(models_dir, tmp_path):

@@ -261,3 +261,28 @@ def test_init_must_be_declared_and_ground():
     )
     with pytest.raises(Exception, match="ground"):
         elaborate(parse(src))
+
+
+def nested_ions(depth: int) -> str:
+    """A model whose initial state is `depth` ions nested in one chain."""
+    return "ctrl A = 0;\nbig s = " + "A." * depth + "1;\nbegin brs init = s; rules = []; end"
+
+
+def test_nested_ions_within_the_limit_load():
+    spec = elaborate(parse(nested_ions(400)))
+    assert len(spec.initial.nodes) == 400
+
+
+@pytest.mark.parametrize("depth", [800, 5000])
+def test_deep_nesting_is_a_parse_error(depth):
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        parse(nested_ions(depth))
+    assert err.value.line == 2 and err.value.col > 1
+
+
+def test_deep_definition_chain_is_an_elab_error():
+    chain = ["ctrl A = 0;", "big b0 = 1;"]
+    chain += [f"big b{i} = A.b{i - 1};" for i in range(1, 1001)]
+    chain.append("begin brs init = b1000; rules = []; end")
+    with pytest.raises(ElabError, match="nested too deeply"):
+        elaborate(parse("\n".join(chain)))
