@@ -8,13 +8,16 @@ Region indices and outer names are interface and stay fixed.
 The algorithm is iterative partition refinement on
 (control, parameters, place degree, link shape) followed by
 individualization of ambiguous cells, taking the lexicographically
-minimal encoding over the explored orderings.  Cells whose members are
-provably interchangeable leaves (no children; each port either on a
-link shared by the whole cell or on a private single-port edge) are
-split without branching: any ordering of such members is related to any
-other by an automorphism, so all orderings encode identically.  This
-keeps populations of identical sibling entities (the common shape in
-counter-style models) linear instead of factorial.
+minimal encoding over the explored orderings.  One kind of cell is split
+without branching: twins, whose members are leaves (no children) with
+one shared parent, and whose ports, position by position, either sit on
+the same link or each sit on a private single-port edge.  Any ordering
+of twins is related to any other by an automorphism, so all orderings
+encode identically.  This keeps populations of identical sibling
+entities (the common shape in counter-style models) linear instead of
+factorial.  Leaves with different parents are not twins: reordering
+them moves them between parents, so they are branched on like any other
+cell.
 """
 
 from __future__ import annotations
@@ -111,11 +114,12 @@ def _cells(ncol: list[int]) -> list[list[int]]:
 
 
 def _interchangeable(sk: _Skeleton, cell: list[int]) -> bool:
-    """All cell members are leaves whose ports pairwise share links or sit
-    on private single-port edges; then every ordering is automorphic."""
-    if any(sk.children[i] for i in cell):
-        return False
+    """All cell members are leaves under one parent whose ports pairwise
+    share links or sit on private single-port edges; then every ordering
+    is automorphic."""
     lead = cell[0]
+    if any(sk.children[i] or sk.parent[i] != sk.parent[lead] for i in cell):
+        return False
     for other in cell[1:]:
         for t0, t1 in zip(sk.ports[lead], sk.ports[other]):
             if t0 == t1:
@@ -129,104 +133,6 @@ def _interchangeable(sk: _Skeleton, cell: list[int]) -> bool:
                 continue
             return False
     return True
-
-
-_GROUP_CAP = 6  # nodes per private-edge cluster considered for group splits
-
-
-def _interchangeable_groups(sk: _Skeleton, cell: list[int], ncol: list[int]):
-    """Split a symmetric cell of small *linked clusters* without branching.
-
-    Cell members are closed over their edges into components (a component
-    absorbs every node reachable through an edge).  If all components are
-    childless, small, and have identical encodings relative to their
-    global anchors (exact parents, exact shared names, internal edges up
-    to renumbering), swapping any two components is an automorphism, so
-    one fixed ordering of the family is as canonical as any other.
-    Returns the components with aligned member orderings, or None.
-    """
-    from itertools import permutations
-
-    assigned: dict = {}
-    components: list[list[int]] = []
-    for start in cell:
-        if start in assigned:
-            continue
-        comp = {start}
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            if sk.children[u]:
-                return None
-            for tok in sk.ports[u]:
-                if tok[0] != "e":
-                    continue
-                for w, _ in sk.edge_ports[tok[1]]:
-                    if w not in comp:
-                        if len(comp) >= _GROUP_CAP:
-                            return None
-                        comp.add(w)
-                        queue.append(w)
-        for u in comp:
-            if assigned.setdefault(u, len(components)) != len(components):
-                return None  # overlapping closures
-        components.append(sorted(comp))
-    if len(components) < 2 or len({len(c) for c in components}) != 1:
-        return None
-
-    def encodings(comp: list[int]):
-        """Minimal anchored encoding and the ordering realizing it."""
-        by_color: dict = {}
-        for u in comp:
-            by_color.setdefault(ncol[u], []).append(u)
-        classes = [by_color[c] for c in sorted(by_color)]
-        total = 1
-        for cls in classes:
-            for k in range(2, len(cls) + 1):
-                total *= k
-            if total > 720:
-                return None
-        best = None
-        best_order = None
-        for perm_parts in _product_permutations(classes):
-            order = [u for part in perm_parts for u in part]
-            rank = {u: i for i, u in enumerate(order)}
-            edge_ids: dict = {}
-            rows = []
-            for u in order:
-                ports = []
-                for tok in sk.ports[u]:
-                    if tok[0] == "y":
-                        ports.append(tok)
-                    else:
-                        ports.append(("e", edge_ids.setdefault(tok[1], len(edge_ids))))
-                rows.append((ncol[u], sk.parent[u], tuple(ports)))
-            edge_rows = tuple(
-                tuple(sorted((rank[v], i) for v, i in sk.edge_ports[e]))
-                for e in sorted(edge_ids, key=lambda e: edge_ids[e])
-            )
-            enc = (tuple(rows), edge_rows)
-            if best is None or enc < best:
-                best = enc
-                best_order = order
-        return best, best_order
-
-    shapes = []
-    for comp in components:
-        got = encodings(comp)
-        if got is None:
-            return None
-        shapes.append(got)
-    if len({enc for enc, _ in shapes}) != 1:
-        return None
-    return [order for _, order in shapes]
-
-
-def _product_permutations(classes):
-    from itertools import permutations, product
-
-    for combo in product(*(permutations(cls) for cls in classes)):
-        yield combo
 
 
 def _encode(sk: _Skeleton, ncol: list[int]) -> tuple:
@@ -261,15 +167,6 @@ def _search(sk: _Skeleton, ncol: list[int], ecol: list[int]) -> tuple:
             ncol = list(ncol)
             for j, i in enumerate(target):
                 ncol[i] = fresh + j
-            ncol, ecol = _refine(sk, ncol, ecol)
-            continue
-        groups = _interchangeable_groups(sk, target, ncol)
-        if groups:
-            fresh = sk.n + sk.ne
-            ncol = list(ncol)
-            for g, order in enumerate(groups):
-                for j, i in enumerate(order):
-                    ncol[i] = fresh + g * len(order) + j
             ncol, ecol = _refine(sk, ncol, ecol)
             continue
         best = None

@@ -28,7 +28,7 @@ from .bigraph import BigraphError
 from .export import export_dot, export_json, export_prism
 from .language import load_model
 from .simulate import simulate
-from .system import StateCapError, build_transition_system
+from .system import build_transition_system
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,9 +70,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except StateCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BigraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

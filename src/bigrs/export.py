@@ -285,7 +285,7 @@ def render_dot(ts: TransitionSystem) -> str:
 # ---------------------------------------------------------------------------
 
 
-def system_to_json(ts: TransitionSystem, include_states: bool = True) -> dict:
+def system_to_json(ts: TransitionSystem) -> dict:
     def num(x):
         return float(x)
 
@@ -328,10 +328,9 @@ def system_to_json(ts: TransitionSystem, include_states: bool = True) -> dict:
             for i, per in enumerate(ts.action_reward)
             if any(r != 0 for r in per.values())
         }
-    if include_states:
-        doc["state_bigraphs"] = [
-            to_json(b) if b is not None else None for _, b in ts.states
-        ]
+    doc["state_bigraphs"] = [
+        to_json(b) if b is not None else None for _, b in ts.states
+    ]
     return doc
 
 

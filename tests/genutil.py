@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from bigrs.bigraph import (
     Bigraph,
@@ -226,3 +227,122 @@ def plant(rng: random.Random, redex: Bigraph) -> Bigraph:
         Interface(1),
     )
     return compose(ctx, compose(tensor(redex, identity(())), prm))
+
+
+def _ground(nodes: dict, parent: dict, links: list) -> Bigraph:
+    """One-region ground bigraph whose links are closed edges, one per set
+    of ports in `links`."""
+    return Bigraph(
+        SIG,
+        nodes,
+        parent,
+        {},
+        {Edge(j): Link(frozenset(pts)) for j, pts in enumerate(links)},
+        Interface(0),
+        Interface(1),
+    )
+
+
+def _add_ring(nodes, parent, links, length, leaf, home):
+    """A ring of `length` 2-port C nodes under `home`: port 1 of each is
+    linked to port 0 of the next, and each holds one leaf of control `leaf`."""
+    ring = []
+    for _ in range(length):
+        v = len(nodes)
+        nodes[v], parent[v] = ("C", ()), home
+        nodes[v + 1], parent[v + 1] = (leaf, ()), (NODE, v)
+        ring.append(v)
+    for j, v in enumerate(ring):
+        links.append({(v, 1), (ring[(j + 1) % length], 0)})
+
+
+def _add_hub(nodes, parent, links, ks, ls, home):
+    """A 1-port B node under `home` holding `ks` K leaves and `ls` L leaves,
+    the L ports and the hub's port on one edge."""
+    hub = len(nodes)
+    nodes[hub], parent[hub] = ("B", ()), home
+    edge = {(hub, 0)}
+    for j in range(ks + ls):
+        v = len(nodes)
+        nodes[v], parent[v] = ("K" if j < ks else "L", ()), (NODE, hub)
+        if j >= ks:
+            edge.add((v, 0))
+    links.append(edge)
+
+
+def leafy_cycles(lengths) -> Bigraph:
+    """Disjoint rings of C nodes, one per entry of `lengths`, each C node
+    holding one A leaf: every leaf has the same colour, but no two share a
+    parent."""
+    nodes: dict = {}
+    parent: dict = {}
+    links: list = []
+    for length in lengths:
+        _add_ring(nodes, parent, links, length, "A", (REGION, 0))
+    return _ground(nodes, parent, links)
+
+
+_GADGETS = [(_add_ring, n, leaf) for n in (2, 3, 4) for leaf in "AK"] + [
+    (_add_hub, ks, ls) for ks in (0, 1, 2) for ls in (1, 2)
+]
+
+
+def gadget_state(rng: random.Random, lo: int = 20, hi: int = 40) -> Bigraph:
+    """A ground bigraph of lo..hi nodes built from two or three distinct
+    gadgets, each repeated one to three times: rings of C nodes holding
+    one leaf each, and B hubs holding K leaves plus L leaves on the hub's
+    edge.  Copies sit at the root or inside repeated A rooms, so leaves of
+    one colour sit under many parents of one colour.  At most 12 ring nodes
+    in all and 6 under one parent: neither the canonical-key search nor
+    networkx's VF2++ prunes by automorphisms, so both grow factorially with
+    the number of like rings, and VF2++ with the number of like siblings."""
+    while True:
+        nodes: dict = {}
+        parent: dict = {}
+        links: list = []
+        homes = [(REGION, 0)]
+        for _ in range(rng.randint(1, 3)):
+            v = len(nodes)
+            nodes[v], parent[v] = ("A", ()), (REGION, 0)
+            homes.append((NODE, v))
+        for add, *shape in rng.sample(_GADGETS, rng.randint(2, 3)):
+            for _ in range(rng.randint(1, 3)):
+                add(nodes, parent, links, *shape, rng.choice(homes))
+        rings = Counter(parent[v] for v, c in nodes.items() if c == ("C", ()))
+        if (
+            lo <= len(nodes) <= hi
+            and sum(rings.values()) <= 12
+            and max(rings.values(), default=0) <= 6
+        ):
+            return _ground(nodes, parent, links)
+
+
+def mutant(rng: random.Random, b: Bigraph) -> Bigraph:
+    """Gadget state `b` after one small random change that may or may not
+    preserve its isomorphism class: a leaf moved to another node with its
+    parent's control, an A/K leaf recoloured, or two edge ports swapped."""
+    nodes = dict(b.nodes)
+    parent = dict(b.parent)
+    links = [set(link.ports) for link in b.links.values()]
+    leaves = [
+        v for v in sorted(nodes) if parent[v][0] == NODE and not b.children((NODE, v))
+    ]
+    recolourable = [v for v in leaves if nodes[v][0] in "AK"]
+    roll = rng.random()
+    if roll < 0.4 and leaves:
+        v = rng.choice(leaves)
+        old = parent[v][1]
+        hosts = [u for u in sorted(nodes) if u != v and nodes[u] == nodes[old]]
+        parent[v] = (NODE, rng.choice(hosts))
+    elif roll < 0.6 and recolourable:
+        v = rng.choice(recolourable)
+        nodes[v] = ("K" if nodes[v][0] == "A" else "A", ())
+    else:
+        ports = sorted(pt for pts in links for pt in pts)
+        a, c = rng.sample(ports, 2)
+        la = next(pts for pts in links if a in pts)
+        lc = next(pts for pts in links if c in pts)
+        if la is not lc:
+            la.symmetric_difference_update({a, c})
+            lc.symmetric_difference_update({a, c})
+    return _ground(nodes, parent, [pts for pts in links if pts])

@@ -5,6 +5,7 @@ matcher)."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations, product
 
 from bigrs.bigraph import Bigraph, Edge, NODE, REGION, lean
@@ -256,3 +257,61 @@ def brute_occurrence_count(redex: Bigraph, target: Bigraph) -> int:
     for m in embeddings:
         reps.add(min(tuple(m[a[v]] for v in fixed) for a in auts))
     return len(reps)
+
+
+# ---------------------------------------------------------------------------
+# isomorphism through networkx (for states beyond the brute-force reach)
+# ---------------------------------------------------------------------------
+
+
+def _labelled_graph(b: Bigraph):
+    """Place and link graphs of a lean ground bigraph as one labelled
+    digraph: parent to child, node to port, port to link.  Regions and outer
+    names are labelled with their identity, nodes with their control, ports
+    with their position.  Each node and link label also carries the node
+    count of its link component (linked nodes, transitively), and a final
+    Weisfeiler-Lehman hash folds each vertex's neighbourhood into its
+    label.  Both are isomorphism invariants; without them VF2++ cannot tell
+    a ring of six from two rings of three until deep in its search."""
+    import networkx as nx
+
+    b = lean(b)
+    linked = nx.Graph()
+    linked.add_nodes_from(b.nodes)
+    for link in b.links.values():
+        vs = sorted({v for v, _ in link.ports})
+        linked.add_edges_from(zip(vs, vs[1:]))
+    size = {v: len(comp) for comp in nx.connected_components(linked) for v in comp}
+    gr = nx.DiGraph()
+    for r in range(b.outer.width):
+        gr.add_node((REGION, r), label=("region", r))
+    for key, link in b.links.items():
+        reach = max((size[v] for v, _ in link.ports), default=0)
+        gr.add_node(key, label=("edge" if isinstance(key, Edge) else key, reach))
+    for v, (control, params) in b.nodes.items():
+        params = tuple(Fraction(p) for p in params)
+        gr.add_node((NODE, v), label=(control, params, size[v]))
+    for v in b.nodes:
+        gr.add_edge(b.parent[v], (NODE, v))
+        for i in range(b.arity(v)):
+            gr.add_node(("port", v, i), label=("port", i))
+            gr.add_edge((NODE, v), ("port", v, i))
+            gr.add_edge(("port", v, i), b.port_link(v, i))
+    hashes = nx.weisfeiler_lehman_subgraph_hashes(
+        gr.to_undirected(), node_attr="label", iterations=6
+    )
+    for u in gr:
+        gr.nodes[u]["label"] = hashes[u][-1]
+    return gr
+
+
+def nx_support_equivalent(f: Bigraph, g: Bigraph) -> bool:
+    """Lean-support equivalence of two ground bigraphs, decided by networkx
+    VF2++ on their labelled place-and-link digraphs."""
+    import networkx as nx
+
+    if f.outer != g.outer:
+        return False
+    return nx.vf2pp_is_isomorphic(
+        _labelled_graph(f), _labelled_graph(g), node_label="label"
+    )

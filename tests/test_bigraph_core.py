@@ -36,8 +36,16 @@ from bigrs.bigraph import (
 )
 from bigrs.canon import canonical_key
 
-from genutil import SIG, random_ground, random_solid, shuffled_copy
-from oracles import brute_support_equivalent
+from genutil import (
+    SIG,
+    gadget_state,
+    leafy_cycles,
+    mutant,
+    random_ground,
+    random_solid,
+    shuffled_copy,
+)
+from oracles import brute_support_equivalent, nx_support_equivalent
 
 
 def key_eq(a, b):
@@ -333,6 +341,38 @@ def test_interchangeable_population_is_fast():
     for _ in range(40):
         b = merge_parallel(b, close_name(ion(SIG, "L", (), ["y"]), "y"))
     assert canonical_key(b) == canonical_key(shuffled_copy(random.Random(1), b))
+
+
+@pytest.mark.parametrize("rings", [[3], [6], [6, 3, 3]])
+def test_key_invariant_under_renaming_of_leafy_rings(rings):
+    # like leaves under different parents are not interchangeable: ordering
+    # them without branching made the key depend on node ids
+    g = leafy_cycles(rings)
+    rng = random.Random(7)
+    keys = {canonical_key(shuffled_copy(rng, g)) for _ in range(10)}
+    assert keys == {canonical_key(g)}
+
+
+def test_key_separates_one_ring_from_two():
+    assert canonical_key(leafy_cycles([6])) != canonical_key(leafy_cycles([3, 3]))
+
+
+def test_key_iff_networkx_iso_on_gadget_states():
+    # 20-40 nodes: beyond the brute-force oracle, with repeated rings and
+    # hubs whose like leaves sit under many parents of one colour
+    pytest.importorskip("networkx")
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(30):
+        g = gadget_state(rng)
+        key = canonical_key(g)
+        assert canonical_key(shuffled_copy(rng, g)) == key
+        for _ in range(2):
+            h = shuffled_copy(rng, mutant(rng, g))
+            iso = nx_support_equivalent(g, h)
+            assert (canonical_key(h) == key) == iso
+            outcomes.add(iso)
+    assert outcomes == {True, False}  # both directions were exercised
 
 
 # ---------------------------------------------------------------------------
