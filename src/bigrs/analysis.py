@@ -2,11 +2,14 @@
 
 Reachability on DTMCs (bounded and unbounded), unbounded reachability on
 CTMCs via the embedded chain, min/max bounded reachability and bounded
-expected cumulative reward on MDPs.  All iteration is by plain value
-sweeps with absolute sup-norm convergence; the cumulative-reward
-semantics counts the state reward at every time step (one state plus one
-action reward per step), so a single absorbing state of reward 1 yields
-exactly k after k steps.
+expected cumulative reward on MDPs.  Every query iterates one Bellman
+backup over an MDP view of the system held in CSR arrays: a DTMC row, or
+the embedded-chain row of a CTMC state, is a single choice, and an empty
+MDP row is a self-loop choice of reward 0, so such a state absorbs.  The
+unbounded queries stop at absolute sup-norm change below the tolerance.
+The cumulative-reward semantics counts the state reward at every time
+step (one state plus one action reward per step), so a single absorbing
+state of reward 1 yields exactly k after k steps.
 
 The query syntax accepted by `parse_query` is the tiny PCTL fragment the
 command line exposes:
@@ -47,8 +50,6 @@ class Query:
     kind: str  # boundedReach | reach | mdpReachMin | mdpReachMax | mdpCostMin | mdpCostMax
     label: str | None = None
     horizon: int | None = None
-    tolerance: float = 1e-9
-    max_iterations: int = 10**6
 
 
 class ReachValue(NamedTuple):
@@ -82,37 +83,28 @@ def parse_query(text: str) -> Query:
 
 def run_query(ts: TransitionSystem, query: Query) -> float:
     if query.kind == "boundedReach":
-        _need(ts, "dtmc", query)
         return dtmc_bounded_reach(ts, query.label, query.horizon)
     if query.kind == "reach":
-        if ts.kind == "pbrs":
-            return dtmc_reach(ts, query.label, query.tolerance,
-                              query.max_iterations).value
-        if ts.kind == "sbrs":
-            return ctmc_reach(ts, query.label, query.tolerance,
-                              query.max_iterations).value
-        raise AnalysisError(f"F queries need a DTMC or CTMC, not {ts.kind}")
-    if query.kind in ("mdpReachMin", "mdpReachMax"):
-        _need(ts, "mdp", query)
-        mode = "min" if query.kind.endswith("Min") else "max"
-        return mdp_bounded_reach(ts, query.label, query.horizon, mode)
-    _need(ts, "mdp", query)
+        reach = ctmc_reach if ts.kind == "sbrs" else dtmc_reach
+        return reach(ts, query.label).value
     mode = "min" if query.kind.endswith("Min") else "max"
+    if query.kind.startswith("mdpReach"):
+        return mdp_bounded_reach(ts, query.label, query.horizon, mode)
     return mdp_expected_cost(ts, query.horizon, mode)
 
 
-def _need(ts: TransitionSystem, shape: str, query: Query) -> None:
-    ok = {"dtmc": ts.kind == "pbrs", "mdp": ts.kind == "abrs"}[shape]
-    if not ok:
-        raise AnalysisError(
-            f"query {query.kind} needs a {shape} transition system, "
-            f"got kind {ts.kind}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# DTMC / CTMC
-# ---------------------------------------------------------------------------
+def _check(ts: TransitionSystem, kind: str, what: str, horizon=None,
+           mode=None) -> None:
+    """The argument checks of every analysis: `what` needs a system of
+    `kind`, and a horizon or mode, when given, must be >= 0 or be 'min'
+    or 'max'."""
+    if ts.kind != kind:
+        shape = {"pbrs": "a DTMC", "sbrs": "a CTMC", "abrs": "an MDP"}[kind]
+        raise AnalysisError(f"{what} needs {shape}, got {ts.kind}")
+    if mode not in (None, "min", "max"):
+        raise AnalysisError(f"mode must be 'min' or 'max', not {mode!r}")
+    if horizon is not None and horizon < 0:
+        raise AnalysisError("horizon must be >= 0")
 
 
 def _goal_states(ts: TransitionSystem, label: str) -> list[int]:
@@ -128,18 +120,84 @@ def _goal_states(ts: TransitionSystem, label: str) -> list[int]:
     return goals
 
 
-def _dtmc_arrays(rows):
-    srcs, dsts, probs = [], [], []
-    for i, dist in enumerate(rows):
-        for j, p in dist.items():
-            srcs.append(i)
-            dsts.append(j)
-            probs.append(float(p))
-    return (
-        np.asarray(srcs, dtype=np.int64),
-        np.asarray(dsts, dtype=np.int64),
-        np.asarray(probs, dtype=np.float64),
-    )
+# ---------------------------------------------------------------------------
+# the MDP view and its backup
+# ---------------------------------------------------------------------------
+
+
+class _Choices(NamedTuple):
+    """A system as an MDP in CSR form: state s owns the choices from
+    first_choice[s] up to the next state's, choice c the entries from
+    first_entry[c] up to the next choice's.  Every state has a choice and
+    every choice an entry, as `reduceat` needs."""
+
+    first_choice: np.ndarray  # per state
+    first_entry: np.ndarray  # per choice
+    reward: np.ndarray  # per choice: its action reward
+    dst: np.ndarray  # per entry
+    prob: np.ndarray  # per entry
+
+
+def _choices(ts: TransitionSystem) -> _Choices:
+    """DTMC and CTMC rows (the latter through the embedded chain) become
+    one choice each; an MDP choice carries its action reward, and an empty
+    MDP row becomes a self-loop of reward 0."""
+    if ts.kind == "abrs":
+        arew = ts.action_reward or [{}] * ts.n_states
+        rows = [
+            [(arew[i].get(name, 0), dist) for name, dist in row]
+            or [(0, {i: 1})]
+            for i, row in enumerate(ts.rows)
+        ]
+    else:
+        chain = embedded_chain(ts) if ts.kind == "sbrs" else ts.rows
+        rows = [[(0, dist)] for dist in chain]
+    first_choice, first_entry, reward, dst, prob = [], [], [], [], []
+    for row in rows:
+        first_choice.append(len(first_entry))
+        for r, dist in row:
+            first_entry.append(len(dst))
+            reward.append(float(r))
+            for j, p in sorted(dist.items()):
+                dst.append(j)
+                prob.append(float(p))
+    return _Choices(*map(np.array, (first_choice, first_entry, reward, dst, prob)))
+
+
+def _backup(m: _Choices, x, mode: str = "max", rewarded: bool = False):
+    """One Bellman backup: per state, the min or max over its choices of
+    sum prob * x[dst] over the choice's entries, plus the choice's reward
+    when `rewarded`."""
+    q = np.add.reduceat(m.prob * x[m.dst], m.first_entry)
+    if rewarded:
+        q += m.reward
+    opt = np.minimum if mode == "min" else np.maximum
+    return opt.reduceat(q, m.first_choice)
+
+
+def _reach(ts, goal_label: str, mode: str, sweeps: int, tol=None) -> ReachValue:
+    """From the goal indicator, repeat x <- backup(x) with x = 1 kept on
+    the goal states: `sweeps` times, or, given `tol`, until the sup-norm
+    change is below it (ConvergenceError if that takes over `sweeps`)."""
+    goals = _goal_states(ts, goal_label)
+    m = _choices(ts)
+    x = np.zeros(ts.n_states)
+    x[goals] = 1.0
+    for it in range(1, sweeps + 1):
+        nxt = _backup(m, x, mode)
+        nxt[goals] = 1.0
+        done = tol is not None and float(np.max(np.abs(nxt - x))) < tol
+        x = nxt
+        if done:
+            return ReachValue(float(x[0]), it)
+    if tol is not None:
+        raise ConvergenceError(f"no convergence within {sweeps} iterations", x)
+    return ReachValue(float(x[0]), sweeps)
+
+
+# ---------------------------------------------------------------------------
+# DTMC / CTMC
+# ---------------------------------------------------------------------------
 
 
 def dtmc_bounded_reach(
@@ -147,32 +205,21 @@ def dtmc_bounded_reach(
 ):
     """Probability of hitting the goal label within `horizon` steps, by the
     backward recursion x_{k+1}(s) = 1 on goal else sum P(s,.) x_k."""
-    if ts.kind != "pbrs":
-        raise AnalysisError(f"bounded reachability needs a DTMC, got {ts.kind}")
-    if horizon < 0:
-        raise AnalysisError("horizon must be >= 0")
+    _check(ts, "pbrs", "bounded reachability", horizon)
+    if not exact:
+        return _reach(ts, goal_label, "max", horizon).value
     goals = _goal_states(ts, goal_label)
     n = ts.n_states
-    if exact:
-        x = [Fraction(int(i in goals)) for i in range(n)]
-        gset = set(goals)
-        for _ in range(horizon):
-            x = [
-                Fraction(1)
-                if i in gset
-                else sum((p * x[j] for j, p in ts.rows[i].items()), Fraction(0))
-                for i in range(n)
-            ]
-        return x[0]
-    srcs, dsts, probs = _dtmc_arrays(ts.rows)
-    x = np.zeros(n)
-    x[goals] = 1.0
+    x = [Fraction(int(i in goals)) for i in range(n)]
+    gset = set(goals)
     for _ in range(horizon):
-        nxt = np.zeros(n)
-        np.add.at(nxt, srcs, probs * x[dsts])
-        nxt[goals] = 1.0
-        x = nxt
-    return float(x[0])
+        x = [
+            Fraction(1)
+            if i in gset
+            else sum((p * x[j] for j, p in ts.rows[i].items()), Fraction(0))
+            for i in range(n)
+        ]
+    return x[0]
 
 
 def dtmc_reach(
@@ -183,34 +230,14 @@ def dtmc_reach(
 ) -> ReachValue:
     """Least fixed point of the reachability equations by value iteration
     to sup-norm `tol`; also reports the iteration count."""
-    if ts.kind != "pbrs":
-        raise AnalysisError(f"unbounded reachability needs a DTMC, got {ts.kind}")
-    goals = _goal_states(ts, goal_label)
-    return _reach_fixpoint(ts.rows, ts.n_states, goals, tol, max_iterations)
-
-
-def _reach_fixpoint(rows, n, goals, tol, max_iterations) -> ReachValue:
-    srcs, dsts, probs = _dtmc_arrays(rows)
-    x = np.zeros(n)
-    x[goals] = 1.0
-    for it in range(1, max_iterations + 1):
-        nxt = np.zeros(n)
-        np.add.at(nxt, srcs, probs * x[dsts])
-        nxt[goals] = 1.0
-        delta = float(np.max(np.abs(nxt - x))) if n else 0.0
-        x = nxt
-        if delta < tol:
-            return ReachValue(float(x[0]), it)
-    raise ConvergenceError(
-        f"no convergence within {max_iterations} iterations", x
-    )
+    _check(ts, "pbrs", "unbounded reachability")
+    return _reach(ts, goal_label, "max", max_iterations, tol)
 
 
 def embedded_chain(ts: TransitionSystem) -> list[dict]:
     """Jump-chain rows of a CTMC: each row divided by its exit rate;
     rate-0 states become absorbing self-loops."""
-    if ts.kind != "sbrs":
-        raise AnalysisError(f"embedded chain needs a CTMC, got {ts.kind}")
+    _check(ts, "sbrs", "embedded chain")
     rows = []
     for i, rates in enumerate(ts.rows):
         total = sum(rates.values(), Fraction(0))
@@ -229,11 +256,8 @@ def ctmc_reach(
 ) -> ReachValue:
     """Unbounded reachability on the embedded (jump) chain; invariant under
     uniform scaling of all rates."""
-    goals = _goal_states(ts, goal_label)
-    from .system import Distribution
-
-    rows = [Distribution(r) for r in embedded_chain(ts)]
-    return _reach_fixpoint(rows, ts.n_states, goals, tol, max_iterations)
+    _check(ts, "sbrs", "unbounded reachability")
+    return _reach(ts, goal_label, "max", max_iterations, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -246,67 +270,18 @@ def mdp_bounded_reach(
 ) -> float:
     """Optimal probability of hitting the goal within `horizon` steps;
     states with an empty action row are absorbing."""
-    if ts.kind != "abrs":
-        raise AnalysisError(f"MDP reachability needs an MDP, got {ts.kind}")
-    if mode not in ("min", "max"):
-        raise AnalysisError(f"mode must be 'min' or 'max', not {mode!r}")
-    if horizon < 0:
-        raise AnalysisError("horizon must be >= 0")
-    goals = set(_goal_states(ts, goal_label))
-    opt = min if mode == "min" else max
-    n = ts.n_states
-    rows = [
-        [[(j, float(p)) for j, p in dist.items()] for _, dist in row]
-        for row in ts.rows
-    ]
-    x = [1.0 if i in goals else 0.0 for i in range(n)]
-    for _ in range(horizon):
-        nxt = [0.0] * n
-        for i in range(n):
-            if i in goals:
-                nxt[i] = 1.0
-            elif not rows[i]:
-                nxt[i] = x[i]
-            else:
-                nxt[i] = opt(
-                    sum(p * x[j] for j, p in choice) for choice in rows[i]
-                )
-        x = nxt
-    return x[0]
+    _check(ts, "abrs", "MDP reachability", horizon, mode)
+    return _reach(ts, goal_label, mode, horizon).value
 
 
 def mdp_expected_cost(ts: TransitionSystem, horizon: int, mode: str) -> float:
     """Optimal expected cumulative reward over `horizon` steps:
     v_{j+1}(s) = r(s) + opt_a [ r(s,a) + sum mu_a(s') v_j(s') ], with
     absorbing states accumulating their state reward each step."""
-    if ts.kind != "abrs":
-        raise AnalysisError(f"expected cost needs an MDP, got {ts.kind}")
-    if mode not in ("min", "max"):
-        raise AnalysisError(f"mode must be 'min' or 'max', not {mode!r}")
-    if horizon < 0:
-        raise AnalysisError("horizon must be >= 0")
-    opt = min if mode == "min" else max
-    n = ts.n_states
-    srew = [float(r) for r in ts.state_reward] if ts.state_reward else [0.0] * n
-    rows = []
-    for i, row in enumerate(ts.rows):
-        arew = ts.action_reward[i] if ts.action_reward else {}
-        rows.append(
-            [
-                (float(arew.get(name, 0)), [(j, float(p)) for j, p in dist.items()])
-                for name, dist in row
-            ]
-        )
-    v = [0.0] * n
+    _check(ts, "abrs", "expected cost", horizon, mode)
+    srew = np.array([float(r) for r in ts.state_reward or [0] * ts.n_states])
+    m = _choices(ts)
+    v = np.zeros(ts.n_states)
     for _ in range(horizon):
-        nxt = [0.0] * n
-        for i in range(n):
-            if not rows[i]:
-                nxt[i] = srew[i] + v[i]
-            else:
-                nxt[i] = srew[i] + opt(
-                    ar + sum(p * v[j] for j, p in choice)
-                    for ar, choice in rows[i]
-                )
-        v = nxt
-    return v[0]
+        v = srew + _backup(m, v, mode, rewarded=True)
+    return float(v[0])

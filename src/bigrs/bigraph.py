@@ -202,9 +202,6 @@ class Bigraph:
             self._children = {p: tuple(sorted(vs)) for p, vs in kids.items()}
         return self._children.get(place, ())
 
-    def sites_under(self, place: Place) -> tuple:
-        return tuple(s for s, p in sorted(self.site_parent.items()) if p == place)
-
     def port_link(self, node: int, port: int) -> LinkKey:
         if self._port_link is None:
             pl = {}

@@ -7,8 +7,8 @@ Subcommands:
   -- build the transition system and export it.
 * ``check <model> --query "<query>" [--max-states N]`` -- build and answer
   one query (see `bigrs.analysis` for the query fragment).
-* ``sim <model> --steps N [--seed S]`` -- print a random trace as JSON
-  lines.
+* ``sim <model> --steps N [--seed S]`` -- print a random trace of N >= 0
+  steps as JSON lines.
 
 Exit status: 0 on success, 1 on model errors, 2 on usage errors.
 The ``BIGRS_OUT_DIR`` environment variable sets the default output
@@ -29,6 +29,16 @@ from .export import export_dot, export_json, export_prism
 from .language import load_model
 from .simulate import simulate
 from .system import build_transition_system
+
+
+def _count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="random trace")
     p.add_argument("model")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--seed", type=int, default=None)
     return top
 

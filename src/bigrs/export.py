@@ -63,22 +63,6 @@ class ExportBundle:
 
 
 def render_tra(ts: TransitionSystem) -> str:
-    if ts.kind == "pbrs":
-        rows = [
-            (i, j, p) for i, dist in enumerate(ts.rows) for j, p in dist.items()
-        ]
-        lines = [f"{len(ts.rows)} {len(rows)}"]
-        lines += [f"{i} {j} {_fmt(p)}" for i, j, p in sorted(rows)]
-        return "\n".join(lines) + "\n"
-    if ts.kind == "sbrs":
-        rows = [
-            (i, j, r)
-            for i, rates in enumerate(ts.rows)
-            for j, r in sorted(rates.items())
-        ]
-        lines = [f"{len(ts.rows)} {len(rows)}"]
-        lines += [f"{i} {j} {_fmt(r)}" for i, j, r in sorted(rows)]
-        return "\n".join(lines) + "\n"
     if ts.kind == "abrs":
         choices = _mdp_choices(ts)
         n_trans = sum(len(dist.items()) for _, _, _, dist in choices)
@@ -87,10 +71,13 @@ def render_tra(ts: TransitionSystem) -> str:
             for j, p in dist.items():
                 lines.append(f"{src} {ci} {j} {_fmt(p)} {name}")
         return "\n".join(lines) + "\n"
-    raise ExportError(
-        f"kind {ts.kind!r} has no PRISM transition format (plain reaction "
-        "relations export as dot or json)"
-    )
+    if ts.kind == "brs":
+        raise ExportError(
+            f"kind {ts.kind!r} has no PRISM transition format (plain reaction "
+            "relations export as dot or json)"
+        )
+    rows = [f"{i} {j} {_fmt(p)}" for i, _, j, p in ts.transitions()]
+    return "\n".join([f"{ts.n_states} {len(rows)}", *rows]) + "\n"
 
 
 def _mdp_choices(ts: TransitionSystem) -> list:
@@ -257,25 +244,12 @@ def render_dot(ts: TransitionSystem) -> str:
         labels = sorted(ts.labels[i]) if ts.labels else []
         text = str(i) if not labels else f"{i}: " + ",".join(labels)
         lines.append(f'  s{i} [label="{text}"];')
-    if ts.kind == "pbrs":
-        for i, dist in enumerate(ts.rows):
-            for j, p in dist.items():
-                lines.append(f'  s{i} -> s{j} [label="{float(p):.6g}"];')
-    elif ts.kind == "sbrs":
-        for i, rates in enumerate(ts.rows):
-            for j, r in sorted(rates.items()):
-                lines.append(f'  s{i} -> s{j} [label="{float(r):.6g}"];')
-    elif ts.kind == "abrs":
-        for i, row in enumerate(ts.rows):
-            for name, dist in sorted(row, key=lambda e: e[0]):
-                for j, p in dist.items():
-                    lines.append(
-                        f'  s{i} -> s{j} [label="{name}:{float(p):.6g}"];'
-                    )
-    else:
-        for i, succs in enumerate(ts.rows):
-            for j in succs:
-                lines.append(f"  s{i} -> s{j};")
+    for i, name, j, p in ts.transitions():
+        if p is None:
+            lines.append(f"  s{i} -> s{j};")
+        else:
+            text = f"{float(p):.6g}" if name is None else f"{name}:{float(p):.6g}"
+            lines.append(f'  s{i} -> s{j} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -286,45 +260,28 @@ def render_dot(ts: TransitionSystem) -> str:
 
 
 def system_to_json(ts: TransitionSystem) -> dict:
-    def num(x):
-        return float(x)
-
     doc: dict = {"kind": ts.kind, "states": ts.n_states, "complete": ts.complete}
-    if ts.kind == "pbrs":
-        doc["transitions"] = [
-            {"src": i, "dst": j, "prob": num(p)}
-            for i, dist in enumerate(ts.rows)
-            for j, p in dist.items()
-        ]
-    elif ts.kind == "sbrs":
-        doc["transitions"] = [
-            {"src": i, "dst": j, "rate": num(r)}
-            for i, rates in enumerate(ts.rows)
-            for j, r in sorted(rates.items())
-        ]
-    elif ts.kind == "abrs":
-        doc["transitions"] = [
-            {"src": i, "action": name, "dst": j, "prob": num(p)}
-            for i, row in enumerate(ts.rows)
-            for name, dist in sorted(row, key=lambda e: e[0])
-            for j, p in dist.items()
-        ]
-    else:
-        doc["transitions"] = [
-            {"src": i, "dst": j} for i, succs in enumerate(ts.rows) for j in succs
-        ]
+    weight = "rate" if ts.kind == "sbrs" else "prob"
+    doc["transitions"] = []
+    for i, name, j, p in ts.transitions():
+        edge = {"src": i, "dst": j}
+        if name is not None:
+            edge["action"] = name
+        if p is not None:
+            edge[weight] = float(p)
+        doc["transitions"].append(edge)
     doc["labels"] = {
         str(i): sorted(ls) for i, ls in enumerate(ts.labels or []) if ls
     }
     if ts.state_reward and any(r != 0 for r in ts.state_reward):
         doc["state_rewards"] = {
-            str(i): num(r) for i, r in enumerate(ts.state_reward) if r != 0
+            str(i): float(r) for i, r in enumerate(ts.state_reward) if r != 0
         }
     if ts.kind == "abrs" and any(
         r != 0 for per in (ts.action_reward or []) for r in per.values()
     ):
         doc["action_rewards"] = {
-            str(i): {name: num(r) for name, r in sorted(per.items()) if r != 0}
+            str(i): {name: float(r) for name, r in sorted(per.items()) if r != 0}
             for i, per in enumerate(ts.action_reward)
             if any(r != 0 for r in per.values())
         }

@@ -191,6 +191,23 @@ class TransitionSystem:
     def states_with_label(self, label: str) -> list:
         return [i for i, ls in enumerate(self.labels) if label in ls]
 
+    def transitions(self):
+        """Every transition as (src, action name or None, dst, probability
+        or rate or None): sources ascending, then MDP actions by name, then
+        targets ascending.  A brs row keeps its stored order (key order)
+        and carries no number."""
+        for i, row in enumerate(self.rows):
+            if self.kind == "brs":
+                for j in row:
+                    yield i, None, j, None
+            elif self.kind == "abrs":
+                for name, dist in sorted(row, key=lambda e: e[0]):
+                    for j, p in dist.items():
+                        yield i, name, j, p
+            else:
+                for j, p in sorted(row.items()):
+                    yield i, None, j, p
+
 
 # ---------------------------------------------------------------------------
 # the step kernel and the per-state views over it

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 from bigrs.bigraph import (
     Bigraph,
@@ -18,6 +19,7 @@ from bigrs.bigraph import (
     is_solid,
     tensor,
 )
+from bigrs.system import Distribution, TransitionSystem
 
 SIG = {
     "A": ControlDecl("A", 0),
@@ -346,3 +348,35 @@ def mutant(rng: random.Random, b: Bigraph) -> Bigraph:
             la.symmetric_difference_update({a, c})
             lc.symmetric_difference_update({a, c})
     return _ground(nodes, parent, [pts for pts in links if pts])
+
+
+def random_mdp(rng: random.Random, lo: int = 2, hi: int = 12) -> TransitionSystem:
+    """An MDP of lo..hi states with rational probabilities: about a fifth
+    of the states are terminal (empty rows), the others have one to three
+    actions of one to four targets each.  Actions carry random rewards
+    (some zero), states random state rewards, and some states the label
+    "goal"."""
+    n = rng.randint(lo, hi)
+    rows, action_reward = [], []
+    for _ in range(n):
+        row, rewards = [], {}
+        if rng.random() >= 0.2:
+            for name in rng.sample("abcde", rng.randint(1, 3)):
+                targets = rng.sample(range(n), rng.randint(1, min(4, n)))
+                weights = [rng.randint(1, 9) for _ in targets]
+                total = sum(weights)
+                row.append((name, Distribution(
+                    {j: Fraction(w, total) for j, w in zip(targets, weights)}
+                )))
+                rewards[name] = Fraction(rng.choice([0, 0, 1, 2, 5]), rng.randint(1, 4))
+        rows.append(row)
+        action_reward.append(rewards)
+    return TransitionSystem(
+        kind="abrs",
+        states=[(f"m{i}".encode(), None) for i in range(n)],
+        rows=rows,
+        labels=[frozenset({"goal"} if rng.random() < 0.25 else ()) for _ in range(n)],
+        label_names=("goal",),
+        state_reward=[Fraction(rng.randint(0, 3), 2) for _ in range(n)],
+        action_reward=action_reward,
+    )

@@ -1,7 +1,8 @@
 """Independent brute-force oracles, written clause by clause and kept free
 of the engine's search code: an exhaustive isomorphism check (for the
-canonical-key cross-check) and an exhaustive occurrence counter (for the
-matcher)."""
+canonical-key cross-check), an exhaustive occurrence counter (for the
+matcher) and per-state value iteration on MDPs (for the analysis
+kernel)."""
 
 from __future__ import annotations
 
@@ -315,3 +316,65 @@ def nx_support_equivalent(f: Bigraph, g: Bigraph) -> bool:
     return nx.vf2pp_is_isomorphic(
         _labelled_graph(f), _labelled_graph(g), node_label="label"
     )
+
+
+# ---------------------------------------------------------------------------
+# MDP value iteration, one state and one choice at a time
+# ---------------------------------------------------------------------------
+
+
+def brute_mdp_bounded_reach(ts, goal_label: str, horizon: int, mode: str) -> float:
+    """Optimal probability of hitting the goal within `horizon` steps;
+    states with an empty action row are absorbing."""
+    goals = set(ts.states_with_label(goal_label))
+    opt = min if mode == "min" else max
+    n = ts.n_states
+    rows = [
+        [[(j, float(p)) for j, p in dist.items()] for _, dist in row]
+        for row in ts.rows
+    ]
+    x = [1.0 if i in goals else 0.0 for i in range(n)]
+    for _ in range(horizon):
+        nxt = [0.0] * n
+        for i in range(n):
+            if i in goals:
+                nxt[i] = 1.0
+            elif not rows[i]:
+                nxt[i] = x[i]
+            else:
+                nxt[i] = opt(
+                    sum(p * x[j] for j, p in choice) for choice in rows[i]
+                )
+        x = nxt
+    return x[0]
+
+
+def brute_mdp_expected_cost(ts, horizon: int, mode: str) -> float:
+    """Optimal expected cumulative reward over `horizon` steps:
+    v_{j+1}(s) = r(s) + opt_a [ r(s,a) + sum mu_a(s') v_j(s') ], with
+    absorbing states accumulating their state reward each step."""
+    opt = min if mode == "min" else max
+    n = ts.n_states
+    srew = [float(r) for r in ts.state_reward] if ts.state_reward else [0.0] * n
+    rows = []
+    for i, row in enumerate(ts.rows):
+        arew = ts.action_reward[i] if ts.action_reward else {}
+        rows.append(
+            [
+                (float(arew.get(name, 0)), [(j, float(p)) for j, p in dist.items()])
+                for name, dist in row
+            ]
+        )
+    v = [0.0] * n
+    for _ in range(horizon):
+        nxt = [0.0] * n
+        for i in range(n):
+            if not rows[i]:
+                nxt[i] = srew[i] + v[i]
+            else:
+                nxt[i] = srew[i] + opt(
+                    ar + sum(p * v[j] for j, p in choice)
+                    for ar, choice in rows[i]
+                )
+        v = nxt
+    return v[0]

@@ -1,9 +1,13 @@
 """Value-iteration analyses and the query fragment."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from genutil import random_mdp
+from oracles import brute_mdp_bounded_reach, brute_mdp_expected_cost
 
 from bigrs.analysis import (
     AnalysisError,
@@ -17,7 +21,8 @@ from bigrs.analysis import (
     parse_query,
     run_query,
 )
-from bigrs.system import Distribution, TransitionSystem
+from bigrs.language import load_model
+from bigrs.system import Distribution, TransitionSystem, build_transition_system
 
 
 def dtmc(rows, labels, rewards=None):
@@ -239,6 +244,33 @@ def test_policy_sandwich():
         fixed = dtmc(rows, [set(ls) for ls in SEND.labels])
         value = dtmc_bounded_reach(fixed, "sent", horizon)
         assert lo - 1e-12 <= value <= hi + 1e-12
+
+
+def _kernel_agrees_with_oracle(ts, horizons):
+    for mode, k in itertools.product(("min", "max"), horizons):
+        for label in ts.label_names:
+            got = mdp_bounded_reach(ts, label, k, mode)
+            want = brute_mdp_bounded_reach(ts, label, k, mode)
+            assert math.isclose(got, want, rel_tol=1e-12), (label, k, mode)
+        got = mdp_expected_cost(ts, k, mode)
+        want = brute_mdp_expected_cost(ts, k, mode)
+        assert math.isclose(got, want, rel_tol=1e-12), (k, mode)
+
+
+@pytest.mark.parametrize("model", ["send_mdp", "mobile_sink"])
+def test_mdp_kernel_matches_oracle_on_models(models_dir, model):
+    ts = build_transition_system(load_model(models_dir / f"{model}.big"))
+    _kernel_agrees_with_oracle(ts, (0, 1, 2, 7, 60))
+
+
+def test_mdp_kernel_matches_oracle_on_random_mdps():
+    rng = random.Random(4)
+    seen_terminal = 0
+    for _ in range(20):
+        ts = random_mdp(rng)
+        seen_terminal += any(not row for row in ts.rows)
+        _kernel_agrees_with_oracle(ts, (0, 1, 3, 25))
+    assert seen_terminal >= 5
 
 
 def test_kind_checks():

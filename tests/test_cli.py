@@ -123,6 +123,15 @@ def test_sim_json_lines(models_dir, capsys):
     assert first["step"] == 1 and "state" in first and "rule" in first
 
 
+@pytest.mark.parametrize("steps", ["-3", "many"])
+def test_sim_rejects_bad_steps_exits_2(models_dir, capsys, steps):
+    with pytest.raises(SystemExit) as exc:
+        main(["sim", str(models_dir / "wsn.big"), "--steps", steps])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--steps" in captured.err
+
+
 def test_check_mdp_cost(models_dir, capsys):
     rc = main(
         [

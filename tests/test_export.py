@@ -181,6 +181,146 @@ def test_system_json(wsn_ts):
     json.dumps(doc)  # serializable
 
 
+def _hand_built(kind, rows, labels, state_reward=None, action_reward=None):
+    n = len(rows)
+    return TransitionSystem(
+        kind=kind,
+        states=[(f"s{i}".encode(), None) for i in range(n)],
+        rows=rows,
+        labels=[frozenset(ls) for ls in labels],
+        state_reward=state_reward or [Fraction(0)] * n,
+        action_reward=action_reward or [{} for _ in range(n)],
+    )
+
+
+# successors stored out of index order (a built brs stores key order)
+BRS = _hand_built("brs", [(2, 0, 1), (0,), ()], [{"start"}, set(), {"end", "b"}])
+# a rate dict out of key order and a state with no exit rate
+SBRS = _hand_built(
+    "sbrs",
+    [{2: Fraction(3), 0: Fraction(1, 3), 1: Fraction(1, 2)}, {2: Fraction(5, 2)}, {}],
+    [set(), {"mid"}, {"done"}],
+    state_reward=[Fraction(0), Fraction(1, 4), Fraction(0)],
+)
+# actions out of name order and a terminal state
+ABRS = _hand_built(
+    "abrs",
+    [
+        [
+            ("go", Distribution({2: Fraction(2, 3), 1: Fraction(1, 3)})),
+            ("back", Distribution({0: Fraction(1)})),
+        ],
+        [("retry", Distribution({0: Fraction(1, 7), 2: Fraction(6, 7)}))],
+        [],
+    ],
+    [set(), {"failed"}, {"sent"}],
+    state_reward=[Fraction(1), Fraction(0), Fraction(0)],
+    action_reward=[
+        {"go": Fraction(3, 2), "back": Fraction(0)},
+        {"retry": Fraction(1)},
+        {},
+    ],
+)
+
+DOT_HEAD = "digraph ts {\n  node [shape=circle];\n"
+
+PINNED_DOT = {
+    "brs": DOT_HEAD + """  s0 [label="0: start"];
+  s1 [label="1"];
+  s2 [label="2: b,end"];
+  s0 -> s2;
+  s0 -> s0;
+  s0 -> s1;
+  s1 -> s0;
+}
+""",
+    "sbrs": DOT_HEAD + """  s0 [label="0"];
+  s1 [label="1: mid"];
+  s2 [label="2: done"];
+  s0 -> s0 [label="0.333333"];
+  s0 -> s1 [label="0.5"];
+  s0 -> s2 [label="3"];
+  s1 -> s2 [label="2.5"];
+}
+""",
+    "abrs": DOT_HEAD + """  s0 [label="0"];
+  s1 [label="1: failed"];
+  s2 [label="2: sent"];
+  s0 -> s0 [label="back:1"];
+  s0 -> s1 [label="go:0.333333"];
+  s0 -> s2 [label="go:0.666667"];
+  s1 -> s0 [label="retry:0.142857"];
+  s1 -> s2 [label="retry:0.857143"];
+}
+""",
+}
+
+PINNED_JSON = {
+    "brs": {
+        "kind": "brs",
+        "states": 3,
+        "complete": True,
+        "transitions": [
+            {"src": 0, "dst": 2},
+            {"src": 0, "dst": 0},
+            {"src": 0, "dst": 1},
+            {"src": 1, "dst": 0},
+        ],
+        "labels": {"0": ["start"], "2": ["b", "end"]},
+        "state_bigraphs": [None, None, None],
+    },
+    "sbrs": {
+        "kind": "sbrs",
+        "states": 3,
+        "complete": True,
+        "transitions": [
+            {"src": 0, "dst": 0, "rate": 0.3333333333333333},
+            {"src": 0, "dst": 1, "rate": 0.5},
+            {"src": 0, "dst": 2, "rate": 3.0},
+            {"src": 1, "dst": 2, "rate": 2.5},
+        ],
+        "labels": {"1": ["mid"], "2": ["done"]},
+        "state_rewards": {"1": 0.25},
+        "state_bigraphs": [None, None, None],
+    },
+    "abrs": {
+        "kind": "abrs",
+        "states": 3,
+        "complete": True,
+        "transitions": [
+            {"src": 0, "action": "back", "dst": 0, "prob": 1.0},
+            {"src": 0, "action": "go", "dst": 1, "prob": 0.3333333333333333},
+            {"src": 0, "action": "go", "dst": 2, "prob": 0.6666666666666666},
+            {"src": 1, "action": "retry", "dst": 0, "prob": 0.14285714285714285},
+            {"src": 1, "action": "retry", "dst": 2, "prob": 0.8571428571428571},
+        ],
+        "labels": {"1": ["failed"], "2": ["sent"]},
+        "state_rewards": {"0": 1.0},
+        "action_rewards": {"0": {"go": 1.5}, "1": {"retry": 1.0}},
+        "state_bigraphs": [None, None, None],
+    },
+}
+
+
+@pytest.mark.parametrize("ts", [BRS, SBRS, ABRS], ids=lambda ts: ts.kind)
+def test_dot_and_json_exact(ts):
+    assert render_dot(ts) == PINNED_DOT[ts.kind]
+    assert system_to_json(ts) == PINNED_JSON[ts.kind]
+
+
+def test_ctmc_tra_exact():
+    assert render_tra(SBRS) == "3 4\n0 0 0.33333333333333331\n0 1 0.5\n0 2 3\n1 2 2.5\n"
+
+
+def test_transitions_order():
+    assert list(BRS.transitions()) == [
+        (0, None, 2, None), (0, None, 0, None), (0, None, 1, None), (1, None, 0, None)
+    ]
+    assert [(i, a, j) for i, a, j, _ in ABRS.transitions()] == [
+        (0, "back", 0), (0, "go", 1), (0, "go", 2), (1, "retry", 0), (1, "retry", 2)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # simulation
 # ---------------------------------------------------------------------------
