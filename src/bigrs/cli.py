@@ -6,7 +6,8 @@ Subcommands:
 * ``full <model> [--max-states N] [--out DIR] [--format prism|dot|json]``
   -- build the transition system and export it.
 * ``check <model> --query "<query>" [--max-states N]`` -- build and answer
-  one query (see `bigrs.analysis` for the query fragment).
+  one query (see `bigrs.analysis` for the query fragment).  The state
+  cap N of ``full`` and ``check`` must be >= 1.
 * ``sim <model> --steps N [--seed S]`` -- print a random trace of N >= 0
   steps as JSON lines.
 
@@ -31,14 +32,21 @@ from .simulate import simulate
 from .system import build_transition_system
 
 
-def _count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return n
+def _int_from(least: int):
+    """An argparse type accepting the integers >= `least`."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = least - 1
+        if n < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}"
+            )
+        return n
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("full", help="build the full transition system")
     p.add_argument("model")
-    p.add_argument("--max-states", type=int, default=1_000_000)
+    p.add_argument("--max-states", type=_int_from(1), default=1_000_000)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument(
         "--format", choices=("prism", "dot", "json"), default="prism"
@@ -67,11 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="answer a query on a model")
     p.add_argument("model")
     p.add_argument("--query", required=True)
-    p.add_argument("--max-states", type=int, default=1_000_000)
+    p.add_argument("--max-states", type=_int_from(1), default=1_000_000)
 
     p = sub.add_parser("sim", help="random trace")
     p.add_argument("model")
-    p.add_argument("--steps", type=_count, required=True)
+    p.add_argument("--steps", type=_int_from(0), required=True)
     p.add_argument("--seed", type=int, default=None)
     return top
 

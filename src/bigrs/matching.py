@@ -10,6 +10,15 @@ most-constrained-first order (rarest control in the target first, then
 nodes adjacent to already-placed ones), with place- and link-feasibility
 pruning at every assignment.  Matching restricted to existence checks
 (`has_occurrence`) stops at the first embedding and skips deduplication.
+
+Rewriting at an occurrence replaces the redex image by the reactum over
+the same parameter: the result is ``lean(C . (R x id_X) . d)``.  `rewrite`
+splices it from the match in one pass (context copied, reactum added,
+parameter subtrees re-parented under the reactum's sites, ports relinked,
+idle edges dropped) and constructs and validates one `Bigraph`; the node
+and edge ids it assigns are the ones the composition formula assigns (see
+`rewrite`).  `Match.decompose` materializes the algebraic witness
+``(C, d, X)`` itself.
 """
 
 from __future__ import annotations
@@ -26,11 +35,7 @@ from .bigraph import (
     NODE,
     NotGroundError,
     REGION,
-    compose,
-    identity,
-    lean,
     require_solid,
-    tensor,
 )
 from .canon import canonical_key
 
@@ -481,18 +486,89 @@ class RewriteOutcome:
 
 def rewrite(g: Bigraph, rule, m: Match) -> Bigraph:
     """Replace the matched redex image by the reactum over the same
-    parameter (identity instantiation); result is lean-normalized."""
+    parameter (identity instantiation), splicing one lean result.
+
+    The result is ``lean(C . (R x id_X) . d)`` for the witness
+    ``(C, d, X)`` of `Match.decompose`, built in one pass: context nodes
+    keep their host ids, reactum node ``t`` becomes ``t + off`` with
+    ``off = 1 + max context node id``, and parameter node ``c`` becomes
+    ``c + off + 1 + reactum.max_node_id()``.  Host edges keep their ids
+    unless the redex consumed them, and reactum edge ``e`` becomes
+    ``e + 1 + max id of the unconsumed host edges``.  Exports write these
+    ids, so they must not change."""
     redex, reactum = _rule_pair(rule)
     if m.target is not g or m.redex is not redex:
         raise MatchError("stale match: it does not witness this state and rule")
     _check_rule_interfaces(redex, reactum)
-    ctx, prm, xnames = _decompose(m)
-    mid = reactum
-    if xnames:
-        mid = tensor(mid, identity(xnames, signature=g.signature))
-    if prm.nodes or prm.links or mid.inner.width or mid.inner.names:
-        mid = compose(mid, prm)
-    return lean(compose(ctx, mid))
+    images = set(m.node_map.values())
+    # the parameter: the unmapped children of each site's holder, with
+    # everything below them
+    site_of: dict = {}
+    for s, (_, v) in redex.site_parent.items():  # solid: under a node
+        mapped = {m.node_map[c] for c in redex.children((NODE, v))}
+        for c in g.children((NODE, m.node_map[v])):
+            if c not in mapped:
+                site_of[c] = s
+    prm: set = set()
+    stack = list(site_of)
+    while stack:
+        c = stack.pop()
+        prm.add(c)
+        stack.extend(g.children((NODE, c)))
+    moved = images | prm
+    nodes = dict(g.nodes)  # the context: the host minus the moved nodes
+    parent = dict(g.parent)
+    for v in moved:
+        del nodes[v], parent[v]
+    off = max(nodes, default=-1) + 1
+    poff = off + reactum.max_node_id() + 1
+
+    def place(p):  # a reactum place seen from the result
+        return (NODE, p[1] + off) if p[0] == NODE else m.region_place[p[1]]
+
+    for t, p in reactum.parent.items():
+        nodes[t + off] = reactum.nodes[t]
+        parent[t + off] = place(p)
+    homes = [place(reactum.site_parent[s]) for s in range(reactum.inner.width)]
+    for c in prm:
+        nodes[c + poff] = g.nodes[c]
+        s = site_of.get(c)
+        parent[c + poff] = (
+            (NODE, g.parent[c][1] + poff) if s is None else homes[s]
+        )
+
+    # host links: drop the consumed edges, and move the ports of moved
+    # nodes (image ports go, parameter ports are renumbered)
+    consumed = {k for rk, k in m.link_map.items() if isinstance(rk, Edge)}
+    links = dict(g.links)
+    for key in consumed:
+        del links[key]
+    for key, link in links.items():
+        if not moved.isdisjoint([v for v, _ in link.ports]):
+            links[key] = Link(frozenset(
+                (v + poff if v in prm else v, i)
+                for v, i in link.ports
+                if v not in images
+            ))
+    eoff = 1 + max([k.ident for k in links if isinstance(k, Edge)], default=-1)
+    for key, link in reactum.links.items():
+        ports = frozenset((t + off, i) for t, i in link.ports)
+        if isinstance(key, Edge):
+            links[Edge(key.ident + eoff)] = Link(ports)
+        else:
+            home = m.link_map[key]
+            links[home] = Link(links[home].ports | ports)
+    # idle closed edges are left out, so the result is lean
+    links = {k: l for k, l in links.items() if l.ports or isinstance(k, str)}
+    return Bigraph(
+        {**g.signature, **reactum.signature},
+        nodes,
+        parent,
+        {},
+        links,
+        Interface(0),
+        g.outer,
+    )
 
 
 def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:

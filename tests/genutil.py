@@ -231,6 +231,54 @@ def plant(rng: random.Random, redex: Bigraph) -> Bigraph:
     return compose(ctx, compose(tensor(redex, identity(())), prm))
 
 
+def random_reactum(rng: random.Random, redex: Bigraph, max_nodes: int = 4) -> Bigraph:
+    """A random reactum for `redex`: its interface, 0..max_nodes nodes,
+    sites under random nodes or regions, ports on the redex's outer names
+    (some of which may stay idle) or on closed edges, and sometimes one
+    idle closed edge."""
+    m = redex.outer.width
+    n = rng.randint(0, max_nodes)
+    nodes, parent, non_atomic = {}, {}, []
+    for v in range(n):
+        nodes[v] = _random_control(rng)
+        if non_atomic and rng.random() < 0.5:
+            parent[v] = (NODE, rng.choice(non_atomic))
+        else:
+            parent[v] = (REGION, rng.randrange(m))
+        if not SIG[nodes[v][0]].atomic:
+            non_atomic.append(v)
+    site_parent = {
+        s: (NODE, rng.choice(non_atomic)) if non_atomic and rng.random() < 0.8
+        else (REGION, rng.randrange(m))
+        for s in range(redex.inner.width)
+    }
+    names = sorted(redex.outer.names)
+    links: dict = {x: set() for x in names}
+    edges: list = []
+    for v in range(n):
+        for i in range(SIG[nodes[v][0]].arity):
+            roll = rng.random()
+            if names and roll < 0.5:
+                links[rng.choice(names)].add((v, i))
+            elif edges and roll < 0.7:
+                links[rng.choice(edges)].add((v, i))
+            else:
+                e = Edge(len(edges))
+                edges.append(e)
+                links[e] = {(v, i)}
+    if rng.random() < 0.2:
+        links[Edge(len(edges))] = set()
+    return Bigraph(
+        SIG,
+        nodes,
+        parent,
+        site_parent,
+        {k: Link(frozenset(pts)) for k, pts in links.items()},
+        Interface(redex.inner.width),
+        redex.outer,
+    )
+
+
 def _ground(nodes: dict, parent: dict, links: list) -> Bigraph:
     """One-region ground bigraph whose links are closed edges, one per set
     of ports in `links`."""

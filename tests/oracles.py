@@ -1,15 +1,24 @@
 """Independent brute-force oracles, written clause by clause and kept free
 of the engine's search code: an exhaustive isomorphism check (for the
 canonical-key cross-check), an exhaustive occurrence counter (for the
-matcher) and per-state value iteration on MDPs (for the analysis
-kernel)."""
+matcher), rewriting by the composition formula (for the splice) and
+per-state value iteration on MDPs (for the analysis kernel)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
 
-from bigrs.bigraph import Bigraph, Edge, NODE, REGION, lean
+from bigrs.bigraph import (
+    Bigraph,
+    Edge,
+    NODE,
+    REGION,
+    compose,
+    identity,
+    lean,
+    tensor,
+)
 
 
 def _classes(b: Bigraph) -> dict:
@@ -316,6 +325,25 @@ def nx_support_equivalent(f: Bigraph, g: Bigraph) -> bool:
     return nx.vf2pp_is_isomorphic(
         _labelled_graph(f), _labelled_graph(g), node_label="label"
     )
+
+
+# ---------------------------------------------------------------------------
+# rewriting by the algebra
+# ---------------------------------------------------------------------------
+
+
+def algebraic_rewrite(g: Bigraph, rule, m) -> Bigraph:
+    """``lean(C . (R x id_X) . d)`` for the witness ``(C, d, X)`` of the
+    match, built with the bigraph operations: the reference that
+    `bigrs.matching.rewrite` must reproduce id for id."""
+    reactum = rule.reactum if hasattr(rule, "reactum") else rule[1]
+    ctx, prm, xnames = m.decompose()
+    mid = reactum
+    if xnames:
+        mid = tensor(mid, identity(xnames, signature=g.signature))
+    if prm.nodes or prm.links or mid.inner.width or mid.inner.names:
+        mid = compose(mid, prm)
+    return lean(compose(ctx, mid))
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,18 @@ def test_sim_rejects_bad_steps_exits_2(models_dir, capsys, steps):
     assert captured.out == "" and "--steps" in captured.err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5", "many"])
+def test_max_states_rejects_non_positive_exits_2(models_dir, capsys, cap):
+    model = str(models_dir / "wsn.big")
+    check = ["check", model, "--query", "P=? [ F true ]"]
+    for argv in (["full", model], check):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-states", cap])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-states" in captured.err
+
+
 def test_check_mdp_cost(models_dir, capsys):
     rc = main(
         [

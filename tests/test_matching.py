@@ -19,10 +19,13 @@ from bigrs.bigraph import (
     hole,
     identity,
     ion,
+    lean,
     merge_parallel,
     tensor,
+    to_json,
 )
 from bigrs.canon import canonical_key
+from bigrs.language import load_model
 from bigrs.matching import (
     MatchError,
     apply_rule_all,
@@ -32,9 +35,10 @@ from bigrs.matching import (
     occurrences,
     rewrite,
 )
+from bigrs.system import StateCapError, build_transition_system
 
-from genutil import SIG, plant, random_ground, random_solid
-from oracles import brute_occurrence_count
+from genutil import SIG, plant, random_ground, random_reactum, random_solid
+from oracles import algebraic_rewrite, brute_occurrence_count
 
 
 def wsn_parts():
@@ -113,7 +117,7 @@ def test_occurrence_witness_reconstructs_host():
 
 
 # ---------------------------------------------------------------------------
-# occurrence基本 behaviour on the sensor model
+# basic occurrence behaviour on the sensor model
 # ---------------------------------------------------------------------------
 
 
@@ -284,3 +288,84 @@ def test_witness_reconstruction_random():
             assert canonical_key(rebuilt) == canonical_key(target)
             checked += 1
     assert checked >= 20
+
+
+# ---------------------------------------------------------------------------
+# the splice against the composition formula, id for id
+# ---------------------------------------------------------------------------
+
+
+def _states(path, max_states):
+    """The rules of a model and its first `max_states` stored states."""
+    spec = load_model(path)
+    try:
+        ts = build_transition_system(spec, max_states=max_states)
+    except StateCapError as exc:
+        ts = exc.partial
+    return spec.rules, [g for _, g in ts.states]
+
+
+def _assert_splice_matches_algebra(g, rule, m):
+    res = rewrite(g, rule, m)
+    ref = algebraic_rewrite(g, rule, m)
+    assert to_json(res) == to_json(ref)
+    assert res.links.keys() == ref.links.keys()
+
+
+def test_splice_matches_algebra(models_dir):
+    sources = [(models_dir / f"{name}.big", 10**6)
+               for name in ("wsn", "send_mdp", "mobile_sink", "virus")]
+    sources.append((models_dir.parent / "bench/models/mobile_sink2.big", 10**6))
+    sources.append((models_dir / "budding.big", 40))  # the first BFS levels
+    for path, cap in sources:
+        rules, states = _states(path, cap)
+        n = 0
+        for g in states:
+            for rule in rules:
+                for m in occurrences(rule.redex, g):
+                    _assert_splice_matches_algebra(g, rule, m)
+                    n += 1
+        assert n >= len(states), path.name
+    # random planted pairs, with reactums that grow, shrink, close new
+    # edges and leave outer names idle
+    rng = random.Random(61)
+    seen = {"grow": 0, "shrink": 0, "edge": 0, "idle name": 0}
+    pairs = 0
+    while pairs < 500:
+        redex = random_solid(rng, max_nodes=4)
+        target = plant(rng, redex)
+        for m in occurrences(redex, target)[:3]:
+            reactum = random_reactum(rng, redex)
+            _assert_splice_matches_algebra(target, (redex, reactum), m)
+            pairs += 1
+            seen["grow"] += len(reactum.nodes) > len(redex.nodes)
+            seen["shrink"] += len(reactum.nodes) < len(redex.nodes)
+            seen["edge"] += any(isinstance(k, Edge) for k in reactum.links)
+            seen["idle name"] += any(
+                not reactum.links[x].ports for x in reactum.outer.names
+            )
+    assert min(seen.values()) >= 20, seen
+
+
+def test_rewrite_constructs_one_lean_bigraph(models_dir, monkeypatch):
+    calls = []
+    init = Bigraph.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    for name in ("budding", "virus"):
+        rules, states = _states(models_dir / f"{name}.big", 30)
+        n = 0
+        for g in states:
+            for rule in rules:
+                for m in occurrences(rule.redex, g):
+                    monkeypatch.setattr(Bigraph, "__init__", counted)
+                    res = rewrite(g, rule, m)
+                    monkeypatch.undo()
+                    assert len(calls) == 1, name
+                    assert lean(res) is res
+                    calls.clear()
+                    n += 1
+        assert n >= 100, name
