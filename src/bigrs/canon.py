@@ -5,19 +5,60 @@ states get the same key exactly when they are lean-support equivalent
 (equal after renaming nodes and closed edges and dropping idle edges).
 Region indices and outer names are interface and stay fixed.
 
-The algorithm is iterative partition refinement on
-(control, parameters, place degree, link shape) followed by
-individualization of ambiguous cells, taking the lexicographically
-minimal encoding over the explored orderings.  One kind of cell is split
-without branching: twins, whose members are leaves (no children) with
-one shared parent, and whose ports, position by position, either sit on
-the same link or each sit on a private single-port edge.  Any ordering
-of twins is related to any other by an automorphism, so all orderings
-encode identically.  This keeps populations of identical sibling
-entities (the common shape in counter-style models) linear instead of
-factorial.  Leaves with different parents are not twins: reordering
-them moves them between parents, so they are branched on like any other
-cell.
+The key is the lexicographically minimal encoding over the leaves of an
+individualisation-refinement search tree.  Each tree node holds colours
+of the nodes and closed edges, stable under mutual refinement: a node's
+signature is its parent's colour, the sorted colours of its children and
+the colours of its ports' links; an edge's is the sorted (colour,
+position) pairs of its ports.  The start colours are the controls.  A
+tree node branches on the first cell of more than one member, in colour
+order, by giving each member in turn a colour above all others; a leaf
+is a discrete colouring, encoded in colour order.
+
+Refinement only re-sorts touched cells (Paige & Tarjan, "Three partition
+refinement algorithms", SIAM J. Comput. 1987).  Inside `_refine` a cell's
+colour is its start, the number of items of smaller colour.  Splitting a
+cell gives its sub-cells starts inside its own range, so the first keeps
+its colour and no other cell is renumbered.  The first round re-sorts
+every cell.  After that, an edge cell is re-sorted only if one of its
+edges has a port on a node whose colour changed in the previous round.
+A node cell is re-sorted only if a member's parent or child changed
+colour in the previous round, or one of its port edges changed colour in
+this round's edge step.  Any other cell keeps equal signatures and
+cannot split, so each round yields the partition of the round that
+recomputes every signature (`tests/oracles.full_refine`).  Cell starts
+are order-isomorphic to that round's dense ranks, and cells are sorted
+by the same signatures, so `_refine` returns exactly the same dense
+colours.  Those colours fix the target cells and the leaf order, so the
+keys are the same byte for byte.  A search step passes down only the
+nodes it individualised, so its first round touches only their
+neighbours.
+
+One kind of cell is split without branching: twins, whose members are
+leaves (no children) with one shared parent, and whose ports, position
+by position, either sit on the same link or each sit on a private
+single-port edge.  Any ordering of twins is related to any other by an
+automorphism, so all orderings encode identically.  This keeps
+populations of identical sibling entities (the common shape in
+counter-style models) linear instead of factorial.  Leaves with
+different parents are not twins: reordering them moves them between
+parents, so they are branched on like any other cell.
+
+The search prunes by automorphisms (McKay & Piperno, "Practical graph
+isomorphism, II", J. Symb. Comput. 2014).  When two leaves encode
+equally, the map between their node orders is an automorphism.  A tree
+node merges the orbits of its target cell under the automorphisms found
+in its subtree that keep its colours, and skips a member whose orbit
+holds an explored member: that child's subtree is an automorphic image
+of an explored one, so its minimal encoding is the same.  The first-leaf
+rule of nauty cuts a later child early.  When the first leaf under it
+encodes like the node's first leaf, and the map between the two keeps
+the node's colours and sends the first child's branch node to this
+child's, the whole child subtree is an automorphic image of the first
+child's, and it is abandoned.  Neither rule changes which encoding is
+minimal.  They only cut how many leaves are visited: k disjoint copies
+of a symmetric ring visit 2k leaves instead of k! times a power of the
+ring length.
 """
 
 from __future__ import annotations
@@ -37,80 +78,152 @@ class _Skeleton:
     """Index-based view of a lean ground bigraph, fixed across branches."""
 
     def __init__(self, b: Bigraph):
-        self.node_ids = sorted(b.nodes)
-        idx = {v: i for i, v in enumerate(self.node_ids)}
+        node_ids = sorted(b.nodes)
+        idx = {v: i for i, v in enumerate(node_ids)}
         edge_keys = sorted(
             (k for k in b.links if isinstance(k, Edge)), key=lambda e: e.ident
         )
-        eidx = {k: i for i, k in enumerate(edge_keys)}
-        n = len(self.node_ids)
-        self.n = n
-        self.ne = len(edge_keys)
-        self.ctrl = [None] * n
-        self.parent = [None] * n  # ('r', i) | int parent index
+        n = self.n = len(node_ids)
+        ne = self.ne = len(edge_keys)
+        self.ctrl: list = []
+        self.parent: list = []  # ('r', i) | int parent index
         self.children: list[list[int]] = [[] for _ in range(n)]
-        self.ports: list[list] = [None] * n  # per node: list over port position
-        self.edge_ports: list[list] = [[] for _ in range(self.ne)]
-        for v in self.node_ids:
-            i = idx[v]
-            ctrl, params = b.nodes[v]
-            self.ctrl[i] = (ctrl, tuple(_ser_param(p) for p in params))
-            p = b.parent[v]
-            if p[0] == REGION:
-                self.parent[i] = ("r", p[1])
+        self.ports: list[list] = []  # per node: list over port position
+        # Integer forms of the parent and port tokens for `_refine`,
+        # order-isomorphic to them while colours stay below n and ne: a
+        # region parent sorts after every node parent and a name port after
+        # every edge port.
+        self.up: list[int] = []
+        self.port_codes: list[list[int]] = []
+        tokens: dict = {}
+        for i, v in enumerate(node_ids):
+            c = b.nodes[v]
+            if c not in tokens:
+                tokens[c] = (c[0], tuple(_ser_param(p) for p in c[1]))
+            self.ctrl.append(tokens[c])
+            kind, at = b.parent[v]
+            if kind == REGION:
+                self.parent.append(("r", at))
+                self.up.append(-1 - at)
             else:
-                self.parent[i] = idx[p[1]]
-                self.children[idx[p[1]]].append(i)
-            pts = []
-            for pos in range(b.arity(v)):
-                key = b.port_link(v, pos)
-                if isinstance(key, Edge):
-                    pts.append(("e", eidx[key]))
-                    self.edge_ports[eidx[key]].append((i, pos))
-                else:
-                    pts.append(("y", key))
-            self.ports[i] = pts
-        for eps in self.edge_ports:
-            eps.sort()
-        self.width = b.outer.width
+                self.parent.append(idx[at])
+                self.up.append(idx[at])
+                self.children[idx[at]].append(i)
+            arity = b.signature[c[0]].arity
+            self.ports.append([None] * arity)
+            self.port_codes.append([0] * arity)
+        self.edge_ports: list[list] = []
+        self.node_edges: list[list[int]] = [[] for _ in range(n)]
+        for e, k in enumerate(edge_keys):
+            eps = sorted((idx[v], pos) for v, pos in b.links[k].ports)
+            self.edge_ports.append(eps)
+            for i, pos in eps:
+                self.ports[i][pos] = ("e", e)
+                self.port_codes[i][pos] = e
+                self.node_edges[i].append(e)
         self.outer_names = tuple(sorted(b.outer.names))
+        for r, y in enumerate(self.outer_names):
+            for v, pos in b.links[y].ports:
+                self.ports[idx[v]][pos] = ("y", y)
+                self.port_codes[idx[v]][pos] = ne + r
+        self.port_span = max(map(len, self.ports), default=0) or 1
+        self.width = b.outer.width
 
 
-def _refine(sk: _Skeleton, ncol: list[int], ecol: list[int]):
-    """Stable mutual refinement of node and edge colors."""
+def _starts(col: list) -> tuple[list[int], dict[int, list[int]]]:
+    """Cell-start colours of `col` (each item's colour becomes the number of
+    items of smaller colour) and the cells, keyed by their start."""
+    order = sorted(range(len(col)), key=col.__getitem__)
+    starts = [0] * len(col)
+    cells: dict = {}
+    start, prev = 0, None
+    for pos, v in enumerate(order):
+        if col[v] != prev:
+            start, prev = pos, col[v]
+            cells[start] = []
+        starts[v] = start
+        cells[start].append(v)
+    return starts, cells
+
+
+def _dense(cells: dict, size: int) -> tuple[list[int], list[list[int]]]:
+    """Dense colours from cells keyed by start, and the cells in colour
+    order."""
+    col = [0] * size
+    ordered = [cells[s] for s in sorted(cells)]
+    for r, cell in enumerate(ordered):
+        for v in cell:
+            col[v] = r
+    return col, ordered
+
+
+def _resort(col: list[int], cells: dict, touched, sig) -> list[int]:
+    """Sort each touched cell by `sig` and split it where `sig` changes.
+
+    Every signature is taken before any colour changes.  A sub-cell's
+    colour is its start within the old cell's range, so the first keeps
+    the old colour and no other cell is renumbered.  Returns the items
+    whose colour changed."""
+    plans = []
+    for start in touched:
+        members = cells[start]
+        if len(members) > 1:
+            keyed = sorted([(sig(v), v) for v in members])
+            if keyed[0][0] != keyed[-1][0]:
+                plans.append((start, keyed))
+    moved = []
+    for start, keyed in plans:
+        sub, cell = start, [keyed[0][1]]
+        for pos in range(1, len(keyed)):
+            key, v = keyed[pos]
+            if key != keyed[pos - 1][0]:
+                cells[sub] = cell
+                sub, cell = start + pos, []
+            cell.append(v)
+            if sub != start:
+                col[v] = sub
+                moved.append(v)
+        cells[sub] = cell
+    return moved
+
+
+def _refine(sk: _Skeleton, ncol: list[int], ecol: list[int], moved=None):
+    """Stable mutual refinement of node and edge colours: dense node
+    colours, dense edge colours and the node cells in colour order.
+    `moved` lists the nodes whose colours changed since `ncol` and `ecol`
+    were last stable; None re-sorts every cell in the first round."""
+    ncol, ncells = _starts(ncol)
+    ecol, ecells = _starts(ecol)
+    n, ne, span, up = sk.n, sk.ne, sk.port_span, sk.up
+
+    def esig(e):
+        return tuple(sorted([ncol[v] * span + pos for v, pos in sk.edge_ports[e]]))
+
+    def nsig(i):
+        p = up[i]
+        kids = sk.children[i]
+        return (
+            ncol[p] if p >= 0 else n - p,
+            tuple(sorted([ncol[c] for c in kids])) if kids else (),
+            tuple([ecol[c] if c < ne else c for c in sk.port_codes[i]]),
+        )
+
     while True:
-        if sk.ne:
-            esigs = [
-                (ecol[e], tuple(sorted((ncol[v], pos) for v, pos in sk.edge_ports[e])))
-                for e in range(sk.ne)
-            ]
-            ranking = {s: r for r, s in enumerate(sorted(set(esigs)))}
-            new_ecol = [ranking[s] for s in esigs]
+        if moved is None:
+            etouch = list(ecells)
         else:
-            new_ecol = ecol
-        nsigs = []
-        for i in range(sk.n):
-            par = sk.parent[i]
-            par_tok = par if isinstance(par, tuple) else ("n", ncol[par])
-            port_tok = tuple(
-                t if t[0] == "y" else ("e", new_ecol[t[1]]) for t in sk.ports[i]
-            )
-            nsigs.append(
-                (ncol[i], par_tok, tuple(sorted(ncol[c] for c in sk.children[i])),
-                 port_tok)
-            )
-        ranking = {s: r for r, s in enumerate(sorted(set(nsigs)))}
-        new_ncol = [ranking[s] for s in nsigs]
-        if len(set(new_ncol)) == len(set(ncol)) and len(set(new_ecol)) == len(set(ecol)):
-            return new_ncol, new_ecol
-        ncol, ecol = new_ncol, new_ecol
-
-
-def _cells(ncol: list[int]) -> list[list[int]]:
-    by: dict = {}
-    for i, c in enumerate(ncol):
-        by.setdefault(c, []).append(i)
-    return [by[c] for c in sorted(by)]
+            etouch = {ecol[e] for v in moved for e in sk.node_edges[v]}
+        emoved = _resort(ecol, ecells, etouch, esig)
+        if moved is None:
+            ntouch = list(ncells)
+        else:
+            ntouch = {ncol[c] for v in moved for c in sk.children[v]}
+            ntouch.update(ncol[up[v]] for v in moved if up[v] >= 0)
+            ntouch.update(ncol[v] for e in emoved for v, _ in sk.edge_ports[e])
+        moved = _resort(ncol, ncells, ntouch, nsig)
+        if not moved and not emoved:
+            ncol, cells = _dense(ncells, n)
+            return ncol, _dense(ecells, ne)[0], cells
 
 
 def _interchangeable(sk: _Skeleton, cell: list[int]) -> bool:
@@ -135,8 +248,7 @@ def _interchangeable(sk: _Skeleton, cell: list[int]) -> bool:
     return True
 
 
-def _encode(sk: _Skeleton, ncol: list[int]) -> tuple:
-    order = sorted(range(sk.n), key=lambda i: ncol[i])
+def _encode(sk: _Skeleton, order: list[int]) -> tuple:
     ci = [0] * sk.n
     for rank, i in enumerate(order):
         ci[i] = rank
@@ -156,27 +268,79 @@ def _encode(sk: _Skeleton, ncol: list[int]) -> tuple:
     return (sk.width, sk.outer_names, tuple(rows))
 
 
-def _search(sk: _Skeleton, ncol: list[int], ecol: list[int]) -> tuple:
-    ncol, ecol = _refine(sk, ncol, ecol)
+def _find(root: dict, v: int) -> int:
+    while root[v] != v:
+        v = root[v]
+    return v
+
+
+def _search(sk: _Skeleton, ncol, ecol, moved, autos: list, probe=None):
+    """The minimal and the first leaf, each (encoding, node order), of the
+    search subtree whose colouring is `ncol`, `ecol` after individualising
+    `moved`.  Automorphisms found are appended to `autos`.  `probe` is
+    (first leaf, colouring, first branch node, this branch node) of the
+    nearest ancestor that this subtree is a later child of, when this call
+    is on that child's first-leaf path; returns None when the probe
+    matched."""
+    ncol, ecol, cells = _refine(sk, ncol, ecol, moved)
     while True:
-        target = next((c for c in _cells(ncol) if len(c) > 1), None)
+        target = next((sorted(c) for c in cells if len(c) > 1), None)
         if target is None:
-            return _encode(sk, ncol)
-        if _interchangeable(sk, target):
-            fresh = sk.n + sk.ne
-            ncol = list(ncol)
-            for j, i in enumerate(target):
-                ncol[i] = fresh + j
-            ncol, ecol = _refine(sk, ncol, ecol)
+            order = [c[0] for c in cells]
+            leaf = (_encode(sk, order), order)
+            if probe is not None and probe[0][0] == leaf[0]:
+                (_, porder), pcol, i1, i = probe
+                g = _automorphism(porder, order)
+                if [pcol[w] for w in g] == pcol:
+                    autos.append(g)
+                    if g[i1] == i:
+                        return None
+            return leaf, leaf
+        if not _interchangeable(sk, target):
+            break
+        fresh = sk.n + sk.ne
+        for j, i in enumerate(target):
+            ncol[i] = fresh + j
+        ncol, ecol, cells = _refine(sk, ncol, ecol, target)
+    root = {i: i for i in target}  # orbits, each rooted at its least member
+    mark = len(autos)
+    best = first = None
+    for i in target:
+        for g in autos[mark:]:
+            for t in target:
+                a, b = _find(root, t), _find(root, g[t])
+                root[max(a, b)] = min(a, b)
+        mark = len(autos)
+        if _find(root, i) != i:
+            continue  # an earlier member of its orbit was explored or cut
+        branch = list(ncol)
+        branch[i] = sk.n + sk.ne
+        res = _search(
+            sk, branch, ecol, [i], autos,
+            probe if first is None else (first, ncol, target[0], i),
+        )
+        if res is None:
+            if first is None:
+                return None
             continue
-        best = None
-        for i in target:
-            branch = list(ncol)
-            branch[i] = sk.n + sk.ne
-            enc = _search(sk, branch, list(ecol))
-            if best is None or enc < best:
-                best = enc
-        return best
+        low, lead = res
+        if first is None:
+            first = lead
+        if best is None or low[0] < best[0]:
+            best = low
+        elif low[0] == best[0]:
+            g = _automorphism(best[1], low[1])
+            if [ncol[w] for w in g] == ncol:
+                autos.append(g)
+    return best, first
+
+
+def _automorphism(order: list[int], image: list[int]) -> list[int]:
+    """The node map between two leaves that encode equally."""
+    g = [0] * len(order)
+    for v, w in zip(order, image):
+        g[v] = w
+    return g
 
 
 def canonical_key(g: Bigraph) -> bytes:
@@ -187,5 +351,5 @@ def canonical_key(g: Bigraph) -> bytes:
     sk = _Skeleton(g)
     init = {c: r for r, c in enumerate(sorted(set(sk.ctrl)))}
     ncol = [init[c] for c in sk.ctrl]
-    ecol = [0] * sk.ne
-    return repr(_search(sk, ncol, ecol)).encode()
+    best, _ = _search(sk, ncol, [0] * sk.ne, None, [])
+    return repr(best[0]).encode()

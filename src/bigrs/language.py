@@ -820,6 +820,8 @@ class _Elaborator:
         self.bigs: dict[str, BigDef] = {}
         self.reacts: dict[str, ReactDef] = {}
         self.names: set = set()
+        # where the outermost definition being elaborated starts
+        self.at: tuple = model.system.pos
 
     def declare(self, name: str, pos):
         if name in self.names:
@@ -970,6 +972,7 @@ class _Elaborator:
             )
         scope = dict(self.consts)
         scope.update(zip(d.params, args))
+        self.at = d.pos
         if d.weight is None:
             if kind != "brs":
                 raise ElabError(
@@ -991,6 +994,7 @@ class _Elaborator:
             raise ElabError(f"initial bigraph {s.init!r} is not declared")
         if init_def.params:
             raise ElabError("the initial bigraph cannot be parameterised")
+        self.at = init_def.pos
         initial = self.big(init_def.body, dict(self.consts))
 
         rules: dict[str, WeightedRule] = {}
@@ -1007,6 +1011,7 @@ class _Elaborator:
             if label in seen_preds:
                 raise ElabError(f"predicate {label} listed twice")
             seen_preds.add(label)
+            self.at = self.bigs[name].pos if name in self.bigs else s.pos
             pattern = self.resolve_ref(name, args, dict(self.consts), s.pos)
             predicates.append(
                 PredicateDecl(label, pattern, Fraction(reward or 0))
@@ -1049,11 +1054,15 @@ def elaborate(model: Model) -> SystemSpec:
     argument tuple the system block uses, and check every rule and
     predicate (solid redexes, equal interfaces, finite nonnegative
     weights, ground initial state)."""
+    elab = _Elaborator(model)
     try:
-        return _Elaborator(model).run()
+        return elab.run()
     except RecursionError:
         # a chain of definitions each nesting the one before
-        raise ElabError("bigraph definitions nested too deeply") from None
+        line, col = elab.at
+        raise ElabError(
+            f"{line}:{col}: bigraph definitions nested too deeply"
+        ) from None
 
 
 def load_model(path) -> SystemSpec:

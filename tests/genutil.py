@@ -295,12 +295,14 @@ def _ground(nodes: dict, parent: dict, links: list) -> Bigraph:
 
 def _add_ring(nodes, parent, links, length, leaf, home):
     """A ring of `length` 2-port C nodes under `home`: port 1 of each is
-    linked to port 0 of the next, and each holds one leaf of control `leaf`."""
+    linked to port 0 of the next, and each holds one leaf of control `leaf`
+    (none when `leaf` is None)."""
     ring = []
     for _ in range(length):
         v = len(nodes)
         nodes[v], parent[v] = ("C", ()), home
-        nodes[v + 1], parent[v + 1] = (leaf, ()), (NODE, v)
+        if leaf is not None:
+            nodes[v + 1], parent[v + 1] = (leaf, ()), (NODE, v)
         ring.append(v)
     for j, v in enumerate(ring):
         links.append({(v, 1), (ring[(j + 1) % length], 0)})
@@ -332,6 +334,17 @@ def leafy_cycles(lengths) -> Bigraph:
     return _ground(nodes, parent, links)
 
 
+def bare_cycles(lengths) -> Bigraph:
+    """Disjoint rings of C nodes, one per entry of `lengths`, with no
+    leaves: every node has the same colour until one is individualised."""
+    nodes: dict = {}
+    parent: dict = {}
+    links: list = []
+    for length in lengths:
+        _add_ring(nodes, parent, links, length, None, (REGION, 0))
+    return _ground(nodes, parent, links)
+
+
 _GADGETS = [(_add_ring, n, leaf) for n in (2, 3, 4) for leaf in "AK"] + [
     (_add_hub, ks, ls) for ks in (0, 1, 2) for ls in (1, 2)
 ]
@@ -343,9 +356,10 @@ def gadget_state(rng: random.Random, lo: int = 20, hi: int = 40) -> Bigraph:
     one leaf each, and B hubs holding K leaves plus L leaves on the hub's
     edge.  Copies sit at the root or inside repeated A rooms, so leaves of
     one colour sit under many parents of one colour.  At most 12 ring nodes
-    in all and 6 under one parent: neither the canonical-key search nor
-    networkx's VF2++ prunes by automorphisms, so both grow factorially with
-    the number of like rings, and VF2++ with the number of like siblings."""
+    in all and 6 under one parent: the canonical-key search prunes by
+    automorphisms, but its oracle `oracles.unpruned_key` and networkx's
+    VF2++ do not, so both grow factorially with the number of like rings,
+    and VF2++ with the number of like siblings."""
     while True:
         nodes: dict = {}
         parent: dict = {}

@@ -2,7 +2,11 @@
 of the engine's search code: an exhaustive isomorphism check (for the
 canonical-key cross-check), an exhaustive occurrence counter (for the
 matcher), rewriting by the composition formula (for the splice) and
-per-state value iteration on MDPs (for the analysis kernel)."""
+per-state value iteration on MDPs (for the analysis kernel).  Also the
+earlier canonical-form search, with a refinement that recomputes every
+signature each round and no automorphism pruning (for the worklist
+refinement and the pruned search); it shares only the skeleton, the
+encoding and the twin rule with `bigrs.canon`."""
 
 from __future__ import annotations
 
@@ -14,11 +18,13 @@ from bigrs.bigraph import (
     Edge,
     NODE,
     REGION,
+    NotGroundError,
     compose,
     identity,
     lean,
     tensor,
 )
+from bigrs.canon import _Skeleton, _encode, _interchangeable
 
 
 def _classes(b: Bigraph) -> dict:
@@ -325,6 +331,84 @@ def nx_support_equivalent(f: Bigraph, g: Bigraph) -> bool:
     return nx.vf2pp_is_isomorphic(
         _labelled_graph(f), _labelled_graph(g), node_label="label"
     )
+
+
+# ---------------------------------------------------------------------------
+# canonical keys without the worklist or automorphism pruning
+# ---------------------------------------------------------------------------
+
+
+def full_refine(sk: _Skeleton, ncol: list[int], ecol: list[int]):
+    """Stable mutual refinement of node and edge colours that recomputes
+    every signature on every round: the reference for `canon._refine`."""
+    while True:
+        if sk.ne:
+            esigs = [
+                (ecol[e], tuple(sorted((ncol[v], pos) for v, pos in sk.edge_ports[e])))
+                for e in range(sk.ne)
+            ]
+            ranking = {s: r for r, s in enumerate(sorted(set(esigs)))}
+            new_ecol = [ranking[s] for s in esigs]
+        else:
+            new_ecol = ecol
+        nsigs = []
+        for i in range(sk.n):
+            par = sk.parent[i]
+            par_tok = par if isinstance(par, tuple) else ("n", ncol[par])
+            port_tok = tuple(
+                t if t[0] == "y" else ("e", new_ecol[t[1]]) for t in sk.ports[i]
+            )
+            nsigs.append(
+                (ncol[i], par_tok, tuple(sorted(ncol[c] for c in sk.children[i])),
+                 port_tok)
+            )
+        ranking = {s: r for r, s in enumerate(sorted(set(nsigs)))}
+        new_ncol = [ranking[s] for s in nsigs]
+        if len(set(new_ncol)) == len(set(ncol)) and len(set(new_ecol)) == len(set(ecol)):
+            return new_ncol, new_ecol
+        ncol, ecol = new_ncol, new_ecol
+
+
+def _cells(ncol: list[int]) -> list[list[int]]:
+    by: dict = {}
+    for i, c in enumerate(ncol):
+        by.setdefault(c, []).append(i)
+    return [by[c] for c in sorted(by)]
+
+
+def unpruned_search(sk: _Skeleton, ncol: list[int], ecol: list[int]) -> tuple:
+    """The minimal encoding over every leaf of the search tree, with the
+    twin rule but without automorphism pruning."""
+    ncol, ecol = full_refine(sk, ncol, ecol)
+    while True:
+        target = next((c for c in _cells(ncol) if len(c) > 1), None)
+        if target is None:
+            return _encode(sk, sorted(range(sk.n), key=ncol.__getitem__))
+        if _interchangeable(sk, target):
+            fresh = sk.n + sk.ne
+            ncol = list(ncol)
+            for j, i in enumerate(target):
+                ncol[i] = fresh + j
+            ncol, ecol = full_refine(sk, ncol, ecol)
+            continue
+        best = None
+        for i in target:
+            branch = list(ncol)
+            branch[i] = sk.n + sk.ne
+            enc = unpruned_search(sk, branch, list(ecol))
+            if best is None or enc < best:
+                best = enc
+        return best
+
+
+def unpruned_key(g: Bigraph) -> bytes:
+    """`canon.canonical_key` computed by `unpruned_search`."""
+    if not g.is_ground():
+        raise NotGroundError("canonical keys are defined on ground states")
+    sk = _Skeleton(lean(g))
+    init = {c: r for r, c in enumerate(sorted(set(sk.ctrl)))}
+    ncol = [init[c] for c in sk.ctrl]
+    return repr(unpruned_search(sk, ncol, [0] * sk.ne)).encode()
 
 
 # ---------------------------------------------------------------------------

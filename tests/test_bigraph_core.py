@@ -34,10 +34,14 @@ from bigrs.bigraph import (
     to_json,
     unit,
 )
+from bigrs import canon
 from bigrs.canon import canonical_key
+from bigrs.language import load_model
+from bigrs.system import StateCapError, build_transition_system
 
 from genutil import (
     SIG,
+    bare_cycles,
     gadget_state,
     leafy_cycles,
     mutant,
@@ -45,7 +49,12 @@ from genutil import (
     random_solid,
     shuffled_copy,
 )
-from oracles import brute_support_equivalent, nx_support_equivalent
+from oracles import (
+    brute_support_equivalent,
+    full_refine,
+    nx_support_equivalent,
+    unpruned_key,
+)
 
 
 def key_eq(a, b):
@@ -373,6 +382,111 @@ def test_key_iff_networkx_iso_on_gadget_states():
             assert (canonical_key(h) == key) == iso
             outcomes.add(iso)
     assert outcomes == {True, False}  # both directions were exercised
+
+
+# ---------------------------------------------------------------------------
+# the worklist refinement and the pruned search against their oracles
+# ---------------------------------------------------------------------------
+
+
+def _model_states(path, cap=10**6):
+    try:
+        ts = build_transition_system(load_model(path), max_states=cap)
+    except StateCapError as exc:
+        ts = exc.partial
+    return [g for _, g in ts.states]
+
+
+def _refine_cases(g):
+    """Refine the control colouring of `g`, then its stable colouring with
+    each node, and each whole cell, individualised; compare every result
+    with the full refinement.  Returns the number of twin cells seen."""
+    sk = canon._Skeleton(lean(g))
+    init = {c: r for r, c in enumerate(sorted(set(sk.ctrl)))}
+    ncol, ecol = [init[c] for c in sk.ctrl], [0] * sk.ne
+    stable = full_refine(sk, ncol, ecol)
+    assert canon._refine(sk, ncol, ecol)[:2] == stable
+    ncol, ecol = stable
+    fresh = sk.n + sk.ne
+    cells: dict = {}
+    for i, c in enumerate(ncol):
+        cells.setdefault(c, []).append(i)
+    twins = 0
+    for cell in cells.values():
+        if len(cell) == 1:
+            continue
+        for i in cell:
+            one = list(ncol)
+            one[i] = fresh
+            assert canon._refine(sk, one, ecol, [i])[:2] == full_refine(sk, one, ecol)
+        whole = list(ncol)
+        for j, i in enumerate(cell):
+            whole[i] = fresh + j
+        assert canon._refine(sk, whole, ecol, cell)[:2] == full_refine(sk, whole, ecol)
+        twins += canon._interchangeable(sk, cell)
+    return twins
+
+
+def test_refine_matches_full_refine(models_dir):
+    rng = random.Random(17)
+    states = [random_ground(rng, max_nodes=12, allow_idle_edge=True) for _ in range(150)]
+    states += [gadget_state(rng) for _ in range(30)]
+    states += [bare_cycles([3, 3, 7]), leafy_cycles([6, 3, 3])]
+    twins = sum(_refine_cases(g) for g in states)
+    # the builds key their states with the refinement under test
+    for name in ("budding", "virus"):
+        twins += sum(_refine_cases(g) for g in _model_states(models_dir / f"{name}.big", 200))
+    assert twins >= 200
+
+
+def test_key_matches_unpruned_search(models_dir, wsn_ts, send_mdp_ts):
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(200):
+        g = gadget_state(rng)
+        key = unpruned_key(g)
+        assert canonical_key(g) == key
+        assert canonical_key(shuffled_copy(rng, g)) == key
+        h = shuffled_copy(rng, mutant(rng, g))
+        assert canonical_key(h) == unpruned_key(h)
+        outcomes.add(canonical_key(h) == key)
+    assert outcomes == {True, False}
+    # the builds key their states with the search under test
+    states = [g for ts in (wsn_ts, send_mdp_ts) for _, g in ts.states]
+    for name in ("mobile_sink", "virus"):
+        states += _model_states(models_dir / f"{name}.big")
+    states += _model_states(models_dir / "budding.big", 300)
+    for g in states:
+        assert canonical_key(g) == unpruned_key(g)
+
+
+_SYMMETRIC = {
+    "bare 3-cycles": lambda k: bare_cycles([3] * k),
+    "bare 7-cycles": lambda k: bare_cycles([7] * k),
+    "leafy 3-rings": lambda k: leafy_cycles([3] * k),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SYMMETRIC))
+def test_search_leaves_grow_linearly(family, monkeypatch):
+    # k like rings have k! * len^k automorphic leaves; pruning visits O(k)
+    leaves = []
+    encode = canon._encode
+
+    def counted(sk, order):
+        leaves.append(1)
+        return encode(sk, order)
+
+    monkeypatch.setattr(canon, "_encode", counted)
+    for k in range(2, 11):
+        leaves.clear()
+        canonical_key(_SYMMETRIC[family](k))
+        assert len(leaves) <= 4 * k, (k, len(leaves))
+    g = _SYMMETRIC[family](8)
+    rng = random.Random(8)
+    assert {canonical_key(shuffled_copy(rng, g)) for _ in range(10)} == {
+        canonical_key(g)
+    }
 
 
 # ---------------------------------------------------------------------------

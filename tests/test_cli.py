@@ -166,3 +166,15 @@ def test_validate_deep_nesting_exits_1(tmp_path, capsys):
     assert main(["validate", str(deep)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: 2:") and "nested too deeply" in err
+
+
+def test_validate_deep_definition_chain_exits_1_with_location(tmp_path, capsys):
+    lines = ["ctrl A = 0;", "big b0 = 1;"]
+    lines += [f"big b{i} = A.b{i - 1};" for i in range(1, 1001)]
+    lines.append("begin brs init = b1000; rules = []; end")
+    chain = tmp_path / "chain.big"
+    chain.write_text("\n".join(lines) + "\n")
+    assert main(["validate", str(chain)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 1002:1: ") and "nested too deeply" in captured.err

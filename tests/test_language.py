@@ -280,9 +280,31 @@ def test_deep_nesting_is_a_parse_error(depth):
     assert err.value.line == 2 and err.value.col > 1
 
 
-def test_deep_definition_chain_is_an_elab_error():
+def definition_chain(length: int, use: str = "init") -> str:
+    """`length` definitions, each nesting the one before, the last used by
+    the initial state, by the redex of a rule or as a predicate."""
     chain = ["ctrl A = 0;", "big b0 = 1;"]
-    chain += [f"big b{i} = A.b{i - 1};" for i in range(1, 1001)]
-    chain.append("begin brs init = b1000; rules = []; end")
+    chain += [f"big b{i} = A.b{i - 1};" for i in range(1, length + 1)]
+    if use == "init":
+        chain.append(f"begin brs init = b{length}; rules = []; end")
+    elif use == "rule":
+        chain.append(f"react r = A.b{length} --> A.1;")
+        chain.append("begin brs init = b0; rules = [r]; end")
+    else:
+        chain.append(f"begin brs init = b0; rules = []; preds = [b{length}]; end")
+    return "\n".join(chain)
+
+
+def test_deep_definition_chain_is_an_elab_error():
     with pytest.raises(ElabError, match="nested too deeply"):
-        elaborate(parse("\n".join(chain)))
+        elaborate(parse(definition_chain(1000)))
+
+
+@pytest.mark.parametrize(
+    "use, where", [("init", "1002:1"), ("rule", "1003:1"), ("pred", "1002:1")]
+)
+def test_deep_definition_chain_error_has_location(use, where):
+    # where the outermost definition being elaborated starts
+    with pytest.raises(ElabError) as err:
+        elaborate(parse(definition_chain(1000, use)))
+    assert str(err.value).startswith(where + ": ")
