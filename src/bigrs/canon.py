@@ -42,7 +42,10 @@ automorphism, so all orderings encode identically.  This keeps
 populations of identical sibling entities (the common shape in
 counter-style models) linear instead of factorial.  Leaves with
 different parents are not twins: reordering them moves them between
-parents, so they are branched on like any other cell.
+parents, so they are branched on like any other cell.  `twin_classes`
+finds the maximal classes of twins of a whole state in one pass, with no
+refinement (every twin cell of the search lies inside one of them);
+`matching.apply_rule_all` uses them to rewrite one occurrence per orbit.
 
 The search prunes by automorphisms (McKay & Piperno, "Practical graph
 isomorphism, II", J. Symb. Comput. 2014).  When two leaves encode
@@ -246,6 +249,31 @@ def _interchangeable(sk: _Skeleton, cell: list[int]) -> bool:
                 continue
             return False
     return True
+
+
+def twin_classes(g: Bigraph) -> dict:
+    """Node id -> a representative of its twin class, in one pass over g.
+
+    The twins of `_interchangeable` without a colouring: leaves of one
+    concrete control and one parent whose ports, position by position, sit
+    on the same link or each on a private single-port edge.  Every
+    permutation of a class is an automorphism of g.  A node with children
+    is its own class."""
+    token: dict = {}
+    for key, link in g.links.items():
+        private = isinstance(key, Edge) and len(link.ports) == 1
+        for pt in link.ports:
+            token[pt] = None if private else key
+    holders = {p[1] for p in g.parent.values() if p[0] != REGION}
+    rep: dict = {}
+    first: dict = {}
+    for v, c in g.nodes.items():
+        if v in holders:
+            rep[v] = v
+            continue
+        ports = tuple(token[v, i] for i in range(g.signature[c[0]].arity))
+        rep[v] = first.setdefault((c, g.parent[v], ports), v)
+    return rep
 
 
 def _encode(sk: _Skeleton, order: list[int]) -> tuple:

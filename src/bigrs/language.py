@@ -1065,6 +1065,20 @@ def elaborate(model: Model) -> SystemSpec:
         ) from None
 
 
+_NEWLINE_RE = re.compile(r"\r\n?|\n")
+
+
 def load_model(path) -> SystemSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return elaborate(parse(fh.read()))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        source = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = _NEWLINE_RE.split(data[: exc.start].decode("utf-8"))
+        raise ParseError(
+            f"byte 0x{data[exc.start]:02x} is not valid UTF-8",
+            len(lines),
+            len(lines[-1]) + 1,
+        ) from None
+    # newlines as a text-mode read translates them
+    return elaborate(parse(_NEWLINE_RE.sub("\n", source)))

@@ -17,8 +17,16 @@ splices it from the match in one pass (context copied, reactum added,
 parameter subtrees re-parented under the reactum's sites, ports relinked,
 idle edges dropped) and constructs and validates one `Bigraph`; the node
 and edge ids it assigns are the ones the composition formula assigns (see
-`rewrite`).  `Match.decompose` materializes the algebraic witness
-``(C, d, X)`` itself.
+`rewrite`).
+
+`apply_rule_all` rewrites once per orbit of occurrences.  Leaves of one
+control under one parent whose ports sit on the same links, or on private
+edges, are twins (`canon.twin_classes`), and any permutation of twins is
+an automorphism of the state.  So two matches whose image nodes lie in
+the same twin classes, redex node by redex node, give isomorphic results:
+the first is rewritten and keyed, and the rest only add to its count.
+Results are still merged by key, and the result kept for a key is still
+that of its first match, because that match is the first of its orbit.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .bigraph import (
     REGION,
     require_solid,
 )
-from .canon import canonical_key
+from .canon import canonical_key, twin_classes
 
 
 class MatchError(BigraphError):
@@ -54,11 +62,6 @@ class Match:
     node_map: dict
     link_map: dict
     region_place: tuple
-
-    def decompose(self):
-        """Materialize the witness (context, parameter, identity names) with
-        ``target = context . (redex x id_names) . parameter``."""
-        return _decompose(self)
 
 
 class _Embedder:
@@ -377,102 +380,8 @@ def _short_of_controls(pattern: Bigraph, target: Bigraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# decomposition and rewriting
+# rewriting
 # ---------------------------------------------------------------------------
-
-
-def _fresh_names(count: int, taken) -> list[str]:
-    prefix = "~x"
-    while any(n.startswith(prefix) for n in taken):
-        prefix = "~" + prefix
-    return [f"{prefix}{i}" for i in range(count)]
-
-
-def _decompose(m: Match):
-    r, g = m.redex, m.target
-    images = set(m.node_map.values())
-
-    # parameter: one region per redex site, carrying the absorbed subtrees
-    site_owner = {
-        s: p[1] for s, p in r.site_parent.items()
-    }  # solid: every site sits under a node
-    absorbed_top: dict = {}
-    for s in range(r.inner.width):
-        holder = m.node_map[site_owner[s]]
-        mapped = {m.node_map[c] for c in r.children((NODE, site_owner[s]))}
-        absorbed_top[s] = [
-            c for c in g.children((NODE, holder)) if c not in mapped
-        ]
-    prm_nodes: set = set()
-    prm_parent: dict = {}
-    stack = []
-    for s, tops in sorted(absorbed_top.items()):
-        for c in tops:
-            prm_parent[c] = (REGION, s)
-            stack.append(c)
-    while stack:
-        c = stack.pop()
-        prm_nodes.add(c)
-        for k in g.children((NODE, c)):
-            prm_parent[k] = (NODE, c)
-            stack.append(k)
-
-    # links reaching out of the parameter get one identity name each
-    port_groups: dict = {}
-    for c in sorted(prm_nodes):
-        for i in range(g.arity(c)):
-            key = g.port_link(c, i)
-            port_groups.setdefault(key, set()).add((c, i))
-    group_keys = sorted(
-        port_groups, key=lambda k: (1, k.ident) if isinstance(k, Edge) else (0, k)
-    )
-    taken = g.outer.names | r.outer.names
-    xnames = _fresh_names(len(group_keys), taken)
-    prm_links = {
-        x: Link(frozenset(port_groups[k])) for x, k in zip(xnames, group_keys)
-    }
-    prm = Bigraph(
-        g.signature,
-        {c: g.nodes[c] for c in prm_nodes},
-        {c: prm_parent[c] for c in prm_nodes},
-        {},
-        prm_links,
-        Interface(0),
-        Interface(r.inner.width, frozenset(xnames)),
-    )
-
-    # context: everything else, with one site per redex region
-    consumed = {
-        m.link_map[k] for k in m.link_map if isinstance(k, Edge)
-    }
-    ctx_nodes = {
-        v: g.nodes[v] for v in g.nodes if v not in images and v not in prm_nodes
-    }
-    ctx_links: dict = {}
-    for key, link in g.links.items():
-        if key in consumed:
-            continue
-        ctx_links[key] = Link(
-            frozenset(p for p in link.ports if p[0] in ctx_nodes), link.inner
-        )
-    inner_on: dict = {}
-    for y in sorted(r.outer.names):
-        inner_on.setdefault(m.link_map[y], set()).add(y)
-    for x, k in zip(xnames, group_keys):
-        inner_on.setdefault(k, set()).add(x)
-    for key, names in inner_on.items():
-        link = ctx_links[key]
-        ctx_links[key] = Link(link.ports, link.inner | frozenset(names))
-    ctx = Bigraph(
-        g.signature,
-        ctx_nodes,
-        {v: g.parent[v] for v in ctx_nodes},
-        {i: m.region_place[i] for i in range(r.outer.width)},
-        ctx_links,
-        Interface(r.outer.width, r.outer.names | frozenset(xnames)),
-        g.outer,
-    )
-    return ctx, prm, tuple(xnames)
 
 
 @dataclass
@@ -488,8 +397,10 @@ def rewrite(g: Bigraph, rule, m: Match) -> Bigraph:
     """Replace the matched redex image by the reactum over the same
     parameter (identity instantiation), splicing one lean result.
 
-    The result is ``lean(C . (R x id_X) . d)`` for the witness
-    ``(C, d, X)`` of `Match.decompose`, built in one pass: context nodes
+    The result is ``lean(C . (R x id_X) . d)`` for the decomposition
+    ``g = C . (L x id_X) . d`` that the match induces, built in one pass
+    (`tests/oracles.algebraic_rewrite` builds it with the bigraph
+    operations instead, and the tests compare the two id for id): context nodes
     keep their host ids, reactum node ``t`` becomes ``t + off`` with
     ``off = 1 + max context node id``, and parameter node ``c`` becomes
     ``c + off + 1 + reactum.max_node_id()``.  Host edges keep their ids
@@ -574,16 +485,30 @@ def rewrite(g: Bigraph, rule, m: Match) -> Bigraph:
 def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:
     """Rewrite at every occurrence and partition the results by
     support-equivalence; counts sum to the occurrence count and outcomes
-    come in canonical-key order."""
+    come in canonical-key order.
+
+    Occurrences are grouped by orbit before rewriting: two matches whose
+    image nodes, taken in redex node order, lie in the same twin classes
+    (`canon.twin_classes`) differ by an automorphism of g, so their
+    results have one key.  Only the first match of each orbit is rewritten
+    and keyed; the others add to its count.  The kept result of a key is
+    still that of its first match in occurrence order, which is the first
+    member of its own orbit."""
     redex, _ = _rule_pair(rule)
-    groups: dict = {}
-    for m in occurrences(redex, g):
-        res = rewrite(g, rule, m)
-        key = canonical_key(res)
-        if key in groups:
-            groups[key][1] += 1
-        else:
-            groups[key] = [res, 1]
+    matches = occurrences(redex, g)
+    # a single match needs no grouping (the loop below runs once)
+    twin = twin_classes(g) if len(matches) > 1 else None
+    fixed = sorted(redex.nodes)
+    groups: dict = {}  # key -> [result of its first match, count]
+    orbit_key: dict = {}  # twin-class tuple -> key of the orbit
+    for m in matches:
+        orbit = tuple(twin[m.node_map[v]] for v in fixed) if twin else None
+        key = orbit_key.get(orbit)
+        if key is None:
+            res = rewrite(g, rule, m)
+            key = orbit_key[orbit] = canonical_key(res)
+            groups.setdefault(key, [res, 0])
+        groups[key][1] += 1
     return [
         RewriteOutcome(groups[k][0], groups[k][1], k) for k in sorted(groups)
     ]

@@ -15,9 +15,14 @@ from bigrs.bigraph import (
     NODE,
     REGION,
     compose,
+    hole,
     identity,
+    ion,
     is_solid,
+    merge_parallel,
+    parallel,
     tensor,
+    unit,
 )
 from bigrs.system import Distribution, TransitionSystem
 
@@ -410,6 +415,110 @@ def mutant(rng: random.Random, b: Bigraph) -> Bigraph:
             la.symmetric_difference_update({a, c})
             lc.symmetric_difference_update({a, c})
     return _ground(nodes, parent, [pts for pts in links if pts])
+
+
+# leaf kinds of `twin_state`: control, parameters, and where each port sits
+# ("own" a private single-port edge, "u" the outer name, "hub0" and "hub1"
+# an edge shared with a third node)
+_LEAVES = [
+    ("K", (), ()),
+    ("A", (), ()),
+    ("P", (0,), ("own",)),
+    ("P", (1,), ("own",)),
+    ("L", (), ("own",)),
+    ("L", (), ("u",)),
+    ("L", (), ("hub0",)),
+    ("L", (), ("hub1",)),
+    ("B", (), ("own",)),
+    ("B", (), ("hub0",)),
+    ("C", (), ("hub1", "own")),
+    ("C", (), ("own", "own")),
+]
+
+
+def twin_state(rng: random.Random) -> Bigraph:
+    """A ground bigraph full of twins and near-twins: two to four A or B
+    rooms (B rooms on a private edge or a hub edge), some nested in
+    others, and a random multiset of leaves in each room and at the root.
+    Leaves sit on private edges, on the outer name u or on one of two hub
+    edges, which also hold a port of a C or B node at the root.  So like
+    leaves sit under parents whose other children differ, share a
+    multi-port edge with a third node, or share an outer name, and rooms
+    of one control hold different children."""
+    nodes: dict = {0: ("C", ()), 1: ("B", ())}
+    parent: dict = {0: (REGION, 0), 1: (REGION, 0)}
+    ports: dict = {"u": set(), "hub0": {(0, 0)}, "hub1": {(1, 0)}}
+    own: list = [{(0, 1)}]
+
+    def wire(v, where):
+        for i, at in enumerate(where):
+            if at == "own":
+                own.append({(v, i)})
+            else:
+                ports[at].add((v, i))
+
+    homes = [(REGION, 0)]
+    for _ in range(rng.randint(2, 4)):
+        v = len(nodes)
+        ctrl = rng.choice("AB")
+        nodes[v], parent[v] = (ctrl, ()), rng.choice(homes)
+        if ctrl == "B":
+            wire(v, (rng.choice(["own", "hub0"]),))
+        homes.append((NODE, v))
+    for home in homes:
+        for ctrl, params, where in rng.sample(_LEAVES, rng.randint(1, 3)):
+            for _ in range(rng.randint(1, 3)):
+                v = len(nodes)
+                nodes[v], parent[v] = (ctrl, params), home
+                wire(v, where)
+    return Bigraph(
+        SIG,
+        nodes,
+        parent,
+        {},
+        {
+            "u": Link(frozenset(ports["u"])),
+            **{Edge(j): Link(frozenset(pts)) for j, pts in
+               enumerate([ports["hub0"], ports["hub1"], *own])},
+        },
+        Interface(0),
+        Interface(1, frozenset({"u"})),
+    )
+
+
+def _idle(*names) -> Bigraph:
+    """One empty region with idle outer names."""
+    return Bigraph(
+        SIG, {}, {}, {}, {x: Link(frozenset()) for x in names},
+        Interface(0), Interface(1, frozenset(names)),
+    )
+
+
+def twin_rules() -> list:
+    """(redex, reactum) pairs over SIG whose redexes match one or two
+    twins, a room with or without a twin inside, or leaves in two
+    regions.  Each reactum changes its images, so matches that are not
+    related by an automorphism give different results."""
+    k, a = ion(SIG, "K"), ion(SIG, "A")
+    lx = ion(SIG, "L", (), ["x"])
+    p0, p1 = ion(SIG, "P", (0,), ["x"]), ion(SIG, "P", (1,), ["x"])
+    return [
+        (k, unit(SIG)),
+        (lx, merge_parallel(a, _idle("x"))),
+        (ion(SIG, "A", child=hole(SIG)),
+         ion(SIG, "A", child=merge_parallel(k, hole(SIG)))),
+        (ion(SIG, "B", (), ["x"], child=hole(SIG)),
+         ion(SIG, "B", (), ["x"], child=merge_parallel(k, hole(SIG)))),
+        (p0, p1),
+        (ion(SIG, "A", child=merge_parallel(k, hole(SIG))),
+         ion(SIG, "A", child=hole(SIG))),
+        (merge_parallel(k, k), k),
+        (merge_parallel(lx, lx), lx),
+        (merge_parallel(k, ion(SIG, "B", (), ["x"])),
+         merge_parallel(a, ion(SIG, "B", (), ["x"]))),
+        (parallel(k, lx), parallel(a, ion(SIG, "B", (), ["x"]))),
+        (ion(SIG, "C", (), ["x", "y"]), ion(SIG, "C", (), ["y", "x"])),
+    ]
 
 
 def random_mdp(rng: random.Random, lo: int = 2, hi: int = 12) -> TransitionSystem:

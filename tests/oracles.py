@@ -1,12 +1,15 @@
 """Independent brute-force oracles, written clause by clause and kept free
 of the engine's search code: an exhaustive isomorphism check (for the
 canonical-key cross-check), an exhaustive occurrence counter (for the
-matcher), rewriting by the composition formula (for the splice) and
-per-state value iteration on MDPs (for the analysis kernel).  Also the
-earlier canonical-form search, with a refinement that recomputes every
-signature each round and no automorphism pruning (for the worklist
-refinement and the pruned search); it shares only the skeleton, the
-encoding and the twin rule with `bigrs.canon`."""
+matcher), the decomposition witness of a match and rewriting by the
+composition formula (for the splice) and per-state value iteration on
+MDPs (for the analysis kernel).  Also the earlier canonical-form search,
+with a refinement that recomputes every signature each round and no
+automorphism pruning (for the worklist refinement and the pruned search);
+it shares only the skeleton, the encoding and the twin rule with
+`bigrs.canon`.  And `apply_rule_all` as it was before orbit grouping,
+which rewrites and keys every occurrence with the engine's own
+`occurrences`, `rewrite` and `canonical_key` (for the grouping)."""
 
 from __future__ import annotations
 
@@ -16,6 +19,8 @@ from itertools import permutations, product
 from bigrs.bigraph import (
     Bigraph,
     Edge,
+    Interface,
+    Link,
     NODE,
     REGION,
     NotGroundError,
@@ -24,7 +29,8 @@ from bigrs.bigraph import (
     lean,
     tensor,
 )
-from bigrs.canon import _Skeleton, _encode, _interchangeable
+from bigrs.canon import _Skeleton, _encode, _interchangeable, canonical_key
+from bigrs.matching import RewriteOutcome, occurrences, rewrite
 
 
 def _classes(b: Bigraph) -> dict:
@@ -412,8 +418,105 @@ def unpruned_key(g: Bigraph) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# rewriting by the algebra
+# rewriting by the algebra, and rewriting every occurrence
 # ---------------------------------------------------------------------------
+
+
+def _fresh_names(count: int, taken) -> list[str]:
+    prefix = "~x"
+    while any(n.startswith(prefix) for n in taken):
+        prefix = "~" + prefix
+    return [f"{prefix}{i}" for i in range(count)]
+
+
+def decompose(m):
+    """The witness ``(context, parameter, identity names)`` of match `m`,
+    with ``target = context . (redex x id_names) . parameter``."""
+    r, g = m.redex, m.target
+    images = set(m.node_map.values())
+
+    # parameter: one region per redex site, carrying the absorbed subtrees
+    site_owner = {
+        s: p[1] for s, p in r.site_parent.items()
+    }  # solid: every site sits under a node
+    absorbed_top: dict = {}
+    for s in range(r.inner.width):
+        holder = m.node_map[site_owner[s]]
+        mapped = {m.node_map[c] for c in r.children((NODE, site_owner[s]))}
+        absorbed_top[s] = [
+            c for c in g.children((NODE, holder)) if c not in mapped
+        ]
+    prm_nodes: set = set()
+    prm_parent: dict = {}
+    stack = []
+    for s, tops in sorted(absorbed_top.items()):
+        for c in tops:
+            prm_parent[c] = (REGION, s)
+            stack.append(c)
+    while stack:
+        c = stack.pop()
+        prm_nodes.add(c)
+        for k in g.children((NODE, c)):
+            prm_parent[k] = (NODE, c)
+            stack.append(k)
+
+    # links reaching out of the parameter get one identity name each
+    port_groups: dict = {}
+    for c in sorted(prm_nodes):
+        for i in range(g.arity(c)):
+            key = g.port_link(c, i)
+            port_groups.setdefault(key, set()).add((c, i))
+    group_keys = sorted(
+        port_groups, key=lambda k: (1, k.ident) if isinstance(k, Edge) else (0, k)
+    )
+    taken = g.outer.names | r.outer.names
+    xnames = _fresh_names(len(group_keys), taken)
+    prm_links = {
+        x: Link(frozenset(port_groups[k])) for x, k in zip(xnames, group_keys)
+    }
+    prm = Bigraph(
+        g.signature,
+        {c: g.nodes[c] for c in prm_nodes},
+        {c: prm_parent[c] for c in prm_nodes},
+        {},
+        prm_links,
+        Interface(0),
+        Interface(r.inner.width, frozenset(xnames)),
+    )
+
+    # context: everything else, with one site per redex region
+    consumed = {
+        m.link_map[k] for k in m.link_map if isinstance(k, Edge)
+    }
+    ctx_nodes = {
+        v: g.nodes[v] for v in g.nodes if v not in images and v not in prm_nodes
+    }
+    ctx_links: dict = {}
+    for key, link in g.links.items():
+        if key in consumed:
+            continue
+        ctx_links[key] = Link(
+            frozenset(p for p in link.ports if p[0] in ctx_nodes), link.inner
+        )
+    inner_on: dict = {}
+    for y in sorted(r.outer.names):
+        inner_on.setdefault(m.link_map[y], set()).add(y)
+    for x, k in zip(xnames, group_keys):
+        inner_on.setdefault(k, set()).add(x)
+    for key, names in inner_on.items():
+        link = ctx_links[key]
+        ctx_links[key] = Link(link.ports, link.inner | frozenset(names))
+    ctx = Bigraph(
+        g.signature,
+        ctx_nodes,
+        {v: g.parent[v] for v in ctx_nodes},
+        {i: m.region_place[i] for i in range(r.outer.width)},
+        ctx_links,
+        Interface(r.outer.width, r.outer.names | frozenset(xnames)),
+        g.outer,
+    )
+    return ctx, prm, tuple(xnames)
+
 
 
 def algebraic_rewrite(g: Bigraph, rule, m) -> Bigraph:
@@ -421,13 +524,30 @@ def algebraic_rewrite(g: Bigraph, rule, m) -> Bigraph:
     match, built with the bigraph operations: the reference that
     `bigrs.matching.rewrite` must reproduce id for id."""
     reactum = rule.reactum if hasattr(rule, "reactum") else rule[1]
-    ctx, prm, xnames = m.decompose()
+    ctx, prm, xnames = decompose(m)
     mid = reactum
     if xnames:
         mid = tensor(mid, identity(xnames, signature=g.signature))
     if prm.nodes or prm.links or mid.inner.width or mid.inner.names:
         mid = compose(mid, prm)
     return lean(compose(ctx, mid))
+
+
+def ungrouped_apply_rule_all(g: Bigraph, rule) -> list:
+    """`bigrs.matching.apply_rule_all` without orbit grouping: rewrite and
+    key every occurrence, then merge the results by key."""
+    redex = rule.redex if hasattr(rule, "redex") else rule[0]
+    groups: dict = {}
+    for m in occurrences(redex, g):
+        res = rewrite(g, rule, m)
+        key = canonical_key(res)
+        if key in groups:
+            groups[key][1] += 1
+        else:
+            groups[key] = [res, 1]
+    return [
+        RewriteOutcome(groups[k][0], groups[k][1], k) for k in sorted(groups)
+    ]
 
 
 # ---------------------------------------------------------------------------

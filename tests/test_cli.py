@@ -1,6 +1,8 @@
 """Command-line behaviour: exit codes, outputs, formats."""
 
 import json
+import random
+import re
 
 import pytest
 
@@ -18,6 +20,18 @@ def test_validate_model_error(tmp_path, capsys):
     bad.write_text("ctrl A = 0;\nbegin pbrs init = nope; rules = []; end\n")
     assert main(["validate", str(bad)]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_validate_non_utf8_file_exits_1_with_location(tmp_path, capsys):
+    rng = random.Random(200)
+    bad = tmp_path / "random.big"
+    bad.write_bytes(bytes(rng.randrange(256) for _ in range(200)))
+    assert main(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: \d+:\d+: byte 0x[0-9a-f]{2} is not valid UTF-8\n", captured.err
+    )
 
 
 def test_missing_file_is_model_error(capsys):

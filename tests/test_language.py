@@ -308,3 +308,28 @@ def test_deep_definition_chain_error_has_location(use, where):
     with pytest.raises(ElabError) as err:
         elaborate(parse(definition_chain(1000, use)))
     assert str(err.value).startswith(where + ": ")
+
+
+def test_non_utf8_file_is_a_parse_error_at_the_byte(tmp_path):
+    path = tmp_path / "bad.big"
+    path.write_bytes(b"ctrl A = 0;\r\n# caf\xc3\xa9 \xff\nbig s = A;\n")
+    with pytest.raises(ParseError) as err:
+        load_model(path)
+    assert (err.value.line, err.value.col) == (2, 8)
+    assert str(err.value) == "2:8: byte 0xff is not valid UTF-8"
+
+
+def test_crlf_and_cr_newlines_load_like_lf(models_dir, tmp_path):
+    source = (models_dir / "wsn.big").read_bytes()
+    ref = load_model(models_dir / "wsn.big")
+    for newline in (b"\r\n", b"\r"):
+        path = tmp_path / "wsn.big"
+        path.write_bytes(source.replace(b"\n", newline))
+        spec = load_model(path)
+        assert canonical_key(spec.initial) == canonical_key(ref.initial)
+        assert [r.name for r in spec.rules] == [r.name for r in ref.rules]
+        # line numbers count a lone CR as a newline, as a text-mode read does
+        path.write_bytes(newline.join([b"ctrl A = 0;", b"", b"big s = ;"]))
+        with pytest.raises(ParseError) as err:
+            load_model(path)
+        assert err.value.line == 3

@@ -1,6 +1,7 @@
 """Occurrence enumeration, rewriting, and the exhaustive-search oracle."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -24,7 +25,8 @@ from bigrs.bigraph import (
     tensor,
     to_json,
 )
-from bigrs.canon import canonical_key
+from bigrs import canon, matching
+from bigrs.canon import canonical_key, twin_classes
 from bigrs.language import load_model
 from bigrs.matching import (
     MatchError,
@@ -37,8 +39,21 @@ from bigrs.matching import (
 )
 from bigrs.system import StateCapError, build_transition_system
 
-from genutil import SIG, plant, random_ground, random_reactum, random_solid
-from oracles import algebraic_rewrite, brute_occurrence_count
+from genutil import (
+    SIG,
+    plant,
+    random_ground,
+    random_reactum,
+    random_solid,
+    twin_rules,
+    twin_state,
+)
+from oracles import (
+    algebraic_rewrite,
+    brute_occurrence_count,
+    decompose,
+    ungrouped_apply_rule_all,
+)
 
 
 def wsn_parts():
@@ -109,7 +124,7 @@ def test_pattern_occurs_three_times():
 def test_occurrence_witness_reconstructs_host():
     sig, host, pattern = fig1_host_and_pattern()
     for m in occurrences(pattern, host):
-        ctx, prm, xnames = m.decompose()
+        ctx, prm, xnames = decompose(m)
         rebuilt = compose(
             ctx, compose(tensor(pattern, identity(xnames, signature=sig)), prm)
         )
@@ -280,7 +295,7 @@ def test_witness_reconstruction_random():
         redex = random_solid(rng, max_nodes=4)
         target = plant(rng, redex)
         for m in occurrences(redex, target)[:3]:
-            ctx, prm, xnames = m.decompose()
+            ctx, prm, xnames = decompose(m)
             rebuilt = compose(
                 ctx,
                 compose(tensor(redex, identity(xnames, signature=SIG)), prm),
@@ -369,3 +384,115 @@ def test_rewrite_constructs_one_lean_bigraph(models_dir, monkeypatch):
                     calls.clear()
                     n += 1
         assert n >= 100, name
+
+
+# ---------------------------------------------------------------------------
+# one rewrite per twin orbit, against the ungrouped oracle
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _model_corpus(models_dir):
+    """(model name, rules, states): every state of five models and the
+    first 300 budding states."""
+    sources = [(models_dir / f"{name}.big", 10**6)
+               for name in ("wsn", "send_mdp", "mobile_sink", "virus")]
+    sources.append((models_dir.parent / "bench/models/mobile_sink2.big", 10**6))
+    sources.append((models_dir / "budding.big", 300))
+    return tuple((path.stem, *_states(path, cap)) for path, cap in sources)
+
+
+@lru_cache(maxsize=None)
+def _twin_corpus():
+    rng = random.Random(71)
+    return tuple(twin_state(rng) for _ in range(80))
+
+
+def _outcomes(outs):
+    return [(o.key, o.count, to_json(o.result)) for o in outs]
+
+
+def test_grouping_matches_ungrouped_on_generated_states(monkeypatch):
+    rewrites = []
+    plain = matching.rewrite
+
+    def counted(*args):
+        rewrites.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(matching, "rewrite", counted)
+    occ = 0
+    for g in _twin_corpus():
+        for rule in twin_rules():
+            assert _outcomes(apply_rule_all(g, rule)) == _outcomes(
+                ungrouped_apply_rule_all(g, rule)
+            )
+            occ += len(occurrences(rule[0], g))
+    # the grouping is exercised: most occurrences are never rewritten
+    assert occ > 1000 and len(rewrites) < occ * 0.6, (len(rewrites), occ)
+
+
+def test_grouping_matches_ungrouped_on_model_states(models_dir):
+    for name, rules, states in _model_corpus(models_dir):
+        for g in states:
+            for rule in rules:
+                assert _outcomes(apply_rule_all(g, rule)) == _outcomes(
+                    ungrouped_apply_rule_all(g, rule)
+                ), name
+
+
+def _assert_transposition_fixes(g, a, b):
+    """Swapping twins a and b gives back g: the same nodes and parent map,
+    and the same link map once their private edges trade places."""
+    swap = {a: b, b: a}
+
+    def s(v):
+        return swap.get(v, v)
+
+    assert {s(v): c for v, c in g.nodes.items()} == g.nodes
+    assert {
+        s(v): (NODE, s(p[1])) if p[0] == NODE else p for v, p in g.parent.items()
+    } == g.parent
+    trade = {}
+    for i in range(g.arity(a)):
+        ka, kb = g.port_link(a, i), g.port_link(b, i)
+        if ka != kb:
+            assert isinstance(ka, Edge) and g.links[ka].ports == {(a, i)}
+            assert isinstance(kb, Edge) and g.links[kb].ports == {(b, i)}
+            trade[ka], trade[kb] = kb, ka
+    assert {
+        trade.get(k, k): frozenset((s(v), i) for v, i in link.ports)
+        for k, link in g.links.items()
+    } == {k: link.ports for k, link in g.links.items()}
+
+
+def _check_twin_classes(g) -> int:
+    """Check every class of g and return the number of twin pairs."""
+    classes: dict = {}
+    for v, rep in twin_classes(g).items():
+        classes.setdefault(rep, []).append(v)
+    pairs = 0
+    for members in classes.values():
+        lead = members[0]
+        for other in members[1:]:
+            assert g.parent[other] == g.parent[lead]
+            _assert_transposition_fixes(g, lead, other)
+            pairs += 1
+    # at least as coarse as the twin cells of canon's stable colouring
+    sk = canon._Skeleton(lean(g))
+    ids = sorted(g.nodes)
+    init = {c: r for r, c in enumerate(sorted(set(sk.ctrl)))}
+    _, _, cells = canon._refine(sk, [init[c] for c in sk.ctrl], [0] * sk.ne)
+    rep = twin_classes(g)
+    for cell in cells:
+        if len(cell) > 1 and canon._interchangeable(sk, cell):
+            assert len({rep[ids[i]] for i in cell}) == 1
+    return pairs
+
+
+def test_twin_classes_are_automorphic(models_dir):
+    pairs = sum(_check_twin_classes(g) for g in _twin_corpus())
+    assert pairs > 500, pairs
+    for name, _, states in _model_corpus(models_dir):
+        pairs = sum(_check_twin_classes(g) for g in states)
+        assert pairs > 1000 or name != "budding", pairs
