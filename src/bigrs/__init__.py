@@ -39,7 +39,6 @@ from .matching import (
     RewriteOutcome,
     apply_rule_all,
     automorphisms,
-    count_occurrences,
     has_occurrence,
     occurrences,
     rewrite,
@@ -58,7 +57,7 @@ from .system import (
     next_distribution,
     next_rates,
 )
-from .language import ElabError, LanguageError, ParseError, elaborate, load_model, parse, pretty
+from .language import ElabError, LanguageError, ParseError, elaborate, load_model, parse
 from .analysis import (
     AnalysisError,
     ConvergenceError,
@@ -77,7 +76,6 @@ from .export import (
     export_dot,
     export_json,
     export_prism,
-    load_prism_dtmc,
     render_dot,
     render_lab,
     render_srew,

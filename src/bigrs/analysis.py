@@ -201,25 +201,12 @@ def _reach(ts, goal_label: str, mode: str, sweeps: int, tol=None) -> ReachValue:
 
 
 def dtmc_bounded_reach(
-    ts: TransitionSystem, goal_label: str, horizon: int, exact: bool = False
-):
+    ts: TransitionSystem, goal_label: str, horizon: int
+) -> float:
     """Probability of hitting the goal label within `horizon` steps, by the
     backward recursion x_{k+1}(s) = 1 on goal else sum P(s,.) x_k."""
     _check(ts, "pbrs", "bounded reachability", horizon)
-    if not exact:
-        return _reach(ts, goal_label, "max", horizon).value
-    goals = _goal_states(ts, goal_label)
-    n = ts.n_states
-    x = [Fraction(int(i in goals)) for i in range(n)]
-    gset = set(goals)
-    for _ in range(horizon):
-        x = [
-            Fraction(1)
-            if i in gset
-            else sum((p * x[j] for j, p in ts.rows[i].items()), Fraction(0))
-            for i in range(n)
-        ]
-    return x[0]
+    return _reach(ts, goal_label, "max", horizon).value
 
 
 def dtmc_reach(

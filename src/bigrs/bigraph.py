@@ -707,14 +707,6 @@ def _num_to_json(x):
     return x
 
 
-def _num_from_json(x):
-    from fractions import Fraction
-
-    if isinstance(x, dict):
-        return Fraction(x["num"], x["den"])
-    return x
-
-
 def to_json(b: Bigraph) -> dict:
     """Structure dump; schema documented in docs/formats.md."""
 
@@ -759,32 +751,3 @@ def to_json(b: Bigraph) -> dict:
         "inner_names": sorted(b.inner.names),
         "outer_names": sorted(b.outer.names),
     }
-
-
-def from_json(data: dict) -> Bigraph:
-    signature = {
-        d["name"]: ControlDecl(d["name"], d["arity"], d["atomic"], d["params"])
-        for d in data["signature"]
-    }
-    nodes = {
-        n["id"]: (n["control"], tuple(_num_from_json(p) for p in n["params"]))
-        for n in data["nodes"]
-    }
-    place = data["place"]
-    parent = {int(v): tuple(p) for v, p in place["node_parent"].items()}
-    site_parent = {int(s): tuple(p) for s, p in place["site_parent"].items()}
-    links = {}
-    for l in data["links"]:
-        key = l["name"] if "name" in l else Edge(l["edge"])
-        links[key] = Link(
-            frozenset(tuple(p) for p in l["ports"]), frozenset(l["inner"])
-        )
-    return Bigraph(
-        signature,
-        nodes,
-        parent,
-        site_parent,
-        links,
-        Interface(place["sites"], frozenset(data["inner_names"])),
-        Interface(place["regions"], frozenset(data["outer_names"])),
-    )

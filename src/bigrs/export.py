@@ -305,54 +305,3 @@ def export_dot(ts: TransitionSystem, out_dir, stem: str) -> Path:
     path = out_dir / f"{stem}.dot"
     _write(path, render_dot(ts))
     return path
-
-
-# ---------------------------------------------------------------------------
-# re-import of exported DTMCs (round-trip checking)
-# ---------------------------------------------------------------------------
-
-
-def load_prism_dtmc(tra_path, lab_path, srew_path=None) -> TransitionSystem:
-    """Read an exported DTMC bundle back into a transition system with
-    float probabilities and no state bigraphs."""
-    with open(tra_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        n = int(header[0])
-        rows: list[dict] = [dict() for _ in range(n)]
-        for line in fh:
-            if not line.strip():
-                continue
-            src, dst, p = line.split()
-            rows[int(src)][int(dst)] = float(p)
-    labels: list[set] = [set() for _ in range(n)]
-    with open(lab_path, "r", encoding="utf-8") as fh:
-        head = fh.readline().strip()
-        names = {}
-        for part in head.split():
-            ident, name = part.split("=")
-            names[int(ident)] = name.strip('"')
-        for line in fh:
-            if not line.strip():
-                continue
-            state, ids = line.split(":")
-            labels[int(state)] = {
-                names[int(i)] for i in ids.split()
-            }
-    state_reward = [0.0] * n
-    if srew_path is not None:
-        with open(srew_path, "r", encoding="utf-8") as fh:
-            fh.readline()
-            for line in fh:
-                if not line.strip():
-                    continue
-                s, r = line.split()
-                state_reward[int(s)] = float(r)
-    return TransitionSystem(
-        kind="pbrs",
-        states=[(f"imported:{i}".encode(), None) for i in range(n)],
-        rows=[Distribution(r) for r in rows],
-        labels=[frozenset(ls - {"init"}) for ls in labels],
-        label_names=tuple(sorted(set(names.values()) - {"init"})),
-        state_reward=state_reward,
-        action_reward=[{} for _ in range(n)],
-    )

@@ -647,126 +647,13 @@ def parse(source: str) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# pretty printer (round-trips through parse)
-# ---------------------------------------------------------------------------
-
-
-def _pp_num(e) -> str:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Ref):
-        return e.name
-    if isinstance(e, Neg):
-        return f"-{_pp_num(e.arg)}"
-    if isinstance(e, BinOp):
-        return f"({_pp_num(e.left)} {e.op} {_pp_num(e.right)})"
-    raise TypeError(e)
-
-
-def _pp_bexp(e) -> str:
-    if isinstance(e, BUnit):
-        return "1"
-    if isinstance(e, BSite):
-        return "id"
-    if isinstance(e, BIon):
-        s = e.ctrl
-        if e.params:
-            s += "(" + ", ".join(_pp_num(a) for a in e.params) + ")"
-        if e.names:
-            s += "{" + ",".join(e.names) + "}"
-        return s
-    if isinstance(e, BRef):
-        return e.name
-    if isinstance(e, BNest):
-        return f"{_pp_bexp(e.head)}.({_pp_bexp(e.child)})"
-    if isinstance(e, BMerge):
-        return "(" + " | ".join(_pp_bexp(p) for p in e.parts) + ")"
-    if isinstance(e, BParallel):
-        return "(" + " || ".join(_pp_bexp(p) for p in e.parts) + ")"
-    if isinstance(e, BClose):
-        return f"/{e.name} ({_pp_bexp(e.body)})"
-    if isinstance(e, BRepl):
-        return f"par({_pp_num(e.count)}, {_pp_bexp(e.body)})"
-    raise TypeError(e)
-
-
-def _pp_item(it: Item, rewards: bool = False) -> str:
-    s = it.name
-    if it.args:
-        s += "(" + ", ".join(_pp_num(a) for a in it.args) + ")"
-    if rewards and it.reward is not None:
-        s += "[" + _pp_num(it.reward) + "]"
-    if it.ranges:
-        s += " for " + ", ".join(
-            f"{v} in {_pp_num(lo)}:{_pp_num(hi)}" for v, lo, hi in it.ranges
-        )
-    return s
-
-
-def pretty(model: Model) -> str:
-    """Regenerate source text; `parse(pretty(parse(s)))` equals `parse(s)`."""
-    out = []
-    for d in model.decls:
-        if isinstance(d, CtrlDef):
-            head = "atomic " if d.atomic else ""
-            if d.params:
-                out.append(
-                    f"{head}fun ctrl {d.name}({', '.join(d.params)}) = "
-                    f"{_pp_num(d.arity)};"
-                )
-            else:
-                out.append(f"{head}ctrl {d.name} = {_pp_num(d.arity)};")
-        elif isinstance(d, ConstDef):
-            out.append(f"{d.kind} {d.name} = {_pp_num(d.value)};")
-        elif isinstance(d, BigDef):
-            if d.params:
-                out.append(
-                    f"fun big {d.name}({', '.join(d.params)}) = {_pp_bexp(d.body)};"
-                )
-            else:
-                out.append(f"big {d.name} = {_pp_bexp(d.body)};")
-        elif isinstance(d, ReactDef):
-            arrow = (
-                "-->" if d.weight is None else f"-[{_pp_num(d.weight)}]->"
-            )
-            head = (
-                f"fun react {d.name}({', '.join(d.params)})"
-                if d.params
-                else f"react {d.name}"
-            )
-            out.append(
-                f"{head} = {_pp_bexp(d.redex)} {arrow} {_pp_bexp(d.reactum)};"
-            )
-    s = model.system
-    out.append(f"begin {s.kind}")
-    out.append(f"  init = {s.init};")
-    out.append("  rules = [" + ", ".join(_pp_item(i) for i in s.rules) + "];")
-    if s.preds:
-        out.append(
-            "  preds = [" + ", ".join(_pp_item(i, True) for i in s.preds) + "];"
-        )
-    if s.actions:
-        rows = []
-        for a in s.actions:
-            head = a.name if a.reward is None else f"{a.name}[{_pp_num(a.reward)}]"
-            rows.append(f"{head} = {{" + ", ".join(_pp_item(i) for i in a.rules) + "}")
-        out.append("  actions = [" + ", ".join(rows) + "];")
-    out.append("end")
-    return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # elaborator
 # ---------------------------------------------------------------------------
 
 
 def _eval_num(e, env: dict):
     if isinstance(e, Num):
-        if "." in e.value or "e" in e.value or "E" in e.value:
-            from decimal import Decimal
-
-            return Fraction(Decimal(e.value))
-        return int(e.value)
+        return _norm_num(Fraction(e.value))
     if isinstance(e, Ref):
         if e.name not in env:
             raise ElabError(f"unknown constant or parameter {e.name!r}")
@@ -820,7 +707,8 @@ class _Elaborator:
         self.bigs: dict[str, BigDef] = {}
         self.reacts: dict[str, ReactDef] = {}
         self.names: set = set()
-        # where the outermost definition being elaborated starts
+        # where the declaration, system-block item or outermost definition
+        # being elaborated starts: the location of an ElabError
         self.at: tuple = model.system.pos
 
     def declare(self, name: str, pos):
@@ -831,6 +719,7 @@ class _Elaborator:
     def run(self) -> SystemSpec:
         for d in self.model.decls:
             self.declare(d.name, d.pos)
+            self.at = d.pos
             if isinstance(d, CtrlDef):
                 arity = _eval_int(d.arity, self.consts, f"arity of {d.name}")
                 if arity < 0:
@@ -932,17 +821,11 @@ class _Elaborator:
     # -- system block ----------------------------------------------------------
 
     def expand_items(self, items) -> list:
-        """Expand comprehensions into concrete (name, args, reward) rows."""
+        """Expand comprehensions into concrete (name, args, reward, pos)
+        rows, each at the position of its item."""
         rows = []
         for it in items:
-            if not it.ranges:
-                scope = dict(self.consts)
-                args = [_eval_num(a, scope) for a in it.args]
-                reward = (
-                    _eval_num(it.reward, scope) if it.reward is not None else None
-                )
-                rows.append((it.name, args, reward))
-                continue
+            self.at = it.pos
             bindings = [{}]
             for var, lo, hi in it.ranges:
                 lo_v = _eval_int(lo, self.consts, f"range bound for {var}")
@@ -953,13 +836,12 @@ class _Elaborator:
                     for v in range(lo_v, hi_v + 1)
                 ]
             for b in bindings:
-                scope = dict(self.consts)
-                scope.update(b)
+                scope = {**self.consts, **b}
                 args = [_eval_num(a, scope) for a in it.args]
                 reward = (
                     _eval_num(it.reward, scope) if it.reward is not None else None
                 )
-                rows.append((it.name, args, reward))
+                rows.append((it.name, args, reward, it.pos))
         return rows
 
     def rule_instance(self, name: str, args: list, kind: str) -> WeightedRule:
@@ -989,6 +871,7 @@ class _Elaborator:
 
     def system(self) -> SystemSpec:
         s = self.model.system
+        self.at = s.pos
         init_def = self.bigs.get(s.init)
         if init_def is None:
             raise ElabError(f"initial bigraph {s.init!r} is not declared")
@@ -998,34 +881,40 @@ class _Elaborator:
         initial = self.big(init_def.body, dict(self.consts))
 
         rules: dict[str, WeightedRule] = {}
-        for name, args, _ in self.expand_items(s.rules):
-            rule = self.rule_instance(name, args, s.kind)
-            if rule.name in rules:
-                raise ElabError(f"rule {rule.name} listed twice")
-            rules[rule.name] = rule
+        for name, args, _, pos in self.expand_items(s.rules):
+            self.at = pos
+            label = instance_name(name, args)
+            if label in rules:
+                raise ElabError(f"rule {label} listed twice")
+            rules[label] = self.rule_instance(name, args, s.kind)
 
         predicates = []
         seen_preds = set()
-        for name, args, reward in self.expand_items(s.preds):
+        for name, args, reward, pos in self.expand_items(s.preds):
+            self.at = pos
             label = instance_name(name, args)
             if label in seen_preds:
                 raise ElabError(f"predicate {label} listed twice")
             seen_preds.add(label)
-            self.at = self.bigs[name].pos if name in self.bigs else s.pos
-            pattern = self.resolve_ref(name, args, dict(self.consts), s.pos)
+            self.at = self.bigs[name].pos if name in self.bigs else pos
+            pattern = self.resolve_ref(name, args, dict(self.consts), pos)
             predicates.append(
                 PredicateDecl(label, pattern, Fraction(reward or 0))
             )
 
         actions = []
         for a in s.actions:
+            self.at = a.pos
+            if any(b.name == a.name for b in actions):
+                raise ElabError("duplicate action name")
             reward = (
                 Fraction(_eval_num(a.reward, self.consts))
                 if a.reward is not None
                 else Fraction(0)
             )
             members = []
-            for name, args, _ in self.expand_items(a.rules):
+            for name, args, _, pos in self.expand_items(a.rules):
+                self.at = pos
                 label = instance_name(name, args)
                 rule = rules.get(label)
                 if rule is None:
@@ -1036,8 +925,6 @@ class _Elaborator:
                 if rule not in members:
                     members.append(rule)
             actions.append(ActionDecl(a.name, tuple(members), reward))
-        if len({a.name for a in actions}) != len(actions):
-            raise ElabError("duplicate action name")
 
         return SystemSpec(
             kind=s.kind,
@@ -1053,16 +940,19 @@ def elaborate(model: Model) -> SystemSpec:
     """Fold constants, instantiate parameterised definitions at every
     argument tuple the system block uses, and check every rule and
     predicate (solid redexes, equal interfaces, finite nonnegative
-    weights, ground initial state)."""
+    weights, ground initial state).  An `ElabError` is located at the
+    declaration or system-block item being elaborated, or for a rule
+    instance or predicate, at the definition it instantiates."""
     elab = _Elaborator(model)
     try:
         return elab.run()
+    except ElabError as exc:
+        msg = str(exc)
     except RecursionError:
         # a chain of definitions each nesting the one before
-        line, col = elab.at
-        raise ElabError(
-            f"{line}:{col}: bigraph definitions nested too deeply"
-        ) from None
+        msg = "bigraph definitions nested too deeply"
+    line, col = elab.at
+    raise ElabError(f"{line}:{col}: {msg}") from None
 
 
 _NEWLINE_RE = re.compile(r"\r\n?|\n")

@@ -356,10 +356,6 @@ def occurrences(redex: Bigraph, target: Bigraph) -> list[Match]:
     return out
 
 
-def count_occurrences(redex: Bigraph, target: Bigraph) -> int:
-    return len(occurrences(redex, target))
-
-
 def has_occurrence(pattern: Bigraph, target: Bigraph) -> bool:
     """Existence only: first embedding wins, no dedup (used for predicates)."""
     require_solid(pattern, "predicate pattern")

@@ -9,7 +9,10 @@ automorphism pruning (for the worklist refinement and the pruned search);
 it shares only the skeleton, the encoding and the twin rule with
 `bigrs.canon`.  And `apply_rule_all` as it was before orbit grouping,
 which rewrites and keys every occurrence with the engine's own
-`occurrences`, `rewrite` and `canonical_key` (for the grouping)."""
+`occurrences`, `rewrite` and `canonical_key` (for the grouping).  Last,
+the helpers that only round-trip checks need: bounded DTMC reachability
+in exact rationals, readers of bigraph JSON and of exported PRISM DTMC
+bundles, and a printer of `.big` source."""
 
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from itertools import permutations, product
 
 from bigrs.bigraph import (
     Bigraph,
+    ControlDecl,
     Edge,
     Interface,
     Link,
@@ -30,7 +34,29 @@ from bigrs.bigraph import (
     tensor,
 )
 from bigrs.canon import _Skeleton, _encode, _interchangeable, canonical_key
+from bigrs.language import (
+    BClose,
+    BigDef,
+    BinOp,
+    BIon,
+    BMerge,
+    BNest,
+    BParallel,
+    BRef,
+    BRepl,
+    BSite,
+    BUnit,
+    ConstDef,
+    CtrlDef,
+    Item,
+    Model,
+    Neg,
+    Num,
+    ReactDef,
+    Ref,
+)
 from bigrs.matching import RewriteOutcome, occurrences, rewrite
+from bigrs.system import Distribution, TransitionSystem
 
 
 def _classes(b: Bigraph) -> dict:
@@ -551,7 +577,7 @@ def ungrouped_apply_rule_all(g: Bigraph, rule) -> list:
 
 
 # ---------------------------------------------------------------------------
-# MDP value iteration, one state and one choice at a time
+# value iteration, one state and one choice at a time
 # ---------------------------------------------------------------------------
 
 
@@ -610,3 +636,198 @@ def brute_mdp_expected_cost(ts, horizon: int, mode: str) -> float:
                 )
         v = nxt
     return v[0]
+
+
+def exact_bounded_reach(ts, goal_label: str, horizon: int) -> Fraction:
+    """Probability of hitting the goal within `horizon` steps of a DTMC,
+    in exact rationals: x_{k+1}(s) = 1 on goal else sum P(s,.) x_k."""
+    goals = set(ts.states_with_label(goal_label))
+    n = ts.n_states
+    x = [Fraction(int(i in goals)) for i in range(n)]
+    for _ in range(horizon):
+        x = [
+            Fraction(1)
+            if i in goals
+            else sum((p * x[j] for j, p in ts.rows[i].items()), Fraction(0))
+            for i in range(n)
+        ]
+    return x[0]
+
+
+# ---------------------------------------------------------------------------
+# readers of exported artifacts (round-trip checks)
+# ---------------------------------------------------------------------------
+
+
+def from_json(data: dict) -> Bigraph:
+    """The bigraph that `bigrs.bigraph.to_json` dumped."""
+
+    def num(x):
+        return Fraction(x["num"], x["den"]) if isinstance(x, dict) else x
+
+    signature = {
+        d["name"]: ControlDecl(d["name"], d["arity"], d["atomic"], d["params"])
+        for d in data["signature"]
+    }
+    nodes = {
+        n["id"]: (n["control"], tuple(num(p) for p in n["params"]))
+        for n in data["nodes"]
+    }
+    place = data["place"]
+    parent = {int(v): tuple(p) for v, p in place["node_parent"].items()}
+    site_parent = {int(s): tuple(p) for s, p in place["site_parent"].items()}
+    links = {}
+    for l in data["links"]:
+        key = l["name"] if "name" in l else Edge(l["edge"])
+        links[key] = Link(
+            frozenset(tuple(p) for p in l["ports"]), frozenset(l["inner"])
+        )
+    return Bigraph(
+        signature,
+        nodes,
+        parent,
+        site_parent,
+        links,
+        Interface(place["sites"], frozenset(data["inner_names"])),
+        Interface(place["regions"], frozenset(data["outer_names"])),
+    )
+
+
+def load_prism_dtmc(tra_path, lab_path) -> TransitionSystem:
+    """Read an exported DTMC bundle back into a transition system with
+    float probabilities and no state bigraphs."""
+    with open(tra_path, "r", encoding="utf-8") as fh:
+        n = int(fh.readline().split()[0])
+        rows: list[dict] = [dict() for _ in range(n)]
+        for line in fh:
+            if line.strip():
+                src, dst, p = line.split()
+                rows[int(src)][int(dst)] = float(p)
+    labels: list[set] = [set() for _ in range(n)]
+    with open(lab_path, "r", encoding="utf-8") as fh:
+        names = {}
+        for part in fh.readline().split():
+            ident, name = part.split("=")
+            names[int(ident)] = name.strip('"')
+        for line in fh:
+            if line.strip():
+                state, ids = line.split(":")
+                labels[int(state)] = {names[int(i)] for i in ids.split()}
+    return TransitionSystem(
+        kind="pbrs",
+        states=[(f"imported:{i}".encode(), None) for i in range(n)],
+        rows=[Distribution(r) for r in rows],
+        labels=[frozenset(ls - {"init"}) for ls in labels],
+        label_names=tuple(sorted(set(names.values()) - {"init"})),
+        state_reward=[0.0] * n,
+        action_reward=[{} for _ in range(n)],
+    )
+
+
+# ---------------------------------------------------------------------------
+# `.big` source printer (round-trips through parse)
+# ---------------------------------------------------------------------------
+
+
+def _pp_num(e) -> str:
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Ref):
+        return e.name
+    if isinstance(e, Neg):
+        return f"-{_pp_num(e.arg)}"
+    if isinstance(e, BinOp):
+        return f"({_pp_num(e.left)} {e.op} {_pp_num(e.right)})"
+    raise TypeError(e)
+
+
+def _pp_bexp(e) -> str:
+    if isinstance(e, BUnit):
+        return "1"
+    if isinstance(e, BSite):
+        return "id"
+    if isinstance(e, BIon):
+        s = e.ctrl
+        if e.params:
+            s += "(" + ", ".join(_pp_num(a) for a in e.params) + ")"
+        if e.names:
+            s += "{" + ",".join(e.names) + "}"
+        return s
+    if isinstance(e, BRef):
+        return e.name
+    if isinstance(e, BNest):
+        return f"{_pp_bexp(e.head)}.({_pp_bexp(e.child)})"
+    if isinstance(e, BMerge):
+        return "(" + " | ".join(_pp_bexp(p) for p in e.parts) + ")"
+    if isinstance(e, BParallel):
+        return "(" + " || ".join(_pp_bexp(p) for p in e.parts) + ")"
+    if isinstance(e, BClose):
+        return f"/{e.name} ({_pp_bexp(e.body)})"
+    if isinstance(e, BRepl):
+        return f"par({_pp_num(e.count)}, {_pp_bexp(e.body)})"
+    raise TypeError(e)
+
+
+def _pp_item(it: Item, rewards: bool = False) -> str:
+    s = it.name
+    if it.args:
+        s += "(" + ", ".join(_pp_num(a) for a in it.args) + ")"
+    if rewards and it.reward is not None:
+        s += "[" + _pp_num(it.reward) + "]"
+    if it.ranges:
+        s += " for " + ", ".join(
+            f"{v} in {_pp_num(lo)}:{_pp_num(hi)}" for v, lo, hi in it.ranges
+        )
+    return s
+
+
+def pretty(model: Model) -> str:
+    """Regenerate source text; `parse(pretty(parse(s)))` equals `parse(s)`."""
+    out = []
+    for d in model.decls:
+        if isinstance(d, CtrlDef):
+            head = "atomic " if d.atomic else ""
+            if d.params:
+                out.append(
+                    f"{head}fun ctrl {d.name}({', '.join(d.params)}) = "
+                    f"{_pp_num(d.arity)};"
+                )
+            else:
+                out.append(f"{head}ctrl {d.name} = {_pp_num(d.arity)};")
+        elif isinstance(d, ConstDef):
+            out.append(f"{d.kind} {d.name} = {_pp_num(d.value)};")
+        elif isinstance(d, BigDef):
+            if d.params:
+                out.append(
+                    f"fun big {d.name}({', '.join(d.params)}) = {_pp_bexp(d.body)};"
+                )
+            else:
+                out.append(f"big {d.name} = {_pp_bexp(d.body)};")
+        elif isinstance(d, ReactDef):
+            arrow = (
+                "-->" if d.weight is None else f"-[{_pp_num(d.weight)}]->"
+            )
+            head = (
+                f"fun react {d.name}({', '.join(d.params)})"
+                if d.params
+                else f"react {d.name}"
+            )
+            out.append(
+                f"{head} = {_pp_bexp(d.redex)} {arrow} {_pp_bexp(d.reactum)};"
+            )
+    s = model.system
+    out.append(f"begin {s.kind}")
+    out.append(f"  init = {s.init};")
+    out.append("  rules = [" + ", ".join(_pp_item(i) for i in s.rules) + "];")
+    if s.preds:
+        out.append(
+            "  preds = [" + ", ".join(_pp_item(i, True) for i in s.preds) + "];"
+        )
+    if s.actions:
+        rows = []
+        for a in s.actions:
+            head = a.name if a.reward is None else f"{a.name}[{_pp_num(a.reward)}]"
+            rows.append(f"{head} = {{" + ", ".join(_pp_item(i) for i in a.rules) + "}")
+        out.append("  actions = [" + ", ".join(rows) + "];")
+    out.append("end")
+    return "\n".join(out) + "\n"

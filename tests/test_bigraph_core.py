@@ -21,7 +21,6 @@ from bigrs.bigraph import (
     close_name,
     compose,
     empty,
-    from_json,
     hole,
     identity,
     ion,
@@ -51,6 +50,7 @@ from genutil import (
 )
 from oracles import (
     brute_support_equivalent,
+    from_json,
     full_refine,
     nx_support_equivalent,
     unpruned_key,

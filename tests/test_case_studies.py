@@ -11,9 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from bigrs.analysis import ctmc_reach, dtmc_bounded_reach, mdp_expected_cost
+from bigrs.analysis import ctmc_reach, mdp_expected_cost
 from bigrs.language import load_model
 from bigrs.system import Distribution, TransitionSystem, build_transition_system
+
+from oracles import exact_bounded_reach
 
 
 def hand_ts(kind, rows, labels, state_rewards=None, action_rewards=None):
@@ -126,8 +128,8 @@ def test_virus_engine_matches_hand_chain(models_dir, w_detect):
     hand_transitions = sum(len(r.entries) for r in hand.rows)
     assert engine_transitions == hand_transitions
     for n in (1, 2, 3, 5, 8, 13, 21, 34):
-        a = dtmc_bounded_reach(engine, "all_infected", n, exact=True)
-        b = dtmc_bounded_reach(hand, "all_infected", n, exact=True)
+        a = exact_bounded_reach(engine, "all_infected", n)
+        b = exact_bounded_reach(hand, "all_infected", n)
         assert a == b, f"horizon {n}: engine {a} != hand {b}"
 
 

@@ -22,6 +22,24 @@ def test_validate_model_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_validate_integer_valued_decimal_arity(tmp_path, capsys):
+    model = tmp_path / "decimal.big"
+    model.write_text(
+        "ctrl A = 2.0;\nbig s = /x /y A{x,y};\nbegin brs init = s; rules = []; end\n"
+    )
+    assert main(["validate", str(model)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_validate_elaboration_error_exits_1_with_location(tmp_path, capsys):
+    bad = tmp_path / "bad.big"
+    bad.write_text("ctrl A = 0;\nbig s = A;\nbegin brs\n  init = s;\n  rules = [q];\nend\n")
+    assert main(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 5:12: unknown rule 'q'\n"
+
+
 def test_validate_non_utf8_file_exits_1_with_location(tmp_path, capsys):
     rng = random.Random(200)
     bad = tmp_path / "random.big"

@@ -11,7 +11,6 @@ from bigrs.analysis import dtmc_bounded_reach, dtmc_reach
 from bigrs.export import (
     ExportError,
     export_prism,
-    load_prism_dtmc,
     render_dot,
     render_lab,
     render_srew,
@@ -23,6 +22,8 @@ from bigrs.export import (
 from bigrs.language import elaborate, load_model, parse
 from bigrs.simulate import simulate
 from bigrs.system import Distribution, TransitionSystem, build_transition_system
+
+from oracles import load_prism_dtmc
 
 WSN_TRA = """4 6
 0 1 1

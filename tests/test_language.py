@@ -13,8 +13,8 @@ from bigrs.language import (
     elaborate,
     load_model,
     parse,
-    pretty,
 )
+from oracles import pretty
 
 LISTING_STYLE_PBRS = """
 # entities with no links
@@ -140,6 +140,70 @@ def test_plain_arrow_only_in_brs():
     elaborate(parse(src.format(kind="brs")))
     with pytest.raises(ElabError, match="weight"):
         elaborate(parse(src.format(kind="pbrs")))
+
+
+def test_integer_valued_decimal_arity_is_an_integer():
+    src = "ctrl A = 2.0;\nbig s = /x /y A{x,y};\nbegin brs init = s; rules = []; end"
+    assert elaborate(parse(src)).signature["A"].arity == 2
+
+
+def test_integer_valued_exponent_literal_is_an_int_constant():
+    src = (
+        "int n = 1e3;\nctrl A = 0;\nbig s = par(n, A);\n"
+        "begin brs init = s; rules = []; end"
+    )
+    assert len(elaborate(parse(src)).initial.nodes) == 1000
+
+
+def test_integer_valued_decimal_argument_names_the_integer_instance():
+    src = """
+ctrl A = 0;
+fun react r(k) = A -[k]-> A;
+big s = A;
+begin abrs
+  init = s;
+  rules = [r(2.0)];
+  actions = [go = {r(2)}];
+end
+"""
+    spec = elaborate(parse(src))
+    assert [r.name for r in spec.rules] == ["r(2)"]
+    assert [r.name for r in spec.actions[0].rules] == ["r(2)"]
+
+
+LOCATED_ERRORS = {
+    "arity": (
+        "ctrl B = 0;\nctrl A = 2.5;\nbig s = B;\nbegin brs init = s; rules = []; end",
+        "2:1: arity of A must be an integer, got 5/2",
+    ),
+    "bigraph reference": (
+        "ctrl A = 0;\nbig t = A;\n  big s = B;\nbegin brs init = s; rules = []; end",
+        "3:3: unknown bigraph reference 'B'",
+    ),
+    "rule": (
+        "ctrl A = 0;\nbig s = A;\nreact r = A --> A;\n"
+        "begin brs\n  init = s;\n  rules = [r, q];\nend",
+        "6:15: unknown rule 'q'",
+    ),
+    "division": (
+        "ctrl A = 0;\nbig s = A;\n  react r = A -[1/0]-> A;\n"
+        "begin pbrs init = s; rules = [r]; end",
+        "3:3: division by zero in a model expression",
+    ),
+    "weight": (
+        "ctrl A = 0;\nbig s = A;\nreact q = A --> A;\n react r = A --> A;\n"
+        "begin pbrs init = s; rules = [r]; end",
+        "4:2: rule r: a pbrs rule needs a weight (-[expr]->)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCATED_ERRORS))
+def test_elaboration_error_has_location(case):
+    src, message = LOCATED_ERRORS[case]
+    with pytest.raises(ElabError) as err:
+        elaborate(parse(src))
+    assert str(err.value) == message
 
 
 def test_comprehension_expands_product():
