@@ -157,7 +157,7 @@ class Bigraph:
         "outer",
         "_children",
         "_port_link",
-        "_ctrl_counts",
+        "_by_control",
         "_solid_memo",
         "__weakref__",
     )
@@ -181,7 +181,7 @@ class Bigraph:
         self.outer = outer
         self._children: Optional[dict] = None
         self._port_link: Optional[dict] = None
-        self._ctrl_counts: Optional[dict] = None
+        self._by_control: Optional[dict] = None
         self._solid_memo: Optional[list] = None
         self._validate()
 
@@ -216,14 +216,15 @@ class Bigraph:
             (k for k in self.links if isinstance(k, Edge)), key=lambda e: e.ident
         )
 
-    def control_counts(self) -> dict:
-        """Multiplicity of each concrete control (name, params) present."""
-        if self._ctrl_counts is None:
-            counts: dict = {}
-            for c in self.nodes.values():
-                counts[c] = counts.get(c, 0) + 1
-            self._ctrl_counts = counts
-        return self._ctrl_counts
+    def nodes_by_control(self) -> dict:
+        """The ids of the nodes of each concrete control (name, params)
+        present, in ascending order."""
+        if self._by_control is None:
+            index: dict = {}
+            for v in sorted(self.nodes):
+                index.setdefault(self.nodes[v], []).append(v)
+            self._by_control = index
+        return self._by_control
 
     def is_ground(self) -> bool:
         return self.inner.width == 0 and not self.inner.names

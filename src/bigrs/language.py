@@ -423,15 +423,8 @@ class _Parser:
         if self.eat("."):
             if not isinstance(head, (BIon, BRef)):
                 raise ParseError("only an ion or reference can nest", *pos)
-            return BNest(head, self.bnest_child(), pos)
+            return BNest(head, self.bterm(), pos)
         return head
-
-    def bnest_child(self):
-        pos = self.pos()
-        if self.eat("/"):
-            name = self.expect("name").text
-            return BClose(name, self.bnest_child(), pos)
-        return self.bnest()
 
     def batom(self):
         t = self.peek()
@@ -926,6 +919,7 @@ class _Elaborator:
                     members.append(rule)
             actions.append(ActionDecl(a.name, tuple(members), reward))
 
+        self.at = s.pos
         return SystemSpec(
             kind=s.kind,
             signature=dict(self.signature),
@@ -940,19 +934,23 @@ def elaborate(model: Model) -> SystemSpec:
     """Fold constants, instantiate parameterised definitions at every
     argument tuple the system block uses, and check every rule and
     predicate (solid redexes, equal interfaces, finite nonnegative
-    weights, ground initial state).  An `ElabError` is located at the
-    declaration or system-block item being elaborated, or for a rule
-    instance or predicate, at the definition it instantiates."""
+    weights, ground initial state).  Every error but a `ParseError`, which
+    has its own position, is located at the declaration or system-block
+    item being elaborated, or for a rule instance or predicate, at the
+    definition it instantiates; it keeps its type and attributes."""
     elab = _Elaborator(model)
     try:
         return elab.run()
-    except ElabError as exc:
-        msg = str(exc)
+    except ParseError:
+        raise
+    except BigraphError as exc:
+        err = exc
     except RecursionError:
         # a chain of definitions each nesting the one before
-        msg = "bigraph definitions nested too deeply"
+        err = ElabError("bigraph definitions nested too deeply")
     line, col = elab.at
-    raise ElabError(f"{line}:{col}: {msg}") from None
+    err.args = (f"{line}:{col}: {err}",)
+    raise err from None
 
 
 _NEWLINE_RE = re.compile(r"\r\n?|\n")

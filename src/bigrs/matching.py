@@ -5,11 +5,16 @@ that induces a decomposition ``g = C . (L x id_X) . d`` with context C and
 ground parameter d.  Embeddings that differ only by an automorphism of L
 denote the same occurrence and are reported once.
 
-The searcher is plain backtracking over pattern nodes in a
-most-constrained-first order (rarest control in the target first, then
-nodes adjacent to already-placed ones), with place- and link-feasibility
-pruning at every assignment.  Matching restricted to existence checks
-(`has_occurrence`) stops at the first embedding and skips deduplication.
+There is one searcher, `_Embedder`: plain backtracking over pattern nodes
+in a most-constrained-first order (rarest control in the target first,
+then nodes adjacent to already-placed ones), with place- and
+link-feasibility pruning at every assignment.  It draws candidates from
+the target's control index (`Bigraph.nodes_by_control`, built once per
+state), extends one partial embedding in place and undoes it through one
+trail.  The automorphisms that deduplicate occurrences are the pattern's
+embeddings into itself that keep its regions, outer names and sites.
+Matching restricted to existence checks (`has_occurrence`) stops at the
+first embedding and skips deduplication.
 
 Rewriting at an occurrence replaces the redex image by the reactum over
 the same parameter: the result is ``lean(C . (R x id_X) . d)``.  `rewrite`
@@ -65,29 +70,32 @@ class Match:
 
 
 class _Embedder:
-    """Backtracking search for embeddings of `pattern` into `target`.
+    """Backtracking search for the embeddings of `pattern` into `target`
+    under occurrence semantics: controls, parents and ports are kept, a
+    site's holder may have spare children (the parameter), an outer name
+    may map to any target link, and distinct names map to distinct links.
 
-    mode "occur": occurrence semantics (sites absorb spare children, outer
-    names may map to any target link, distinct names to distinct links).
-    mode "auto": automorphisms of `pattern` (target is the pattern itself;
-    everything must correspond bijectively, names to names, regions to
-    regions).
+    The partial embedding lives on the instance.  Every binding (a node,
+    a link and the claim on its image, a region's place) is pushed onto
+    one trail, and `_dfs` undoes a candidate by popping the trail back to
+    the mark it took on entry.
     """
 
-    def __init__(self, pattern: Bigraph, target: Bigraph, mode: str = "occur"):
+    def __init__(self, pattern: Bigraph, target: Bigraph):
         self.r = pattern
         self.g = target
-        self.auto = mode == "auto"
-        self.by_ctrl: dict = {}
-        for w in sorted(target.nodes):
-            self.by_ctrl.setdefault(target.nodes[w], []).append(w)
+        self.by_ctrl = target.nodes_by_control()
         self.has_site = {
             p[1] for p in pattern.site_parent.values() if p[0] == NODE
         }
-        self.g_has_site = {
-            p[1] for p in target.site_parent.values() if p[0] == NODE
-        }
         self.order = self._order()
+        self.node_map: dict = {}  # pattern node -> target node
+        self.used: dict = {}  # target node -> pattern node
+        self.link_map: dict = {}  # pattern link -> target link
+        self.edge_claimed: dict = {}  # target edge -> pattern edge
+        self.name_claimed: dict = {}  # target link -> pattern name
+        self.region_place: dict = {}  # pattern region -> target place
+        self.trail: list = []  # (table, key) of each binding, in order
         self.matches: list[Match] = []
 
     def _order(self) -> list[int]:
@@ -119,13 +127,13 @@ class _Embedder:
 
     def run(self, first_only: bool = False):
         self.first_only = first_only
-        self._dfs(0, {}, set(), {}, set(), set(), {})
+        self._dfs(0)
         return self.matches
 
     # -- search ------------------------------------------------------------
 
-    def _candidates(self, v, node_map):
-        r, g = self.r, self.g
+    def _candidates(self, v):
+        r, g, node_map = self.r, self.g, self.node_map
         rp = r.parent[v]
         if rp[0] == NODE and rp[1] in node_map:
             return [
@@ -143,77 +151,31 @@ class _Embedder:
                         for w, j in sorted(g.links[tkey].ports)
                         if j == i and g.nodes[w] == r.nodes[v]
                     ]
-        return self.by_ctrl.get(r.nodes[v], [])
+        return self.by_ctrl.get(r.nodes[v], ())
 
-    def _dfs(self, idx, node_map, used, link_map, edge_claimed, name_claimed,
-             region_place):
-        if self.first_only and self.matches:
-            return
-        r, g = self.r, self.g
+    def _dfs(self, idx):
+        r = self.r
         if idx == len(self.order):
-            if self._complete_ok(node_map, link_map, region_place, used):
+            if self._complete_ok():
+                places = tuple(self.region_place[i] for i in range(r.outer.width))
                 self.matches.append(
-                    Match(
-                        r,
-                        g,
-                        dict(node_map),
-                        dict(link_map),
-                        tuple(
-                            region_place[i] for i in range(r.outer.width)
-                        ),
-                    )
+                    Match(r, self.g, dict(self.node_map), dict(self.link_map), places)
                 )
             return
         v = self.order[idx]
-        for w in self._candidates(v, node_map):
-            if w in used:
-                continue
-            if not self._place_ok(v, w, node_map):
-                continue
-            new_links = self._links_ok(v, w, link_map, edge_claimed, name_claimed)
-            if new_links is None:
-                continue
-            added_lm, added_edges, added_names = new_links
-            rp = r.parent[v]
-            region_added = None
-            if rp[0] == REGION:
-                gp = g.parent[w]
-                bound = region_place.get(rp[1])
-                if bound is None:
-                    if self.auto and gp[0] != REGION:
-                        ok = False
-                    else:
-                        region_place[rp[1]] = gp
-                        region_added = rp[1]
-                        ok = True
-                else:
-                    ok = bound == gp
-                if not ok:
-                    self._undo(link_map, edge_claimed, name_claimed,
-                               added_lm, added_edges, added_names)
-                    continue
-            node_map[v] = w
-            used.add(w)
-            self._dfs(idx + 1, node_map, used, link_map, edge_claimed,
-                      name_claimed, region_place)
-            del node_map[v]
-            used.remove(w)
-            if region_added is not None:
-                del region_place[region_added]
-            self._undo(link_map, edge_claimed, name_claimed,
-                       added_lm, added_edges, added_names)
+        trail = self.trail
+        mark = len(trail)
+        for w in self._candidates(v):
+            if w not in self.used and self._place_ok(v, w) and self._bind(v, w):
+                self._dfs(idx + 1)
+            while len(trail) > mark:
+                table, key = trail.pop()
+                del table[key]
             if self.first_only and self.matches:
                 return
 
-    @staticmethod
-    def _undo(link_map, edge_claimed, name_claimed, lm, edges, names):
-        for k in lm:
-            del link_map[k]
-        edge_claimed.difference_update(edges)
-        name_claimed.difference_update(names)
-
-    def _place_ok(self, v, w, node_map) -> bool:
-        r, g = self.r, self.g
+    def _place_ok(self, v, w) -> bool:
+        r, g, node_map = self.r, self.g, self.node_map
         rp = r.parent[v]
         gp = g.parent[w]
         if rp[0] == NODE:
@@ -229,83 +191,69 @@ class _Embedder:
                 return False
         rk = len(r.children((NODE, v)))
         gk = len(g.children((NODE, w)))
-        if v in self.has_site:
-            if self.auto:
-                if w not in self.g_has_site or gk != rk:
-                    return False
-            elif gk < rk:
-                return False
-        else:
-            if gk != rk:
-                return False
-            if self.auto and w in self.g_has_site:
-                return False
-        return True
+        # a site's holder may have spare children; other nodes may not
+        return gk >= rk if v in self.has_site else gk == rk
 
-    def _links_ok(self, v, w, link_map, edge_claimed, name_claimed):
-        r, g = self.r, self.g
-        added_lm, added_edges, added_names = [], [], []
+    def _set(self, table: dict, key, value) -> None:
+        table[key] = value
+        self.trail.append((table, key))
+
+    def _bind(self, v, w) -> bool:
+        """Bind v to w, with the links of v's ports and, for a root, the
+        place its region is grafted into.  False at the first conflict;
+        whatever was bound by then is on the trail for `_dfs` to undo."""
+        r, g, link_map = self.r, self.g, self.link_map
         for i in range(r.arity(v)):
             rk = r.port_link(v, i)
             tk = g.port_link(w, i)
             if rk in link_map:
                 if link_map[rk] != tk:
-                    self._undo(link_map, edge_claimed, name_claimed,
-                               added_lm, added_edges, added_names)
-                    return None
+                    return False
                 continue
             if isinstance(rk, Edge):
-                rl = r.links[rk]
-                ok = (
-                    isinstance(tk, Edge)
-                    and tk not in edge_claimed
-                    and (
-                        len(g.links[tk].ports) >= len(rl.ports)
-                        if rl.inner
-                        else len(g.links[tk].ports) == len(rl.ports)
-                    )
-                )
-                if not ok:
-                    self._undo(link_map, edge_claimed, name_claimed,
-                               added_lm, added_edges, added_names)
-                    return None
-                edge_claimed.add(tk)
-                added_edges.append(tk)
+                if not isinstance(tk, Edge) or tk in self.edge_claimed:
+                    return False
+                rl, n = r.links[rk], len(g.links[tk].ports)
+                # an edge with inner names may have more ports in the target
+                if n < len(rl.ports) or (n > len(rl.ports) and not rl.inner):
+                    return False
+                self._set(self.edge_claimed, tk, rk)
             else:
-                ok = tk not in name_claimed and (
-                    isinstance(tk, str) if self.auto else True
-                )
-                if not ok:
-                    self._undo(link_map, edge_claimed, name_claimed,
-                               added_lm, added_edges, added_names)
-                    return None
-                name_claimed.add(tk)
-                added_names.append(tk)
-            link_map[rk] = tk
-            added_lm.append(rk)
-        return added_lm, added_edges, added_names
+                if tk in self.name_claimed:
+                    return False
+                self._set(self.name_claimed, tk, rk)
+            self._set(link_map, rk, tk)
+        rp = r.parent[v]
+        if rp[0] == REGION:
+            gp = g.parent[w]
+            bound = self.region_place.get(rp[1])
+            if bound is None:
+                self._set(self.region_place, rp[1], gp)
+            elif bound != gp:
+                return False
+        self._set(self.node_map, v, w)
+        self._set(self.used, w, v)
+        return True
 
-    def _complete_ok(self, node_map, link_map, region_place, used) -> bool:
+    def _complete_ok(self) -> bool:
         r, g = self.r, self.g
         places = []
         for i in range(r.outer.width):
-            p = region_place[i]
+            p = self.region_place[i]
             # the grafting place must lie in the context: not in the image,
             # and not below it (nothing of the redex may sit inside an
             # absorbed parameter subtree)
             while p[0] == NODE:
-                if p[1] in used:
+                if p[1] in self.used:
                     return False
                 p = g.parent[p[1]]
-            places.append(region_place[i])
+            places.append(self.region_place[i])
         if len(set(places)) != len(places):
             return False
-        if self.auto and sorted(p[1] for p in places) != list(range(r.outer.width)):
-            return False
-        for rk, tk in link_map.items():
+        for rk, tk in self.link_map.items():
             if isinstance(rk, Edge):
                 rl = r.links[rk]
-                img = {(node_map[v], i) for v, i in rl.ports}
+                img = {(self.node_map[v], i) for v, i in rl.ports}
                 tports = g.links[tk].ports
                 if rl.inner:
                     if not img <= tports:
@@ -319,11 +267,25 @@ _aut_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def automorphisms(b: Bigraph) -> list[dict]:
-    """Structure-preserving self-bijections (controls, place, links, with
-    regions, sites and outer names permuted consistently)."""
+    """Structure-preserving self-bijections of `b`: its embeddings into
+    itself that graft every region into a region, map every outer name to
+    an outer name and every site's holder to a site's holder.  The node
+    map is then a bijection, so regions, names and sites are permuted
+    consistently and child counts are kept."""
     cached = _aut_cache.get(b)
     if cached is None:
-        cached = [m.node_map for m in _Embedder(b, b, mode="auto").run()]
+        holders = {p[1] for p in b.site_parent.values() if p[0] == NODE}
+        cached = [
+            m.node_map
+            for m in _Embedder(b, b).run()
+            if all(p[0] == REGION for p in m.region_place)
+            and all(
+                isinstance(tk, str)
+                for rk, tk in m.link_map.items()
+                if isinstance(rk, str)
+            )
+            and all(m.node_map[v] in holders for v in holders)
+        ]
         _aut_cache[b] = cached
     return cached
 
@@ -369,9 +331,10 @@ def has_occurrence(pattern: Bigraph, target: Bigraph) -> bool:
 def _short_of_controls(pattern: Bigraph, target: Bigraph) -> bool:
     """True when the target lacks enough nodes of some concrete control,
     so no embedding can exist (O(pattern) prune before any search)."""
-    have = target.control_counts()
+    have = target.nodes_by_control()
     return any(
-        have.get(c, 0) < n for c, n in pattern.control_counts().items()
+        len(have.get(c, ())) < len(vs)
+        for c, vs in pattern.nodes_by_control().items()
     )
 
 
@@ -492,6 +455,8 @@ def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:
     member of its own orbit."""
     redex, _ = _rule_pair(rule)
     matches = occurrences(redex, g)
+    if not matches:
+        return []
     # a single match needs no grouping (the loop below runs once)
     twin = twin_classes(g) if len(matches) > 1 else None
     fixed = sorted(redex.nodes)
@@ -518,12 +483,7 @@ def _rule_pair(rule):
 
 
 def _check_rule_interfaces(redex: Bigraph, reactum: Bigraph) -> None:
-    if (
-        redex.inner.width != reactum.inner.width
-        or redex.inner.names != reactum.inner.names
-        or redex.outer.width != reactum.outer.width
-        or redex.outer.names != reactum.outer.names
-    ):
+    if redex.inner != reactum.inner or redex.outer != reactum.outer:
         raise MatchError(
             f"redex {redex.inner}->{redex.outer} and reactum "
             f"{reactum.inner}->{reactum.outer} must have the same interface"

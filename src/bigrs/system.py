@@ -55,10 +55,8 @@ class WeightedRule:
     def __post_init__(self):
         require_solid(self.redex, f"redex of rule {self.name}")
         if (
-            self.redex.inner.width != self.reactum.inner.width
-            or self.redex.inner.names != self.reactum.inner.names
-            or self.redex.outer.width != self.reactum.outer.width
-            or self.redex.outer.names != self.reactum.outer.names
+            self.redex.inner != self.reactum.inner
+            or self.redex.outer != self.reactum.outer
         ):
             raise SystemError_(
                 f"rule {self.name}: redex {self.redex.inner}->{self.redex.outer} "

@@ -124,6 +124,18 @@ def test_full_dot_and_json(models_dir, tmp_path, capsys):
     assert doc["kind"] == "abrs" and doc["states"] == 3
 
 
+def test_validate_bigraph_error_exits_1_with_location(tmp_path, capsys):
+    bad = tmp_path / "bad.big"
+    bad.write_text(
+        "ctrl A = 0;\nbig s = A;\nreact r = id -[1.0]-> id;\n"
+        "begin pbrs init = s; rules = [r]; end\n"
+    )
+    assert main(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 3:1: redex of rule r is not solid: ")
+
+
 def test_full_max_states_cap(models_dir, capsys):
     rc = main(["full", str(models_dir / "wsn.big"), "--max-states", "2"])
     assert rc == 1

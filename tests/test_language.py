@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bigrs.bigraph import SolidityError, is_solid
+from bigrs.bigraph import ShapeError, SolidityError, is_solid
 from bigrs.canon import canonical_key
 from bigrs.language import (
     ElabError,
@@ -14,6 +14,7 @@ from bigrs.language import (
     load_model,
     parse,
 )
+from bigrs.system import SystemError_
 from oracles import pretty
 
 LISTING_STYLE_PBRS = """
@@ -206,6 +207,53 @@ def test_elaboration_error_has_location(case):
     assert str(err.value) == message
 
 
+LOCATED_BIGRAPH_ERRORS = {
+    "shape": (
+        "ctrl A = 0; big b = A{x};\nbegin brs init = b; rules = []; end",
+        ShapeError,
+        "1:13: control A has arity 0, got 1 name(s)",
+    ),
+    "solidity": (
+        "ctrl A = 0;\nbig s = A;\nreact r = id -[1.0]-> id;\n"
+        "begin pbrs init = s; rules = [r]; end",
+        SolidityError,
+        "3:1: redex of rule r is not solid: every region contains at least "
+        "one node (region 0 has none); no site has a region as parent (site 0)",
+    ),
+    "system": (
+        "ctrl A = 0;\nbig s = A;\nreact r = A -[1]-> A;\n"
+        "begin abrs init = s; rules = [r]; end",
+        SystemError_,
+        "4:1: an abrs needs at least one action",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCATED_BIGRAPH_ERRORS))
+def test_bigraph_error_has_location_and_keeps_its_type(case):
+    src, kind, message = LOCATED_BIGRAPH_ERRORS[case]
+    with pytest.raises(kind) as err:
+        elaborate(parse(src))
+    assert type(err.value) is kind
+    assert str(err.value) == message
+
+
+def test_located_solidity_error_keeps_its_violations():
+    src, _, _ = LOCATED_BIGRAPH_ERRORS["solidity"]
+    with pytest.raises(SolidityError) as err:
+        elaborate(parse(src))
+    assert err.value.violations == [
+        "every region contains at least one node (region 0 has none)",
+        "no site has a region as parent (site 0)",
+    ]
+
+
+def test_parse_error_raised_while_elaborating_is_located_once():
+    with pytest.raises(ParseError) as err:
+        elaborate(parse("ctrl A = 0;\n  big A = A;\nbegin brs init = A; rules = []; end"))
+    assert str(err.value) == "2:3: duplicate declaration of 'A'"
+
+
 def test_comprehension_expands_product():
     src = """
 ctrl Sensor = 0;
@@ -257,6 +305,23 @@ def test_par_equals_iterated_merge():
         assert canonical_key(initial(f"par({n}, A)")) == canonical_key(
             initial(merged)
         )
+
+
+def test_nest_child_may_close_a_name():
+    template = (
+        "ctrl A = 0;\nctrl B = 1;\nctrl C = 2;\nbig b = {expr};\n"
+        "begin brs init = b; rules = []; end"
+    )
+
+    def initial(expr):
+        return elaborate(parse(template.format(expr=expr))).initial
+
+    for bare, bracketed in (
+        ("A./x B{x}", "A.(/x B{x})"),
+        ("A./x /y C{x,y}", "A.(/x (/y C{x,y}))"),
+        ("A.A./x B{x} | B{z}", "A.(A.(/x B{x})) | B{z}"),
+    ):
+        assert canonical_key(initial(bare)) == canonical_key(initial(bracketed))
 
 
 def test_round_trip_fixed_sources():

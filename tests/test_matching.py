@@ -22,6 +22,7 @@ from bigrs.bigraph import (
     ion,
     lean,
     merge_parallel,
+    parallel,
     tensor,
     to_json,
 )
@@ -48,6 +49,7 @@ from genutil import (
     twin_state,
 )
 from oracles import (
+    _brute_automorphisms,
     algebraic_rewrite,
     brute_occurrence_count,
     decompose,
@@ -256,6 +258,53 @@ def test_has_occurrence_matches_enumeration():
 # ---------------------------------------------------------------------------
 # oracle agreement (the acceptance criterion runs this at full volume)
 # ---------------------------------------------------------------------------
+
+
+def _as_set(maps):
+    return {frozenset(m.items()) for m in maps}
+
+
+def test_automorphisms_match_oracle_on_random_patterns():
+    rng = random.Random(5)
+    nontrivial = 0
+    for i in range(300):
+        b = random_solid(rng, max_nodes=6, max_regions=3, max_sites=3)
+        double = parallel(b, b)  # two copies side by side: symmetric
+        for p in (b, double) if len(double.nodes) <= 6 else (b,):
+            auts = automorphisms(p)
+            assert len(_as_set(auts)) == len(auts), f"repeated map at {i}"
+            assert _as_set(auts) == _as_set(_brute_automorphisms(p)), f"at {i}"
+            nontrivial += len(auts) > 1
+    assert nontrivial >= 100
+
+
+def _symmetric_patterns():
+    a = ion(SIG, "A")
+    site_holder = ion(SIG, "A", child=hole(SIG))
+    bx, by = ion(SIG, "B", names=["x"]), ion(SIG, "B", names=["y"])
+    cxy, cyx = ion(SIG, "C", names=["x", "y"]), ion(SIG, "C", names=["y", "x"])
+    return {
+        # regions permuted
+        "two regions": (tensor(a, a), 2),
+        "two regions, different contents": (tensor(a, ion(SIG, "A", child=a)), 1),
+        # outer names permuted
+        "swapped names": (merge_parallel(bx, by), 2),
+        "swapped ports": (merge_parallel(cxy, cyx), 2),
+        "ordered ports": (cxy, 1),
+        "name and edge": (merge_parallel(bx, close_name(by, "y")), 1),
+        # sites follow their holders
+        "holder and bare node": (merge_parallel(site_holder, a), 1),
+        "two holders": (merge_parallel(site_holder, site_holder), 2),
+        "holders in two regions": (tensor(site_holder, site_holder), 2),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_symmetric_patterns()))
+def test_automorphisms_of_symmetric_patterns(case):
+    b, expected = _symmetric_patterns()[case]
+    auts = automorphisms(b)
+    assert len(auts) == expected
+    assert _as_set(auts) == _as_set(_brute_automorphisms(b))
 
 
 @pytest.mark.parametrize("seed", [11, 23, 47])
