@@ -38,7 +38,6 @@ from .matching import (
     MatchError,
     RewriteOutcome,
     apply_rule_all,
-    automorphisms,
     has_occurrence,
     occurrences,
     rewrite,

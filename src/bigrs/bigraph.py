@@ -159,7 +159,7 @@ class Bigraph:
         "_port_link",
         "_by_control",
         "_solid_memo",
-        "__weakref__",
+        "_twins",
     )
 
     def __init__(
@@ -183,6 +183,7 @@ class Bigraph:
         self._port_link: Optional[dict] = None
         self._by_control: Optional[dict] = None
         self._solid_memo: Optional[list] = None
+        self._twins: Optional[dict] = None  # canon.twin_classes, memoised
         self._validate()
 
     # -- structure queries -------------------------------------------------

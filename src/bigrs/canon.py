@@ -258,7 +258,9 @@ def twin_classes(g: Bigraph) -> dict:
     concrete control and one parent whose ports, position by position, sit
     on the same link or each on a private single-port edge.  Every
     permutation of a class is an automorphism of g.  A node with children
-    is its own class."""
+    is its own class.  Computed once per bigraph and memoised on it."""
+    if g._twins is not None:
+        return g._twins
     token: dict = {}
     for key, link in g.links.items():
         private = isinstance(key, Edge) and len(link.ports) == 1
@@ -273,6 +275,7 @@ def twin_classes(g: Bigraph) -> dict:
             continue
         ports = tuple(token[v, i] for i in range(g.signature[c[0]].arity))
         rep[v] = first.setdefault((c, g.parent[v], ports), v)
+    g._twins = rep
     return rep
 
 

@@ -3,7 +3,13 @@
 An occurrence of a solid pattern L in a ground state g is an embedding
 that induces a decomposition ``g = C . (L x id_X) . d`` with context C and
 ground parameter d.  Embeddings that differ only by an automorphism of L
-denote the same occurrence and are reported once.
+denote the same occurrence and are reported once.  `occurrences` keeps
+the first embedding of each cover: its image nodes, the target links of
+L's outer names and the images of L's site holders.  Composing with an
+automorphism keeps the cover.  Conversely, L is solid and has no inner
+names, so the bijection of L's nodes between two embeddings of one cover
+keeps parents and roots, maps edges to edges, names to names and holders
+to holders: it is an automorphism.  No automorphism is enumerated.
 
 There is one searcher, `_Embedder`: plain backtracking over pattern nodes
 in a most-constrained-first order (rarest control in the target first,
@@ -11,10 +17,8 @@ then nodes adjacent to already-placed ones), with place- and
 link-feasibility pruning at every assignment.  It draws candidates from
 the target's control index (`Bigraph.nodes_by_control`, built once per
 state), extends one partial embedding in place and undoes it through one
-trail.  The automorphisms that deduplicate occurrences are the pattern's
-embeddings into itself that keep its regions, outer names and sites.
-Matching restricted to existence checks (`has_occurrence`) stops at the
-first embedding and skips deduplication.
+trail.  Matching restricted to existence checks (`has_occurrence`) stops
+at the first embedding and skips deduplication.
 
 Rewriting at an occurrence replaces the redex image by the reactum over
 the same parameter: the result is ``lean(C . (R x id_X) . d)``.  `rewrite`
@@ -26,17 +30,17 @@ and edge ids it assigns are the ones the composition formula assigns (see
 
 `apply_rule_all` rewrites once per orbit of occurrences.  Leaves of one
 control under one parent whose ports sit on the same links, or on private
-edges, are twins (`canon.twin_classes`), and any permutation of twins is
-an automorphism of the state.  So two matches whose image nodes lie in
-the same twin classes, redex node by redex node, give isomorphic results:
-the first is rewritten and keyed, and the rest only add to its count.
+edges, are twins (`canon.twin_classes`, computed once per state), and any
+permutation of twins is an automorphism of the state.  So two matches
+whose image nodes lie in the same twin classes, redex node by redex node,
+give isomorphic results: the first is rewritten and keyed, and the rest
+only add to its count.
 Results are still merged by key, and the result kept for a key is still
 that of its first match, because that match is the first of its orbit.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .bigraph import (
@@ -263,36 +267,20 @@ class _Embedder:
         return True
 
 
-_aut_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def automorphisms(b: Bigraph) -> list[dict]:
-    """Structure-preserving self-bijections of `b`: its embeddings into
-    itself that graft every region into a region, map every outer name to
-    an outer name and every site's holder to a site's holder.  The node
-    map is then a bijection, so regions, names and sites are permuted
-    consistently and child counts are kept."""
-    cached = _aut_cache.get(b)
-    if cached is None:
-        holders = {p[1] for p in b.site_parent.values() if p[0] == NODE}
-        cached = [
-            m.node_map
-            for m in _Embedder(b, b).run()
-            if all(p[0] == REGION for p in m.region_place)
-            and all(
-                isinstance(tk, str)
-                for rk, tk in m.link_map.items()
-                if isinstance(rk, str)
-            )
-            and all(m.node_map[v] in holders for v in holders)
-        ]
-        _aut_cache[b] = cached
-    return cached
-
-
 def occurrences(redex: Bigraph, target: Bigraph) -> list[Match]:
     """All distinct occurrences of the solid redex in the ground target,
-    deduplicated modulo redex automorphisms, in deterministic order."""
+    one per class of embeddings modulo redex automorphisms, in
+    deterministic order: raw embeddings sorted by image, and the first of
+    each cover kept.
+
+    The cover of an embedding is its image nodes, the target links of the
+    redex's outer names and the images of its site holders.  Two
+    embeddings related by an automorphism cover the same.  Conversely, if
+    two cover the same, the bijection of redex nodes between them keeps
+    parents and roots (a region's place lies outside the image), maps
+    edges to edges and names to names (the link map is injective, and a
+    solid redex with no inner names matches each edge's ports exactly)
+    and holders to holders, so it is an automorphism."""
     require_solid(redex, "redex")
     if redex.inner.names:
         raise MatchError("redexes with inner names are not supported")
@@ -301,19 +289,20 @@ def occurrences(redex: Bigraph, target: Bigraph) -> list[Match]:
     if _short_of_controls(redex, target):
         return []
     raw = _Embedder(redex, target).run()
-    if not raw:
-        return []
     fixed = sorted(redex.nodes)
     raw.sort(key=lambda m: tuple(m.node_map[v] for v in fixed))
-    auts = automorphisms(redex)
+    names = redex.outer.names
+    holders = {p[1] for p in redex.site_parent.values()}  # solid: nodes
     seen = set()
     out = []
     for m in raw:
-        rep = min(
-            tuple(m.node_map[a[v]] for v in fixed) for a in auts
+        cover = (
+            frozenset(m.node_map.values()),
+            frozenset(m.link_map[x] for x in names),
+            frozenset(m.node_map[v] for v in holders),
         )
-        if rep not in seen:
-            seen.add(rep)
+        if cover not in seen:
+            seen.add(cover)
             out.append(m)
     return out
 

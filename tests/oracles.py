@@ -9,7 +9,9 @@ automorphism pruning (for the worklist refinement and the pruned search);
 it shares only the skeleton, the encoding and the twin rule with
 `bigrs.canon`.  And `apply_rule_all` as it was before orbit grouping,
 which rewrites and keys every occurrence with the engine's own
-`occurrences`, `rewrite` and `canonical_key` (for the grouping).  Last,
+`occurrences`, `rewrite` and `canonical_key` (for the grouping), and
+`occurrences` as it was before the cover key, which quotients the
+engine's raw embeddings by enumerated automorphisms.  Last,
 the helpers that only round-trip checks need: bounded DTMC reachability
 in exact rationals, readers of bigraph JSON and of exported PRISM DTMC
 bundles, and a printer of `.big` source."""
@@ -55,7 +57,7 @@ from bigrs.language import (
     ReactDef,
     Ref,
 )
-from bigrs.matching import RewriteOutcome, occurrences, rewrite
+from bigrs.matching import RewriteOutcome, _Embedder, occurrences, rewrite
 from bigrs.system import Distribution, TransitionSystem
 
 
@@ -305,6 +307,24 @@ def brute_occurrence_count(redex: Bigraph, target: Bigraph) -> int:
     for m in embeddings:
         reps.add(min(tuple(m[a[v]] for v in fixed) for a in auts))
     return len(reps)
+
+
+def quotient_occurrences(redex: Bigraph, target: Bigraph) -> list:
+    """`occurrences` as it was before it kept one embedding per cover: the
+    engine's raw embeddings, sorted by image, with the first of each class
+    modulo redex automorphisms kept (a min over `_brute_automorphisms`)."""
+    raw = _Embedder(redex, target).run()
+    fixed = sorted(redex.nodes)
+    raw.sort(key=lambda m: tuple(m.node_map[v] for v in fixed))
+    auts = _brute_automorphisms(redex)
+    seen = set()
+    out = []
+    for m in raw:
+        rep = min(tuple(m.node_map[a[v]] for v in fixed) for a in auts)
+        if rep not in seen:
+            seen.add(rep)
+            out.append(m)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -348,13 +348,18 @@ def test_criterion_8_deterministic_exports(models_dir, tmp_path):
     import subprocess
     import sys
 
+    import bigrs
+
+    # the child runs the same bigrs as this process, installed or not
+    src = os.path.dirname(os.path.dirname(bigrs.__file__))
+    path_env = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     mismatches = []
     checked = []
     for path in sorted(models_dir.glob("*.big")):
         outputs = []
         for run, hashseed in (("one", "0"), ("two", "424242")):
             out_dir = tmp_path / run / path.stem
-            env = dict(os.environ, PYTHONHASHSEED=hashseed)
+            env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path_env)
             proc = subprocess.run(
                 [
                     sys.executable,

@@ -25,6 +25,7 @@ from bigrs.bigraph import (
     parallel,
     tensor,
     to_json,
+    unit,
 )
 from bigrs import canon, matching
 from bigrs.canon import canonical_key, twin_classes
@@ -32,7 +33,6 @@ from bigrs.language import load_model
 from bigrs.matching import (
     MatchError,
     apply_rule_all,
-    automorphisms,
     has_occurrence,
     occurrences,
     rewrite,
@@ -53,6 +53,7 @@ from oracles import (
     algebraic_rewrite,
     brute_occurrence_count,
     decompose,
+    quotient_occurrences,
     ungrouped_apply_rule_all,
 )
 
@@ -207,7 +208,6 @@ def test_symmetric_redex_quotient():
     a = ion(SIG, "A", (), [])
     redex = merge_parallel(a, a)
     host = merge_parallel(merge_parallel(a, a), a)
-    assert len(automorphisms(redex)) == 2
     assert len(occurrences(redex, host)) == 3
 
 
@@ -260,22 +260,29 @@ def test_has_occurrence_matches_enumeration():
 # ---------------------------------------------------------------------------
 
 
-def _as_set(maps):
-    return {frozenset(m.items()) for m in maps}
+def _rows(matches):
+    return [(m.node_map, m.link_map, m.region_place) for m in matches]
 
 
-def test_automorphisms_match_oracle_on_random_patterns():
+def test_occurrences_match_automorphism_quotient_on_random_pairs():
+    # the cover key keeps the same matches, in the same order, as the
+    # quotient by enumerated redex automorphisms
     rng = random.Random(5)
-    nontrivial = 0
-    for i in range(300):
-        b = random_solid(rng, max_nodes=6, max_regions=3, max_sites=3)
+    pairs = several = 0
+    while pairs < 2000:
+        b = random_solid(rng, max_nodes=4, max_regions=2, max_sites=2)
         double = parallel(b, b)  # two copies side by side: symmetric
-        for p in (b, double) if len(double.nodes) <= 6 else (b,):
-            auts = automorphisms(p)
-            assert len(_as_set(auts)) == len(auts), f"repeated map at {i}"
-            assert _as_set(auts) == _as_set(_brute_automorphisms(p)), f"at {i}"
-            nontrivial += len(auts) > 1
-    assert nontrivial >= 100
+        cases = [(b, plant(rng, b)), (b, plant(rng, double))]
+        if len(double.nodes) <= 6:
+            cases.append((double, plant(rng, double)))
+        cases += [(redex, random_ground(rng, max_nodes=6)) for redex, _ in cases]
+        for redex, target in cases:
+            got = occurrences(redex, target)
+            want = quotient_occurrences(redex, target)
+            assert _rows(got) == _rows(want), f"at pair {pairs}"
+            pairs += 1
+            several += len(got) > 1
+    assert several >= 300
 
 
 def _symmetric_patterns():
@@ -301,10 +308,38 @@ def _symmetric_patterns():
 
 @pytest.mark.parametrize("case", sorted(_symmetric_patterns()))
 def test_automorphisms_of_symmetric_patterns(case):
-    b, expected = _symmetric_patterns()[case]
-    auts = automorphisms(b)
-    assert len(auts) == expected
-    assert _as_set(auts) == _as_set(_brute_automorphisms(b))
+    # each pattern is a redex whose occurrences among two planted copies
+    # are counted once per class modulo its automorphism group
+    b, order = _symmetric_patterns()[case]
+    assert len(_brute_automorphisms(b)) == order
+    # two copies side by side, every site filled with an empty region:
+    # each region of each copy is a target region, and a holder's image
+    # has no spare children, like a bare node's
+    double = parallel(b, b)
+    prm = Bigraph(SIG, {}, {}, {}, {}, Interface(0), Interface(0))
+    for _ in range(double.inner.width):
+        prm = tensor(prm, unit(SIG))
+    target = compose(double, prm)
+    n = len(occurrences(b, target))
+    assert n >= 2
+    assert n == brute_occurrence_count(b, target)
+
+
+def _vesicle(k: int, site: bool) -> Bigraph:
+    """V.(P^k | id) with the site, V.(P^k) without it."""
+    sig = {"V": ControlDecl("V", 0), "P": ControlDecl("P", 0, atomic=True)}
+    parts = [ion(sig, "P") for _ in range(k)] + ([hole(sig)] if site else [])
+    child = parts[0]
+    for part in parts[1:]:
+        child = merge_parallel(child, part)
+    return ion(sig, "V", child=child)
+
+
+@pytest.mark.parametrize("k", range(2, 7), ids=lambda k: f"k={k}")
+def test_like_siblings_occurrence_count(k):
+    # k like siblings have k! automorphisms; the count must not need them
+    assert len(occurrences(_vesicle(k, True), _vesicle(k + 1, False))) == k + 1
+    assert len(occurrences(_vesicle(k, False), _vesicle(k, False))) == 1
 
 
 @pytest.mark.parametrize("seed", [11, 23, 47])
