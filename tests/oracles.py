@@ -11,13 +11,17 @@ it shares only the skeleton, the encoding and the twin rule with
 which rewrites and keys every occurrence with the engine's own
 `occurrences`, `rewrite` and `canonical_key` (for the grouping), and
 `occurrences` as it was before the cover key, which quotients the
-engine's raw embeddings by enumerated automorphisms.  Last,
+engine's raw embeddings by enumerated automorphisms.  And the simulator
+without its memo, which steps from the concrete state at every step (for
+`bigrs.simulate`).  Last,
 the helpers that only round-trip checks need: bounded DTMC reachability
 in exact rationals, readers of bigraph JSON and of exported PRISM DTMC
 bundles, and a printer of `.big` source."""
 
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -58,7 +62,8 @@ from bigrs.language import (
     Ref,
 )
 from bigrs.matching import RewriteOutcome, _Embedder, occurrences, rewrite
-from bigrs.system import Distribution, TransitionSystem
+from bigrs.simulate import TraceStep
+from bigrs.system import Distribution, TransitionSystem, _step
 
 
 def _classes(b: Bigraph) -> dict:
@@ -594,6 +599,61 @@ def ungrouped_apply_rule_all(g: Bigraph, rule) -> list:
     return [
         RewriteOutcome(groups[k][0], groups[k][1], k) for k in sorted(groups)
     ]
+
+
+# ---------------------------------------------------------------------------
+# simulation without a memo
+# ---------------------------------------------------------------------------
+
+
+def _pick(rng: random.Random, entries, total):
+    x = rng.random() * float(total)
+    acc = 0.0
+    for entry in entries:
+        acc += float(entry[3])
+        if x < acc:
+            return entry
+    return entries[-1]
+
+
+def reference_simulate(spec, steps: int, seed: int | None = None) -> list:
+    """`bigrs.simulate.simulate` calling `_step` on the concrete state
+    reached at every step.  A brs step is uniform over the distinct
+    successor keys, in first-seen order, and records the first rule that
+    yields the chosen one."""
+    rng = random.Random(seed)
+    g = lean(spec.initial)
+    key = canonical_key(g)
+    now = 0.0 if spec.kind == "sbrs" else None
+    trace: list = []
+
+    def digest(k: bytes) -> str:
+        return hashlib.sha256(k).hexdigest()[:16]
+
+    for k in range(1, steps + 1):
+        choices = _step(spec.kind, g, spec.rules, spec.actions)
+        if not choices:
+            break
+        if spec.kind == "abrs":
+            action, entries = choices[rng.randrange(len(choices))]
+        else:
+            action, entries = choices[0]
+        name = action.name if action else None
+        if not entries:
+            trace.append(TraceStep(k, digest(key), None, name))
+            continue
+        if spec.kind == "brs":
+            first: dict = {}
+            for e in entries:
+                first.setdefault(e[1], e)
+            rule, key, g, _ = list(first.values())[rng.randrange(len(first))]
+        else:
+            total = sum(e[3] for e in entries)
+            if spec.kind == "sbrs":
+                now += rng.expovariate(float(total))
+            rule, key, g, _ = _pick(rng, entries, total)
+        trace.append(TraceStep(k, digest(key), rule, name, now))
+    return trace
 
 
 # ---------------------------------------------------------------------------

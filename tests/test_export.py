@@ -1,6 +1,7 @@
 """PRISM bundles, DOT, JSON, re-import, and trace simulation."""
 
 import hashlib
+import importlib
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from bigrs.analysis import dtmc_bounded_reach, dtmc_reach
+from bigrs.canon import canonical_key
 from bigrs.export import (
     ExportError,
     export_prism,
@@ -23,7 +25,7 @@ from bigrs.language import elaborate, load_model, parse
 from bigrs.simulate import simulate
 from bigrs.system import Distribution, TransitionSystem, build_transition_system
 
-from oracles import load_prism_dtmc
+from oracles import load_prism_dtmc, reference_simulate
 
 WSN_TRA = """4 6
 0 1 1
@@ -339,19 +341,21 @@ def test_sim_deterministic_under_seed(models_dir):
     assert [s.state_digest for s in a] != [s.state_digest for s in c]
 
 
+# a pbrs whose initial state nothing applies to
+STUCK_PBRS = """
+ctrl A = 0;
+ctrl B = 0;
+big b = A;
+react r = B -[1.0]-> A;
+begin pbrs init = b; rules = [r]; end
+"""
+
+
 def test_sim_zero_steps_and_delta(models_dir):
     spec = load_model(models_dir / "wsn.big")
     assert simulate(spec, 0, seed=1) == []  # zero budget: empty trace
     # a pbrs state nothing applies to loops in place forever
-    from bigrs.language import elaborate, parse
-
-    stuck = elaborate(
-        parse(
-            "ctrl A = 0;\nctrl B = 0;\nbig b = A;\n"
-            "react r = B -[1.0]-> A;\n"
-            "begin pbrs init = b; rules = [r]; end"
-        )
-    )
+    stuck = elaborate(parse(STUCK_PBRS))
     trace = simulate(stuck, 5, seed=2)
     assert len(trace) == 5
     assert len({s.state_digest for s in trace}) == 1
@@ -408,17 +412,40 @@ def test_sim_zero_weight_action_stays():
     assert any(len(t) > 1 for t in traces)
 
 
+# a brs where r1 and r2 give the same successor: A | A moves to A | B or
+# to A | C, and `back` makes the walk revisit states until C | C
+BRS_MODEL = """
+ctrl A = 0;
+ctrl B = 0;
+ctrl C = 0;
+big s = A | A;
+react r1 = A --> B;
+react r2 = A --> B;
+react r3 = A --> C;
+react back = B --> A;
+begin brs
+  init = s;
+  rules = [r1, r2, r3, back];
+end
+"""
+
+INLINE = {"zero-weight": ZERO_WEIGHT_MDP, "brs": BRS_MODEL, "stuck": STUCK_PBRS}
+
+
+def _spec(models_dir, model):
+    if model in INLINE:
+        return elaborate(parse(INLINE[model]))
+    return load_model(models_dir / model)
+
+
 @pytest.mark.parametrize(
-    "model", ["wsn.big", "send_mdp.big", "mobile_sink.big", "zero-weight"]
+    "model", ["wsn.big", "send_mdp.big", "mobile_sink.big", "zero-weight", "brs"]
 )
 def test_sim_agrees_with_closure(models_dir, model):
     # every simulated step is a positive-probability transition of the
     # built row (under the recorded action for an MDP), and a trace that
     # stops short of its budget stops at a terminal row
-    spec = (
-        elaborate(parse(ZERO_WEIGHT_MDP)) if model == "zero-weight"
-        else load_model(models_dir / model)
-    )
+    spec = _spec(models_dir, model)
     ts = build_transition_system(spec)
     index = {_digest(key): i for i, (key, _) in enumerate(ts.states)}
     budget = 200
@@ -428,16 +455,84 @@ def test_sim_agrees_with_closure(models_dir, model):
         for step in trace:
             there = index[step.state_digest]
             row = ts.rows[here]
-            if ts.kind == "abrs":
-                (dist,) = [d for name, d in row if name == step.action]
+            if ts.kind == "brs":
+                assert there in row
             else:
-                dist = row
-            assert dist[there] > 0
+                if ts.kind == "abrs":
+                    (dist,) = [d for name, d in row if name == step.action]
+                else:
+                    dist = row
+                assert dist[there] > 0
             if step.rule is None:
                 assert there == here
             here = there
         if len(trace) < budget:
-            assert ts.rows[here] == []
+            assert not ts.rows[here]
+
+
+def test_sim_brs_uniform_over_distinct_successors():
+    # from A | A, r1 and r2 both give A | B and r3 gives A | C: each of
+    # the two successors is taken half the time, A | B recorded as r1
+    spec = elaborate(parse(BRS_MODEL))
+    firsts = [simulate(spec, 1, seed=s)[0] for s in range(2000)]
+    rules = {}
+    for step in firsts:
+        rules.setdefault(step.state_digest, set()).add(step.rule)
+    assert sorted(rules.values(), key=sorted) == [{"r1"}, {"r3"}]
+    to_b = sum(step.rule == "r1" for step in firsts) / len(firsts)
+    assert abs(to_b - 0.5) < 0.04
+
+
+@pytest.mark.parametrize(
+    "model, budget",
+    [
+        ("wsn.big", 300),
+        ("budding.big", 40),
+        ("send_mdp.big", 300),
+        ("mobile_sink.big", 300),
+        ("zero-weight", 50),
+        ("stuck", 20),
+        ("brs", 200),
+    ],
+)
+def test_sim_matches_reference_walker(models_dir, model, budget):
+    # the memoised walk and the walk that expands the concrete state at
+    # every step give equal traces, times compared exactly
+    spec = _spec(models_dir, model)
+    for seed in range(1, 6):
+        assert simulate(spec, budget, seed=seed) == reference_simulate(
+            spec, budget, seed=seed
+        )
+
+
+@pytest.mark.parametrize(
+    "model", ["wsn.big", "send_mdp.big", "mobile_sink.big", "zero-weight", "brs"]
+)
+def test_sim_expands_each_state_once(models_dir, model, monkeypatch):
+    # the module, which the package's `simulate` function shadows
+    sim_module = importlib.import_module("bigrs.simulate")
+    spec = _spec(models_dir, model)
+    start = _digest(build_transition_system(spec).states[0][0])
+    calls = []
+
+    def counting_step(kind, g, *args, _step=sim_module._step):
+        calls.append(_digest(canonical_key(g)))
+        return _step(kind, g, *args)
+
+    monkeypatch.setattr(sim_module, "_step", counting_step)
+    budget = 200
+    expansions = steps_from = 0
+    for seed in range(1, 6):
+        calls.clear()
+        trace = simulate(spec, budget, seed=seed)
+        # the walk steps from the start and from every state it reaches,
+        # except the last one when the budget runs out
+        visited = [start] + [s.state_digest for s in trace]
+        stepped_from = visited[:-1] if len(trace) == budget else visited
+        assert sorted(calls) == sorted(set(stepped_from))
+        expansions += len(calls)
+        steps_from += len(stepped_from)
+    assert expansions < steps_from  # some state was stepped from twice
 
 
 def test_sim_occupancy_tracks_stationary_distribution(models_dir, tmp_path):
