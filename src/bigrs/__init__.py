@@ -82,6 +82,6 @@ from .export import (
     render_trew,
     rewards_to_states,
 )
-from .simulate import TraceStep, simulate
+from .walk import TraceStep, simulate
 
 __version__ = "0.1.0"

@@ -160,6 +160,7 @@ class Bigraph:
         "_by_control",
         "_solid_memo",
         "_twins",
+        "_plan",
     )
 
     def __init__(
@@ -184,6 +185,7 @@ class Bigraph:
         self._by_control: Optional[dict] = None
         self._solid_memo: Optional[list] = None
         self._twins: Optional[dict] = None  # canon.twin_classes, memoised
+        self._plan = None  # matching's search plan, memoised
         self._validate()
 
     # -- structure queries -------------------------------------------------

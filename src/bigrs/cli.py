@@ -28,7 +28,7 @@ from .analysis import parse_query, run_query
 from .bigraph import BigraphError
 from .export import export_dot, export_json, export_prism
 from .language import load_model
-from .simulate import simulate
+from .walk import simulate
 from .system import build_transition_system
 
 

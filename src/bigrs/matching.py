@@ -18,7 +18,24 @@ link-feasibility pruning at every assignment.  It draws candidates from
 the target's control index (`Bigraph.nodes_by_control`, built once per
 state), extends one partial embedding in place and undoes it through one
 trail.  Matching restricted to existence checks (`has_occurrence`) stops
-at the first embedding and skips deduplication.
+at the first embedding and skips deduplication.  What a search needs of
+its pattern is compiled once into a `_Plan`, memoised on the pattern as
+the control index is on a state: the pattern passed its checks, and the
+plan holds its control requirement, neighbour sets, site holders, outer
+names and sorted nodes, and the node orders already planned.  An order
+depends on the target only through the number of candidates of each
+pattern control, so it is memoised by that vector, and every search uses
+the order a fresh plan would give.
+
+A `Dispatch` answers, once per state, which patterns of a list can occur
+in it.  Each pattern is filed under one anchor control it requires, the
+one fewest patterns of the list share; a state's controls pick out the
+patterns filed under them, and those whose full control requirement the
+state meets are its candidates, in list order.  A pattern left out falls
+short of some control, so `occurrences` would find nothing and
+`has_occurrence` would say no.  A pattern with no nodes is always a
+candidate.  The step kernel and the labeller offer a state only its
+candidates (`system._step`, `system.label_and_reward`).
 
 Rewriting at an occurrence replaces the redex image by the reactum over
 the same parameter: the result is ``lean(C . (R x id_X) . d)``.  `rewrite`
@@ -41,6 +58,7 @@ that of its first match, because that match is the first of its orbit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .bigraph import (
@@ -73,6 +91,70 @@ class Match:
     region_place: tuple
 
 
+class _Plan:
+    """The parts of a search that depend on the pattern alone, compiled
+    once per pattern by `_plan`.
+
+    ``controls`` are the pattern's concrete controls in node order and
+    ``need`` how many nodes of each it has; ``slot`` gives each node's
+    control position.  ``holders`` are the nodes that hold a site (all
+    sites sit under nodes in a solid pattern), ``neigh`` each node's
+    parent, children and link peers, ``fixed`` the nodes in id order.
+    ``orders`` maps a vector of target candidate counts, one per control,
+    to the node order planned for it."""
+
+    __slots__ = (
+        "controls", "need", "slot", "holders", "neigh", "names", "fixed", "orders"
+    )
+
+    def __init__(self, pattern: Bigraph):
+        by_ctrl = pattern.nodes_by_control()
+        self.controls = tuple(by_ctrl)
+        self.need = tuple(len(vs) for vs in by_ctrl.values())
+        self.slot = {
+            v: i for i, vs in enumerate(by_ctrl.values()) for v in vs
+        }
+        self.holders = frozenset(p[1] for p in pattern.site_parent.values())
+        neigh: dict = {v: set() for v in pattern.nodes}
+        for v, p in pattern.parent.items():
+            if p[0] == NODE:
+                neigh[v].add(p[1])
+                neigh[p[1]].add(v)
+        for link in pattern.links.values():
+            on_link = sorted({v for v, _ in link.ports})
+            for v in on_link:
+                neigh[v].update(on_link)
+        self.neigh = neigh
+        self.names = pattern.outer.names
+        self.fixed = tuple(sorted(pattern.nodes))
+        self.orders: dict = {}
+
+
+def _plan(pattern: Bigraph, what: str = "pattern") -> _Plan:
+    """The pattern's plan, compiled on first use.  A pattern that is not
+    solid raises `SolidityError` naming it `what`, on every call: nothing
+    is memoised for it."""
+    plan = pattern._plan
+    if plan is None:
+        require_solid(pattern, what)
+        plan = pattern._plan = _Plan(pattern)
+    return plan
+
+
+def redex_plan(redex: Bigraph) -> _Plan:
+    """The plan of a rule's redex, which must be solid and have no inner
+    names; a redex that fails either check raises on every call."""
+    if redex.inner.names:
+        require_solid(redex, "redex")
+        raise MatchError("redexes with inner names are not supported")
+    return _plan(redex, "redex")
+
+
+def pattern_plan(pattern: Bigraph) -> _Plan:
+    """The plan of a predicate's pattern, which must be solid."""
+    return _plan(pattern, "predicate pattern")
+
+
 class _Embedder:
     """Backtracking search for the embeddings of `pattern` into `target`
     under occurrence semantics: controls, parents and ports are kept, a
@@ -89,10 +171,13 @@ class _Embedder:
         self.r = pattern
         self.g = target
         self.by_ctrl = target.nodes_by_control()
-        self.has_site = {
-            p[1] for p in pattern.site_parent.values() if p[0] == NODE
-        }
-        self.order = self._order()
+        self.plan = plan = _plan(pattern)
+        self.holders = plan.holders
+        self.counts = tuple(len(self.by_ctrl.get(c, ())) for c in plan.controls)
+        order = plan.orders.get(self.counts)
+        if order is None:
+            order = plan.orders[self.counts] = self._order()
+        self.order = order
         self.node_map: dict = {}  # pattern node -> target node
         self.used: dict = {}  # target node -> pattern node
         self.link_map: dict = {}  # pattern link -> target link
@@ -103,21 +188,14 @@ class _Embedder:
         self.matches: list[Match] = []
 
     def _order(self) -> list[int]:
-        r = self.r
-        neigh: dict = {v: set() for v in r.nodes}
-        for v, p in r.parent.items():
-            if p[0] == NODE:
-                neigh[v].add(p[1])
-                neigh[p[1]].add(v)
-        for link in r.links.values():
-            on_link = sorted({v for v, _ in link.ports})
-            for v in on_link:
-                neigh[v].update(on_link)
-        n_cands = {
-            v: len(self.by_ctrl.get(r.nodes[v], ())) for v in r.nodes
-        }
+        """Most constrained first: fewest target candidates, then lowest
+        id, among the nodes next to those already ordered.  It reads the
+        target only through `self.counts`."""
+        plan = self.plan
+        neigh = plan.neigh
+        n_cands = {v: self.counts[i] for v, i in plan.slot.items()}
         order: list[int] = []
-        remaining = set(r.nodes)
+        remaining = set(plan.fixed)
         while remaining:
             pool = (
                 {v for v in remaining if any(u in order for u in neigh[v])}
@@ -196,7 +274,7 @@ class _Embedder:
         rk = len(r.children((NODE, v)))
         gk = len(g.children((NODE, w)))
         # a site's holder may have spare children; other nodes may not
-        return gk >= rk if v in self.has_site else gk == rk
+        return gk >= rk if v in self.holders else gk == rk
 
     def _set(self, table: dict, key, value) -> None:
         table[key] = value
@@ -281,18 +359,15 @@ def occurrences(redex: Bigraph, target: Bigraph) -> list[Match]:
     edges to edges and names to names (the link map is injective, and a
     solid redex with no inner names matches each edge's ports exactly)
     and holders to holders, so it is an automorphism."""
-    require_solid(redex, "redex")
-    if redex.inner.names:
-        raise MatchError("redexes with inner names are not supported")
+    plan = redex_plan(redex)
     if not target.is_ground():
         raise NotGroundError("occurrence targets must be ground")
-    if _short_of_controls(redex, target):
+    if _short_of_controls(plan, target):
         return []
     raw = _Embedder(redex, target).run()
-    fixed = sorted(redex.nodes)
+    fixed = plan.fixed
     raw.sort(key=lambda m: tuple(m.node_map[v] for v in fixed))
-    names = redex.outer.names
-    holders = {p[1] for p in redex.site_parent.values()}  # solid: nodes
+    names, holders = plan.names, plan.holders
     seen = set()
     out = []
     for m in raw:
@@ -309,22 +384,56 @@ def occurrences(redex: Bigraph, target: Bigraph) -> list[Match]:
 
 def has_occurrence(pattern: Bigraph, target: Bigraph) -> bool:
     """Existence only: first embedding wins, no dedup (used for predicates)."""
-    require_solid(pattern, "predicate pattern")
+    plan = pattern_plan(pattern)
     if not target.is_ground():
         raise NotGroundError("occurrence targets must be ground")
-    if _short_of_controls(pattern, target):
+    if _short_of_controls(plan, target):
         return False
     return bool(_Embedder(pattern, target).run(first_only=True))
 
 
-def _short_of_controls(pattern: Bigraph, target: Bigraph) -> bool:
+def _short_of_controls(plan: _Plan, target: Bigraph) -> bool:
     """True when the target lacks enough nodes of some concrete control,
     so no embedding can exist (O(pattern) prune before any search)."""
     have = target.nodes_by_control()
     return any(
-        len(have.get(c, ())) < len(vs)
-        for c, vs in pattern.nodes_by_control().items()
+        len(have.get(c, ())) < k for c, k in zip(plan.controls, plan.need)
     )
+
+
+class Dispatch:
+    """The items of a list (rules or predicates) whose patterns can occur
+    in a state, found through the state's control index.
+
+    Each pattern is filed under one anchor, the control it requires that
+    the fewest patterns of the list share; a pattern with no nodes is
+    filed under none and is always a candidate.  `candidates` looks up the
+    state's controls and keeps the patterns whose whole control
+    requirement the state meets, so an item left out is one whose pattern
+    `_short_of_controls` rejects."""
+
+    def __init__(self, items, plans):
+        self.items = tuple(items)
+        self.plans = tuple(plans)
+        share = Counter(c for plan in self.plans for c in plan.controls)
+        self.always: list = []  # positions of patterns with no nodes
+        self.by_anchor: dict = {}  # control -> positions filed under it
+        for i, plan in enumerate(self.plans):
+            if plan.controls:
+                anchor = min(plan.controls, key=share.__getitem__)
+                self.by_anchor.setdefault(anchor, []).append(i)
+            else:
+                self.always.append(i)
+
+    def candidates(self, g: Bigraph) -> list:
+        """The items whose patterns g has the controls for, in list order."""
+        hits = list(self.always)
+        for c in g.nodes_by_control():
+            for i in self.by_anchor.get(c, ()):
+                if not _short_of_controls(self.plans[i], g):
+                    hits.append(i)
+        hits.sort()
+        return [self.items[i] for i in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +557,7 @@ def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:
         return []
     # a single match needs no grouping (the loop below runs once)
     twin = twin_classes(g) if len(matches) > 1 else None
-    fixed = sorted(redex.nodes)
+    fixed = redex._plan.fixed  # compiled by `occurrences`
     groups: dict = {}  # key -> [result of its first match, count]
     orbit_key: dict = {}  # twin-class tuple -> key of the orbit
     for m in matches:

@@ -20,7 +20,13 @@ from fractions import Fraction
 
 from .bigraph import Bigraph, BigraphError, lean, require_solid
 from .canon import canonical_key
-from .matching import apply_rule_all, has_occurrence
+from .matching import (
+    Dispatch,
+    apply_rule_all,
+    has_occurrence,
+    pattern_plan,
+    redex_plan,
+)
 
 KINDS = ("brs", "pbrs", "sbrs", "abrs")
 
@@ -212,23 +218,47 @@ class TransitionSystem:
 # ---------------------------------------------------------------------------
 
 
-def _step(kind: str, g: Bigraph, rules=(), actions=()) -> list:
+def rule_dispatch(rules=(), actions=()) -> Dispatch:
+    """The rules `_step` may offer a state, indexed by control: `rules`,
+    or when there are actions the rules of every action, the first of
+    each name.  Built once per rule list by the caller that owns it."""
+    if actions:
+        pool: dict = {}
+        for a in actions:
+            for rule in a.rules:
+                pool.setdefault(rule.name, rule)
+        rules = pool.values()
+    rules = tuple(rules)
+    return Dispatch(rules, [redex_plan(rule.redex) for rule in rules])
+
+
+def _step(kind: str, g: Bigraph, rules: Dispatch, actions=()) -> list:
     """The choices at state g as (action or None, entries): one per
     applicable action of an abrs, in declaration order, and at most one
     for the other kinds.  An entry is (rule name, successor key,
     successor, weight * occurrence count), in rule order and then key
     order; weight-0 rules give none, and brs ignores weights.
 
+    `rules` is the `rule_dispatch` of the system's rules, or of the
+    actions' rules for an abrs.  It is asked once which rules g has the
+    controls for, and only those reach `apply_rule_all`.  Any other rule
+    has no occurrence at g, and counts as an empty result: it gives no
+    entries and does not make its action applicable.
+
     An empty list means g is terminal.  A choice with no entries means
     "stay at g": a pbrs state where no rule of positive weight applies,
     or an applicable action none of whose rules of positive weight does.
     """
-    outcomes: dict = {}  # rule name -> apply_rule_all result
+    # rule name -> apply_rule_all result, None until computed; a rule
+    # missing here is not a candidate at g
+    outcomes: dict = dict.fromkeys(r.name for r in rules.candidates(g))
 
     def entries(rule_list) -> list:
         out = []
         for rule in rule_list:
-            outs = outcomes.get(rule.name)
+            if rule.name not in outcomes:
+                continue
+            outs = outcomes[rule.name]
             if outs is None:
                 outs = outcomes[rule.name] = apply_rule_all(g, rule)
             w = 1 if kind == "brs" else rule.weight
@@ -241,8 +271,8 @@ def _step(kind: str, g: Bigraph, rules=(), actions=()) -> list:
     if kind == "abrs":
         choices = [(a, entries(a.rules)) for a in actions]
         return [(a, es) for a, es in choices
-                if any(outcomes[r.name] for r in a.rules)]
-    es = entries(rules)
+                if any(outcomes.get(r.name) for r in a.rules)]
+    es = entries(rules.items)
     return [(None, es)] if es or kind == "pbrs" else []
 
 
@@ -269,20 +299,22 @@ def _distribution(g: Bigraph, entries, key: bytes | None = None) -> dict:
 def next_distribution(g: Bigraph, rules) -> dict:
     """The reaction probability distribution from g as key -> (state, prob);
     the delta on g itself when nothing (with positive weight) applies."""
-    (_, entries), = _step("pbrs", g, rules)
+    (_, entries), = _step("pbrs", g, rule_dispatch(rules))
     return _distribution(g, entries)
 
 
 def next_rates(g: Bigraph, rules) -> dict:
     """Aggregate exit rates from g as key -> (state, rate); zero-rate
     targets are omitted and the map may be empty (CTMC terminal state)."""
-    return _masses(e for _, es in _step("sbrs", g, rules) for e in es)
+    return _masses(
+        e for _, es in _step("sbrs", g, rule_dispatch(rules)) for e in es
+    )
 
 
 def action_step(g: Bigraph, actions) -> list:
     """One (action, distribution) entry per applicable action, in name
     order, normalized within the action; empty when no action applies."""
-    choices = _step("abrs", g, actions=actions)
+    choices = _step("abrs", g, rule_dispatch(actions=actions), actions)
     return [(a, _distribution(g, es))
             for a, es in sorted(choices, key=lambda c: c[0].name)]
 
@@ -308,13 +340,14 @@ def build_transition_system(
     index = {key0: 0}
     raw_rows: list = [None]
     truncated = False
+    rules = rule_dispatch(spec.rules, spec.actions)
 
     frontier = [0]
     while frontier:
         discovered: list = []
         for i in frontier:
             key, g = states[i]
-            choices = _step(spec.kind, g, spec.rules, spec.actions)
+            choices = _step(spec.kind, g, rules, spec.actions)
             if spec.kind == "abrs":
                 choices.sort(key=lambda c: c[0].name)
             raw_rows[i] = _row(spec.kind, key, g, choices)
@@ -399,15 +432,18 @@ def label_and_reward(
 ) -> TransitionSystem:
     """Label every state with the predicates occurring in it; state reward
     is the sum of matching predicate rewards, action rewards come from the
-    declarations of the applicable actions."""
+    declarations of the applicable actions.  The predicates are indexed
+    by control once, and each state is searched only for those it has
+    the controls for."""
     labels = []
     state_reward = []
+    preds = Dispatch(predicates, [pattern_plan(p.pattern) for p in predicates])
     for key, b in ts.states:
         if b is None:
             labels.append(frozenset())
             state_reward.append(Fraction(0))
             continue
-        sat = [p for p in predicates if has_occurrence(p.pattern, b)]
+        sat = [p for p in preds.candidates(b) if has_occurrence(p.pattern, b)]
         labels.append(frozenset(p.name for p in sat))
         state_reward.append(sum((p.reward for p in sat), Fraction(0)))
     reward_of = {a.name: a.reward for a in actions}

@@ -31,7 +31,7 @@ from typing import Optional
 
 from .bigraph import lean
 from .canon import canonical_key
-from .system import SystemSpec, _step
+from .system import SystemSpec, _step, rule_dispatch
 
 
 @dataclass
@@ -59,6 +59,7 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
     step records the first rule, in rule order, that yields the chosen
     successor."""
     kind = spec.kind
+    dispatch = rule_dispatch(spec.rules, spec.actions)
     rng = random.Random(seed)
     ids: dict[bytes, int] = {}  # canonical key -> state number
     digests: list[str] = []  # state number -> digest of its key
@@ -80,7 +81,7 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
         of the exact sum and the running sums add the masses as floats in
         entry order; a draw x picks the first entry whose sum exceeds x."""
         row = []
-        for action, entries in _step(kind, reps.pop(i), spec.rules, spec.actions):
+        for action, entries in _step(kind, reps.pop(i), dispatch, spec.actions):
             if kind == "brs":  # one entry per distinct successor
                 first: dict = {}
                 for e in entries:

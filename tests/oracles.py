@@ -13,7 +13,10 @@ which rewrites and keys every occurrence with the engine's own
 `occurrences` as it was before the cover key, which quotients the
 engine's raw embeddings by enumerated automorphisms.  And the simulator
 without its memo, which steps from the concrete state at every step (for
-`bigrs.simulate`).  Last,
+`bigrs.simulate`), and the step kernel and the labeller without the
+control dispatch, which offer every rule and every predicate (for
+`bigrs.matching.Dispatch`), and a search's node order planned from
+scratch (for the memoised plans).  Last,
 the helpers that only round-trip checks need: bounded DTMC reachability
 in exact rationals, readers of bigraph JSON and of exported PRISM DTMC
 bundles, and a printer of `.big` source."""
@@ -61,9 +64,16 @@ from bigrs.language import (
     ReactDef,
     Ref,
 )
-from bigrs.matching import RewriteOutcome, _Embedder, occurrences, rewrite
-from bigrs.simulate import TraceStep
-from bigrs.system import Distribution, TransitionSystem, _step
+from bigrs.matching import (
+    RewriteOutcome,
+    _Embedder,
+    apply_rule_all,
+    has_occurrence,
+    occurrences,
+    rewrite,
+)
+from bigrs.walk import TraceStep
+from bigrs.system import Distribution, TransitionSystem
 
 
 def _classes(b: Bigraph) -> dict:
@@ -602,6 +612,72 @@ def ungrouped_apply_rule_all(g: Bigraph, rule) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the step kernel and the labeller without the control dispatch
+# ---------------------------------------------------------------------------
+
+
+def reference_step(kind: str, g: Bigraph, rules=(), actions=()) -> list:
+    """`bigrs.system._step` offering every rule to `apply_rule_all`: the
+    choices at g as (action or None, entries), an entry being (rule name,
+    successor key, successor, weight * count).  An abrs action is
+    applicable when one of its rules occurs, whatever its weight."""
+    outcomes: dict = {}
+
+    def entries(rule_list) -> list:
+        out = []
+        for rule in rule_list:
+            if rule.name not in outcomes:
+                outcomes[rule.name] = apply_rule_all(g, rule)
+            w = 1 if kind == "brs" else rule.weight
+            if w:
+                out.extend(
+                    (rule.name, o.key, o.result, w * o.count)
+                    for o in outcomes[rule.name]
+                )
+        return out
+
+    if kind == "abrs":
+        choices = [(a, entries(a.rules)) for a in actions]
+        return [(a, es) for a, es in choices
+                if any(outcomes[r.name] for r in a.rules)]
+    es = entries(rules)
+    return [(None, es)] if es or kind == "pbrs" else []
+
+
+def reference_order(pattern: Bigraph, target: Bigraph) -> list:
+    """The node order of a search for `pattern` in `target`, planned from
+    scratch: most constrained first, by the number of target nodes of the
+    node's control and then by id, among the nodes next to those already
+    ordered (parent, children or a shared link)."""
+    neigh: dict = {v: set() for v in pattern.nodes}
+    for v, p in pattern.parent.items():
+        if p[0] == NODE:
+            neigh[v].add(p[1])
+            neigh[p[1]].add(v)
+    for link in pattern.links.values():
+        on_link = {v for v, _ in link.ports}
+        for v in on_link:
+            neigh[v] |= on_link
+    have = target.nodes_by_control()
+    n_cands = {v: len(have.get(c, ())) for v, c in pattern.nodes.items()}
+    order: list = []
+    remaining = set(pattern.nodes)
+    while remaining:
+        pool = {v for v in remaining if neigh[v] & set(order)} or remaining
+        v = min(pool, key=lambda v: (n_cands[v], v))
+        order.append(v)
+        remaining.remove(v)
+    return order
+
+
+def reference_labels(g: Bigraph, predicates) -> tuple:
+    """The labels and state reward of g, asking `has_occurrence` about
+    every predicate."""
+    sat = [p for p in predicates if has_occurrence(p.pattern, g)]
+    return frozenset(p.name for p in sat), sum((p.reward for p in sat), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
 # simulation without a memo
 # ---------------------------------------------------------------------------
 
@@ -617,7 +693,7 @@ def _pick(rng: random.Random, entries, total):
 
 
 def reference_simulate(spec, steps: int, seed: int | None = None) -> list:
-    """`bigrs.simulate.simulate` calling `_step` on the concrete state
+    """`bigrs.simulate` calling `reference_step` on the concrete state
     reached at every step.  A brs step is uniform over the distinct
     successor keys, in first-seen order, and records the first rule that
     yields the chosen one."""
@@ -631,7 +707,7 @@ def reference_simulate(spec, steps: int, seed: int | None = None) -> list:
         return hashlib.sha256(k).hexdigest()[:16]
 
     for k in range(1, steps + 1):
-        choices = _step(spec.kind, g, spec.rules, spec.actions)
+        choices = reference_step(spec.kind, g, spec.rules, spec.actions)
         if not choices:
             break
         if spec.kind == "abrs":

@@ -1,7 +1,6 @@
 """PRISM bundles, DOT, JSON, re-import, and trace simulation."""
 
 import hashlib
-import importlib
 import json
 from fractions import Fraction
 
@@ -22,7 +21,8 @@ from bigrs.export import (
     system_to_json,
 )
 from bigrs.language import elaborate, load_model, parse
-from bigrs.simulate import simulate
+from bigrs import walk
+from bigrs.walk import simulate
 from bigrs.system import Distribution, TransitionSystem, build_transition_system
 
 from oracles import load_prism_dtmc, reference_simulate
@@ -509,17 +509,15 @@ def test_sim_matches_reference_walker(models_dir, model, budget):
     "model", ["wsn.big", "send_mdp.big", "mobile_sink.big", "zero-weight", "brs"]
 )
 def test_sim_expands_each_state_once(models_dir, model, monkeypatch):
-    # the module, which the package's `simulate` function shadows
-    sim_module = importlib.import_module("bigrs.simulate")
     spec = _spec(models_dir, model)
     start = _digest(build_transition_system(spec).states[0][0])
     calls = []
 
-    def counting_step(kind, g, *args, _step=sim_module._step):
+    def counting_step(kind, g, *args, _step=walk._step):
         calls.append(_digest(canonical_key(g)))
         return _step(kind, g, *args)
 
-    monkeypatch.setattr(sim_module, "_step", counting_step)
+    monkeypatch.setattr(walk, "_step", counting_step)
     budget = 200
     expansions = steps_from = 0
     for seed in range(1, 6):
