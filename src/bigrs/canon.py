@@ -10,42 +10,47 @@ individualisation-refinement search tree.  Each tree node holds colours
 of the nodes and closed edges, stable under mutual refinement: a node's
 signature is its parent's colour, the sorted colours of its children and
 the colours of its ports' links; an edge's is the sorted (colour,
-position) pairs of its ports.  The start colours are the controls.  A
+position) pairs of its ports.  The root colours are the controls.  A
 tree node branches on the first cell of more than one member, in colour
 order, by giving each member in turn a colour above all others; a leaf
 is a discrete colouring, encoded in colour order.
 
 Refinement only re-sorts touched cells (Paige & Tarjan, "Three partition
-refinement algorithms", SIAM J. Comput. 1987).  Inside `_refine` a cell's
-colour is its start, the number of items of smaller colour.  Splitting a
-cell gives its sub-cells starts inside its own range, so the first keeps
-its colour and no other cell is renumbered.  The first round re-sorts
-every cell.  After that, an edge cell is re-sorted only if one of its
-edges has a port on a node whose colour changed in the previous round.
-A node cell is re-sorted only if a member's parent or child changed
-colour in the previous round, or one of its port edges changed colour in
-this round's edge step.  Any other cell keeps equal signatures and
-cannot split, so each round yields the partition of the round that
-recomputes every signature (`tests/oracles.full_refine`).  Cell starts
-are order-isomorphic to that round's dense ranks, and cells are sorted
-by the same signatures, so `_refine` returns exactly the same dense
-colours.  Those colours fix the target cells and the leaf order, so the
-keys are the same byte for byte.  A search step passes down only the
-nodes it individualised, so its first round touches only their
+refinement algorithms", SIAM J. Comput. 1987).  Colours are cell starts:
+a cell's colour is the number of items of smaller colour, computed once
+from the controls at the root.  The search carries the colours and the cells,
+keyed by colour, from the root to every leaf, and `_refine` refines them
+in place.  Splitting a cell gives its sub-cells starts inside its own
+range, so the first keeps its colour and no other cell is renumbered.
+Individualising a node moves it into a new singleton cell of colour
+`top`, the least colour above all others: n at the root, one more for
+each node individualised on the path.  Every colour is then ordered as
+the dense rank of its cell would be, so the target (the least colour of a
+cell of two or more members) and the leaf (the cells in colour order) do
+not depend on the form.  The first round re-sorts every cell.  After
+that, an edge cell is re-sorted only if one of its edges has a port on a
+node whose colour changed in the previous round.  A node cell is
+re-sorted only if a member's parent or child changed colour in the
+previous round, or one of its port edges changed colour in this round's
+edge step.  Any other cell keeps equal signatures and cannot split, so
+each round yields the ordered partition of the round that recomputes
+every signature (`tests/oracles.full_refine`).  A search step passes down
+only the nodes it individualised, so its first round touches only their
 neighbours.
 
-One kind of cell is split without branching: twins, whose members are
-leaves (no children) with one shared parent, and whose ports, position
-by position, either sit on the same link or each sit on a private
-single-port edge.  Any ordering of twins is related to any other by an
-automorphism, so all orderings encode identically.  This keeps
-populations of identical sibling entities (the common shape in
-counter-style models) linear instead of factorial.  Leaves with
-different parents are not twins: reordering them moves them between
-parents, so they are branched on like any other cell.  `twin_classes`
-finds the maximal classes of twins of a whole state in one pass, with no
-refinement (every twin cell of the search lies inside one of them);
-`matching.apply_rule_all` uses them to rewrite one occurrence per orbit.
+One kind of cell is split without branching: a cell whose members all
+lie in one class of `twin_classes`.  Twins are leaves (no children) of
+one control with one shared parent, whose ports, position by position,
+either sit on the same link or each sit on a private single-port edge.
+Any ordering of twins is related to any other by an automorphism, so all
+orderings encode identically, and the cell's members take the colours
+from `top` up in index order.  This keeps populations of identical
+sibling entities (the common shape in counter-style models) linear
+instead of factorial.  Leaves with different parents are not twins:
+reordering them moves them between parents, so they are branched on like
+any other cell.  `twin_classes` finds the classes of a whole state in one
+pass and memoises them on it; `matching.apply_rule_all` also uses them,
+to rewrite one occurrence per orbit.
 
 The search prunes by automorphisms (McKay & Piperno, "Practical graph
 isomorphism, II", J. Symb. Comput. 2014).  When two leaves encode
@@ -68,7 +73,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bigraph import Bigraph, Edge, NotGroundError, REGION, lean
+from .bigraph import Bigraph, Edge, NotGroundError, REGION
 
 
 def _ser_param(p) -> str:
@@ -78,24 +83,26 @@ def _ser_param(p) -> str:
 
 
 class _Skeleton:
-    """Index-based view of a lean ground bigraph, fixed across branches."""
+    """Index-based view of a ground bigraph without its idle edges, fixed
+    across branches.
+
+    Node i is `ids[i]`.  Parents and ports are integer codes, which
+    `_encode` writes as tokens: `up[i]` is the parent's index, or -1 - r
+    for region r, and `port_codes[i][pos]` is the index of the port's edge,
+    or ne + r for the r-th outer name."""
 
     def __init__(self, b: Bigraph):
-        node_ids = sorted(b.nodes)
+        self.state = b  # for `twin_classes`, memoised on it
+        node_ids = self.ids = sorted(b.nodes)
         idx = {v: i for i, v in enumerate(node_ids)}
         edge_keys = sorted(
-            (k for k in b.links if isinstance(k, Edge)), key=lambda e: e.ident
+            (k for k, link in b.links.items() if isinstance(k, Edge) and link.ports),
+            key=lambda e: e.ident,
         )
         n = self.n = len(node_ids)
         ne = self.ne = len(edge_keys)
         self.ctrl: list = []
-        self.parent: list = []  # ('r', i) | int parent index
         self.children: list[list[int]] = [[] for _ in range(n)]
-        self.ports: list[list] = []  # per node: list over port position
-        # Integer forms of the parent and port tokens for `_refine`,
-        # order-isomorphic to them while colours stay below n and ne: a
-        # region parent sorts after every node parent and a name port after
-        # every edge port.
         self.up: list[int] = []
         self.port_codes: list[list[int]] = []
         tokens: dict = {}
@@ -106,30 +113,24 @@ class _Skeleton:
             self.ctrl.append(tokens[c])
             kind, at = b.parent[v]
             if kind == REGION:
-                self.parent.append(("r", at))
                 self.up.append(-1 - at)
             else:
-                self.parent.append(idx[at])
                 self.up.append(idx[at])
                 self.children[idx[at]].append(i)
-            arity = b.signature[c[0]].arity
-            self.ports.append([None] * arity)
-            self.port_codes.append([0] * arity)
+            self.port_codes.append([0] * b.signature[c[0]].arity)
         self.edge_ports: list[list] = []
         self.node_edges: list[list[int]] = [[] for _ in range(n)]
         for e, k in enumerate(edge_keys):
             eps = sorted((idx[v], pos) for v, pos in b.links[k].ports)
             self.edge_ports.append(eps)
             for i, pos in eps:
-                self.ports[i][pos] = ("e", e)
                 self.port_codes[i][pos] = e
                 self.node_edges[i].append(e)
         self.outer_names = tuple(sorted(b.outer.names))
         for r, y in enumerate(self.outer_names):
             for v, pos in b.links[y].ports:
-                self.ports[idx[v]][pos] = ("y", y)
                 self.port_codes[idx[v]][pos] = ne + r
-        self.port_span = max(map(len, self.ports), default=0) or 1
+        self.port_span = max(map(len, self.port_codes), default=0) or 1
         self.width = b.outer.width
 
 
@@ -147,17 +148,6 @@ def _starts(col: list) -> tuple[list[int], dict[int, list[int]]]:
         starts[v] = start
         cells[start].append(v)
     return starts, cells
-
-
-def _dense(cells: dict, size: int) -> tuple[list[int], list[list[int]]]:
-    """Dense colours from cells keyed by start, and the cells in colour
-    order."""
-    col = [0] * size
-    ordered = [cells[s] for s in sorted(cells)]
-    for r, cell in enumerate(ordered):
-        for v in cell:
-            col[v] = r
-    return col, ordered
 
 
 def _resort(col: list[int], cells: dict, touched, sig) -> list[int]:
@@ -190,23 +180,25 @@ def _resort(col: list[int], cells: dict, touched, sig) -> list[int]:
     return moved
 
 
-def _refine(sk: _Skeleton, ncol: list[int], ecol: list[int], moved=None):
-    """Stable mutual refinement of node and edge colours: dense node
-    colours, dense edge colours and the node cells in colour order.
-    `moved` lists the nodes whose colours changed since `ncol` and `ecol`
-    were last stable; None re-sorts every cell in the first round."""
-    ncol, ncells = _starts(ncol)
-    ecol, ecells = _starts(ecol)
+def _refine(sk: _Skeleton, ncol: list, ecol: list, ncells: dict, ecells: dict,
+            moved=None) -> None:
+    """Refine node and edge colours, and their cells keyed by colour, in
+    place to the stable mutual refinement.  `moved` lists the nodes whose
+    colours changed since the colouring was last stable; None re-sorts
+    every cell in the first round."""
     n, ne, span, up = sk.n, sk.ne, sk.port_span, sk.up
 
     def esig(e):
         return tuple(sorted([ncol[v] * span + pos for v, pos in sk.edge_ports[e]]))
 
     def nsig(i):
+        # a region parent's token 2n + 1 + r sorts above every node colour,
+        # which is below n, or below 2n once individualised; a name port's
+        # code ne + r sorts above every edge colour, a start below ne
         p = up[i]
         kids = sk.children[i]
         return (
-            ncol[p] if p >= 0 else n - p,
+            ncol[p] if p >= 0 else 2 * n - p,
             tuple(sorted([ncol[c] for c in kids])) if kids else (),
             tuple([ecol[c] if c < ne else c for c in sk.port_codes[i]]),
         )
@@ -225,40 +217,17 @@ def _refine(sk: _Skeleton, ncol: list[int], ecol: list[int], moved=None):
             ntouch.update(ncol[v] for e in emoved for v, _ in sk.edge_ports[e])
         moved = _resort(ncol, ncells, ntouch, nsig)
         if not moved and not emoved:
-            ncol, cells = _dense(ncells, n)
-            return ncol, _dense(ecells, ne)[0], cells
-
-
-def _interchangeable(sk: _Skeleton, cell: list[int]) -> bool:
-    """All cell members are leaves under one parent whose ports pairwise
-    share links or sit on private single-port edges; then every ordering
-    is automorphic."""
-    lead = cell[0]
-    if any(sk.children[i] or sk.parent[i] != sk.parent[lead] for i in cell):
-        return False
-    for other in cell[1:]:
-        for t0, t1 in zip(sk.ports[lead], sk.ports[other]):
-            if t0 == t1:
-                continue
-            if (
-                t0[0] == "e"
-                and t1[0] == "e"
-                and len(sk.edge_ports[t0[1]]) == 1
-                and len(sk.edge_ports[t1[1]]) == 1
-            ):
-                continue
-            return False
-    return True
+            return
 
 
 def twin_classes(g: Bigraph) -> dict:
     """Node id -> a representative of its twin class, in one pass over g.
 
-    The twins of `_interchangeable` without a colouring: leaves of one
-    concrete control and one parent whose ports, position by position, sit
-    on the same link or each on a private single-port edge.  Every
-    permutation of a class is an automorphism of g.  A node with children
-    is its own class.  Computed once per bigraph and memoised on it."""
+    Twins are leaves of one concrete control and one parent whose ports,
+    position by position, sit on the same link or each on a private
+    single-port edge.  Every permutation of a class is an automorphism of
+    g.  A node with children is its own class.  Computed once per bigraph
+    and memoised on it."""
     if g._twins is not None:
         return g._twins
     token: dict = {}
@@ -290,12 +259,14 @@ def _encode(sk: _Skeleton, order: list[int]) -> tuple:
     ei = [0] * sk.ne
     for rank, e in enumerate(sorted(range(sk.ne), key=lambda e: ekeys[e])):
         ei[e] = rank
+    ne, names = sk.ne, sk.outer_names
     rows = []
     for i in order:
-        par = sk.parent[i]
-        par_tok = par if isinstance(par, tuple) else ("n", ci[par])
-        ports = tuple(t if t[0] == "y" else ("e", ei[t[1]]) for t in sk.ports[i])
-        rows.append((sk.ctrl[i], par_tok, ports))
+        p = sk.up[i]
+        ports = tuple(
+            ("e", ei[c]) if c < ne else ("y", names[c - ne]) for c in sk.port_codes[i]
+        )
+        rows.append((sk.ctrl[i], ("r", -1 - p) if p < 0 else ("n", ci[p]), ports))
     return (sk.width, sk.outer_names, tuple(rows))
 
 
@@ -305,19 +276,22 @@ def _find(root: dict, v: int) -> int:
     return v
 
 
-def _search(sk: _Skeleton, ncol, ecol, moved, autos: list, probe=None):
+def _search(sk: _Skeleton, col: tuple, top: int, moved, autos: list, probe=None):
     """The minimal and the first leaf, each (encoding, node order), of the
-    search subtree whose colouring is `ncol`, `ecol` after individualising
-    `moved`.  Automorphisms found are appended to `autos`.  `probe` is
-    (first leaf, colouring, first branch node, this branch node) of the
-    nearest ancestor that this subtree is a later child of, when this call
-    is on that child's first-leaf path; returns None when the probe
-    matched."""
-    ncol, ecol, cells = _refine(sk, ncol, ecol, moved)
+    search subtree whose colouring `col` (node colours, edge colours, node
+    cells and edge cells, keyed by colour) was last stable before `moved`
+    were individualised; `col` is refined in place.  `top` is the least
+    colour above all others.  Automorphisms found are appended to `autos`.
+    `probe` is (first leaf, colouring, first branch node, this branch node)
+    of the nearest ancestor that this subtree is a later child of, when
+    this call is on that child's first-leaf path; returns None when the
+    probe matched."""
+    ncol, ecol, ncells, ecells = col
+    _refine(sk, ncol, ecol, ncells, ecells, moved)
     while True:
-        target = next((sorted(c) for c in cells if len(c) > 1), None)
-        if target is None:
-            order = [c[0] for c in cells]
+        start = min((s for s, c in ncells.items() if len(c) > 1), default=None)
+        if start is None:
+            order = [ncells[s][0] for s in sorted(ncells)]
             leaf = (_encode(sk, order), order)
             if probe is not None and probe[0][0] == leaf[0]:
                 (_, porder), pcol, i1, i = probe
@@ -327,12 +301,16 @@ def _search(sk: _Skeleton, ncol, ecol, moved, autos: list, probe=None):
                     if g[i1] == i:
                         return None
             return leaf, leaf
-        if not _interchangeable(sk, target):
+        target = sorted(ncells[start])
+        twins = twin_classes(sk.state)
+        if len({twins[sk.ids[i]] for i in target}) > 1:
             break
-        fresh = sk.n + sk.ne
-        for j, i in enumerate(target):
-            ncol[i] = fresh + j
-        ncol, ecol, cells = _refine(sk, ncol, ecol, target)
+        del ncells[start]
+        for i in target:
+            ncol[i] = top
+            ncells[top] = [i]
+            top += 1
+        _refine(sk, ncol, ecol, ncells, ecells, target)
     root = {i: i for i in target}  # orbits, each rooted at its least member
     mark = len(autos)
     best = first = None
@@ -345,9 +323,12 @@ def _search(sk: _Skeleton, ncol, ecol, moved, autos: list, probe=None):
         if _find(root, i) != i:
             continue  # an earlier member of its orbit was explored or cut
         branch = list(ncol)
-        branch[i] = sk.n + sk.ne
+        branch[i] = top
+        cells = dict(ncells)
+        cells[start] = [v for v in target if v != i]
+        cells[top] = [i]
         res = _search(
-            sk, branch, ecol, [i], autos,
+            sk, (branch, list(ecol), cells, dict(ecells)), top + 1, [i], autos,
             probe if first is None else (first, ncol, target[0], i),
         )
         if res is None:
@@ -378,9 +359,8 @@ def canonical_key(g: Bigraph) -> bytes:
     """Deterministic key; equal keys iff lean-support equivalent states."""
     if not g.is_ground():
         raise NotGroundError("canonical keys are defined on ground states")
-    g = lean(g)
     sk = _Skeleton(g)
-    init = {c: r for r, c in enumerate(sorted(set(sk.ctrl)))}
-    ncol = [init[c] for c in sk.ctrl]
-    best, _ = _search(sk, ncol, [0] * sk.ne, None, [])
+    ncol, ncells = _starts(sk.ctrl)
+    ecells = {0: list(range(sk.ne))} if sk.ne else {}
+    best, _ = _search(sk, (ncol, [0] * sk.ne, ncells, ecells), sk.n, None, [])
     return repr(best[0]).encode()

@@ -6,8 +6,8 @@ composition formula (for the splice) and per-state value iteration on
 MDPs (for the analysis kernel).  Also the earlier canonical-form search,
 with a refinement that recomputes every signature each round and no
 automorphism pruning (for the worklist refinement and the pruned search);
-it shares only the skeleton, the encoding and the twin rule with
-`bigrs.canon`.  And `apply_rule_all` as it was before orbit grouping,
+it has its own twin rule, written from the definition on the bigraph, and
+shares only the skeleton's numbering and the encoding with `bigrs.canon`.  And `apply_rule_all` as it was before orbit grouping,
 which rewrites and keys every occurrence with the engine's own
 `occurrences`, `rewrite` and `canonical_key` (for the grouping), and
 `occurrences` as it was before the cover key, which quotients the
@@ -42,7 +42,7 @@ from bigrs.bigraph import (
     lean,
     tensor,
 )
-from bigrs.canon import _Skeleton, _encode, _interchangeable, canonical_key
+from bigrs.canon import _Skeleton, _encode, canonical_key
 from bigrs.language import (
     BClose,
     BigDef,
@@ -405,9 +405,59 @@ def nx_support_equivalent(f: Bigraph, g: Bigraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def full_refine(sk: _Skeleton, ncol: list[int], ecol: list[int]):
-    """Stable mutual refinement of node and edge colours that recomputes
-    every signature on every round: the reference for `canon._refine`."""
+def twins(g: Bigraph, a: int, b: int) -> bool:
+    """Nodes a and b of g are twins: leaves of one concrete control and one
+    parent whose ports, position by position, share a link or each sit on
+    a one-port edge.  Written from the definition, independently of
+    `canon.twin_classes`."""
+    if g.nodes[a] != g.nodes[b] or g.parent[a] != g.parent[b]:
+        return False
+    if g.children((NODE, a)) or g.children((NODE, b)):
+        return False
+    for pos in range(g.arity(a)):
+        ka, kb = g.port_link(a, pos), g.port_link(b, pos)
+        if ka != kb and not (
+            isinstance(ka, Edge)
+            and isinstance(kb, Edge)
+            and len(g.links[ka].ports) == 1
+            and len(g.links[kb].ports) == 1
+        ):
+            return False
+    return True
+
+
+def twin_cell(g: Bigraph, sk: _Skeleton, cell: list[int]) -> bool:
+    """Every member of a cell of skeleton indices is a twin of its first."""
+    lead = sk.ids[cell[0]]
+    return all(twins(g, lead, sk.ids[i]) for i in cell[1:])
+
+
+def _refine_tokens(g: Bigraph, sk: _Skeleton) -> tuple[list, list]:
+    """Per node of `sk`, read from `g`: ('r', region) or the parent's
+    index, and per port ('y', name) or the edge's index."""
+    idx = {v: i for i, v in enumerate(sk.ids)}
+    eidx = {
+        g.port_link(sk.ids[v], pos): e
+        for e, eps in enumerate(sk.edge_ports)
+        for v, pos in eps
+    }
+    parents = []
+    ports = []
+    for v in sk.ids:
+        kind, at = g.parent[v]
+        parents.append(("r", at) if kind == REGION else idx[at])
+        links = [g.port_link(v, pos) for pos in range(g.arity(v))]
+        ports.append([eidx[k] if isinstance(k, Edge) else ("y", k) for k in links])
+    return parents, ports
+
+
+def full_refine(g: Bigraph, sk: _Skeleton, ncol: list[int], ecol: list[int],
+                tokens=None):
+    """Stable mutual refinement of node and edge colours of the lean ground
+    bigraph `g`, viewed through `sk`, that recomputes every signature on
+    every round: the reference for `canon._refine`.  Parent and port
+    tokens are read from `g`, or passed as `_refine_tokens(g, sk)`."""
+    parents, ports = tokens or _refine_tokens(g, sk)
     while True:
         if sk.ne:
             esigs = [
@@ -420,10 +470,10 @@ def full_refine(sk: _Skeleton, ncol: list[int], ecol: list[int]):
             new_ecol = ecol
         nsigs = []
         for i in range(sk.n):
-            par = sk.parent[i]
+            par = parents[i]
             par_tok = par if isinstance(par, tuple) else ("n", ncol[par])
             port_tok = tuple(
-                t if t[0] == "y" else ("e", new_ecol[t[1]]) for t in sk.ports[i]
+                t if isinstance(t, tuple) else ("e", new_ecol[t]) for t in ports[i]
             )
             nsigs.append(
                 (ncol[i], par_tok, tuple(sorted(ncol[c] for c in sk.children[i])),
@@ -436,33 +486,37 @@ def full_refine(sk: _Skeleton, ncol: list[int], ecol: list[int]):
         ncol, ecol = new_ncol, new_ecol
 
 
-def _cells(ncol: list[int]) -> list[list[int]]:
+def partition(col: list) -> list[list[int]]:
+    """A colouring's ordered partition: its cells, in colour order."""
     by: dict = {}
-    for i, c in enumerate(ncol):
+    for i, c in enumerate(col):
         by.setdefault(c, []).append(i)
     return [by[c] for c in sorted(by)]
 
 
-def unpruned_search(sk: _Skeleton, ncol: list[int], ecol: list[int]) -> tuple:
-    """The minimal encoding over every leaf of the search tree, with the
-    twin rule but without automorphism pruning."""
-    ncol, ecol = full_refine(sk, ncol, ecol)
+def unpruned_search(g: Bigraph, sk: _Skeleton, ncol: list[int], ecol: list[int],
+                    tokens=None) -> tuple:
+    """The minimal encoding over every leaf of the search tree of the lean
+    ground bigraph `g`, viewed through `sk`, with the twin rule but
+    without automorphism pruning.  `tokens` is as for `full_refine`."""
+    tokens = tokens or _refine_tokens(g, sk)
+    ncol, ecol = full_refine(g, sk, ncol, ecol, tokens)
     while True:
-        target = next((c for c in _cells(ncol) if len(c) > 1), None)
+        target = next((c for c in partition(ncol) if len(c) > 1), None)
         if target is None:
             return _encode(sk, sorted(range(sk.n), key=ncol.__getitem__))
-        if _interchangeable(sk, target):
+        if twin_cell(g, sk, target):
             fresh = sk.n + sk.ne
             ncol = list(ncol)
             for j, i in enumerate(target):
                 ncol[i] = fresh + j
-            ncol, ecol = full_refine(sk, ncol, ecol)
+            ncol, ecol = full_refine(g, sk, ncol, ecol, tokens)
             continue
         best = None
         for i in target:
             branch = list(ncol)
             branch[i] = sk.n + sk.ne
-            enc = unpruned_search(sk, branch, list(ecol))
+            enc = unpruned_search(g, sk, branch, list(ecol), tokens)
             if best is None or enc < best:
                 best = enc
         return best
@@ -472,10 +526,11 @@ def unpruned_key(g: Bigraph) -> bytes:
     """`canon.canonical_key` computed by `unpruned_search`."""
     if not g.is_ground():
         raise NotGroundError("canonical keys are defined on ground states")
-    sk = _Skeleton(lean(g))
+    g = lean(g)
+    sk = _Skeleton(g)
     init = {c: r for r, c in enumerate(sorted(set(sk.ctrl)))}
     ncol = [init[c] for c in sk.ctrl]
-    return repr(unpruned_search(sk, ncol, [0] * sk.ne)).encode()
+    return repr(unpruned_search(g, sk, ncol, [0] * sk.ne)).encode()
 
 
 # ---------------------------------------------------------------------------

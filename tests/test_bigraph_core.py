@@ -53,6 +53,8 @@ from oracles import (
     from_json,
     full_refine,
     nx_support_equivalent,
+    partition,
+    twin_cell,
     unpruned_key,
 )
 
@@ -397,33 +399,76 @@ def _model_states(path, cap=10**6):
     return [g for _, g in ts.states]
 
 
+def _refine_both(g, sk, col, dense, moved):
+    """Refine `col` (node and edge colours and cells, as `canon._search`
+    holds them) with `canon._refine`, and `dense` with `full_refine`.
+    Check that both give the same ordered partitions and that the cells
+    are keyed by their members' colour.  Returns the refined `dense`."""
+    canon._refine(sk, *col, moved)
+    dense = full_refine(g, sk, *dense)
+    assert [partition(col[0]), partition(col[1])] == [partition(c) for c in dense]
+    for colours, cells in ((col[0], col[2]), (col[1], col[3])):
+        assert sum(map(len, cells.values())) == len(colours)
+        assert all(colours[v] == c for c, members in cells.items() for v in members)
+    return dense
+
+
+def _individualise(col, dense, top, nodes):
+    """Copies of `col` and `dense` with each of `nodes` moved into a new
+    singleton cell above all others: colour top, top + 1, ... in `col`, as
+    `canon._search` does, and above every dense rank in `dense`.  Returns
+    the copies and the next `top`."""
+    ncol, ncells = list(col[0]), dict(col[2])
+    dn = list(dense[0])
+    for j, i in enumerate(nodes):
+        rest = [v for v in ncells[ncol[i]] if v != i]
+        if rest:
+            ncells[ncol[i]] = rest
+        else:
+            del ncells[ncol[i]]
+        ncol[i] = top + j
+        ncells[top + j] = [i]
+        dn[i] = len(dn) + j
+    col = (ncol, list(col[1]), ncells, dict(col[3]))
+    return col, (dn, list(dense[1])), top + len(nodes)
+
+
+def _first_target(dense):
+    return next((cell for cell in partition(dense[0]) if len(cell) > 1), None)
+
+
 def _refine_cases(g):
-    """Refine the control colouring of `g`, then its stable colouring with
-    each node, and each whole cell, individualised; compare every result
-    with the full refinement.  Returns the number of twin cells seen."""
-    sk = canon._Skeleton(lean(g))
+    """Refine the control colouring of `g`; then, from its stable colouring,
+    chains of one, two and three individualisations starting at each node
+    of each cell, and each whole cell followed by one branch.  Compare
+    every result with the full refinement.  Returns the number of cells
+    that are twins by the oracle's rule."""
+    g = lean(g)
+    sk = canon._Skeleton(g)
+    ncol, ncells = canon._starts(sk.ctrl)
+    col = (ncol, [0] * sk.ne, ncells, {0: list(range(sk.ne))} if sk.ne else {})
     init = {c: r for r, c in enumerate(sorted(set(sk.ctrl)))}
-    ncol, ecol = [init[c] for c in sk.ctrl], [0] * sk.ne
-    stable = full_refine(sk, ncol, ecol)
-    assert canon._refine(sk, ncol, ecol)[:2] == stable
-    ncol, ecol = stable
-    fresh = sk.n + sk.ne
-    cells: dict = {}
-    for i, c in enumerate(ncol):
-        cells.setdefault(c, []).append(i)
+    dense = _refine_both(g, sk, col, ([init[c] for c in sk.ctrl], [0] * sk.ne), None)
     twins = 0
-    for cell in cells.values():
+    for cell in partition(dense[0]):
         if len(cell) == 1:
             continue
         for i in cell:
-            one = list(ncol)
-            one[i] = fresh
-            assert canon._refine(sk, one, ecol, [i])[:2] == full_refine(sk, one, ecol)
-        whole = list(ncol)
-        for j, i in enumerate(cell):
-            whole[i] = fresh + j
-        assert canon._refine(sk, whole, ecol, cell)[:2] == full_refine(sk, whole, ecol)
-        twins += canon._interchangeable(sk, cell)
+            c, d, top = col, dense, sk.n
+            for _ in range(3):
+                c, d, top = _individualise(c, d, top, [i])
+                d = _refine_both(g, sk, c, d, [i])
+                nxt = _first_target(d)
+                if nxt is None:
+                    break
+                i = nxt[0]
+        c, d, top = _individualise(col, dense, sk.n, cell)
+        d = _refine_both(g, sk, c, d, cell)
+        nxt = _first_target(d)
+        if nxt is not None:
+            c, d, _ = _individualise(c, d, top, [nxt[-1]])
+            _refine_both(g, sk, c, d, [nxt[-1]])
+        twins += twin_cell(g, sk, cell)
     return twins
 
 
