@@ -44,7 +44,6 @@ from .matching import (
 )
 from .system import (
     ActionDecl,
-    Distribution,
     PredicateDecl,
     StateCapError,
     SystemSpec,

@@ -3,9 +3,9 @@
 Reachability on DTMCs (bounded and unbounded), unbounded reachability on
 CTMCs via the embedded chain, min/max bounded reachability and bounded
 expected cumulative reward on MDPs.  Every query iterates one Bellman
-backup over an MDP view of the system held in CSR arrays: a DTMC row, or
-the embedded-chain row of a CTMC state, is a single choice, and an empty
-MDP row is a self-loop choice of reward 0, so such a state absorbs.  The
+backup over the rows' choices held in CSR arrays: a CTMC choice is
+divided by its exit rate (the embedded chain), and an empty row is a
+self-loop choice of reward 0, so such a state absorbs.  The
 unbounded queries stop at absolute sup-norm change below the tolerance.
 The cumulative-reward semantics counts the state reward at every time
 step (one state plus one action reward per step), so a single absorbing
@@ -108,8 +108,6 @@ def _check(ts: TransitionSystem, kind: str, what: str, horizon=None,
 
 
 def _goal_states(ts: TransitionSystem, label: str) -> list[int]:
-    if not ts.labels:
-        raise AnalysisError("transition system has no labels")
     goals = ts.states_with_label(label)
     known = set(ts.label_names) | {l for ls in ts.labels for l in ls}
     if not goals and label not in known:
@@ -139,26 +137,17 @@ class _Choices(NamedTuple):
 
 
 def _choices(ts: TransitionSystem) -> _Choices:
-    """DTMC and CTMC rows (the latter through the embedded chain) become
-    one choice each; an MDP choice carries its action reward, and an empty
-    MDP row becomes a self-loop of reward 0."""
-    if ts.kind == "abrs":
-        arew = ts.action_reward or [{}] * ts.n_states
-        rows = [
-            [(arew[i].get(name, 0), dist) for name, dist in row]
-            or [(0, {i: 1})]
-            for i, row in enumerate(ts.rows)
-        ]
-    else:
-        chain = embedded_chain(ts) if ts.kind == "sbrs" else ts.rows
-        rows = [[(0, dist)] for dist in chain]
+    """The rows' choices, each carrying its action reward; a CTMC choice
+    is divided by its exit rate (the embedded chain), and an empty row
+    becomes a self-loop of reward 0."""
+    rated = ts.kind == "sbrs"
     first_choice, first_entry, reward, dst, prob = [], [], [], [], []
-    for row in rows:
+    for i, row in enumerate(ts.rows):
         first_choice.append(len(first_entry))
-        for r, dist in row:
+        for name, entries in row or [(None, {i: 1})]:
             first_entry.append(len(dst))
-            reward.append(float(r))
-            for j, p in sorted(dist.items()):
+            reward.append(float(ts.action_reward[i].get(name, 0)))
+            for j, p in (_jump(entries) if rated else entries).items():
                 dst.append(j)
                 prob.append(float(p))
     return _Choices(*map(np.array, (first_choice, first_entry, reward, dst, prob)))
@@ -221,18 +210,20 @@ def dtmc_reach(
     return _reach(ts, goal_label, "max", max_iterations, tol)
 
 
+def _jump(rates: dict) -> dict:
+    """A CTMC choice divided by its exit rate."""
+    total = sum(rates.values(), Fraction(0))
+    return {j: r / total for j, r in rates.items()}
+
+
 def embedded_chain(ts: TransitionSystem) -> list[dict]:
     """Jump-chain rows of a CTMC: each row divided by its exit rate;
     rate-0 states become absorbing self-loops."""
     _check(ts, "sbrs", "embedded chain")
-    rows = []
-    for i, rates in enumerate(ts.rows):
-        total = sum(rates.values(), Fraction(0))
-        if total == 0:
-            rows.append({i: Fraction(1)})
-        else:
-            rows.append({j: r / total for j, r in rates.items()})
-    return rows
+    return [
+        _jump(rates) for i, row in enumerate(ts.rows)
+        for _, rates in row or [(None, {i: Fraction(1)})]
+    ]
 
 
 def ctmc_reach(
@@ -266,7 +257,7 @@ def mdp_expected_cost(ts: TransitionSystem, horizon: int, mode: str) -> float:
     v_{j+1}(s) = r(s) + opt_a [ r(s,a) + sum mu_a(s') v_j(s') ], with
     absorbing states accumulating their state reward each step."""
     _check(ts, "abrs", "expected cost", horizon, mode)
-    srew = np.array([float(r) for r in ts.state_reward or [0] * ts.n_states])
+    srew = np.array([float(r) for r in ts.state_reward])
     m = _choices(ts)
     v = np.zeros(ts.n_states)
     for _ in range(horizon):

@@ -18,6 +18,7 @@ in idle edges) are support-equivalent, which
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -112,21 +113,21 @@ class Link:
         return not self.ports and not self.inner
 
 
+def norm_number(x):
+    """A number in canonical form: an exact rational, collapsed to int when
+    integral, so that equal values serialize equally."""
+    if isinstance(x, float):
+        x = Fraction(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    return x
+
+
 def _norm_params(params: tuple) -> tuple:
-    """Numeric parameters in a canonical form: exact rationals, integers
-    collapsed to int, so that equal values serialize equally."""
+    """Numeric node parameters, each by `norm_number`."""
     if all(type(p) is int for p in params):
         return params
-    from fractions import Fraction
-
-    out = []
-    for p in params:
-        if isinstance(p, float):
-            p = Fraction(p)
-        if isinstance(p, Fraction) and p.denominator == 1:
-            p = int(p)
-        out.append(p)
-    return tuple(out)
+    return tuple(map(norm_number, params))
 
 
 class Bigraph:
@@ -704,8 +705,6 @@ def require_solid(b: Bigraph, what: str = "bigraph") -> None:
 
 
 def _num_to_json(x):
-    from fractions import Fraction
-
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
     return x

@@ -27,12 +27,13 @@ by default and documented in docs/formats.md.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .bigraph import BigraphError, to_json
-from .system import Distribution, TransitionSystem
+from .system import TransitionSystem
 
 
 class ExportError(BigraphError):
@@ -65,10 +66,10 @@ class ExportBundle:
 def render_tra(ts: TransitionSystem) -> str:
     if ts.kind == "abrs":
         choices = _mdp_choices(ts)
-        n_trans = sum(len(dist.items()) for _, _, _, dist in choices)
+        n_trans = sum(len(entries) for _, _, _, entries in choices)
         lines = [f"{ts.n_states} {len(choices)} {n_trans}"]
-        for src, ci, name, dist in choices:
-            for j, p in dist.items():
+        for src, ci, name, entries in choices:
+            for j, p in entries.items():
                 lines.append(f"{src} {ci} {j} {_fmt(p)} {name}")
         return "\n".join(lines) + "\n"
     if ts.kind == "brs":
@@ -81,16 +82,13 @@ def render_tra(ts: TransitionSystem) -> str:
 
 
 def _mdp_choices(ts: TransitionSystem) -> list:
-    """(src, choiceIndex, actionName, Distribution), with the tau self-loop
+    """(src, choiceIndex, actionName, entries), with the tau self-loop
     filled in for terminal states."""
-    out = []
-    for i, row in enumerate(ts.rows):
-        entries = sorted(row, key=lambda e: e[0])
-        if not entries:
-            entries = [("tau", Distribution({i: Fraction(1)}))]
-        for ci, (name, dist) in enumerate(entries):
-            out.append((i, ci, name, dist))
-    return out
+    return [
+        (i, ci, name, entries)
+        for i, row in enumerate(ts.rows)
+        for ci, (name, entries) in enumerate(row or [("tau", {i: Fraction(1)})])
+    ]
 
 
 def render_lab(ts: TransitionSystem) -> str:
@@ -102,7 +100,7 @@ def render_lab(ts: TransitionSystem) -> str:
     header = " ".join(f'{i}="{n}"' for n, i in sorted(ids.items(), key=lambda x: x[1]))
     lines = [header]
     for s in range(ts.n_states):
-        mine = sorted(ids[l] for l in (ts.labels[s] if ts.labels else ()))
+        mine = sorted(ids[l] for l in ts.labels[s])
         if s == 0:
             mine = sorted(set(mine) | {0})
         if mine:
@@ -111,9 +109,7 @@ def render_lab(ts: TransitionSystem) -> str:
 
 
 def render_srew(ts: TransitionSystem) -> str:
-    nonzero = [
-        (s, r) for s, r in enumerate(ts.state_reward or []) if r != 0
-    ]
+    nonzero = [(s, r) for s, r in enumerate(ts.state_reward) if r != 0]
     lines = [f"{ts.n_states} {len(nonzero)}"]
     lines += [f"{s} {_fmt(r)}" for s, r in nonzero]
     return "\n".join(lines) + "\n"
@@ -124,7 +120,7 @@ def render_trew(ts: TransitionSystem) -> str:
         raise ExportError("transition rewards are only exported for MDPs")
     rewarded = []
     for src, ci, name, _ in _mdp_choices(ts):
-        r = (ts.action_reward[src] if ts.action_reward else {}).get(name, 0)
+        r = ts.action_reward[src].get(name, 0)
         if r != 0:
             rewarded.append((src, ci, r))
     lines = [f"{ts.n_states} {len(rewarded)}"]
@@ -137,60 +133,47 @@ def rewards_to_states(ts: TransitionSystem) -> TransitionSystem:
     states per incoming reward class (marker label ``charged(r)``)."""
     if ts.kind != "abrs":
         raise ExportError("rewards_as_states applies to MDPs only")
-    classes: dict = {}  # (orig, reward) -> new index
+    classes: dict = {}  # (orig, reward) -> new index, in creation order
+    worklist: deque = deque()  # classes not yet expanded
 
     def class_of(orig: int, reward) -> int:
         key = (orig, reward)
         if key not in classes:
             classes[key] = len(classes)
+            worklist.append(key)
         return classes[key]
 
     zero = Fraction(0)
     class_of(0, zero)
-    worklist = [(0, zero)]
-    new_rows: dict = {}
+    rows = []  # expanded in creation order, so row k is class k's
     while worklist:
-        orig, reward = worklist.pop(0)
-        me = class_of(orig, reward)
-        if me in new_rows:
-            continue
+        orig, _ = worklist.popleft()
         row = []
         for name, dist in ts.rows[orig]:
-            r = (ts.action_reward[orig] if ts.action_reward else {}).get(name, zero)
-            entries = {}
+            r = ts.action_reward[orig].get(name, zero)
+            entries: dict = {}
             for j, p in dist.items():
-                key = (j, r)
-                fresh = key not in classes
                 nj = class_of(j, r)
-                entries[nj] = entries.get(nj, Fraction(0)) + p
-                if fresh or nj not in new_rows:
-                    worklist.append((j, r))
-            row.append((name, Distribution(entries)))
-        new_rows[me] = row
-    order = sorted(classes.items(), key=lambda kv: kv[1])
+                entries[nj] = entries.get(nj, zero) + p
+            row.append((name, entries))
+        rows.append(row)
     states = []
     labels = []
     state_reward = []
-    action_reward = []
-    rows = []
-    for (orig, reward), idx in order:
+    for orig, reward in classes:
         key, b = ts.states[orig]
         states.append((key + f"|charged:{reward}".encode(), b))
-        marks = set(ts.labels[orig]) if ts.labels else set()
+        marks = set(ts.labels[orig])
         if reward != 0:
             marks.add(f"charged({_render_reward(reward)})")
         labels.append(frozenset(marks))
-        base = ts.state_reward[orig] if ts.state_reward else zero
-        state_reward.append(base + reward)
-        action_reward.append({name: zero for name, _ in new_rows[idx]})
-        rows.append(new_rows[idx])
+        state_reward.append(ts.state_reward[orig] + reward)
     return TransitionSystem(
         kind="abrs",
         states=states,
         rows=rows,
         labels=labels,
         state_reward=state_reward,
-        action_reward=action_reward,
         complete=ts.complete,
     )
 
@@ -207,30 +190,35 @@ def export_prism(
     stem: str,
     rewards_as_states: bool = False,
 ) -> ExportBundle:
-    """Write the PRISM bundle for a built system and return the manifest."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write the PRISM bundle for a built system and return the manifest.
+    Every file is rendered before anything is written, so a system that
+    cannot be exported leaves no output behind."""
     if rewards_as_states:
         ts = rewards_to_states(ts)
-    tra = out_dir / f"{stem}.tra"
-    lab = out_dir / f"{stem}.lab"
-    _write(tra, render_tra(ts))
-    _write(lab, render_lab(ts))
-    bundle = ExportBundle(tra, lab)
-    if ts.state_reward and any(r != 0 for r in ts.state_reward):
-        bundle.srew_file = out_dir / f"{stem}.srew"
-        _write(bundle.srew_file, render_srew(ts))
-    if ts.kind == "abrs" and any(
-        r != 0 for per in (ts.action_reward or []) for r in per.values()
-    ):
-        bundle.trew_file = out_dir / f"{stem}.trew"
-        _write(bundle.trew_file, render_trew(ts))
-    return bundle
+    texts = {"tra": render_tra(ts), "lab": render_lab(ts)}
+    if any(r != 0 for r in ts.state_reward):
+        texts["srew"] = render_srew(ts)
+    if ts.kind == "abrs" and _action_rewarded(ts):
+        texts["trew"] = render_trew(ts)
+    paths = {role: _write(out_dir, f"{stem}.{role}", text)
+             for role, text in texts.items()}
+    return ExportBundle(paths["tra"], paths["lab"], paths.get("srew"),
+                        paths.get("trew"))
 
 
-def _write(path: Path, content: str) -> None:
+def _action_rewarded(ts: TransitionSystem) -> bool:
+    return any(r != 0 for per in ts.action_reward for r in per.values())
+
+
+def _write(out_dir, name: str, content: str) -> Path:
+    """Write `content` to out_dir/name, creating out_dir, and return the
+    path."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(content)
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +229,7 @@ def _write(path: Path, content: str) -> None:
 def render_dot(ts: TransitionSystem) -> str:
     lines = ["digraph ts {", "  node [shape=circle];"]
     for i in range(ts.n_states):
-        labels = sorted(ts.labels[i]) if ts.labels else []
+        labels = sorted(ts.labels[i])
         text = str(i) if not labels else f"{i}: " + ",".join(labels)
         lines.append(f'  s{i} [label="{text}"];')
     for i, name, j, p in ts.transitions():
@@ -270,16 +258,12 @@ def system_to_json(ts: TransitionSystem) -> dict:
         if p is not None:
             edge[weight] = float(p)
         doc["transitions"].append(edge)
-    doc["labels"] = {
-        str(i): sorted(ls) for i, ls in enumerate(ts.labels or []) if ls
-    }
-    if ts.state_reward and any(r != 0 for r in ts.state_reward):
+    doc["labels"] = {str(i): sorted(ls) for i, ls in enumerate(ts.labels) if ls}
+    if any(r != 0 for r in ts.state_reward):
         doc["state_rewards"] = {
             str(i): float(r) for i, r in enumerate(ts.state_reward) if r != 0
         }
-    if ts.kind == "abrs" and any(
-        r != 0 for per in (ts.action_reward or []) for r in per.values()
-    ):
+    if ts.kind == "abrs" and _action_rewarded(ts):
         doc["action_rewards"] = {
             str(i): {name: float(r) for name, r in sorted(per.items()) if r != 0}
             for i, per in enumerate(ts.action_reward)
@@ -292,16 +276,9 @@ def system_to_json(ts: TransitionSystem) -> dict:
 
 
 def export_json(ts: TransitionSystem, out_dir, stem: str) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{stem}.json"
-    _write(path, json.dumps(system_to_json(ts), indent=2, sort_keys=True) + "\n")
-    return path
+    text = json.dumps(system_to_json(ts), indent=2, sort_keys=True) + "\n"
+    return _write(out_dir, f"{stem}.json", text)
 
 
 def export_dot(ts: TransitionSystem, out_dir, stem: str) -> Path:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{stem}.dot"
-    _write(path, render_dot(ts))
-    return path
+    return _write(out_dir, f"{stem}.dot", render_dot(ts))

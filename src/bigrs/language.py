@@ -24,6 +24,7 @@ from .bigraph import (
     hole,
     ion,
     merge_parallel,
+    norm_number,
     parallel,
     unit,
 )
@@ -646,7 +647,7 @@ def parse(source: str) -> Model:
 
 def _eval_num(e, env: dict):
     if isinstance(e, Num):
-        return _norm_num(Fraction(e.value))
+        return norm_number(Fraction(e.value))
     if isinstance(e, Ref):
         if e.name not in env:
             raise ElabError(f"unknown constant or parameter {e.name!r}")
@@ -656,21 +657,15 @@ def _eval_num(e, env: dict):
     if isinstance(e, BinOp):
         a, b = _eval_num(e.left, env), _eval_num(e.right, env)
         if e.op == "+":
-            return _norm_num(a + b)
+            return norm_number(a + b)
         if e.op == "-":
-            return _norm_num(a - b)
+            return norm_number(a - b)
         if e.op == "*":
-            return _norm_num(a * b)
+            return norm_number(a * b)
         if b == 0:
             raise ElabError("division by zero in a model expression")
-        return _norm_num(Fraction(a) / Fraction(b))
+        return norm_number(Fraction(a) / Fraction(b))
     raise TypeError(e)
-
-
-def _norm_num(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 def _eval_int(e, env: dict, what: str) -> int:

@@ -1,13 +1,14 @@
 """Transition systems over ground bigraph states.
 
 Builds the reachable state space of a declared system by breadth-first
-closure from the initial state, deduplicating states by canonical key:
+closure from the initial state, deduplicating states by canonical key.
+Every state's row is a list of choices, as in an MDP:
 
-* kind ``brs``   -- plain successor sets,
-* kind ``pbrs``  -- a DTMC row per state (weight-normalized distribution),
-* kind ``sbrs``  -- a CTMC row per state (rate * occurrence count),
-* kind ``abrs``  -- an MDP row per state (one distribution per applicable
-  action, normalized within the action).
+* kind ``brs``   -- one choice of the plain successors,
+* kind ``pbrs``  -- one choice, the weight-normalized distribution (DTMC),
+* kind ``sbrs``  -- one choice of rates, rate * occurrence count (CTMC),
+* kind ``abrs``  -- one distribution per applicable action, normalized
+  within the action (MDP).
 
 Probabilities are exact rationals end to end; they become floats only at
 export time.
@@ -133,47 +134,24 @@ class SystemSpec:
             raise SystemError_(f"kind {self.kind} does not take actions")
 
 
-class Distribution:
-    """Finite probability distribution over state indices; entries are
-    strictly positive and sum to one (exactly for rationals, within 1e-12
-    for floats)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict):
-        self.entries = dict(entries)
-        total = sum(self.entries.values())
-        if any(p <= 0 for p in self.entries.values()):
-            raise SystemError_("distribution entries must be positive")
-        if isinstance(total, Fraction):
-            ok = total == 1
-        else:
-            ok = abs(total - 1) <= 1e-12
-        if not self.entries or not ok:
-            raise SystemError_(f"distribution mass is {total}, not 1")
-
-    def __getitem__(self, state: int):
-        return self.entries.get(state, Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, Distribution) and self.entries == other.entries
-
-    def __repr__(self):
-        inner = ", ".join(f"{s}: {p}" for s, p in sorted(self.entries.items()))
-        return f"[{inner}]"
-
-    def items(self):
-        return sorted(self.entries.items())
-
-
 @dataclass
 class TransitionSystem:
     """Canonical states, indexed rows, labels and rewards of a built system.
 
-    ``rows`` is per-state and kind-shaped: a :class:`Distribution` for a
-    DTMC, a dict state->rate for a CTMC, a list of (action name,
-    Distribution) pairs for an MDP, and a tuple of successor indices for a
-    plain brs.  State 0 is the initial state's class.
+    Every row, whatever the kind, is a list of choices ``(action name or
+    None, {successor index: mass})``; an empty row is terminal.  A pbrs
+    row has exactly one choice, a probability distribution (the delta on
+    the state itself when no rule of positive weight applies).  An abrs
+    row has one distribution per applicable action.  An sbrs row has at
+    most one choice, holding the rates, and a brs row at most one, with
+    mass 1 per successor.  State 0 is the initial state's class.
+
+    The constructor checks every row: masses are positive, a choice is
+    non-empty, and a pbrs or abrs choice has mass exactly 1 (within 1e-12
+    for floats).  It orders the choices by action name and the entries
+    by successor index, except that a brs keeps its stored order
+    (canonical-key order in a built system).  Absent labels and rewards
+    are filled with empty and zero values.
     """
 
     kind: str
@@ -182,8 +160,32 @@ class TransitionSystem:
     labels: list = field(default_factory=list)
     label_names: tuple = ()  # the declared label universe
     state_reward: list = field(default_factory=list)
-    action_reward: list = field(default_factory=list)
+    action_reward: list = field(default_factory=list)  # name -> reward
     complete: bool = True
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise SystemError_(f"unknown system kind {self.kind!r}")
+        by_index = self.kind != "brs"
+        rows = []
+        for i, row in enumerate(self.rows):
+            if self.kind == "pbrs" and len(row) != 1 or (
+                self.kind in ("brs", "sbrs") and len(row) > 1
+            ):
+                raise SystemError_(
+                    f"state {i}: a {self.kind} row has {len(row)} choices"
+                )
+            for _, entries in row:
+                _check_choice(self.kind, i, entries)
+            rows.append([
+                (name, dict(sorted(entries.items())) if by_index else entries)
+                for name, entries in sorted(row, key=lambda c: c[0])
+            ])
+        self.rows = rows
+        n = len(rows)
+        self.labels = self.labels or [frozenset()] * n
+        self.state_reward = self.state_reward or [Fraction(0)] * n
+        self.action_reward = self.action_reward or [{} for _ in range(n)]
 
     @property
     def n_states(self) -> int:
@@ -197,20 +199,31 @@ class TransitionSystem:
 
     def transitions(self):
         """Every transition as (src, action name or None, dst, probability
-        or rate or None): sources ascending, then MDP actions by name, then
-        targets ascending.  A brs row keeps its stored order (key order)
-        and carries no number."""
+        or rate or None), in row order: sources ascending, then choices,
+        then entries.  A brs transition carries no number."""
+        numbered = self.kind != "brs"
         for i, row in enumerate(self.rows):
-            if self.kind == "brs":
-                for j in row:
-                    yield i, None, j, None
-            elif self.kind == "abrs":
-                for name, dist in sorted(row, key=lambda e: e[0]):
-                    for j, p in dist.items():
-                        yield i, name, j, p
-            else:
-                for j, p in sorted(row.items()):
-                    yield i, None, j, p
+            for name, entries in row:
+                for j, p in entries.items():
+                    yield i, name, j, p if numbered else None
+
+
+def _check_choice(kind: str, i: int, entries: dict) -> None:
+    """A choice of state i is non-empty with positive masses, summing to
+    one for a pbrs or abrs (exactly for rationals, within 1e-12 for
+    floats)."""
+    if not entries:
+        raise SystemError_(f"state {i}: empty choice")
+    if any(m <= 0 for m in entries.values()):
+        raise SystemError_(f"state {i}: choice entries must be positive")
+    if kind in ("pbrs", "abrs"):
+        total = sum(entries.values())
+        if isinstance(total, Fraction):
+            ok = total == 1
+        else:
+            ok = abs(total - 1) <= 1e-12
+        if not ok:
+            raise SystemError_(f"state {i}: choice mass is {total}, not 1")
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +361,6 @@ def build_transition_system(
         for i in frontier:
             key, g = states[i]
             choices = _step(spec.kind, g, rules, spec.actions)
-            if spec.kind == "abrs":
-                choices.sort(key=lambda c: c[0].name)
             raw_rows[i] = _row(spec.kind, key, g, choices)
             for _, entries in choices:
                 for _, k, succ, _ in entries:
@@ -372,8 +383,14 @@ def build_transition_system(
         if truncated:
             break
 
-    ts = _finalize(spec, states, raw_rows, index, complete=not truncated)
-    ts = label_and_reward(ts, spec.predicates, spec.actions)
+    rows = _finalize(spec.kind, states, raw_rows, index, not truncated)
+    ts = TransitionSystem(
+        kind=spec.kind,
+        states=states,
+        rows=rows,
+        complete=not truncated,
+        **_labelling(states, rows, spec.predicates, spec.actions),
+    )
     if truncated:
         raise StateCapError(
             f"state cap of {max_states} states exceeded; result truncated",
@@ -382,48 +399,60 @@ def build_transition_system(
     return ts
 
 
-def _row(kind: str, key: bytes, g: Bigraph, choices: list):
-    """The row of state (key, g), shaped as in TransitionSystem.rows but
-    over successor keys."""
-    if kind == "brs":
-        return sorted({e[1] for _, es in choices for e in es})
-    if kind == "sbrs":
-        masses = _masses(e for _, es in choices for e in es)
-        return {k: m for k, (_, m) in sorted(masses.items())}
-    dists = [
-        (a and a.name, {k: p for k, (_, p) in _distribution(g, es, key).items()})
-        for a, es in choices
-    ]
-    return dists if kind == "abrs" else dists[0][1]
+def _row(kind: str, key: bytes, g: Bigraph, choices: list) -> list:
+    """The row of state (key, g) as in TransitionSystem.rows, but over
+    successor keys: a brs choice in key order, an sbrs choice holding the
+    summed rates, and a pbrs or abrs choice normalized."""
+
+    def entries(es) -> dict:
+        if kind == "brs":
+            return dict.fromkeys(sorted({e[1] for e in es}), 1)
+        if kind == "sbrs":
+            return {k: m for k, (_, m) in _masses(es).items()}
+        return {k: p for k, (_, p) in _distribution(g, es, key).items()}
+
+    return [(a and a.name, entries(es)) for a, es in choices]
 
 
-def _finalize(spec, states, raw_rows, index, complete) -> TransitionSystem:
-    def dist(raw) -> Distribution:
-        return Distribution({index[k]: p for k, p in raw.items()})
-
-    kind = spec.kind
+def _finalize(kind: str, states, raw_rows, index, complete: bool) -> list:
+    """The rows over successor indices.  A row that was never expanded, or
+    that leads beyond the state cap, is replaced by a terminal row so the
+    truncated system stays well-formed: the delta for a pbrs, empty
+    otherwise."""
     rows = []
     for (key, _), raw in zip(states, raw_rows):
-        dists = raw if kind == "abrs" else [(None, raw)]
         if raw is None or (not complete and any(
-            index.get(k, -1) < 0 for _, d in dists for k in d
+            index.get(k, -1) < 0 for _, entries in raw for k in entries
         )):
-            # unexpanded, or expanded into states beyond the cap: replaced
-            # by a terminal row so the truncated system stays well-formed
-            raw = {"brs": [], "sbrs": {}, "abrs": []}.get(kind, {key: Fraction(1)})
-        if kind == "brs":
-            rows.append(tuple(index[k] for k in raw))
-        elif kind == "sbrs":
-            rows.append({index[k]: r for k, r in raw.items()})
-        elif kind == "pbrs":
-            rows.append(dist(raw))
-        else:
-            rows.append([(name, dist(d)) for name, d in raw])
-    return TransitionSystem(
-        kind=spec.kind,
-        states=states,
-        rows=rows,
-        complete=complete,
+            raw = [(None, {key: Fraction(1)})] if kind == "pbrs" else []
+        rows.append([
+            (name, {index[k]: m for k, m in entries.items()})
+            for name, entries in raw
+        ])
+    return rows
+
+
+def _labelling(states, rows, predicates, actions) -> dict:
+    """Labels, label names, state rewards and action rewards of a system
+    with these states and rows, as TransitionSystem fields."""
+    preds = Dispatch(predicates, [pattern_plan(p.pattern) for p in predicates])
+    labels = []
+    state_reward = []
+    for _, b in states:
+        sat = [] if b is None else [
+            p for p in preds.candidates(b) if has_occurrence(p.pattern, b)
+        ]
+        labels.append(frozenset(p.name for p in sat))
+        state_reward.append(sum((p.reward for p in sat), Fraction(0)))
+    reward_of = {a.name: a.reward for a in actions}
+    return dict(
+        labels=labels,
+        label_names=tuple(p.name for p in predicates),
+        state_reward=state_reward,
+        action_reward=[
+            {name: reward_of[name] for name, _ in row if name in reward_of}
+            for row in rows
+        ],
     )
 
 
@@ -435,30 +464,4 @@ def label_and_reward(
     declarations of the applicable actions.  The predicates are indexed
     by control once, and each state is searched only for those it has
     the controls for."""
-    labels = []
-    state_reward = []
-    preds = Dispatch(predicates, [pattern_plan(p.pattern) for p in predicates])
-    for key, b in ts.states:
-        if b is None:
-            labels.append(frozenset())
-            state_reward.append(Fraction(0))
-            continue
-        sat = [p for p in preds.candidates(b) if has_occurrence(p.pattern, b)]
-        labels.append(frozenset(p.name for p in sat))
-        state_reward.append(sum((p.reward for p in sat), Fraction(0)))
-    reward_of = {a.name: a.reward for a in actions}
-    action_reward = []
-    if ts.kind == "abrs":
-        for row in ts.rows:
-            action_reward.append(
-                {name: reward_of.get(name, Fraction(0)) for name, _ in row}
-            )
-    else:
-        action_reward = [{} for _ in ts.rows]
-    return replace(
-        ts,
-        labels=labels,
-        label_names=tuple(p.name for p in predicates),
-        state_reward=state_reward,
-        action_reward=action_reward,
-    )
+    return replace(ts, **_labelling(ts.states, ts.rows, predicates, actions))

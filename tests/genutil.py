@@ -24,7 +24,7 @@ from bigrs.bigraph import (
     tensor,
     unit,
 )
-from bigrs.system import Distribution, TransitionSystem
+from bigrs.system import TransitionSystem
 
 SIG = {
     "A": ControlDecl("A", 0),
@@ -536,9 +536,10 @@ def random_mdp(rng: random.Random, lo: int = 2, hi: int = 12) -> TransitionSyste
                 targets = rng.sample(range(n), rng.randint(1, min(4, n)))
                 weights = [rng.randint(1, 9) for _ in targets]
                 total = sum(weights)
-                row.append((name, Distribution(
-                    {j: Fraction(w, total) for j, w in zip(targets, weights)}
-                )))
+                row.append((
+                    name,
+                    {j: Fraction(w, total) for j, w in zip(targets, weights)},
+                ))
                 rewards[name] = Fraction(rng.choice([0, 0, 1, 2, 5]), rng.randint(1, 4))
         rows.append(row)
         action_reward.append(rewards)

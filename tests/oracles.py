@@ -73,7 +73,7 @@ from bigrs.matching import (
     rewrite,
 )
 from bigrs.walk import TraceStep
-from bigrs.system import Distribution, TransitionSystem
+from bigrs.system import TransitionSystem
 
 
 def _classes(b: Bigraph) -> dict:
@@ -859,7 +859,10 @@ def exact_bounded_reach(ts, goal_label: str, horizon: int) -> Fraction:
         x = [
             Fraction(1)
             if i in goals
-            else sum((p * x[j] for j, p in ts.rows[i].items()), Fraction(0))
+            else sum(
+                (p * x[j] for _, dist in ts.rows[i] for j, p in dist.items()),
+                Fraction(0),
+            )
             for i in range(n)
         ]
     return x[0]
@@ -927,7 +930,7 @@ def load_prism_dtmc(tra_path, lab_path) -> TransitionSystem:
     return TransitionSystem(
         kind="pbrs",
         states=[(f"imported:{i}".encode(), None) for i in range(n)],
-        rows=[Distribution(r) for r in rows],
+        rows=[[(None, r)] for r in rows],
         labels=[frozenset(ls - {"init"}) for ls in labels],
         label_names=tuple(sorted(set(names.values()) - {"init"})),
         state_reward=[0.0] * n,

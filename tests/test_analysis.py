@@ -26,7 +26,7 @@ from bigrs.analysis import (
     run_query,
 )
 from bigrs.language import load_model
-from bigrs.system import Distribution, TransitionSystem, build_transition_system
+from bigrs.system import TransitionSystem, build_transition_system
 
 
 def dtmc(rows, labels, rewards=None):
@@ -34,7 +34,7 @@ def dtmc(rows, labels, rewards=None):
     return TransitionSystem(
         kind="pbrs",
         states=[(f"s{i}".encode(), None) for i in range(n)],
-        rows=[Distribution({j: Fraction(p) for j, p in row.items()}) for row in rows],
+        rows=[[(None, {j: Fraction(p) for j, p in row.items()})] for row in rows],
         labels=[frozenset(ls) for ls in labels],
         label_names=tuple(sorted({l for ls in labels for l in ls})),
         state_reward=list(rewards or [Fraction(0)] * n),
@@ -47,7 +47,10 @@ def ctmc(rows, labels):
     return TransitionSystem(
         kind="sbrs",
         states=[(f"s{i}".encode(), None) for i in range(n)],
-        rows=[{j: Fraction(r) for j, r in row.items()} for row in rows],
+        rows=[
+            [(None, {j: Fraction(r) for j, r in row.items()})] if row else []
+            for row in rows
+        ],
         labels=[frozenset(ls) for ls in labels],
         label_names=tuple(sorted({l for ls in labels for l in ls})),
         state_reward=[Fraction(0)] * n,
@@ -61,8 +64,7 @@ def mdp(rows, labels, state_rewards=None, action_rewards=None):
         kind="abrs",
         states=[(f"s{i}".encode(), None) for i in range(n)],
         rows=[
-            [(name, Distribution({j: Fraction(p) for j, p in d.items()}))
-             for name, d in row]
+            [(name, {j: Fraction(p) for j, p in d.items()}) for name, d in row]
             for row in rows
         ],
         labels=[frozenset(ls) for ls in labels],

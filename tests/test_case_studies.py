@@ -13,17 +13,19 @@ import pytest
 
 from bigrs.analysis import ctmc_reach, mdp_expected_cost
 from bigrs.language import load_model
-from bigrs.system import Distribution, TransitionSystem, build_transition_system
+from bigrs.system import TransitionSystem, build_transition_system
 
 from oracles import exact_bounded_reach
 
 
 def hand_ts(kind, rows, labels, state_rewards=None, action_rewards=None):
+    """A system over hand-built rows: a dict per state for a DTMC or CTMC
+    (empty for a CTMC terminal state), a list of choices for an MDP."""
     n = len(rows)
-    if kind == "pbrs":
-        built = [Distribution(r) for r in rows]
-    else:
+    if kind == "abrs":
         built = rows
+    else:
+        built = [[(None, r)] if r else [] for r in rows]
     return TransitionSystem(
         kind=kind,
         states=[(f"h{i}".encode(), None) for i in range(n)],
@@ -124,8 +126,8 @@ def test_virus_engine_matches_hand_chain(models_dir, w_detect):
     engine = build_transition_system(elaborate(parse(src)))
     hand, states = virus_hand_chain(Fraction(1), Fraction(5), Fraction(w_detect))
     assert engine.n_states == hand.n_states
-    engine_transitions = sum(len(r.entries) for r in engine.rows)
-    hand_transitions = sum(len(r.entries) for r in hand.rows)
+    engine_transitions = sum(len(e) for r in engine.rows for _, e in r)
+    hand_transitions = sum(len(e) for r in hand.rows for _, e in r)
     assert engine_transitions == hand_transitions
     for n in (1, 2, 3, 5, 8, 13, 21, 34):
         a = exact_bounded_reach(engine, "all_infected", n)
@@ -197,12 +199,15 @@ def test_budding_engine_matches_hand_chain(models_dir):
     engine = build_transition_system(load_model(models_dir / "budding.big"))
     hand = budding_hand_chain()
     assert engine.n_states == hand.n_states
-    assert sum(len(r) for r in engine.rows) == sum(len(r) for r in hand.rows)
+    assert len(list(engine.transitions())) == len(list(hand.transitions()))
+
+    def rates(ts):
+        return sorted(
+            tuple(sorted(m for _, e in r for m in e.values())) for r in ts.rows
+        )
+
     # exit-rate multisets must agree exactly
-    engine_rates = sorted(
-        tuple(sorted(r.values())) for r in engine.rows
-    )
-    hand_rates = sorted(tuple(sorted(r.values())) for r in hand.rows)
+    engine_rates, hand_rates = rates(engine), rates(hand)
     assert engine_rates == hand_rates
     for n in (0, 5, 12, 19, 20):
         a = ctmc_reach(engine, f"particles({n})").value
@@ -226,9 +231,7 @@ def mobile_sink_hand_mdp(bmax=4, w_receive=6):
                 states.append((phase, pos, buf))
 
     def d(entries):
-        return Distribution(
-            {index[s]: Fraction(p) for s, p in entries.items()}
-        )
+        return {index[s]: Fraction(p) for s, p in entries.items()}
 
     moves = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
     rows = []
@@ -293,12 +296,7 @@ def test_mobile_sink_engine_matches_hand_mdp(models_dir):
         for old in order:
             rows.append(
                 [
-                    (
-                        name,
-                        Distribution(
-                            {remap[j]: p for j, p in dist.items()}
-                        ),
-                    )
+                    (name, {remap[j]: p for j, p in dist.items()})
                     for name, dist in ts.rows[old]
                 ]
             )

@@ -142,6 +142,23 @@ def test_full_max_states_cap(models_dir, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_refused_prism_export_creates_nothing(models_dir, tmp_path, capsys):
+    # a brs has no PRISM transition format, and only an MDP folds action
+    # rewards into states: both are refused before anything is written
+    model = tmp_path / "plain.big"
+    model.write_text(
+        "ctrl A = 0;\nctrl B = 0;\nbig s = A;\nreact r = A --> B;\n"
+        "begin brs init = s; rules = [r]; end\n"
+    )
+    out = tmp_path / "out"
+    assert main(["full", str(model), "--out", str(out)]) == 1
+    assert "no PRISM transition format" in capsys.readouterr().err
+    args = ["full", str(models_dir / "wsn.big"), "--out", str(out)]
+    assert main(args + ["--rewards-as-states"]) == 1
+    assert "MDPs only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_full_rewards_as_states(models_dir, tmp_path, capsys):
     rc = main(
         [

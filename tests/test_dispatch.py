@@ -58,7 +58,7 @@ def _view(choices):
 
 def _labels(states, predicates):
     """The labels and state reward `label_and_reward` gives each state."""
-    ts = TransitionSystem("pbrs", [(None, g) for g in states], [None] * len(states))
+    ts = TransitionSystem("brs", [(None, g) for g in states], [[] for _ in states])
     ts = label_and_reward(ts, predicates)
     return list(zip(ts.labels, ts.state_reward))
 

@@ -23,7 +23,7 @@ from bigrs.export import (
 from bigrs.language import elaborate, load_model, parse
 from bigrs import walk
 from bigrs.walk import simulate
-from bigrs.system import Distribution, TransitionSystem, build_transition_system
+from bigrs.system import TransitionSystem, build_transition_system
 
 from oracles import load_prism_dtmc, reference_simulate
 
@@ -76,7 +76,7 @@ def test_lab_contains_only_init_when_unlabelled():
     ts = TransitionSystem(
         kind="pbrs",
         states=[(b"s0", None)],
-        rows=[Distribution({0: Fraction(1)})],
+        rows=[[(None, {0: Fraction(1)})]],
         labels=[frozenset()],
         state_reward=[Fraction(0)],
         action_reward=[{}],
@@ -90,7 +90,7 @@ def test_srew_nonzero_rows(wsn_ts, models_dir):
 
 
 def test_brs_has_no_prism_format():
-    ts = TransitionSystem(kind="brs", states=[(b"s", None)], rows=[()])
+    ts = TransitionSystem(kind="brs", states=[(b"s", None)], rows=[[]])
     with pytest.raises(ExportError):
         render_tra(ts)
 
@@ -141,8 +141,8 @@ def test_rewards_to_states_folding():
         states=[(b"s0", None), (b"s1", None)],
         rows=[
             [
-                ("free", Distribution({1: Fraction(1)})),
-                ("paid", Distribution({1: Fraction(1)})),
+                ("free", {1: Fraction(1)}),
+                ("paid", {1: Fraction(1)}),
             ],
             [],
         ],
@@ -163,7 +163,7 @@ def test_dot_output(wsn_ts, send_mdp_ts):
     single = TransitionSystem(
         kind="pbrs",
         states=[(b"s0", None)],
-        rows=[Distribution({0: Fraction(1)})],
+        rows=[[(None, {0: Fraction(1)})]],
         labels=[frozenset()],
     )
     dot = render_dot(single)
@@ -197,11 +197,19 @@ def _hand_built(kind, rows, labels, state_reward=None, action_reward=None):
 
 
 # successors stored out of index order (a built brs stores key order)
-BRS = _hand_built("brs", [(2, 0, 1), (0,), ()], [{"start"}, set(), {"end", "b"}])
-# a rate dict out of key order and a state with no exit rate
+BRS = _hand_built(
+    "brs",
+    [[(None, {2: 1, 0: 1, 1: 1})], [(None, {0: 1})], []],
+    [{"start"}, set(), {"end", "b"}],
+)
+# rates out of index order and a state with no exit rate
 SBRS = _hand_built(
     "sbrs",
-    [{2: Fraction(3), 0: Fraction(1, 3), 1: Fraction(1, 2)}, {2: Fraction(5, 2)}, {}],
+    [
+        [(None, {2: Fraction(3), 0: Fraction(1, 3), 1: Fraction(1, 2)})],
+        [(None, {2: Fraction(5, 2)})],
+        [],
+    ],
     [set(), {"mid"}, {"done"}],
     state_reward=[Fraction(0), Fraction(1, 4), Fraction(0)],
 )
@@ -210,10 +218,10 @@ ABRS = _hand_built(
     "abrs",
     [
         [
-            ("go", Distribution({2: Fraction(2, 3), 1: Fraction(1, 3)})),
-            ("back", Distribution({0: Fraction(1)})),
+            ("go", {2: Fraction(2, 3), 1: Fraction(1, 3)}),
+            ("back", {0: Fraction(1)}),
         ],
-        [("retry", Distribution({0: Fraction(1, 7), 2: Fraction(6, 7)}))],
+        [("retry", {0: Fraction(1, 7), 2: Fraction(6, 7)})],
         [],
     ],
     [set(), {"failed"}, {"sent"}],
@@ -454,15 +462,8 @@ def test_sim_agrees_with_closure(models_dir, model):
         here = 0
         for step in trace:
             there = index[step.state_digest]
-            row = ts.rows[here]
-            if ts.kind == "brs":
-                assert there in row
-            else:
-                if ts.kind == "abrs":
-                    (dist,) = [d for name, d in row if name == step.action]
-                else:
-                    dist = row
-                assert dist[there] > 0
+            (dist,) = [d for name, d in ts.rows[here] if name == step.action]
+            assert dist.get(there, 0) > 0
             if step.rule is None:
                 assert there == here
             here = there
@@ -547,8 +548,9 @@ def test_sim_occupancy_tracks_stationary_distribution(models_dir, tmp_path):
     ts = build_transition_system(spec)
     P = np.zeros((4, 4))
     for i, row in enumerate(ts.rows):
-        for j, p in row.items():
-            P[i, j] = float(p)
+        for _, dist in row:
+            for j, p in dist.items():
+                P[i, j] = float(p)
     # stationary distribution: left eigenvector for eigenvalue 1
     A = np.vstack([P.T - np.eye(4), np.ones(4)])
     b = np.array([0.0, 0, 0, 0, 1])

@@ -7,9 +7,16 @@ import pytest
 
 from bigrs.bigraph import ControlDecl, close_name, ion, merge_parallel
 from bigrs.canon import canonical_key
+from bigrs.export import (
+    render_dot,
+    render_lab,
+    render_tra,
+    render_trew,
+    system_to_json,
+)
 from bigrs.system import (
+    KINDS,
     ActionDecl,
-    Distribution,
     PredicateDecl,
     StateCapError,
     SystemError_,
@@ -118,13 +125,72 @@ def test_action_step_per_action_normalization():
     assert action_step(sensors(3, 0), [a_fix]) == []
 
 
-def test_distribution_invariants():
-    with pytest.raises(SystemError_):
-        Distribution({0: Fraction(1, 2)})
-    with pytest.raises(SystemError_):
-        Distribution({0: Fraction(0), 1: Fraction(1)})
-    d = Distribution({0: 0.5, 1: 0.5 + 1e-13})
-    assert d[2] == 0
+def hand_built(kind, rows, **fields):
+    return TransitionSystem(
+        kind=kind,
+        states=[(f"s{i}".encode(), None) for i in range(len(rows))],
+        rows=rows,
+        **fields,
+    )
+
+
+# (id, kind, rows, whether the TransitionSystem constructor accepts them)
+ROW_CASES = [
+    ("exact-mass-below-1", "pbrs", [[(None, {0: Fraction(1, 2)})]], False),
+    ("exact-mass-above-1", "abrs",
+     [[("a", {0: Fraction(1), 1: Fraction(1, 3)})], []], False),
+    ("float-mass-beyond-1e-12", "pbrs",
+     [[(None, {0: 0.5, 1: 0.5 + 1e-11})]] * 2, False),
+    ("float-mass-within-1e-12", "pbrs",
+     [[(None, {0: 0.5, 1: 0.5 + 1e-13})]] * 2, True),
+    ("zero-entry", "pbrs", [[(None, {0: Fraction(0), 1: Fraction(1)})]], False),
+    ("zero-rate", "sbrs", [[(None, {0: Fraction(0)})]], False),
+    ("empty-choice", "abrs", [[("a", {})]], False),
+    ("empty-rate-choice", "sbrs", [[(None, {})]], False),
+    ("pbrs-row-of-0-choices", "pbrs", [[]], False),
+    ("pbrs-row-of-2-choices", "pbrs",
+     [[(None, {0: Fraction(1)}), (None, {0: Fraction(1)})]], False),
+    ("sbrs-row-of-2-choices", "sbrs",
+     [[(None, {0: Fraction(1)}), (None, {0: Fraction(2)})]], False),
+    ("brs-row-of-2-choices", "brs", [[(None, {0: 1}), (None, {0: 1})]], False),
+    ("unknown-kind", "qbrs", [[]], False),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, rows, accepted", [c[1:] for c in ROW_CASES],
+    ids=[c[0] for c in ROW_CASES],
+)
+def test_row_invariants(kind, rows, accepted):
+    if accepted:
+        assert hand_built(kind, rows).rows == rows
+    else:
+        with pytest.raises(SystemError_):
+            hand_built(kind, rows)
+
+
+def test_mdp_choices_stored_in_name_order():
+    # hand-built choices out of name order, entries out of index order:
+    # stored sorted, so every export equals that of the sorted rows
+    rewards = [{"go": Fraction(3, 2), "back": Fraction(0)}, {}]
+    shuffled = hand_built(
+        "abrs",
+        [[("go", {1: Fraction(1, 3), 0: Fraction(2, 3)}),
+          ("back", {0: Fraction(1)})], []],
+        action_reward=rewards,
+    )
+    ordered = hand_built(
+        "abrs",
+        [[("back", {0: Fraction(1)}),
+          ("go", {0: Fraction(2, 3), 1: Fraction(1, 3)})], []],
+        action_reward=rewards,
+    )
+    assert [list(d.items()) for _, d in shuffled.rows[0]] == [
+        list(d.items()) for _, d in ordered.rows[0]
+    ]
+    for render in (render_tra, render_lab, render_trew, render_dot):
+        assert render(shuffled) == render(ordered)
+    assert system_to_json(shuffled) == system_to_json(ordered)
 
 
 def build_wsn(w_fail=2, w_con=1, **kw):
@@ -136,7 +202,7 @@ def build_wsn(w_fail=2, w_con=1, **kw):
 def test_build_wsn_dtmc_exact():
     ts = build_wsn()
     assert ts.kind == "pbrs" and ts.n_states == 4
-    rows = [dict(r.items()) for r in ts.rows]
+    rows = [dist for (_, dist), in ts.rows]
     assert rows[0] == {1: Fraction(1)}
     assert rows[1] == {0: Fraction(1, 5), 2: Fraction(4, 5)}
     assert rows[2] == {1: Fraction(1, 2), 3: Fraction(1, 2)}
@@ -152,15 +218,13 @@ def test_pbrs_rows_equal_per_state_distributions():
         recomputed = {
             index[k]: p for k, (_, p) in next_distribution(g, [fail, recover]).items()
         }
-        assert dict(ts.rows[i].items()) == recomputed
+        assert ts.rows[i] == [(None, recomputed)]
 
 
 def test_weight_scaling_invariance():
     base = build_wsn(2, 1)
     scaled = build_wsn(14, 7)
-    assert [dict(r.items()) for r in base.rows] == [
-        dict(r.items()) for r in scaled.rows
-    ]
+    assert base.rows == scaled.rows
 
 
 def test_initial_delta_when_no_rule_applies():
@@ -168,7 +232,7 @@ def test_initial_delta_when_no_rule_applies():
     spec = SystemSpec("pbrs", SIG, sensors(3, 0), (recover,))
     ts = build_transition_system(spec)
     assert ts.n_states == 1
-    assert dict(ts.rows[0].items()) == {0: Fraction(1)}
+    assert ts.rows[0] == [(None, {0: Fraction(1)})]
 
 
 def test_sbrs_build():
@@ -176,8 +240,8 @@ def test_sbrs_build():
     spec = SystemSpec("sbrs", SIG, sensors(3, 0), (fail, recover))
     ts = build_transition_system(spec)
     assert ts.kind == "sbrs" and ts.n_states == 4
-    assert ts.rows[0] == {1: Fraction(9)}
-    assert ts.rows[1] == {0: Fraction(1), 2: Fraction(6)}
+    assert ts.rows[0] == [(None, {1: Fraction(9)})]
+    assert ts.rows[1] == [(None, {0: Fraction(1), 2: Fraction(6)})]
 
 
 def test_brs_build_successor_sets():
@@ -185,8 +249,9 @@ def test_brs_build_successor_sets():
     spec = SystemSpec("brs", SIG, sensors(3, 0), (fail, recover))
     ts = build_transition_system(spec)
     assert ts.kind == "brs" and ts.n_states == 4
-    assert ts.rows[0] == (1,)
-    assert set(ts.rows[1]) == {0, 2}
+    assert ts.rows[0] == [(None, {1: 1})]
+    ((_, succs),) = ts.rows[1]
+    assert set(succs) == {0, 2}
 
 
 def test_abrs_build_and_lemma2_fixed_policy():
@@ -210,7 +275,7 @@ def test_abrs_build_and_lemma2_fixed_policy():
                     for k, (_, p) in next_distribution(g, action.rules).items()
                     if k in index
                 }
-                assert dict(per_action[action.name].items()) == want
+                assert per_action[action.name] == want
 
 
 def test_abrs_zero_weight_action_is_delta():
@@ -231,7 +296,7 @@ def test_abrs_zero_weight_action_is_delta():
     ts = build_transition_system(spec)
     assert ts.n_states == 1
     (row,) = ts.rows
-    assert row == [("a_fail", Distribution({0: Fraction(1)}))]
+    assert row == [("a_fail", {0: Fraction(1)})]
 
 
 def test_abrs_terminal_state_empty_row():
@@ -248,15 +313,28 @@ def test_abrs_terminal_state_empty_row():
     assert len(terminal) == 1  # the failed state has no applicable action
 
 
-def test_state_cap_carries_partial():
+@pytest.mark.parametrize("kind", KINDS)
+def test_state_cap_carries_partial(kind):
+    fail, recover = rules()
+    actions = (
+        (ActionDecl("a_fail", (fail,)), ActionDecl("a_fix", (recover,)))
+        if kind == "abrs" else ()
+    )
+    spec = SystemSpec(kind, SIG, sensors(3, 0), (fail, recover), actions=actions)
     with pytest.raises(StateCapError) as err:
-        build_wsn(max_states=2)
+        build_transition_system(spec, max_states=2)
     partial = err.value.partial
     assert isinstance(partial, TransitionSystem)
     assert not partial.complete
     assert partial.n_states == 2
-    for row in partial.rows:  # filler rows keep the DTMC shape
-        assert abs(float(sum(p for _, p in row.items())) - 1) < 1e-12
+    # state 0 leads only to state 1 and keeps its row; state 1 leads to a
+    # state beyond the cap, so its row is the filler: the delta on itself
+    # for a DTMC, terminal otherwise
+    assert [j for _, d in partial.rows[0] for j in d] == [1]
+    assert partial.rows[1] == ([(None, {1: 1})] if kind == "pbrs" else [])
+    if kind == "pbrs":
+        for row in partial.rows:  # filler rows keep the DTMC shape
+            assert abs(float(sum(p for _, d in row for p in d.values())) - 1) < 1e-12
 
 
 def test_label_and_reward():
@@ -316,4 +394,4 @@ def test_build_determinism_same_indexing():
     a = build_wsn()
     b = build_wsn()
     assert [k for k, _ in a.states] == [k for k, _ in b.states]
-    assert [dict(r.items()) for r in a.rows] == [dict(r.items()) for r in b.rows]
+    assert a.rows == b.rows
