@@ -123,6 +123,14 @@ def norm_number(x):
     return x
 
 
+def number_text(x) -> str:
+    """A number as it appears in canonical keys and rule-instance names:
+    ``p/q`` for a Fraction, ``str`` otherwise."""
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    return str(x)
+
+
 def _norm_params(params: tuple) -> tuple:
     """Numeric node parameters, each by `norm_number`."""
     if all(type(p) is int for p in params):
@@ -159,7 +167,6 @@ class Bigraph:
         "_children",
         "_port_link",
         "_by_control",
-        "_solid_memo",
         "_twins",
         "_plan",
     )
@@ -184,7 +191,6 @@ class Bigraph:
         self._children: Optional[dict] = None
         self._port_link: Optional[dict] = None
         self._by_control: Optional[dict] = None
-        self._solid_memo: Optional[list] = None
         self._twins: Optional[dict] = None  # canon.twin_classes, memoised
         self._plan = None  # matching's search plan, memoised
         self._validate()
@@ -536,11 +542,14 @@ def compose(outer_part: Bigraph, inner_part: Bigraph) -> Bigraph:
     )
 
 
-def _juxtapose(left: Bigraph, right: Bigraph, share_names: bool) -> Bigraph:
+def _juxtapose(left: Bigraph, right: Bigraph, share_names: bool,
+               merge: bool = False) -> Bigraph:
+    """``right`` beside ``left``, its identifiers shifted past ``left``'s;
+    with ``merge``, both width-1 operands share one region."""
     r_nodes, r_parent, r_sites, r_links = _shifted_parts(
         right, left.max_node_id() + 1, left.max_edge_id() + 1
     )
-    r_off = left.outer.width
+    r_off = 0 if merge else left.outer.width
     s_off = left.inner.width
 
     def shift_place(p: Place) -> Place:
@@ -574,7 +583,7 @@ def _juxtapose(left: Bigraph, right: Bigraph, share_names: bool) -> Bigraph:
         site_parent,
         links,
         Interface(left.inner.width + right.inner.width, inner_names),
-        Interface(left.outer.width + right.outer.width,
+        Interface(1 if merge else left.outer.width + right.outer.width,
                   left.outer.names | right.outer.names),
     )
 
@@ -598,22 +607,7 @@ def merge_parallel(left: Bigraph, right: Bigraph) -> Bigraph:
             f"merge product needs width-1 operands, got {left.outer.width} "
             f"and {right.outer.width}"
         )
-    wide = parallel(left, right)
-    parent = {
-        v: (REGION, 0) if p[0] == REGION else p for v, p in wide.parent.items()
-    }
-    site_parent = {
-        s: (REGION, 0) if p[0] == REGION else p for s, p in wide.site_parent.items()
-    }
-    return Bigraph(
-        wide.signature,
-        wide.nodes,
-        parent,
-        site_parent,
-        wide.links,
-        wide.inner,
-        Interface(1, wide.outer.names),
-    )
+    return _juxtapose(left, right, share_names=True, merge=True)
 
 
 def close_name(b: Bigraph, name: str) -> Bigraph:
@@ -659,10 +653,7 @@ SOLID_CLAUSES = (
 
 
 def solidity_violations(b: Bigraph) -> list[str]:
-    """Clause-by-clause check; empty list means solid.  Memoized: rule
-    redexes are re-checked on every occurrence search."""
-    if b._solid_memo is not None:
-        return list(b._solid_memo)
+    """Clause-by-clause check; empty list means solid."""
     out = []
     for r in range(b.outer.width):
         if not b.children((REGION, r)):
@@ -683,7 +674,6 @@ def solidity_violations(b: Bigraph) -> list[str]:
     for n in sorted(b.outer.names):
         if b.links[n].inner:
             out.append(SOLID_CLAUSES[4] + f" ({n!r})")
-    b._solid_memo = list(out)
     return out
 
 

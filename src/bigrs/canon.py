@@ -71,15 +71,7 @@ ring length.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .bigraph import Bigraph, Edge, NotGroundError, REGION
-
-
-def _ser_param(p) -> str:
-    if isinstance(p, Fraction):
-        return f"{p.numerator}/{p.denominator}"
-    return str(p)
+from .bigraph import Bigraph, Edge, NotGroundError, REGION, number_text
 
 
 class _Skeleton:
@@ -109,7 +101,7 @@ class _Skeleton:
         for i, v in enumerate(node_ids):
             c = b.nodes[v]
             if c not in tokens:
-                tokens[c] = (c[0], tuple(_ser_param(p) for p in c[1]))
+                tokens[c] = (c[0], tuple(map(number_text, c[1])))
             self.ctrl.append(tokens[c])
             kind, at = b.parent[v]
             if kind == REGION:

@@ -8,6 +8,11 @@ listing the initial state, rules, predicates and (for an abrs) actions.
 Comprehensions ``item for v in a:b`` expand over inclusive integer
 ranges; the system-block syntax is this tool's own concretization and is
 spelled out in docs/grammar.ebnf.
+
+Names are unique across declarations.  In a bigraph expression a name,
+with or without arguments, links and a nested child, resolves one way: a
+declared control gives an ion; any other name must be a bigraph
+definition, used with its parameter count and with no links or child.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from .bigraph import (
@@ -25,6 +31,7 @@ from .bigraph import (
     ion,
     merge_parallel,
     norm_number,
+    number_text,
     parallel,
     unit,
 )
@@ -154,23 +161,19 @@ class BSite:
 
 
 @dataclass
-class BIon:
-    ctrl: str
-    params: list
+class BAtom:
+    """A name with optional arguments and links: an ion if the name is a
+    declared control, otherwise a use of a bigraph definition."""
+
+    name: str
+    args: list
     names: list
     pos: tuple = _pos_field()
 
 
 @dataclass
-class BRef:
-    name: str
-    args: list
-    pos: tuple = _pos_field()
-
-
-@dataclass
 class BNest:
-    head: object  # BIon | BRef
+    head: BAtom
     child: object
     pos: tuple = _pos_field()
 
@@ -311,6 +314,30 @@ class _Parser:
         t = self.peek()
         return (t.line, t.col)
 
+    def name(self) -> str:
+        return self.expect("name").text
+
+    def listed(self, item, close: str, empty: bool = False) -> list:
+        """`item, {",", item}` and then `close`; with `empty`, `close` may
+        come at once."""
+        items = []
+        if not (empty and self.at(close)):
+            items.append(item())
+            while self.eat(","):
+                items.append(item())
+        self.expect(close)
+        return items
+
+    def args(self) -> list:
+        return self.listed(self.numexp, ")") if self.eat("(") else []
+
+    def reward(self):
+        if not self.eat("["):
+            return None
+        value = self.numexp()
+        self.expect("]")
+        return value
+
     # -- model -------------------------------------------------------------
 
     def model(self) -> Model:
@@ -327,94 +354,66 @@ class _Parser:
         return Model(decls, system, pos)
 
     def decl(self):
+        """One head for every declaration: `[atomic] [fun] kind name
+        [(params)] = body ;`, where only controls may be atomic and
+        constants may not be `fun`."""
         pos = self.pos()
         atomic = self.eat("atomic")
-        if self.eat("fun"):
-            if self.eat("ctrl"):
-                return self.ctrl_def(atomic, parametrised=True, pos=pos)
-            if atomic:
-                raise ParseError("'atomic' only applies to controls", *pos)
-            if self.eat("big"):
-                return self.big_def(parametrised=True, pos=pos)
-            self.expect("react")
-            return self.react_def(parametrised=True, pos=pos)
-        if self.eat("ctrl"):
-            return self.ctrl_def(atomic, parametrised=False, pos=pos)
-        if atomic:
-            raise ParseError("'atomic' only applies to controls", *pos)
-        if self.at("int") or self.at("float"):
-            kind = self.next().kind
-            name = self.expect("name").text
-            self.expect("=")
-            value = self.numexp()
-            self.expect(";")
-            return ConstDef(kind, name, value, pos)
-        if self.eat("big"):
-            return self.big_def(parametrised=False, pos=pos)
-        if self.eat("react"):
-            return self.react_def(parametrised=False, pos=pos)
+        fun = self.eat("fun")
         t = self.peek()
-        raise ParseError(f"expected a declaration, found {t.text!r}", t.line, t.col)
-
-    def param_list(self) -> list:
-        self.expect("(")
-        params = [self.expect("name").text]
-        while self.eat(","):
-            params.append(self.expect("name").text)
-        self.expect(")")
-        return params
-
-    def ctrl_def(self, atomic: bool, parametrised: bool, pos) -> CtrlDef:
-        name = self.expect("name").text
-        params = self.param_list() if parametrised else []
+        if atomic and t.kind != "ctrl":
+            raise ParseError("'atomic' only applies to controls", *pos)
+        if t.kind not in ("ctrl", "big", "react"):
+            if fun:
+                self.expect("react")
+            if t.kind not in ("int", "float"):
+                raise ParseError(
+                    f"expected a declaration, found {t.text!r}", t.line, t.col
+                )
+        self.next()
+        name = self.name()
+        params = []
+        if fun:
+            self.expect("(")
+            params = self.listed(self.name, ")")
         self.expect("=")
-        arity = self.numexp()
-        self.expect(";")
-        return CtrlDef(name, params, arity, atomic, pos)
-
-    def big_def(self, parametrised: bool, pos) -> BigDef:
-        name = self.expect("name").text
-        params = self.param_list() if parametrised else []
-        self.expect("=")
-        body = self.bexp()
-        self.expect(";")
-        return BigDef(name, params, body, pos)
-
-    def react_def(self, parametrised: bool, pos) -> ReactDef:
-        name = self.expect("name").text
-        params = self.param_list() if parametrised else []
-        self.expect("=")
-        redex = self.bexp()
-        if self.eat("-->"):
+        if t.kind == "big":
+            d = BigDef(name, params, self.bexp(), pos)
+        elif t.kind == "react":
+            redex = self.bexp()
             weight = None
+            if not self.eat("-->"):
+                self.expect("-[")
+                weight = self.numexp()
+                self.expect("]->")
+            d = ReactDef(name, params, redex, self.bexp(), weight, pos)
+        elif t.kind == "ctrl":
+            d = CtrlDef(name, params, self.numexp(), atomic, pos)
         else:
-            self.expect("-[")
-            weight = self.numexp()
-            self.expect("]->")
-        reactum = self.bexp()
+            d = ConstDef(t.kind, name, self.numexp(), pos)
         self.expect(";")
-        return ReactDef(name, params, redex, reactum, weight, pos)
+        return d
 
     # -- bigraph expressions -------------------------------------------------
 
-    def bexp(self):
-        pos = self.pos()
-        parts = [self.bmerge()]
-        while self.eat("||"):
-            parts.append(self.bmerge())
-        return parts[0] if len(parts) == 1 else BParallel(parts, pos)
+    # Each precedence level is one Python frame, and a level's operand is
+    # parsed by a direct call: the depth of parentheses a model may nest
+    # is the recursion limit over the frames per level.
 
-    def bmerge(self):
+    def bexp(self, level: int = 0):
+        """Level 0 is `||`, level 1 is `|`; their operands are `bterm`s."""
+        op, node = _BIG_LEVELS[level]
+        last = level + 1 == len(_BIG_LEVELS)
         pos = self.pos()
-        parts = [self.bterm()]
-        while self.eat("|"):
-            parts.append(self.bterm())
-        return parts[0] if len(parts) == 1 else BMerge(parts, pos)
+        parts = [self.bterm() if last else self.bexp(level + 1)]
+        while self.eat(op):
+            parts.append(self.bterm() if last else self.bexp(level + 1))
+        return parts[0] if len(parts) == 1 else node(parts, pos)
 
     def bterm(self):
         pos = self.pos()
         if self.eat("/"):
-            name = self.expect("name").text
+            name = self.name()
             return BClose(name, self.bterm(), pos)
         return self.bnest()
 
@@ -422,7 +421,7 @@ class _Parser:
         pos = self.pos()
         head = self.batom()
         if self.eat("."):
-            if not isinstance(head, (BIon, BRef)):
+            if not isinstance(head, BAtom):
                 raise ParseError("only an ion or reference can nest", *pos)
             return BNest(head, self.bterm(), pos)
         return head
@@ -450,26 +449,10 @@ class _Parser:
             inner = self.bexp()
             self.expect(")")
             return inner
-        if t.kind == "name":
-            name = self.next().text
-            args = []
-            if self.at("("):
-                self.next()
-                args.append(self.numexp())
-                while self.eat(","):
-                    args.append(self.numexp())
-                self.expect(")")
-            names = []
-            braced = False
-            if self.eat("{"):
-                braced = True
-                names.append(self.expect("name").text)
-                while self.eat(","):
-                    names.append(self.expect("name").text)
-                self.expect("}")
-            if braced or args:
-                return BIon(name, args, names, pos)
-            return BRef(name, [], pos)
+        if self.eat("name"):
+            args = self.args()
+            names = self.listed(self.name, "}") if self.eat("{") else []
+            return BAtom(t.text, args, names, pos)
         raise ParseError(
             f"expected a bigraph expression, found {t.text or 'end of input'!r}",
             *pos,
@@ -477,20 +460,16 @@ class _Parser:
 
     # -- numeric expressions -------------------------------------------------
 
-    def numexp(self):
+    def numexp(self, level: int = 0):
+        """Level 0 is `+ -`, level 1 is `* /`, both left-associative; their
+        operands are `numfactor`s."""
+        last = level + 1 == len(_NUM_LEVELS)
         pos = self.pos()
-        left = self.numterm()
-        while self.at("+") or self.at("-"):
+        left = self.numfactor() if last else self.numexp(level + 1)
+        while self.peek().kind in _NUM_LEVELS[level]:
             op = self.next().kind
-            left = BinOp(op, left, self.numterm(), pos)
-        return left
-
-    def numterm(self):
-        pos = self.pos()
-        left = self.numfactor()
-        while self.at("*") or self.at("/"):
-            op = self.next().kind
-            left = BinOp(op, left, self.numfactor(), pos)
+            right = self.numfactor() if last else self.numexp(level + 1)
+            left = BinOp(op, left, right, pos)
         return left
 
     def numfactor(self):
@@ -498,11 +477,9 @@ class _Parser:
         pos = (t.line, t.col)
         if self.eat("-"):
             return Neg(self.numfactor(), pos)
-        if t.kind == "num":
-            self.next()
+        if self.eat("num"):
             return Num(t.text, pos)
-        if t.kind == "name":
-            self.next()
+        if self.eat("name"):
             return Ref(t.text, pos)
         if self.eat("("):
             inner = self.numexp()
@@ -525,69 +502,37 @@ class _Parser:
                 t.line, t.col,
             )
         kind = self.next().kind
-        init = None
-        rules = None
-        preds = None
-        actions = None
+        clauses: dict = {}
         while not self.eat("end"):
             t = self.peek()
-            if self.eat("init"):
-                if init is not None:
-                    raise ParseError("duplicate 'init' clause", t.line, t.col)
-                self.expect("=")
-                init = self.expect("name").text
-                self.expect(";")
-            elif self.eat("rules"):
-                if rules is not None:
-                    raise ParseError("duplicate 'rules' clause", t.line, t.col)
-                self.expect("=")
-                rules = self.item_list("[", "]")
-                self.expect(";")
-            elif self.eat("preds"):
-                if preds is not None:
-                    raise ParseError("duplicate 'preds' clause", t.line, t.col)
-                self.expect("=")
-                preds = self.item_list("[", "]", rewards=True)
-                self.expect(";")
-            elif self.eat("actions"):
-                if actions is not None:
-                    raise ParseError("duplicate 'actions' clause", t.line, t.col)
-                self.expect("=")
-                actions = self.action_list()
-                self.expect(";")
-            else:
+            if t.kind not in _CLAUSES:
                 raise ParseError(
                     f"expected init/rules/preds/actions/end, found {t.text!r}",
                     t.line, t.col,
                 )
-        if init is None:
-            raise ParseError("system block has no 'init' clause", *pos)
-        if rules is None:
-            raise ParseError("system block has no 'rules' clause", *pos)
-        return SystemBlock(kind, init, rules, preds or [], actions or [], pos)
+            if t.kind in clauses:
+                raise ParseError(f"duplicate {t.kind!r} clause", t.line, t.col)
+            self.next()
+            self.expect("=")
+            clauses[t.kind] = _CLAUSES[t.kind](self)
+            self.expect(";")
+        for required in ("init", "rules"):
+            if required not in clauses:
+                raise ParseError(f"system block has no {required!r} clause", *pos)
+        return SystemBlock(
+            kind, clauses["init"], clauses["rules"],
+            clauses.get("preds", []), clauses.get("actions", []), pos,
+        )
 
-    def item_list(self, open_tok: str, close_tok: str, rewards: bool = False):
+    def items(self, item, open_tok: str, close_tok: str) -> list:
+        """A bracketed list of system-block items, possibly empty."""
         self.expect(open_tok)
-        items = []
-        if not self.at(close_tok):
-            items.append(self.item(rewards))
-            while self.eat(","):
-                items.append(self.item(rewards))
-        self.expect(close_tok)
-        return items
+        return self.listed(item, close_tok, empty=True)
 
     def item(self, rewards: bool = False) -> Item:
         t = self.expect("name")
-        args = []
-        if self.eat("("):
-            args.append(self.numexp())
-            while self.eat(","):
-                args.append(self.numexp())
-            self.expect(")")
-        reward = None
-        if rewards and self.eat("["):
-            reward = self.numexp()
-            self.expect("]")
+        args = self.args()
+        reward = self.reward() if rewards else None
         ranges = []
         if self.eat("for"):
             ranges.append(self.range_clause())
@@ -602,32 +547,30 @@ class _Parser:
         return Item(t.text, args, reward, ranges, (t.line, t.col))
 
     def range_clause(self):
-        var = self.expect("name").text
+        var = self.name()
         self.expect("in")
         lo = self.numexp()
         self.expect(":")
         hi = self.numexp()
         return (var, lo, hi)
 
-    def action_list(self) -> list:
-        self.expect("[")
-        actions = []
-        if not self.at("]"):
-            actions.append(self.action_item())
-            while self.eat(","):
-                actions.append(self.action_item())
-        self.expect("]")
-        return actions
-
     def action_item(self) -> ActionItem:
         t = self.expect("name")
-        reward = None
-        if self.eat("["):
-            reward = self.numexp()
-            self.expect("]")
+        reward = self.reward()
         self.expect("=")
-        rules = self.item_list("{", "}")
+        rules = self.items(self.item, "{", "}")
         return ActionItem(t.text, reward, rules, (t.line, t.col))
+
+
+_BIG_LEVELS = (("||", BParallel), ("|", BMerge))
+_NUM_LEVELS = (("+", "-"), ("*", "/"))
+# the value of each system-block clause, parsed after its `=`
+_CLAUSES = {
+    "init": _Parser.name,
+    "rules": lambda p: p.items(p.item, "[", "]"),
+    "preds": lambda p: p.items(lambda: p.item(rewards=True), "[", "]"),
+    "actions": lambda p: p.items(p.action_item, "[", "]"),
+}
 
 
 def parse(source: str) -> Model:
@@ -675,16 +618,10 @@ def _eval_int(e, env: dict, what: str) -> int:
     return v
 
 
-def _render_arg(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
-
-
 def instance_name(name: str, args) -> str:
     if not args:
         return name
-    return f"{name}({','.join(_render_arg(a) for a in args)})"
+    return f"{name}({','.join(map(number_text, args))})"
 
 
 class _Elaborator:
@@ -735,76 +672,51 @@ class _Elaborator:
             return unit(self.signature)
         if isinstance(e, BSite):
             return hole(self.signature)
-        if isinstance(e, BIon):
-            return self.make_ion(e, env, child=None)
-        if isinstance(e, BRef):
-            return self.resolve_ref(e.name, [], env, e.pos)
-        if isinstance(e, BNest):
-            child = self.big(e.child, env)
-            head = e.head
-            if isinstance(head, BRef):
-                if head.name in self.signature:
-                    head = BIon(head.name, [], [], head.pos)
-                elif head.name in self.bigs:
-                    raise ElabError(
-                        f"cannot nest under {head.name!r}: it is a bigraph "
-                        "definition, not a control"
-                    )
-                else:
-                    raise ElabError(f"unknown control {head.name!r}")
-            return self.make_ion(head, env, child)
+        if isinstance(e, (BAtom, BNest)):
+            head = e if isinstance(e, BAtom) else e.head
+            child = None if head is e else self.big(e.child, env)
+            args = (_eval_num(a, env) for a in head.args)
+            return self.atom(head.name, args, head.names, child)
         if isinstance(e, BMerge):
-            parts = [self.big(p, env) for p in e.parts]
-            out = parts[0]
-            for p in parts[1:]:
-                out = merge_parallel(out, p)
-            return out
+            return reduce(merge_parallel, [self.big(p, env) for p in e.parts])
         if isinstance(e, BParallel):
-            parts = [self.big(p, env) for p in e.parts]
-            out = parts[0]
-            for p in parts[1:]:
-                out = parallel(out, p)
-            return out
+            return reduce(parallel, [self.big(p, env) for p in e.parts])
         if isinstance(e, BClose):
             return close_name(self.big(e.body, env), e.name)
         if isinstance(e, BRepl):
             n = _eval_int(e.count, env, "par() count")
             if n < 0:
                 raise ElabError("par() count must be >= 0")
-            out = unit(self.signature)
-            for _ in range(n):
-                out = merge_parallel(out, self.big(e.body, env))
-            return out
+            copies = [self.big(e.body, env)] * n if n else []
+            return reduce(merge_parallel, copies, unit(self.signature))
         raise TypeError(e)
 
-    def make_ion(self, e: BIon, env: dict, child):
-        if e.ctrl in self.signature:
-            params = tuple(_eval_num(a, env) for a in e.params)
-            return ion(self.signature, e.ctrl, params, e.names, child)
-        if e.ctrl in self.bigs:
-            if e.names or child is not None:
-                raise ElabError(
-                    f"{e.ctrl!r} is a bigraph definition: it takes no links "
-                    "and cannot nest"
-                )
-            return self.resolve_ref(
-                e.ctrl, [_eval_num(a, env) for a in e.params], env, e.pos
-            )
-        raise ElabError(f"unknown control or bigraph {e.ctrl!r}")
-
-    def resolve_ref(self, name: str, args: list, env: dict, pos):
+    def atom(self, name: str, args, names=(), child=None):
+        """The one resolver of a name: a declared control gives an ion
+        (nesting `child` if given), any other name must be a bigraph
+        definition, which takes no links and no child.  `args` is read
+        only once the name has resolved, so an unknown name is reported
+        before an error in its arguments."""
         if name in self.signature:
-            return ion(self.signature, name, tuple(args), [])
+            return ion(self.signature, name, tuple(args), names, child)
         d = self.bigs.get(name)
         if d is None:
             raise ElabError(f"unknown bigraph reference {name!r}")
+        if names or child is not None:
+            raise ElabError(
+                f"{name!r} is a bigraph definition: it takes no links "
+                "and cannot nest"
+            )
+        return self.big(d.body, self.scope("bigraph", d, list(args)))
+
+    def scope(self, what: str, d, args: list) -> dict:
+        """The constants, with the parameters of definition `d` bound to
+        `args`."""
         if len(args) != len(d.params):
             raise ElabError(
-                f"bigraph {name} takes {len(d.params)} argument(s), got {len(args)}"
+                f"{what} {d.name} takes {len(d.params)} argument(s), got {len(args)}"
             )
-        scope = dict(self.consts)
-        scope.update(zip(d.params, args))
-        return self.big(d.body, scope)
+        return {**self.consts, **dict(zip(d.params, args))}
 
     # -- system block ----------------------------------------------------------
 
@@ -836,12 +748,7 @@ class _Elaborator:
         d = self.reacts.get(name)
         if d is None:
             raise ElabError(f"unknown rule {name!r}")
-        if len(args) != len(d.params):
-            raise ElabError(
-                f"rule {name} takes {len(d.params)} argument(s), got {len(args)}"
-            )
-        scope = dict(self.consts)
-        scope.update(zip(d.params, args))
+        scope = self.scope("rule", d, args)
         self.at = d.pos
         if d.weight is None:
             if kind != "brs":
@@ -885,7 +792,7 @@ class _Elaborator:
                 raise ElabError(f"predicate {label} listed twice")
             seen_preds.add(label)
             self.at = self.bigs[name].pos if name in self.bigs else pos
-            pattern = self.resolve_ref(name, args, dict(self.consts), pos)
+            pattern = self.atom(name, args)
             predicates.append(
                 PredicateDecl(label, pattern, Fraction(reward or 0))
             )

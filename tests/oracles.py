@@ -44,14 +44,13 @@ from bigrs.bigraph import (
 )
 from bigrs.canon import _Skeleton, _encode, canonical_key
 from bigrs.language import (
+    BAtom,
     BClose,
     BigDef,
     BinOp,
-    BIon,
     BMerge,
     BNest,
     BParallel,
-    BRef,
     BRepl,
     BSite,
     BUnit,
@@ -960,15 +959,13 @@ def _pp_bexp(e) -> str:
         return "1"
     if isinstance(e, BSite):
         return "id"
-    if isinstance(e, BIon):
-        s = e.ctrl
-        if e.params:
-            s += "(" + ", ".join(_pp_num(a) for a in e.params) + ")"
+    if isinstance(e, BAtom):
+        s = e.name
+        if e.args:
+            s += "(" + ", ".join(_pp_num(a) for a in e.args) + ")"
         if e.names:
             s += "{" + ",".join(e.names) + "}"
         return s
-    if isinstance(e, BRef):
-        return e.name
     if isinstance(e, BNest):
         return f"{_pp_bexp(e.head)}.({_pp_bexp(e.child)})"
     if isinstance(e, BMerge):

@@ -173,6 +173,30 @@ def test_merge_parallel_fuses_shared_names():
     assert len(merged.links) == 1
 
 
+def test_merge_parallel_keeps_ids_and_site_order():
+    # C{x,e0}.id | (id | C{x,e1}.id): the right operand's nodes, edges and
+    # sites follow the left's, and the shared name x is one link
+    left = close_name(ion(SIG, "C", (), ["x", "y"], child=hole(SIG)), "y")
+    right = close_name(
+        merge_parallel(hole(SIG), ion(SIG, "C", (), ["x", "z"], child=hole(SIG))),
+        "z",
+    )
+    by_hand = Bigraph(
+        SIG,
+        {0: ("C", ()), 1: ("C", ())},
+        {0: (REGION, 0), 1: (REGION, 0)},
+        {0: (NODE, 0), 1: (REGION, 0), 2: (NODE, 1)},
+        {
+            "x": Link(frozenset([(0, 0), (1, 0)])),
+            Edge(0): Link(frozenset([(0, 1)])),
+            Edge(1): Link(frozenset([(1, 1)])),
+        },
+        Interface(3),
+        Interface(1, frozenset(["x"])),
+    )
+    assert to_json(merge_parallel(left, right)) == to_json(by_hand)
+
+
 def test_merge_parallel_needs_width_one():
     with pytest.raises(ShapeError):
         merge_parallel(tensor(unit(SIG), unit(SIG)), unit(SIG))

@@ -196,6 +196,27 @@ LOCATED_ERRORS = {
         "begin pbrs init = s; rules = [r]; end",
         "4:2: rule r: a pbrs rule needs a weight (-[expr]->)",
     ),
+    "unknown name with links": (
+        "ctrl A = 0;\nbig t = A;\n  big s = X{a};\nbegin brs init = s; rules = []; end",
+        "3:3: unknown bigraph reference 'X'",
+    ),
+    "unknown nest head": (
+        "ctrl A = 0;\n big s = X.(A);\nbegin brs init = s; rules = []; end",
+        "2:2: unknown bigraph reference 'X'",
+    ),
+    "nest under a definition": (
+        "ctrl A = 0;\nbig b = A;\nbig s = b.(A);\nbegin brs init = s; rules = []; end",
+        "3:1: 'b' is a bigraph definition: it takes no links and cannot nest",
+    ),
+    "links on a definition": (
+        "ctrl A = 0;\nbig b = A;\n big s = b{x};\nbegin brs init = s; rules = []; end",
+        "3:2: 'b' is a bigraph definition: it takes no links and cannot nest",
+    ),
+    "definition argument count": (
+        "ctrl A = 0;\nfun big b(n) = par(n, A);\nbig s = b(1, 2);\n"
+        "begin brs init = s; rules = []; end",
+        "3:1: bigraph b takes 1 argument(s), got 2",
+    ),
 }
 
 
@@ -330,15 +351,22 @@ def test_round_trip_fixed_sources():
         assert parse(pretty(ast)) == ast
 
 
+def model_corpus(models_dir: Path) -> list:
+    """The shipped models and the benchmark's, read only."""
+    bench_models = sorted((models_dir.parent / "bench" / "models").glob("*.big"))
+    assert bench_models
+    return sorted(models_dir.glob("*.big")) + bench_models
+
+
 def test_round_trip_model_corpus(models_dir: Path):
-    for path in sorted(models_dir.glob("*.big")):
+    for path in model_corpus(models_dir):
         ast = parse(path.read_text())
         assert parse(pretty(ast)) == ast, path.name
 
 
 def test_post_elaboration_sweep_on_corpus(models_dir: Path):
     # every elaborated rule satisfies the reaction-rule checks
-    for path in sorted(models_dir.glob("*.big")):
+    for path in model_corpus(models_dir):
         spec = load_model(path)
         assert spec.initial.is_ground()
         for rule in spec.rules:
@@ -400,6 +428,25 @@ def nested_ions(depth: int) -> str:
 def test_nested_ions_within_the_limit_load():
     spec = elaborate(parse(nested_ions(400)))
     assert len(spec.initial.nodes) == 400
+
+
+def parenthesised(depth: int, numeric: bool) -> str:
+    """A model with `depth` parentheses around a bigraph expression, or
+    around a numeric one."""
+    def wrap(e):
+        return "(" * depth + e + ")" * depth
+
+    if numeric:
+        return f"ctrl A = 0;\nint k = {wrap('1')};\nbig s = A;\nbegin brs init = s; rules = []; end"
+    return f"ctrl A = 0;\nbig s = {wrap('A')};\nbegin brs init = s; rules = []; end"
+
+
+@pytest.mark.parametrize("depth, numeric", [(150, False), (250, True)])
+def test_parenthesised_nesting_within_the_limit_loads(depth, numeric):
+    # one Python frame per precedence level: an extra one per level makes
+    # both depths exceed the recursion limit under pytest
+    spec = elaborate(parse(parenthesised(depth, numeric)))
+    assert len(spec.initial.nodes) == 1
 
 
 @pytest.mark.parametrize("depth", [800, 5000])
