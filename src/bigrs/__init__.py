@@ -49,11 +49,7 @@ from .system import (
     SystemSpec,
     TransitionSystem,
     WeightedRule,
-    action_step,
     build_transition_system,
-    label_and_reward,
-    next_distribution,
-    next_rates,
 )
 from .language import ElabError, LanguageError, ParseError, elaborate, load_model, parse
 from .analysis import (
@@ -63,7 +59,6 @@ from .analysis import (
     ctmc_reach,
     dtmc_bounded_reach,
     dtmc_reach,
-    embedded_chain,
     mdp_bounded_reach,
     mdp_expected_cost,
     parse_query,

@@ -216,16 +216,6 @@ def _jump(rates: dict) -> dict:
     return {j: r / total for j, r in rates.items()}
 
 
-def embedded_chain(ts: TransitionSystem) -> list[dict]:
-    """Jump-chain rows of a CTMC: each row divided by its exit rate;
-    rate-0 states become absorbing self-loops."""
-    _check(ts, "sbrs", "embedded chain")
-    return [
-        _jump(rates) for i, row in enumerate(ts.rows)
-        for _, rates in row or [(None, {i: Fraction(1)})]
-    ]
-
-
 def ctmc_reach(
     ts: TransitionSystem,
     goal_label: str,

@@ -236,6 +236,10 @@ class Bigraph:
             self._by_control = index
         return self._by_control
 
+    def forget_indexes(self) -> None:
+        """Drop the memoised indexes; each is rebuilt on its next use."""
+        self._children = self._port_link = self._by_control = self._twins = None
+
     def is_ground(self) -> bool:
         return self.inner.width == 0 and not self.inner.names
 

@@ -363,13 +363,14 @@ class _Parser:
         t = self.peek()
         if atomic and t.kind != "ctrl":
             raise ParseError("'atomic' only applies to controls", *pos)
-        if t.kind not in ("ctrl", "big", "react"):
-            if fun:
-                self.expect("react")
-            if t.kind not in ("int", "float"):
-                raise ParseError(
-                    f"expected a declaration, found {t.text!r}", t.line, t.col
-                )
+        if t.kind not in ("ctrl", "big", "react") and (
+            fun or t.kind not in ("int", "float")
+        ):
+            what = "'ctrl', 'big' or 'react'" if fun else "a declaration"
+            raise ParseError(
+                f"expected {what}, found {t.text or 'end of input'!r}",
+                t.line, t.col,
+            )
         self.next()
         name = self.name()
         params = []

@@ -35,7 +35,7 @@ state meets are its candidates, in list order.  A pattern left out falls
 short of some control, so `occurrences` would find nothing and
 `has_occurrence` would say no.  A pattern with no nodes is always a
 candidate.  The step kernel and the labeller offer a state only its
-candidates (`system._step`, `system.label_and_reward`).
+candidates (`system._step`, `system.labeller`).
 
 Rewriting at an occurrence replaces the redex image by the reactum over
 the same parameter: the result is ``lean(C . (R x id_X) . d)``.  `rewrite`

@@ -12,11 +12,19 @@ Every state's row is a list of choices, as in an MDP:
 
 Probabilities are exact rationals end to end; they become floats only at
 export time.
+
+The closure and the simulator (`bigrs.walk`) keep their states in one
+`StateStore`: canonical key -> discovery number, and the first
+representative `Bigraph` seen for each number.  Expanding a state runs
+the step kernel `_step` on it and gives back choices over successor
+numbers, so no successor `Bigraph` leaves the store.  An expanded
+state's representative is then dropped (the walk) or kept for the
+exports, bare of the indexes memoised on it (the closure).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bigraph import Bigraph, BigraphError, lean, require_solid
@@ -191,9 +199,6 @@ class TransitionSystem:
     def n_states(self) -> int:
         return len(self.states)
 
-    def key_index(self) -> dict:
-        return {key: i for i, (key, _) in enumerate(self.states)}
-
     def states_with_label(self, label: str) -> list:
         return [i for i, ls in enumerate(self.labels) if label in ls]
 
@@ -227,7 +232,7 @@ def _check_choice(kind: str, i: int, entries: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the step kernel and the per-state views over it
+# the step kernel, the labeller and the state store
 # ---------------------------------------------------------------------------
 
 
@@ -289,47 +294,50 @@ def _step(kind: str, g: Bigraph, rules: Dispatch, actions=()) -> list:
     return [(None, es)] if es or kind == "pbrs" else []
 
 
-def _masses(entries) -> dict:
-    """Successor key -> (successor, summed mass), in first-seen order."""
-    out: dict = {}
-    for _, key, succ, mass in entries:
-        prev = out.get(key)
-        out[key] = (succ, mass) if prev is None else (prev[0], prev[1] + mass)
-    return out
+def labeller(predicates):
+    """A function giving a state its (labels, state reward): the predicates
+    occurring in it and the sum of their rewards.  The predicates are
+    indexed by control once; a state is searched only for those it has
+    the controls for."""
+    preds = Dispatch(predicates, [pattern_plan(p.pattern) for p in predicates])
+
+    def label(g: Bigraph) -> tuple:
+        sat = [p for p in preds.candidates(g) if has_occurrence(p.pattern, g)]
+        return frozenset(p.name for p in sat), sum((p.reward for p in sat), Fraction(0))
+
+    return label
 
 
-def _distribution(g: Bigraph, entries, key: bytes | None = None) -> dict:
-    """Key -> (state, probability): the entries' masses normalized by their
-    total, or the delta on g (whose key may be passed) when there are
-    none."""
-    masses = _masses(entries)
-    total = sum(m for _, m in masses.values())
-    if not total:
-        return {key or canonical_key(g): (g, Fraction(1))}
-    return {k: (b, m / total) for k, (b, m) in masses.items()}
+class StateStore:
+    """The states of a closure (`keep`) or a walk; see the module
+    docstring."""
 
+    def __init__(self, spec: SystemSpec, keep: bool = False):
+        self.spec = spec
+        self.rules = rule_dispatch(spec.rules, spec.actions)
+        self.keep = keep
+        self.number: dict = {}  # canonical key -> discovery number
+        self.keys: list = []  # discovery number -> canonical key
+        self.reps: list = []  # discovery number -> Bigraph, or None
 
-def next_distribution(g: Bigraph, rules) -> dict:
-    """The reaction probability distribution from g as key -> (state, prob);
-    the delta on g itself when nothing (with positive weight) applies."""
-    (_, entries), = _step("pbrs", g, rule_dispatch(rules))
-    return _distribution(g, entries)
+    def add(self, key: bytes, g: Bigraph) -> int:
+        if key not in self.number:
+            self.number[key] = len(self.keys)
+            self.keys.append(key)
+            self.reps.append(g)
+        return self.number[key]
 
-
-def next_rates(g: Bigraph, rules) -> dict:
-    """Aggregate exit rates from g as key -> (state, rate); zero-rate
-    targets are omitted and the map may be empty (CTMC terminal state)."""
-    return _masses(
-        e for _, es in _step("sbrs", g, rule_dispatch(rules)) for e in es
-    )
-
-
-def action_step(g: Bigraph, actions) -> list:
-    """One (action, distribution) entry per applicable action, in name
-    order, normalized within the action; empty when no action applies."""
-    choices = _step("abrs", g, rule_dispatch(actions=actions), actions)
-    return [(a, _distribution(g, es))
-            for a, es in sorted(choices, key=lambda c: c[0].name)]
+    def expand(self, i: int) -> list:
+        """State i's choices as (action or None, [(rule name, successor
+        number, mass)]), in `_step`'s order."""
+        g = self.reps[i]
+        choices = _step(self.spec.kind, g, self.rules, self.spec.actions)
+        if self.keep:
+            g.forget_indexes()
+        else:
+            self.reps[i] = None
+        return [(a, [(r, self.add(k, succ), m) for r, k, succ, m in es])
+                for a, es in choices]
 
 
 # ---------------------------------------------------------------------------
@@ -342,54 +350,49 @@ def build_transition_system(
 ) -> TransitionSystem:
     """Breadth-first fixed-point closure from the initial state.
 
-    States are deduplicated by canonical key and numbered in discovery
-    order with each BFS level sorted by key, so indexing is deterministic.
+    States are deduplicated by canonical key and numbered by BFS level,
+    each level in key order, which is the order they are expanded in.
+    At the cap, the first states of the last level are kept unexpanded
+    (see docs/formats.md).  Each kept state is labelled once, before its
+    expansion, which then reuses the control index the labeller built.
     """
     if max_states <= 0:
         raise SystemError_("state cap must be positive")
+    store = StateStore(spec, keep=True)
     init = lean(spec.initial)
-    key0 = canonical_key(init)
-    states = [(key0, init)]
-    index = {key0: 0}
-    raw_rows: list = [None]
+    store.add(canonical_key(init), init)
+    label = labeller(spec.predicates)
+    order: list = []  # export number -> discovery number
+    marks: list = []  # export number -> (labels, state reward)
+    raw: dict = {}  # discovery number -> row over discovery numbers
     truncated = False
-    rules = rule_dispatch(spec.rules, spec.actions)
+    level = [0]
+    while level:
+        seen = len(store.keys)
+        for i in level:
+            order.append(i)
+            marks.append(label(store.reps[i]))
+            if not truncated:
+                raw[i] = _row(spec.kind, i, store.expand(i), store.keys)
+        level = sorted(range(seen, len(store.keys)), key=store.keys.__getitem__)
+        if len(order) + len(level) > max_states:
+            truncated = True
+            del level[max_states - len(order):]
 
-    frontier = [0]
-    while frontier:
-        discovered: list = []
-        for i in frontier:
-            key, g = states[i]
-            choices = _step(spec.kind, g, rules, spec.actions)
-            raw_rows[i] = _row(spec.kind, key, g, choices)
-            for _, entries in choices:
-                for _, k, succ, _ in entries:
-                    if k not in index:
-                        discovered.append((k, succ))
-                        index[k] = -1  # reserve; numbered below
-        discovered.sort(key=lambda kb: kb[0])
-        frontier = []
-        for key, b in discovered:
-            if len(states) >= max_states:
-                truncated = True
-                break
-            index[key] = len(states)
-            states.append((key, b))
-            raw_rows.append(None)
-            frontier.append(index[key])
-        for key, b in discovered:
-            if index.get(key) == -1:
-                del index[key]
-        if truncated:
-            break
-
-    rows = _finalize(spec.kind, states, raw_rows, index, not truncated)
+    rows = _finalize(spec.kind, order, raw)
+    reward_of = {a.name: a.reward for a in spec.actions}
     ts = TransitionSystem(
         kind=spec.kind,
-        states=states,
+        states=[(store.keys[i], store.reps[i]) for i in order],
         rows=rows,
+        labels=[ls for ls, _ in marks],
+        label_names=tuple(p.name for p in spec.predicates),
+        state_reward=[r for _, r in marks],
+        action_reward=[
+            {name: reward_of[name] for name, _ in row if name in reward_of}
+            for row in rows
+        ],
         complete=not truncated,
-        **_labelling(states, rows, spec.predicates, spec.actions),
     )
     if truncated:
         raise StateCapError(
@@ -399,69 +402,35 @@ def build_transition_system(
     return ts
 
 
-def _row(kind: str, key: bytes, g: Bigraph, choices: list) -> list:
-    """The row of state (key, g) as in TransitionSystem.rows, but over
-    successor keys: a brs choice in key order, an sbrs choice holding the
-    summed rates, and a pbrs or abrs choice normalized."""
+def _row(kind: str, i: int, choices: list, keys: list) -> list:
+    """State i's row over discovery numbers: a brs choice in successor-key
+    order, an sbrs choice holding the summed rates, and a pbrs or abrs
+    choice normalized (the delta on i when it has no entries)."""
 
     def entries(es) -> dict:
         if kind == "brs":
-            return dict.fromkeys(sorted({e[1] for e in es}), 1)
+            return dict.fromkeys(sorted({j for _, j, _ in es}, key=keys.__getitem__), 1)
+        masses: dict = {}
+        for _, j, m in es:
+            masses[j] = masses[j] + m if j in masses else m
         if kind == "sbrs":
-            return {k: m for k, (_, m) in _masses(es).items()}
-        return {k: p for k, (_, p) in _distribution(g, es, key).items()}
+            return masses
+        total = sum(masses.values())
+        return {j: m / total for j, m in masses.items()} if total else {i: Fraction(1)}
 
     return [(a and a.name, entries(es)) for a, es in choices]
 
 
-def _finalize(kind: str, states, raw_rows, index, complete: bool) -> list:
-    """The rows over successor indices.  A row that was never expanded, or
-    that leads beyond the state cap, is replaced by a terminal row so the
-    truncated system stays well-formed: the delta for a pbrs, empty
-    otherwise."""
-    rows = []
-    for (key, _), raw in zip(states, raw_rows):
-        if raw is None or (not complete and any(
-            index.get(k, -1) < 0 for _, entries in raw for k in entries
-        )):
-            raw = [(None, {key: Fraction(1)})] if kind == "pbrs" else []
-        rows.append([
-            (name, {index[k]: m for k, m in entries.items()})
-            for name, entries in raw
-        ])
-    return rows
-
-
-def _labelling(states, rows, predicates, actions) -> dict:
-    """Labels, label names, state rewards and action rewards of a system
-    with these states and rows, as TransitionSystem fields."""
-    preds = Dispatch(predicates, [pattern_plan(p.pattern) for p in predicates])
-    labels = []
-    state_reward = []
-    for _, b in states:
-        sat = [] if b is None else [
-            p for p in preds.candidates(b) if has_occurrence(p.pattern, b)
-        ]
-        labels.append(frozenset(p.name for p in sat))
-        state_reward.append(sum((p.reward for p in sat), Fraction(0)))
-    reward_of = {a.name: a.reward for a in actions}
-    return dict(
-        labels=labels,
-        label_names=tuple(p.name for p in predicates),
-        state_reward=state_reward,
-        action_reward=[
-            {name: reward_of[name] for name, _ in row if name in reward_of}
-            for row in rows
-        ],
-    )
-
-
-def label_and_reward(
-    ts: TransitionSystem, predicates, actions=()
-) -> TransitionSystem:
-    """Label every state with the predicates occurring in it; state reward
-    is the sum of matching predicate rewards, action rewards come from the
-    declarations of the applicable actions.  The predicates are indexed
-    by control once, and each state is searched only for those it has
-    the controls for."""
-    return replace(ts, **_labelling(ts.states, ts.rows, predicates, actions))
+def _finalize(kind: str, order: list, raw: dict) -> list:
+    """The rows over export numbers, `order` listing the kept states by
+    discovery number.  A row never expanded, or leading beyond the cap,
+    becomes terminal so a truncated system stays well-formed: the delta
+    for a pbrs, empty otherwise."""
+    export = {i: n for n, i in enumerate(order)}
+    out = []
+    for i in order:
+        row = raw.get(i)
+        if row is None or any(j not in export for _, es in row for j in es):
+            row = [(None, {i: Fraction(1)})] if kind == "pbrs" else []
+        out.append([(a, {export[j]: m for j, m in es.items()}) for a, es in row])
+    return out

@@ -3,22 +3,17 @@ closure).  Traces are reproducible from the seed; MDP action choice is
 resolved uniformly at random among the applicable actions, and a brs
 step uniformly among the distinct successors.
 
-Each distinct state is expanded (matched, rewritten and keyed by
-`system._step`) at most once per trace.  The walk numbers states by
-canonical key in discovery order (`ids`), and keeps for each expanded
-state its choices in `rows`, free of bigraphs: for each entry of a
-choice its rule, its successor's number and the running float sum of
-the masses.  A state that has been seen but not yet expanded keeps one
-concrete representative in `reps`, dropped when it is expanded.
+The walk keeps its states in a `system.StateStore` and expands each
+distinct state at most once per trace.  For each expanded state it
+keeps its choices, free of bigraphs: for each entry of a choice its
+rule, its successor's number and the running float sum of the masses.
 
 This is sound because a trace depends on a state only through its key.
 `_step` lists its entries in rule order and then successor-key order,
 and each entry's occurrence count is invariant under isomorphism, so any
 representative of a key gives the same choices, and the random
 generator draws the same numbers in the same order.  A trace is
-therefore a function of the model, the seed and the budget.  The memo
-costs one row per expanded state, a few tuples per choice and one float
-per entry, plus one `Bigraph` per state seen but not yet expanded."""
+therefore a function of the model, the seed and the budget."""
 
 from __future__ import annotations
 
@@ -31,7 +26,7 @@ from typing import Optional
 
 from .bigraph import lean
 from .canon import canonical_key
-from .system import SystemSpec, _step, rule_dispatch
+from .system import StateStore, SystemSpec
 
 
 @dataclass
@@ -59,21 +54,10 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
     step records the first rule, in rule order, that yields the chosen
     successor."""
     kind = spec.kind
-    dispatch = rule_dispatch(spec.rules, spec.actions)
+    store = StateStore(spec)
     rng = random.Random(seed)
-    ids: dict[bytes, int] = {}  # canonical key -> state number
-    digests: list[str] = []  # state number -> digest of its key
-    rows: list = []  # state number -> choices, None until expanded
-    reps: dict = {}  # state number -> Bigraph, until expanded
-
-    def number(key: bytes, g) -> int:
-        i = ids.get(key)
-        if i is None:
-            i = ids[key] = len(digests)
-            digests.append(_digest(key))
-            rows.append(None)
-            reps[i] = g
-        return i
+    rows: dict = {}  # state number -> its choices, once expanded
+    digests: dict = {}  # state number -> digest of its key, once reached
 
     def expand(i: int) -> tuple:
         """State i's choices as (action name, rules, successor numbers,
@@ -81,7 +65,7 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
         of the exact sum and the running sums add the masses as floats in
         entry order; a draw x picks the first entry whose sum exceeds x."""
         row = []
-        for action, entries in _step(kind, reps.pop(i), dispatch, spec.actions):
+        for action, entries in store.expand(i):
             if kind == "brs":  # one entry per distinct successor
                 first: dict = {}
                 for e in entries:
@@ -90,18 +74,18 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
             row.append((
                 action.name if action else None,
                 tuple(e[0] for e in entries),
-                tuple([number(key, succ) for _, key, succ, _ in entries]),
-                float(sum(e[3] for e in entries)),
-                tuple(accumulate(float(e[3]) for e in entries)),
+                tuple(e[1] for e in entries),
+                float(sum(e[2] for e in entries)),
+                tuple(accumulate(float(e[2]) for e in entries)),
             ))
         return tuple(row)
 
     g = lean(spec.initial)
-    here = number(canonical_key(g), g)
+    here = store.add(canonical_key(g), g)
     now = 0.0 if kind == "sbrs" else None
     trace: list[TraceStep] = []
     for k in range(1, steps + 1):
-        row = rows[here]
+        row = rows.get(here)
         if row is None:
             row = rows[here] = expand(here)
         if not row:
@@ -109,17 +93,18 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
         # MDP action choice is uniform; the other kinds have one choice
         choice = row[rng.randrange(len(row))] if kind == "abrs" else row[0]
         name, rules, succs, total, sums = choice
-        if not succs:  # stay in place
-            trace.append(TraceStep(k, digests[here], None, name))
-            continue
-        if kind == "brs":
-            i = rng.randrange(len(succs))
-        else:
-            if kind == "sbrs":
-                now += rng.expovariate(total)
-            # the first successor whose running sum exceeds the draw
-            x = rng.random() * total
-            i = min(bisect_right(sums, x), len(succs) - 1)
-        rule, here = rules[i], succs[i]
+        rule = None  # a choice with no successors stays in place
+        if succs:
+            if kind == "brs":
+                i = rng.randrange(len(succs))
+            else:
+                if kind == "sbrs":
+                    now += rng.expovariate(total)
+                # the first successor whose running sum exceeds the draw
+                x = rng.random() * total
+                i = min(bisect_right(sums, x), len(succs) - 1)
+            rule, here = rules[i], succs[i]
+        if here not in digests:
+            digests[here] = _digest(store.keys[here])
         trace.append(TraceStep(k, digests[here], rule, name, now))
     return trace

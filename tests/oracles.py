@@ -16,7 +16,11 @@ without its memo, which steps from the concrete state at every step (for
 `bigrs.simulate`), and the step kernel and the labeller without the
 control dispatch, which offer every rule and every predicate (for
 `bigrs.matching.Dispatch`), and a search's node order planned from
-scratch (for the memoised plans).  Last,
+scratch (for the memoised plans).  The per-state views over the step
+kernel (successor distributions, rates and per-action steps, and the
+jump chain of a CTMC), which only tests call, and the closure as a
+plain key-indexed search through that index-free kernel (for the state
+store of `bigrs.system`).  Last,
 the helpers that only round-trip checks need: bounded DTMC reachability
 in exact rationals, readers of bigraph JSON and of exported PRISM DTMC
 bundles, and a printer of `.big` source."""
@@ -72,7 +76,7 @@ from bigrs.matching import (
     rewrite,
 )
 from bigrs.walk import TraceStep
-from bigrs.system import TransitionSystem
+from bigrs.system import TransitionSystem, _step, rule_dispatch
 
 
 def _classes(b: Bigraph) -> dict:
@@ -729,6 +733,130 @@ def reference_labels(g: Bigraph, predicates) -> tuple:
     every predicate."""
     sat = [p for p in predicates if has_occurrence(p.pattern, g)]
     return frozenset(p.name for p in sat), sum((p.reward for p in sat), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# per-state views over the step kernel, and the closure without the store
+# ---------------------------------------------------------------------------
+
+
+def _masses(entries) -> dict:
+    """Successor key -> (successor, summed mass), in first-seen order."""
+    out: dict = {}
+    for _, key, succ, mass in entries:
+        prev = out.get(key)
+        out[key] = (succ, mass) if prev is None else (prev[0], prev[1] + mass)
+    return out
+
+
+def _distribution(g: Bigraph, entries) -> dict:
+    """Key -> (state, probability): the entries' masses normalized by their
+    total, or the delta on g when there are none."""
+    masses = _masses(entries)
+    total = sum(m for _, m in masses.values())
+    if not total:
+        return {canonical_key(g): (g, Fraction(1))}
+    return {k: (b, m / total) for k, (b, m) in masses.items()}
+
+
+def next_distribution(g: Bigraph, rules) -> dict:
+    """The reaction probability distribution from g as key -> (state, prob);
+    the delta on g itself when nothing (with positive weight) applies."""
+    (_, entries), = _step("pbrs", g, rule_dispatch(rules))
+    return _distribution(g, entries)
+
+
+def next_rates(g: Bigraph, rules) -> dict:
+    """Aggregate exit rates from g as key -> (state, rate); zero-rate
+    targets are omitted and the map may be empty (CTMC terminal state)."""
+    return _masses(
+        e for _, es in _step("sbrs", g, rule_dispatch(rules)) for e in es
+    )
+
+
+def action_step(g: Bigraph, actions) -> list:
+    """One (action, distribution) entry per applicable action, in name
+    order, normalized within the action; empty when no action applies."""
+    choices = _step("abrs", g, rule_dispatch(actions=actions), actions)
+    return [(a, _distribution(g, es))
+            for a, es in sorted(choices, key=lambda c: c[0].name)]
+
+
+def key_index(ts) -> dict:
+    """Canonical key -> state number of a built system."""
+    return {key: i for i, (key, _) in enumerate(ts.states)}
+
+
+def embedded_chain(ts) -> list[dict]:
+    """Jump-chain rows of a CTMC: each row divided by its exit rate;
+    rate-0 states become absorbing self-loops."""
+    assert ts.kind == "sbrs"
+    out = []
+    for i, row in enumerate(ts.rows):
+        for _, rates in row or [(None, {i: Fraction(1)})]:
+            total = sum(rates.values(), Fraction(0))
+            out.append({j: r / total for j, r in rates.items()})
+    return out
+
+
+def reference_closure(spec, max_states: int = 1_000_000) -> TransitionSystem:
+    """`bigrs.build_transition_system` as a plain breadth-first search over
+    canonical keys through `reference_step` and `reference_labels`.  Each
+    level is numbered in key order.  At the cap the first states of the
+    last level are kept unexpanded.  A row that is unexpanded or leads past
+    the cap becomes terminal (the delta for a pbrs).  A cut system comes
+    back with `complete` False instead of being raised."""
+    init = lean(spec.initial)
+    states = [(canonical_key(init), init)]
+    index = {states[0][0]: 0}
+    key_rows: list = []  # per expanded state: (action name, {key: mass})
+    complete = True
+    level = [0]
+    while level and complete:
+        found: dict = {}
+        for i in level:
+            key, g = states[i]
+            row = []
+            for action, es in reference_step(spec.kind, g, spec.rules, spec.actions):
+                for _, k, b, _ in es:
+                    if k not in index:
+                        found.setdefault(k, b)
+                if spec.kind == "brs":
+                    entries = dict.fromkeys(sorted({e[1] for e in es}), 1)
+                elif spec.kind == "sbrs":
+                    entries = {k: m for k, (_, m) in _masses(es).items()}
+                else:
+                    masses = {k: m for k, (_, m) in _masses(es).items()}
+                    total = sum(masses.values())
+                    entries = ({k: m / total for k, m in masses.items()}
+                               if total else {key: Fraction(1)})
+                row.append((action and action.name, entries))
+            key_rows.append(row)
+        level = []
+        for k in sorted(found):
+            if len(states) == max_states:
+                complete = False
+                break
+            index[k] = len(states)
+            states.append((k, found[k]))
+            level.append(index[k])
+    rows = []
+    for i, (key, _) in enumerate(states):
+        row = key_rows[i] if i < len(key_rows) else None
+        if row is None or any(k not in index for _, es in row for k in es):
+            row = [(None, {key: Fraction(1)})] if spec.kind == "pbrs" else []
+        rows.append([(a, {index[k]: m for k, m in es.items()}) for a, es in row])
+    marks = [reference_labels(g, spec.predicates) for _, g in states]
+    reward_of = {a.name: a.reward for a in spec.actions}
+    return TransitionSystem(
+        spec.kind, states, rows,
+        labels=[ls for ls, _ in marks],
+        label_names=tuple(p.name for p in spec.predicates),
+        state_reward=[r for _, r in marks],
+        action_reward=[{a: reward_of[a] for a, _ in row if a in reward_of}
+                       for row in rows],
+        complete=complete,
+    )
 
 
 # ---------------------------------------------------------------------------

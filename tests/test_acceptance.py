@@ -17,10 +17,15 @@ from bigrs.bigraph import lean
 from bigrs.canon import canonical_key
 from bigrs.language import elaborate, load_model, parse
 from bigrs.matching import occurrences
-from bigrs.system import build_transition_system, next_distribution
+from bigrs.system import build_transition_system
 
 from genutil import plant, random_ground, random_solid
-from oracles import brute_occurrence_count, brute_support_equivalent
+from oracles import (
+    brute_occurrence_count,
+    brute_support_equivalent,
+    key_index,
+    next_distribution,
+)
 
 PROPERTY_SEEDS = (11, 23, 47)
 
@@ -262,7 +267,7 @@ def test_criterion_7_semantics_invariants(models_dir, seed):
 
     # the PBRS-is-DTMC property: builder rows equal per-state normalization
     spec = load_model(models_dir / "wsn.big")
-    index = base.key_index()
+    index = key_index(base)
     lemma1 = all(
         base.rows[i] == [(None, {
             index[k]: p
@@ -284,7 +289,7 @@ def test_criterion_7_semantics_invariants(models_dir, seed):
     # the ABRS-is-MDP property: fixing actions reproduces each MDP row
     mdp_spec = load_model(models_dir / "send_mdp.big")
     mdp_ts = build_transition_system(mdp_spec)
-    midx = mdp_ts.key_index()
+    midx = key_index(mdp_ts)
     lemma2 = True
     actions = {a.name: a for a in mdp_spec.actions}
     for i, row in enumerate(mdp_ts.rows):

@@ -10,6 +10,7 @@ from genutil import random_mdp
 from oracles import (
     brute_mdp_bounded_reach,
     brute_mdp_expected_cost,
+    embedded_chain,
     exact_bounded_reach,
 )
 
@@ -19,7 +20,6 @@ from bigrs.analysis import (
     ctmc_reach,
     dtmc_bounded_reach,
     dtmc_reach,
-    embedded_chain,
     mdp_bounded_reach,
     mdp_expected_cost,
     parse_query,

@@ -6,7 +6,10 @@ import re
 
 import pytest
 
+from bigrs.bigraph import BigraphError
 from bigrs.cli import main
+from bigrs.language import elaborate, parse, tokenize
+from bigrs.system import StateCapError, build_transition_system
 
 
 def test_validate_ok(models_dir, capsys):
@@ -239,3 +242,66 @@ def test_validate_deep_definition_chain_exits_1_with_location(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: 1002:1: ") and "nested too deeply" in captured.err
+
+
+def _mutants(models_dir, count: int, seed: int):
+    """`count` sources, each one shipped model with one token deleted,
+    duplicated, swapped with the next, replaced by any token of the
+    models, or (a name or number) replaced by a name or number of the
+    models.  The tokens keep their lines; a line's tokens are joined by
+    spaces."""
+    rng = random.Random(seed)
+    tokens = [tokenize(p.read_text())[:-1] for p in sorted(models_dir.glob("*.big"))]
+
+    def kind(t):
+        return t.kind if t.kind in ("name", "num") else None
+
+    vocab = sorted({(t.text, kind(t)) for ts in tokens for t in ts})
+    ops = ("delete", "duplicate", "swap", "any", "alike")
+    for n in range(count):
+        toks = [[t.line, t.text, kind(t)] for t in tokens[n % len(tokens)]]
+        op = ops[n // len(tokens) % len(ops)]
+        i = rng.randrange(len(toks) - 1)
+        if op == "delete":
+            del toks[i]
+        elif op == "duplicate":
+            toks.insert(i, list(toks[i]))
+        elif op == "swap":
+            toks[i][1:], toks[i + 1][1:] = toks[i + 1][1:], toks[i][1:]
+        elif op == "any":
+            toks[i][1:] = rng.choice(vocab)
+        else:
+            i = rng.choice([j for j, t in enumerate(toks) if t[2]])
+            toks[i][1] = rng.choice([text for text, k in vocab if k == toks[i][2]])
+        lines: dict = {}
+        for line, text, _ in toks:
+            lines.setdefault(line, []).append(text)
+        rows = range(1, max(lines) + 1)
+        yield op, "\n".join(" ".join(lines.get(k, ())) for k in rows)
+
+
+def test_mutated_models_build_or_fail_with_a_located_diagnostic(
+    models_dir, tmp_path, capsys
+):
+    # a seeded mutation run over the shipped models: each mutant loads and
+    # builds (to at most 30 states), or is a located diagnostic that
+    # `bigrs validate` reports with exit code 1 and no traceback
+    seen = {"built": 0, "failed": 0}
+    path = tmp_path / "mutant.big"
+    for n, (op, source) in enumerate(_mutants(models_dir, 150, seed=2024)):
+        try:
+            spec = elaborate(parse(source))
+        except BigraphError as err:
+            assert re.match(r"\d+:\d+: ", str(err)), (n, op, str(err))
+            path.write_text(source)
+            capsys.readouterr()
+            assert main(["validate", str(path)]) == 1, (n, op)
+            assert capsys.readouterr() == ("", f"error: {err}\n"), (n, op)
+            seen["failed"] += 1
+            continue
+        try:
+            build_transition_system(spec, max_states=30)
+        except StateCapError:
+            pass
+        seen["built"] += 1
+    assert seen["built"] and seen["failed"], seen

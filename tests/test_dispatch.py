@@ -27,11 +27,10 @@ from bigrs.system import (
     ActionDecl,
     PredicateDecl,
     StateCapError,
-    TransitionSystem,
     WeightedRule,
     _step,
     build_transition_system,
-    label_and_reward,
+    labeller,
     rule_dispatch,
 )
 
@@ -57,10 +56,9 @@ def _view(choices):
 
 
 def _labels(states, predicates):
-    """The labels and state reward `label_and_reward` gives each state."""
-    ts = TransitionSystem("brs", [(None, g) for g in states], [[] for _ in states])
-    ts = label_and_reward(ts, predicates)
-    return list(zip(ts.labels, ts.state_reward))
+    """The labels and state reward `labeller` gives each state."""
+    label = labeller(predicates)
+    return [label(g) for g in states]
 
 
 # ---------------------------------------------------------------------------

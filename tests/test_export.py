@@ -21,7 +21,7 @@ from bigrs.export import (
     system_to_json,
 )
 from bigrs.language import elaborate, load_model, parse
-from bigrs import walk
+from bigrs import system
 from bigrs.walk import simulate
 from bigrs.system import TransitionSystem, build_transition_system
 
@@ -514,11 +514,11 @@ def test_sim_expands_each_state_once(models_dir, model, monkeypatch):
     start = _digest(build_transition_system(spec).states[0][0])
     calls = []
 
-    def counting_step(kind, g, *args, _step=walk._step):
+    def counting_step(kind, g, *args, _step=system._step):
         calls.append(_digest(canonical_key(g)))
         return _step(kind, g, *args)
 
-    monkeypatch.setattr(walk, "_step", counting_step)
+    monkeypatch.setattr(system, "_step", counting_step)
     budget = 200
     expansions = steps_from = 0
     for seed in range(1, 6):

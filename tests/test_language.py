@@ -90,6 +90,21 @@ def test_parse_error_carries_position():
     assert err.value.col >= 9
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("fun int k = 1;", "1:5: expected 'ctrl', 'big' or 'react', found 'int'"),
+        ("ctrl A = 0;\n  fun float w = 1.0;",
+         "2:7: expected 'ctrl', 'big' or 'react', found 'float'"),
+        ("ctrl A = 0;\nfun", "2:4: expected 'ctrl', 'big' or 'react', found 'end of input'"),
+    ],
+)
+def test_fun_names_every_kind_it_takes(src, message):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == message
+
+
 def test_unknown_reference_and_duplicates():
     with pytest.raises(ElabError, match="unknown"):
         elaborate(parse("big b = Z.(1);\nbegin pbrs init = b; rules = [r]; end"))

@@ -37,7 +37,7 @@ from bigrs.matching import (
     occurrences,
     rewrite,
 )
-from bigrs.system import StateCapError, build_transition_system, next_rates
+from bigrs.system import StateCapError, build_transition_system
 
 from genutil import (
     SIG,
@@ -54,6 +54,7 @@ from oracles import (
     brute_occurrence_count,
     decompose,
     full_refine,
+    next_rates,
     partition,
     quotient_occurrences,
     twin_cell,

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from bigrs.bigraph import ControlDecl, close_name, ion, merge_parallel
+from bigrs.bigraph import ControlDecl, close_name, ion, merge_parallel, to_json
 from bigrs.canon import canonical_key
+from bigrs.language import load_model
 from bigrs.export import (
     render_dot,
     render_lab,
@@ -23,11 +24,15 @@ from bigrs.system import (
     SystemSpec,
     TransitionSystem,
     WeightedRule,
-    action_step,
     build_transition_system,
-    label_and_reward,
+)
+
+from oracles import (
+    action_step,
+    key_index,
     next_distribution,
     next_rates,
+    reference_closure,
 )
 
 SIG = {
@@ -213,7 +218,7 @@ def test_pbrs_rows_equal_per_state_distributions():
     # the built DTMC row at every state equals next_distribution recomputed
     fail, recover = rules(2, 1)
     ts = build_wsn()
-    index = ts.key_index()
+    index = key_index(ts)
     for i, (key, g) in enumerate(ts.states):
         recomputed = {
             index[k]: p for k, (_, p) in next_distribution(g, [fail, recover]).items()
@@ -269,7 +274,7 @@ def test_abrs_build_and_lemma2_fixed_policy():
         per_action = dict(row)
         for action in (a_fail, a_fix):
             if action.name in per_action:
-                index = ts.key_index()
+                index = key_index(ts)
                 want = {
                     index[k]: p
                     for k, (_, p) in next_distribution(g, action.rules).items()
@@ -364,10 +369,6 @@ def test_label_and_reward():
     assert ts.state_reward[0] == 2
     assert ts.state_reward[3] == 7
     assert ts.label_names == ("all_failed", "some_ok")
-    # relabelling with no predicates zeroes everything
-    bare = label_and_reward(ts, ())
-    assert all(not ls for ls in bare.labels)
-    assert all(r == 0 for r in bare.state_reward)
 
 
 def test_kind_validation():
@@ -395,3 +396,59 @@ def test_build_determinism_same_indexing():
     b = build_wsn()
     assert [k for k, _ in a.states] == [k for k, _ in b.states]
     assert a.rows == b.rows
+
+
+# ---------------------------------------------------------------------------
+# the closure against a plain key-indexed search, at every cap
+# ---------------------------------------------------------------------------
+
+
+def _closure(spec, cap):
+    try:
+        return build_transition_system(spec, max_states=cap)
+    except StateCapError as err:
+        return err.partial
+
+
+def _sensor_spec(kind):
+    fail, recover = rules()
+    actions = (
+        (ActionDecl("a_fail", (fail,), Fraction(3)), ActionDecl("a_fix", (recover,)))
+        if kind == "abrs" else ()
+    )
+    some_ok = PredicateDecl("some_ok", recover.reactum, Fraction(2))
+    return SystemSpec(
+        kind, SIG, sensors(3, 0), (fail, recover), actions, (some_ok,)
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["wsn", "send_mdp", "mobile_sink", "virus", *KINDS]
+)
+def test_closure_matches_reference_at_every_cap(models_dir, name):
+    # every cap up to the whole system; on virus, whose first six BFS
+    # levels hold 1, 1, 2, 3, 6 and 9 states, every cap within the first
+    # five levels, one inside the sixth and the one at its end
+    if name in KINDS:
+        spec = _sensor_spec(name)
+    else:
+        spec = load_model(models_dir / f"{name}.big")
+    if name == "virus":
+        caps = [*range(1, 14), 17, 22]
+    else:
+        caps = range(1, reference_closure(spec).n_states + 1)
+    for cap in caps:
+        ts, ref = _closure(spec, cap), reference_closure(spec, cap)
+        assert [k for k, _ in ts.states] == [k for k, _ in ref.states], cap
+        assert [to_json(b) for _, b in ts.states] == [
+            to_json(b) for _, b in ref.states
+        ], cap
+        # entry order too, which a brs row keeps
+        assert [[(a, list(es.items())) for a, es in row] for row in ts.rows] == [
+            [(a, list(es.items())) for a, es in row] for row in ref.rows
+        ], cap
+        assert (ts.labels, ts.label_names) == (ref.labels, ref.label_names), cap
+        assert ts.state_reward == ref.state_reward, cap
+        assert ts.action_reward == ref.action_reward, cap
+        assert ts.complete == ref.complete, cap
+    assert ts.complete == (name != "virus")
