@@ -167,7 +167,7 @@ class Bigraph:
         "_children",
         "_port_link",
         "_by_control",
-        "_twins",
+        "_form",
         "_plan",
     )
 
@@ -182,7 +182,14 @@ class Bigraph:
         outer: Interface,
     ):
         self.signature = dict(signature)
-        self.nodes = {v: (c, _norm_params(ps)) for v, (c, ps) in nodes.items()}
+        norm: dict = {}  # each distinct (control, params) normalised once
+        self.nodes = {}
+        for v, node in nodes.items():
+            if node not in norm:
+                c, ps = node
+                params = _norm_params(ps)
+                norm[node] = node if params is ps else (c, params)
+            self.nodes[v] = norm[node]
         self.parent = dict(parent)
         self.site_parent = dict(site_parent)
         self.links = dict(links)
@@ -191,7 +198,7 @@ class Bigraph:
         self._children: Optional[dict] = None
         self._port_link: Optional[dict] = None
         self._by_control: Optional[dict] = None
-        self._twins: Optional[dict] = None  # canon.twin_classes, memoised
+        self._form = None  # canon's flat form, memoised
         self._plan = None  # matching's search plan, memoised
         self._validate()
 
@@ -238,7 +245,7 @@ class Bigraph:
 
     def forget_indexes(self) -> None:
         """Drop the memoised indexes; each is rebuilt on its next use."""
-        self._children = self._port_link = self._by_control = self._twins = None
+        self._children = self._port_link = self._by_control = self._form = None
 
     def is_ground(self) -> bool:
         return self.inner.width == 0 and not self.inner.names

@@ -5,6 +5,15 @@ states get the same key exactly when they are lean-support equivalent
 (equal after renaming nodes and closed edges and dropping idle edges).
 Region indices and outer names are interface and stay fixed.
 
+Every state is keyed through its flat form, `Form`: integer arrays over
+the node indices (ids ascending) that keep the concrete ids.  A form is
+made from a `Bigraph` by `form_of` (initial states, patterns, tests) or,
+for every rewrite result, by `matching`'s splice straight from the host's
+form, so most results are keyed and dropped without ever being a
+`Bigraph`.  `canonical_key` accepts either and gives the same bytes.
+`Form.bigraph` builds and validates the `Bigraph` of a state that is
+used: labelled, expanded or exported (`system.StateStore`).
+
 The key is the lexicographically minimal encoding over the leaves of an
 individualisation-refinement search tree.  Each tree node holds colours
 of the nodes and closed edges, stable under mutual refinement: a node's
@@ -49,8 +58,8 @@ sibling entities (the common shape in counter-style models) linear
 instead of factorial.  Leaves with different parents are not twins:
 reordering them moves them between parents, so they are branched on like
 any other cell.  `twin_classes` finds the classes of a whole state in one
-pass and memoises them on it; `matching.apply_rule_all` also uses them,
-to rewrite one occurrence per orbit.
+pass over its form and memoises them there; `matching.apply_rule_all`
+also uses them, to rewrite one occurrence per orbit.
 
 The search prunes by automorphisms (McKay & Piperno, "Practical graph
 isomorphism, II", J. Symb. Comput. 2014).  When two leaves encode
@@ -71,59 +80,159 @@ ring length.
 
 from __future__ import annotations
 
-from .bigraph import Bigraph, Edge, NotGroundError, REGION, number_text
+from itertools import chain
+
+from .bigraph import (
+    Bigraph,
+    Edge,
+    Interface,
+    Link,
+    NODE,
+    NotGroundError,
+    REGION,
+    ShapeError,
+    number_text,
+)
 
 
-class _Skeleton:
-    """Index-based view of a ground bigraph without its idle edges, fixed
-    across branches.
+class Form:
+    """The flat form of a state: index-based, without idle edges, keeping
+    the concrete ids.
 
-    Node i is `ids[i]`.  Parents and ports are integer codes, which
-    `_encode` writes as tokens: `up[i]` is the parent's index, or -1 - r
-    for region r, and `port_codes[i][pos]` is the index of the port's edge,
-    or ne + r for the r-th outer name."""
+    Node i is `ids[i]`, ids ascending, with concrete control `controls[i]`
+    and key token `ctrl[i]`.  Edge e is `edges[e]`, idents ascending.
+    `up[i]` is the parent's index, or -1 - r for region r.  Link code e is
+    edge e and ne + r the r-th outer name (`outer_names` is sorted):
+    `port_codes[i][pos]` is the code of the port's link, and `edge_ports[e]`
+    and `name_ports[r]` hold each link's (node index, position) ports.
+    `places[i]` and `links[code]` are the `Bigraph` place of node i and
+    `Link` of a link when one is known with these ids (the source's, or a
+    host's that a splice left unchanged), else None, so that the states
+    built from forms share them.
+    `idle_edge` is the largest ident of an idle edge of the source, -1 if
+    it has none (a lean state), since it still bounds a splice's new edge
+    ids.
 
-    def __init__(self, b: Bigraph):
-        self.state = b  # for `twin_classes`, memoised on it
-        node_ids = self.ids = sorted(b.nodes)
-        idx = {v: i for i, v in enumerate(node_ids)}
-        edge_keys = sorted(
-            (k for k, link in b.links.items() if isinstance(k, Edge) and link.ports),
-            key=lambda e: e.ident,
-        )
-        n = self.n = len(node_ids)
-        ne = self.ne = len(edge_keys)
-        self.ctrl: list = []
-        self.children: list[list[int]] = [[] for _ in range(n)]
-        self.up: list[int] = []
-        self.port_codes: list[list[int]] = []
-        tokens: dict = {}
-        for i, v in enumerate(node_ids):
-            c = b.nodes[v]
-            if c not in tokens:
-                tokens[c] = (c[0], tuple(map(number_text, c[1])))
-            self.ctrl.append(tokens[c])
-            kind, at = b.parent[v]
-            if kind == REGION:
-                self.up.append(-1 - at)
+    A form is made from a `Bigraph` by `form_of`, or by splicing a match
+    into the host's form (`matching._splice`).  Either way the constructor
+    is the splice's totality guard: every port slot is filled by exactly
+    one link and every parent index is in range, else `ShapeError`.  The
+    form keys the state (`canonical_key`) and gives its twin classes;
+    `bigraph` builds the validated `Bigraph` of a state that is used."""
+
+    __slots__ = (
+        "signature", "outer", "ids", "controls", "ctrl", "up", "children",
+        "port_codes", "edges", "edge_ports", "name_ports", "places",
+        "links", "outer_names", "n", "ne", "port_span", "width", "idle_edge",
+        "twins", "_index",
+    )
+
+    def __init__(self, signature: dict, outer, ids: list, controls: list,
+                 ctrl: list, up: list, edges: list, edge_ports: list,
+                 name_ports: list, places: list | None = None,
+                 links: list | None = None, idle_edge: int = -1):
+        self.signature = signature
+        self.outer = outer
+        self.ids = ids
+        self.controls = controls
+        self.ctrl = ctrl
+        self.up = up
+        self.edges = edges
+        self.edge_ports = edge_ports
+        self.name_ports = name_ports
+        self.places = places or [None] * len(ids)
+        self.links = links or [None] * (len(edges) + len(name_ports))
+        self.idle_edge = idle_edge
+        n = self.n = len(ids)
+        self.ne = len(edges)
+        width = self.width = outer.width
+        self.outer_names = tuple(sorted(outer.names))
+        self.twins = self._index = None
+        children: list = [()] * n  # a leaf's is shared, for memory
+        for i, u in enumerate(up):
+            if not -width <= u < n:
+                raise ShapeError(f"node {ids[i]}: parent out of range")
+            if u < 0:
+                continue
+            if children[u]:
+                children[u].append(i)
             else:
-                self.up.append(idx[at])
-                self.children[idx[at]].append(i)
-            self.port_codes.append([0] * b.signature[c[0]].arity)
-        self.edge_ports: list[list] = []
-        self.node_edges: list[list[int]] = [[] for _ in range(n)]
-        for e, k in enumerate(edge_keys):
-            eps = sorted((idx[v], pos) for v, pos in b.links[k].ports)
-            self.edge_ports.append(eps)
-            for i, pos in eps:
-                self.port_codes[i][pos] = e
-                self.node_edges[i].append(e)
-        self.outer_names = tuple(sorted(b.outer.names))
-        for r, y in enumerate(self.outer_names):
-            for v, pos in b.links[y].ports:
-                self.port_codes[idx[v]][pos] = ne + r
-        self.port_span = max(map(len, self.port_codes), default=0) or 1
-        self.width = b.outer.width
+                children[u] = [i]
+        self.children = children
+        codes = self.port_codes = [
+            [-1] * a if a else () for a in (signature[c[0]].arity for c in controls)
+        ]
+        for code, ports in enumerate(chain(edge_ports, name_ports)):
+            for i, pos in ports:
+                row = codes[i]
+                if not 0 <= pos < len(row):
+                    raise ShapeError(f"port ({ids[i]}, {pos}) does not exist")
+                if row[pos] != -1:
+                    raise ShapeError(f"port ({ids[i]}, {pos}) is filled twice")
+                row[pos] = code
+        if any(-1 in row for row in codes):
+            raise ShapeError("a port lies on no link")
+        self.port_span = max(map(len, codes), default=0) or 1
+
+    def index(self) -> dict:
+        """Node id -> index, built on first use."""
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self.ids)}
+        return self._index
+
+    def bigraph(self) -> Bigraph:
+        """The state as a validated `Bigraph` with these ids, holding this
+        form until `Bigraph.forget_indexes`.  Its places and links become
+        the form's, so the splices from it share those they leave unchanged."""
+        ids, places, links = self.ids, self.places, self.links
+        for i, u in enumerate(self.up):
+            if places[i] is None:
+                places[i] = (REGION, -1 - u) if u < 0 else (NODE, ids[u])
+        for code, ports in enumerate(chain(self.edge_ports, self.name_ports)):
+            if links[code] is None:
+                links[code] = Link(frozenset([(ids[i], pos) for i, pos in ports]))
+        b = Bigraph(
+            self.signature,
+            dict(zip(ids, self.controls)),
+            dict(zip(ids, places)),
+            {},
+            dict(zip([*self.edges, *self.outer_names], links)),
+            Interface(0),
+            self.outer,
+        )
+        b._form = self
+        return b
+
+
+def form_of(b: Bigraph) -> Form:
+    """The form of b (its sites and inner names left out), made on first
+    use and memoised on b."""
+    if b._form is not None:
+        return b._form
+    ids = sorted(b.nodes)
+    idx = {v: i for i, v in enumerate(ids)}
+    controls = [b.nodes[v] for v in ids]
+    tokens: dict = {}
+    for c in controls:
+        if c not in tokens:
+            tokens[c] = (c[0], tuple(map(number_text, c[1])))
+    places = [b.parent[v] for v in ids]
+    up = [-1 - at if kind == REGION else idx[at] for kind, at in places]
+    edges = sorted((k for k in b.links if isinstance(k, Edge)), key=lambda e: e.ident)
+    idle = [k.ident for k in edges if not b.links[k].ports]
+    if idle:
+        edges = [k for k in edges if b.links[k].ports]
+    links = [b.links[k] for k in [*edges, *sorted(b.outer.names)]]
+    form = b._form = Form(
+        b.signature, b.outer, ids, controls, [tokens[c] for c in controls], up,
+        edges,
+        [[(idx[v], pos) for v, pos in link.ports] for link in links[:len(edges)]],
+        [[(idx[v], pos) for v, pos in link.ports] for link in links[len(edges):]],
+        places,
+        links,
+        max(idle, default=-1),
+    )
+    return form
 
 
 def _starts(col: list) -> tuple[list[int], dict[int, list[int]]]:
@@ -172,7 +281,7 @@ def _resort(col: list[int], cells: dict, touched, sig) -> list[int]:
     return moved
 
 
-def _refine(sk: _Skeleton, ncol: list, ecol: list, ncells: dict, ecells: dict,
+def _refine(sk: Form, ncol: list, ecol: list, ncells: dict, ecells: dict,
             moved=None) -> None:
     """Refine node and edge colours, and their cells keyed by colour, in
     place to the stable mutual refinement.  `moved` lists the nodes whose
@@ -199,7 +308,7 @@ def _refine(sk: _Skeleton, ncol: list, ecol: list, ncells: dict, ecells: dict,
         if moved is None:
             etouch = list(ecells)
         else:
-            etouch = {ecol[e] for v in moved for e in sk.node_edges[v]}
+            etouch = {ecol[c] for v in moved for c in sk.port_codes[v] if c < ne}
         emoved = _resort(ecol, ecells, etouch, esig)
         if moved is None:
             ntouch = list(ncells)
@@ -212,35 +321,33 @@ def _refine(sk: _Skeleton, ncol: list, ecol: list, ncells: dict, ecells: dict,
             return
 
 
-def twin_classes(g: Bigraph) -> dict:
-    """Node id -> a representative of its twin class, in one pass over g.
+def twin_classes(g) -> dict:
+    """Node id -> a representative of its twin class, in one pass over the
+    form of g (a `Form` or a `Bigraph`).
 
     Twins are leaves of one concrete control and one parent whose ports,
     position by position, sit on the same link or each on a private
     single-port edge.  Every permutation of a class is an automorphism of
-    g.  A node with children is its own class.  Computed once per bigraph
-    and memoised on it."""
-    if g._twins is not None:
-        return g._twins
-    token: dict = {}
-    for key, link in g.links.items():
-        private = isinstance(key, Edge) and len(link.ports) == 1
-        for pt in link.ports:
-            token[pt] = None if private else key
-    holders = {p[1] for p in g.parent.values() if p[0] != REGION}
+    g.  A node with children is its own class.  Memoised on the form."""
+    form = g if isinstance(g, Form) else form_of(g)
+    if form.twins is not None:
+        return form.twins
+    ids, ne, eps, up = form.ids, form.ne, form.edge_ports, form.up
     rep: dict = {}
     first: dict = {}
-    for v, c in g.nodes.items():
-        if v in holders:
+    for i, v in enumerate(ids):
+        if form.children[i]:
             rep[v] = v
             continue
-        ports = tuple(token[v, i] for i in range(g.signature[c[0]].arity))
-        rep[v] = first.setdefault((c, g.parent[v], ports), v)
-    g._twins = rep
+        ports = tuple([
+            None if c < ne and len(eps[c]) == 1 else c for c in form.port_codes[i]
+        ])
+        rep[v] = ids[first.setdefault((form.ctrl[i], up[i], ports), i)]
+    form.twins = rep
     return rep
 
 
-def _encode(sk: _Skeleton, order: list[int]) -> tuple:
+def _encode(sk: Form, order: list[int]) -> tuple:
     ci = [0] * sk.n
     for rank, i in enumerate(order):
         ci[i] = rank
@@ -268,7 +375,7 @@ def _find(root: dict, v: int) -> int:
     return v
 
 
-def _search(sk: _Skeleton, col: tuple, top: int, moved, autos: list, probe=None):
+def _search(sk: Form, col: tuple, top: int, moved, autos: list, probe=None):
     """The minimal and the first leaf, each (encoding, node order), of the
     search subtree whose colouring `col` (node colours, edge colours, node
     cells and edge cells, keyed by colour) was last stable before `moved`
@@ -294,7 +401,7 @@ def _search(sk: _Skeleton, col: tuple, top: int, moved, autos: list, probe=None)
                         return None
             return leaf, leaf
         target = sorted(ncells[start])
-        twins = twin_classes(sk.state)
+        twins = twin_classes(sk)
         if len({twins[sk.ids[i]] for i in target}) > 1:
             break
         del ncells[start]
@@ -347,11 +454,15 @@ def _automorphism(order: list[int], image: list[int]) -> list[int]:
     return g
 
 
-def canonical_key(g: Bigraph) -> bytes:
-    """Deterministic key; equal keys iff lean-support equivalent states."""
-    if not g.is_ground():
+def canonical_key(g) -> bytes:
+    """Deterministic key of a ground state, given as a `Form` or a
+    `Bigraph`; equal keys iff lean-support equivalent states."""
+    if isinstance(g, Form):
+        sk = g
+    elif not g.is_ground():
         raise NotGroundError("canonical keys are defined on ground states")
-    sk = _Skeleton(g)
+    else:
+        sk = form_of(g)
     ncol, ncells = _starts(sk.ctrl)
     ecells = {0: list(range(sk.ne))} if sk.ne else {}
     best, _ = _search(sk, (ncol, [0] * sk.ne, ncells, ecells), sk.n, None, [])

@@ -38,41 +38,53 @@ candidate.  The step kernel and the labeller offer a state only its
 candidates (`system._step`, `system.labeller`).
 
 Rewriting at an occurrence replaces the redex image by the reactum over
-the same parameter: the result is ``lean(C . (R x id_X) . d)``.  `rewrite`
-splices it from the match in one pass (context copied, reactum added,
-parameter subtrees re-parented under the reactum's sites, ports relinked,
-idle edges dropped) and constructs and validates one `Bigraph`; the node
-and edge ids it assigns are the ones the composition formula assigns (see
-`rewrite`).
+the same parameter: the result is ``lean(C . (R x id_X) . d)``.  `_splice`
+writes it in one pass straight into the flat form that canon keys
+(`canon.Form`): context copied, reactum added, parameter subtrees
+re-parented under the reactum's sites, ports relinked, idle edges
+dropped.  The node and edge ids it assigns are the ones the composition
+formula assigns (see `rewrite`).  `apply_rule_all` splices and keys
+forms only; `rewrite` is the splice plus `Form.bigraph`.
+
+No result is validated as a `Bigraph` when it is made.  It passes instead
+the O(ports) totality guard of the `Form` constructor: every port slot
+is filled by exactly one link and every parent index is in range.  That
+is enough because a total form has a well-defined key, and the key
+writes out every node's control, parent and ports in the leaf order.  So
+a total form whose key equals the key of a validated state is isomorphic
+to it: the map between their leaf orders keeps controls, parents and
+the partition of ports into links.  Validity (a forest, atomic nodes
+without children, arities) is invariant under isomorphism, so that form
+is valid too.  A form with a new key becomes a `Bigraph`, and is
+validated, when the state store labels or expands it.
 
 `apply_rule_all` rewrites once per orbit of occurrences.  Leaves of one
 control under one parent whose ports sit on the same links, or on private
-edges, are twins (`canon.twin_classes`, computed once per state), and any
-permutation of twins is an automorphism of the state.  So two matches
-whose image nodes lie in the same twin classes, redex node by redex node,
-give isomorphic results: the first is rewritten and keyed, and the rest
-only add to its count.
-Results are still merged by key, and the result kept for a key is still
-that of its first match, because that match is the first of its orbit.
+edges, are twins (`canon.twin_classes`, computed once per state over its
+form), and any permutation of twins is an automorphism of the state.  So
+two matches whose image nodes lie in the same twin classes, redex node by
+redex node, give isomorphic results: the first is rewritten and keyed,
+and the rest only add to its count.  Results are still merged by key,
+and the result kept for a key is still that of its first match, because
+that match is the first of its orbit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bigraph import (
     Bigraph,
     BigraphError,
     Edge,
-    Interface,
-    Link,
     NODE,
     NotGroundError,
     REGION,
     require_solid,
 )
-from .canon import canonical_key, twin_classes
+from .canon import Form, canonical_key, form_of, twin_classes
 
 
 class MatchError(BigraphError):
@@ -443,106 +455,136 @@ class Dispatch:
 
 @dataclass
 class RewriteOutcome:
-    """One abstract result of applying a rule everywhere it occurs."""
+    """One abstract result of applying a rule everywhere it occurs: the
+    form of its first result, the occurrence count and the key."""
 
-    result: Bigraph
+    form: Form
     count: int
     key: bytes
+
+    @cached_property
+    def result(self) -> Bigraph:
+        """The result's `Bigraph`, built on first use."""
+        return self.form.bigraph()
 
 
 def rewrite(g: Bigraph, rule, m: Match) -> Bigraph:
     """Replace the matched redex image by the reactum over the same
-    parameter (identity instantiation), splicing one lean result.
+    parameter (identity instantiation): the splice of the match into g's
+    form (`_splice`), built as a validated `Bigraph`.
 
     The result is ``lean(C . (R x id_X) . d)`` for the decomposition
-    ``g = C . (L x id_X) . d`` that the match induces, built in one pass
-    (`tests/oracles.algebraic_rewrite` builds it with the bigraph
-    operations instead, and the tests compare the two id for id): context nodes
-    keep their host ids, reactum node ``t`` becomes ``t + off`` with
-    ``off = 1 + max context node id``, and parameter node ``c`` becomes
-    ``c + off + 1 + reactum.max_node_id()``.  Host edges keep their ids
-    unless the redex consumed them, and reactum edge ``e`` becomes
-    ``e + 1 + max id of the unconsumed host edges``.  Exports write these
-    ids, so they must not change."""
+    ``g = C . (L x id_X) . d`` that the match induces, with the ids the
+    composition formula assigns (`tests/oracles.algebraic_rewrite` builds
+    it with the bigraph operations instead, and the tests compare the two
+    id for id): context nodes keep their host ids, reactum node ``t``
+    becomes ``t + off`` with ``off = 1 + max context node id``, and
+    parameter node ``c`` becomes ``c + off + 1 + reactum.max_node_id()``.
+    Host edges keep their ids unless the redex consumed them, and reactum
+    edge ``e`` becomes ``e + 1 + max id of the unconsumed host edges``.
+    Exports write these ids, so they must not change."""
     redex, reactum = _rule_pair(rule)
     if m.target is not g or m.redex is not redex:
         raise MatchError("stale match: it does not witness this state and rule")
     _check_rule_interfaces(redex, reactum)
-    images = set(m.node_map.values())
+    return _splice(form_of(g), redex, reactum, m).bigraph()
+
+
+def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
+    """The form of the result of rewriting the host g at match m, with
+    the ids `rewrite` states, built in one pass over the host's form and
+    the reactum's.  Ids ascend in the order context, reactum, parameter,
+    so the result's node order needs no sort."""
+    rf = form_of(reactum)
+    idx = host.index()
+    nmap = m.node_map
+    images = {idx[w] for w in nmap.values()}
     # the parameter: the unmapped children of each site's holder, with
     # everything below them
     site_of: dict = {}
     for s, (_, v) in redex.site_parent.items():  # solid: under a node
-        mapped = {m.node_map[c] for c in redex.children((NODE, v))}
-        for c in g.children((NODE, m.node_map[v])):
+        mapped = {idx[nmap[c]] for c in redex.children((NODE, v))}
+        for c in host.children[idx[nmap[v]]]:
             if c not in mapped:
                 site_of[c] = s
-    prm: set = set()
+    below: set = set()
     stack = list(site_of)
     while stack:
         c = stack.pop()
-        prm.add(c)
-        stack.extend(g.children((NODE, c)))
-    moved = images | prm
-    nodes = dict(g.nodes)  # the context: the host minus the moved nodes
-    parent = dict(g.parent)
-    for v in moved:
-        del nodes[v], parent[v]
-    off = max(nodes, default=-1) + 1
-    poff = off + reactum.max_node_id() + 1
+        below.add(c)
+        stack.extend(host.children[c])
+    moved = images | below
+    ctx = [i for i in range(host.n) if i not in moved]
+    prm = sorted(below)
+    hids, hup = host.ids, host.up
+    off = hids[ctx[-1]] + 1 if ctx else 0
+    poff = off + (rf.ids[-1] + 1 if rf.n else 0)
 
-    def place(p):  # a reactum place seen from the result
-        return (NODE, p[1] + off) if p[0] == NODE else m.region_place[p[1]]
+    # result indices: context, then reactum, then parameter; a moved
+    # node's stays out of range, so the guard catches a parent left on it
+    new = [-1 - host.width] * host.n
+    for j, i in enumerate(ctx):
+        new[i] = j
+    nc = len(ctx)
+    for j, i in enumerate(prm, nc + rf.n):
+        new[i] = j
+    places = [
+        new[idx[p[1]]] if p[0] == NODE else -1 - p[1] for p in m.region_place
+    ]
+    ridx = rf.index()
+    homes = [
+        nc + ridx[p[1]] if p[0] == NODE else places[p[1]]
+        for p in (reactum.site_parent[s] for s in range(reactum.inner.width))
+    ]
+    up = [hup[i] if hup[i] < 0 else new[hup[i]] for i in ctx]
+    up += [nc + u if u >= 0 else places[-1 - u] for u in rf.up]
+    up += [homes[site_of[c]] if c in site_of else new[hup[c]] for c in prm]
 
-    for t, p in reactum.parent.items():
-        nodes[t + off] = reactum.nodes[t]
-        parent[t + off] = place(p)
-    homes = [place(reactum.site_parent[s]) for s in range(reactum.inner.width)]
-    for c in prm:
-        nodes[c + poff] = g.nodes[c]
-        s = site_of.get(c)
-        parent[c + poff] = (
-            (NODE, g.parent[c][1] + poff) if s is None else homes[s]
-        )
-
-    # host links: drop the consumed edges, and move the ports of moved
-    # nodes (image ports go, parameter ports are renumbered)
+    # host links (by link code) lose the image ports and renumber the
+    # rest; a reactum name's ports join the host link that the redex name's
+    # ports sit on; a link no moved node touches keeps its `Link`; idle
+    # edges are left out
     consumed = {k for rk, k in m.link_map.items() if isinstance(rk, Edge)}
-    links = dict(g.links)
-    for key in consumed:
-        del links[key]
-    for key, link in links.items():
-        if not moved.isdisjoint([v for v, _ in link.ports]):
-            links[key] = Link(frozenset(
-                (v + poff if v in prm else v, i)
-                for v, i in link.ports
-                if v not in images
-            ))
-    eoff = 1 + max([k.ident for k in links if isinstance(k, Edge)], default=-1)
-    for key, link in reactum.links.items():
-        ports = frozenset((t + off, i) for t, i in link.ports)
-        if isinstance(key, Edge):
-            links[Edge(key.ident + eoff)] = Link(ports)
-        else:
-            home = m.link_map[key]
-            links[home] = Link(links[home].ports | ports)
-    # idle closed edges are left out, so the result is lean
-    links = {k: l for k, l in links.items() if l.ports or isinstance(k, str)}
-    return Bigraph(
-        {**g.signature, **reactum.signature},
-        nodes,
-        parent,
-        {},
-        links,
-        Interface(0),
-        g.outer,
+    eoff = 1 + max(
+        host.idle_edge,
+        next((e.ident for e in reversed(host.edges) if e not in consumed), -1),
+    )
+    old = host.edge_ports + host.name_ports
+    ports = [[(new[i], pos) for i, pos in eps if i not in images] for eps in old]
+    links = [
+        None if any(i in moved for i, _ in eps) else link
+        for eps, link in zip(old, host.links)
+    ]
+    for y, ps in zip(rf.outer_names, rf.name_ports):
+        if ps:
+            v, pos = next(iter(redex.links[y].ports))  # solid: y has a port
+            code = host.port_codes[idx[nmap[v]]][pos]
+            ports[code].extend([(nc + t, p) for t, p in ps])
+            links[code] = None
+    keep = [e for e in range(host.ne) if ports[e]]
+    return Form(
+        {**host.signature, **reactum.signature},
+        host.outer,
+        [hids[i] for i in ctx] + [t + off for t in rf.ids]
+        + [hids[i] + poff for i in prm],
+        [host.controls[i] for i in ctx] + rf.controls
+        + [host.controls[i] for i in prm],
+        [host.ctrl[i] for i in ctx] + rf.ctrl + [host.ctrl[i] for i in prm],
+        up,
+        [host.edges[e] for e in keep] + [Edge(e.ident + eoff) for e in rf.edges],
+        [ports[e] for e in keep]
+        + [[(nc + t, pos) for t, pos in eps] for eps in rf.edge_ports],
+        ports[host.ne:],
+        [host.places[i] for i in ctx] + [None] * (rf.n + len(prm)),
+        [links[e] for e in keep] + [None] * rf.ne + links[host.ne:],
     )
 
 
 def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:
     """Rewrite at every occurrence and partition the results by
     support-equivalence; counts sum to the occurrence count and outcomes
-    come in canonical-key order.
+    come in canonical-key order.  Each result is spliced into g's form and
+    keyed as a form; no `Bigraph` is built here.
 
     Occurrences are grouped by orbit before rewriting: two matches whose
     image nodes, taken in redex node order, lie in the same twin classes
@@ -551,20 +593,22 @@ def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:
     and keyed; the others add to its count.  The kept result of a key is
     still that of its first match in occurrence order, which is the first
     member of its own orbit."""
-    redex, _ = _rule_pair(rule)
+    redex, reactum = _rule_pair(rule)
     matches = occurrences(redex, g)
     if not matches:
         return []
+    _check_rule_interfaces(redex, reactum)
+    host = form_of(g)
     # a single match needs no grouping (the loop below runs once)
-    twin = twin_classes(g) if len(matches) > 1 else None
+    twin = twin_classes(host) if len(matches) > 1 else None
     fixed = redex._plan.fixed  # compiled by `occurrences`
-    groups: dict = {}  # key -> [result of its first match, count]
+    groups: dict = {}  # key -> [form of its first match's result, count]
     orbit_key: dict = {}  # twin-class tuple -> key of the orbit
     for m in matches:
         orbit = tuple(twin[m.node_map[v]] for v in fixed) if twin else None
         key = orbit_key.get(orbit)
         if key is None:
-            res = rewrite(g, rule, m)
+            res = _splice(host, redex, reactum, m)
             key = orbit_key[orbit] = canonical_key(res)
             groups.setdefault(key, [res, 0])
         groups[key][1] += 1

@@ -15,11 +15,15 @@ export time.
 
 The closure and the simulator (`bigrs.walk`) keep their states in one
 `StateStore`: canonical key -> discovery number, and the first
-representative `Bigraph` seen for each number.  Expanding a state runs
-the step kernel `_step` on it and gives back choices over successor
-numbers, so no successor `Bigraph` leaves the store.  An expanded
-state's representative is then dropped (the walk) or kept for the
-exports, bare of the indexes memoised on it (the closure).
+representative seen for each number.  A successor arrives from `_step`
+as the flat form its rewrite spliced and keyed (`canon.Form`), and the
+store keeps the form of a new key and drops the rest.  A number gets its
+`Bigraph`, built from the form and validated once, the first time the
+closure labels or expands it, or when the walk expands it.  Expanding a
+state runs `_step` on that `Bigraph` and gives back choices over
+successor numbers.  Then the state's form is dropped, and so is its
+`Bigraph` in the walk; the closure keeps the `Bigraph` for the exports,
+bare of the indexes memoised on it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bigraph import Bigraph, BigraphError, lean, require_solid
-from .canon import canonical_key
+from .canon import Form, canonical_key
 from .matching import (
     Dispatch,
     apply_rule_all,
@@ -254,8 +258,8 @@ def _step(kind: str, g: Bigraph, rules: Dispatch, actions=()) -> list:
     """The choices at state g as (action or None, entries): one per
     applicable action of an abrs, in declaration order, and at most one
     for the other kinds.  An entry is (rule name, successor key,
-    successor, weight * occurrence count), in rule order and then key
-    order; weight-0 rules give none, and brs ignores weights.
+    successor's form, weight * occurrence count), in rule order and then
+    key order; weight-0 rules give none, and brs ignores weights.
 
     `rules` is the `rule_dispatch` of the system's rules, or of the
     actions' rules for an abrs.  It is asked once which rules g has the
@@ -282,7 +286,7 @@ def _step(kind: str, g: Bigraph, rules: Dispatch, actions=()) -> list:
             w = 1 if kind == "brs" else rule.weight
             if outs and w:
                 out.extend(
-                    (rule.name, o.key, o.result, w * o.count) for o in outs
+                    (rule.name, o.key, o.form, w * o.count) for o in outs
                 )
         return out
 
@@ -318,19 +322,28 @@ class StateStore:
         self.keep = keep
         self.number: dict = {}  # canonical key -> discovery number
         self.keys: list = []  # discovery number -> canonical key
-        self.reps: list = []  # discovery number -> Bigraph, or None
+        self.reps: list = []  # discovery number -> Form, Bigraph or None
 
-    def add(self, key: bytes, g: Bigraph) -> int:
+    def add(self, key: bytes, state) -> int:
+        """The number of the state with this key, a `Form` or a `Bigraph`,
+        kept as given if the key is new."""
         if key not in self.number:
             self.number[key] = len(self.keys)
             self.keys.append(key)
-            self.reps.append(g)
+            self.reps.append(state)
         return self.number[key]
+
+    def state(self, i: int) -> Bigraph:
+        """State i's representative, built from its form on first use."""
+        g = self.reps[i]
+        if isinstance(g, Form):
+            g = self.reps[i] = g.bigraph()
+        return g
 
     def expand(self, i: int) -> list:
         """State i's choices as (action or None, [(rule name, successor
         number, mass)]), in `_step`'s order."""
-        g = self.reps[i]
+        g = self.state(i)
         choices = _step(self.spec.kind, g, self.rules, self.spec.actions)
         if self.keep:
             g.forget_indexes()
@@ -371,7 +384,7 @@ def build_transition_system(
         seen = len(store.keys)
         for i in level:
             order.append(i)
-            marks.append(label(store.reps[i]))
+            marks.append(label(store.state(i)))
             if not truncated:
                 raw[i] = _row(spec.kind, i, store.expand(i), store.keys)
         level = sorted(range(seen, len(store.keys)), key=store.keys.__getitem__)

@@ -7,7 +7,7 @@ MDPs (for the analysis kernel).  Also the earlier canonical-form search,
 with a refinement that recomputes every signature each round and no
 automorphism pruning (for the worklist refinement and the pruned search);
 it has its own twin rule, written from the definition on the bigraph, and
-shares only the skeleton's numbering and the encoding with `bigrs.canon`.  And `apply_rule_all` as it was before orbit grouping,
+shares only the form's numbering and the encoding with `bigrs.canon`.  And `apply_rule_all` as it was before orbit grouping,
 which rewrites and keys every occurrence with the engine's own
 `occurrences`, `rewrite` and `canonical_key` (for the grouping), and
 `occurrences` as it was before the cover key, which quotients the
@@ -31,6 +31,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from typing import NamedTuple
 
 from bigrs.bigraph import (
     Bigraph,
@@ -46,7 +47,7 @@ from bigrs.bigraph import (
     lean,
     tensor,
 )
-from bigrs.canon import _Skeleton, _encode, canonical_key
+from bigrs.canon import Form, _encode, canonical_key, form_of
 from bigrs.language import (
     BAtom,
     BClose,
@@ -68,7 +69,6 @@ from bigrs.language import (
     Ref,
 )
 from bigrs.matching import (
-    RewriteOutcome,
     _Embedder,
     apply_rule_all,
     has_occurrence,
@@ -429,13 +429,13 @@ def twins(g: Bigraph, a: int, b: int) -> bool:
     return True
 
 
-def twin_cell(g: Bigraph, sk: _Skeleton, cell: list[int]) -> bool:
-    """Every member of a cell of skeleton indices is a twin of its first."""
+def twin_cell(g: Bigraph, sk: Form, cell: list[int]) -> bool:
+    """Every member of a cell of form indices is a twin of its first."""
     lead = sk.ids[cell[0]]
     return all(twins(g, lead, sk.ids[i]) for i in cell[1:])
 
 
-def _refine_tokens(g: Bigraph, sk: _Skeleton) -> tuple[list, list]:
+def _refine_tokens(g: Bigraph, sk: Form) -> tuple[list, list]:
     """Per node of `sk`, read from `g`: ('r', region) or the parent's
     index, and per port ('y', name) or the edge's index."""
     idx = {v: i for i, v in enumerate(sk.ids)}
@@ -454,7 +454,7 @@ def _refine_tokens(g: Bigraph, sk: _Skeleton) -> tuple[list, list]:
     return parents, ports
 
 
-def full_refine(g: Bigraph, sk: _Skeleton, ncol: list[int], ecol: list[int],
+def full_refine(g: Bigraph, sk: Form, ncol: list[int], ecol: list[int],
                 tokens=None):
     """Stable mutual refinement of node and edge colours of the lean ground
     bigraph `g`, viewed through `sk`, that recomputes every signature on
@@ -497,7 +497,7 @@ def partition(col: list) -> list[list[int]]:
     return [by[c] for c in sorted(by)]
 
 
-def unpruned_search(g: Bigraph, sk: _Skeleton, ncol: list[int], ecol: list[int],
+def unpruned_search(g: Bigraph, sk: Form, ncol: list[int], ecol: list[int],
                     tokens=None) -> tuple:
     """The minimal encoding over every leaf of the search tree of the lean
     ground bigraph `g`, viewed through `sk`, with the twin rule but
@@ -530,7 +530,7 @@ def unpruned_key(g: Bigraph) -> bytes:
     if not g.is_ground():
         raise NotGroundError("canonical keys are defined on ground states")
     g = lean(g)
-    sk = _Skeleton(g)
+    sk = form_of(g)
     init = {c: r for r, c in enumerate(sorted(set(sk.ctrl)))}
     ncol = [init[c] for c in sk.ctrl]
     return repr(unpruned_search(g, sk, ncol, [0] * sk.ne)).encode()
@@ -652,6 +652,15 @@ def algebraic_rewrite(g: Bigraph, rule, m) -> Bigraph:
     return lean(compose(ctx, mid))
 
 
+class Outcome(NamedTuple):
+    """An outcome of `ungrouped_apply_rule_all`, read like a
+    `bigrs.matching.RewriteOutcome`."""
+
+    result: Bigraph
+    count: int
+    key: bytes
+
+
 def ungrouped_apply_rule_all(g: Bigraph, rule) -> list:
     """`bigrs.matching.apply_rule_all` without orbit grouping: rewrite and
     key every occurrence, then merge the results by key."""
@@ -665,7 +674,7 @@ def ungrouped_apply_rule_all(g: Bigraph, rule) -> list:
         else:
             groups[key] = [res, 1]
     return [
-        RewriteOutcome(groups[k][0], groups[k][1], k) for k in sorted(groups)
+        Outcome(groups[k][0], groups[k][1], k) for k in sorted(groups)
     ]
 
 

@@ -186,17 +186,18 @@ def test_criterion_4_virus_trends(models_dir):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_5_budding_distribution(models_dir):
-    def distribution(spec):
-        ts = build_transition_system(spec)
+def test_criterion_5_budding_distribution(models_dir, budding_ts):
+    def distribution(ts):
         return [
             ctmc_reach(ts, f"particles({n})").value for n in range(41)
         ]
 
-    base = distribution(load_model(models_dir / "budding.big"))
+    base = distribution(budding_ts)
     total = sum(base)
     mean_rd1 = sum(n * p for n, p in enumerate(base))
-    fast = distribution(patched(models_dir / "budding.big", rd="2.0"))
+    fast = distribution(
+        build_transition_system(patched(models_dir / "budding.big", rd="2.0"))
+    )
     mean_rd2 = sum(n * p for n, p in enumerate(fast))
     report(
         "criterion 5 (budding population model)",

@@ -468,7 +468,7 @@ def _refine_cases(g):
     every result with the full refinement.  Returns the number of cells
     that are twins by the oracle's rule."""
     g = lean(g)
-    sk = canon._Skeleton(g)
+    sk = canon.form_of(g)
     ncol, ncells = canon._starts(sk.ctrl)
     col = (ncol, [0] * sk.ne, ncells, {0: list(range(sk.ne))} if sk.ne else {})
     init = {c: r for r, c in enumerate(sorted(set(sk.ctrl)))}
@@ -508,7 +508,7 @@ def test_refine_matches_full_refine(models_dir):
     assert twins >= 200
 
 
-def test_key_matches_unpruned_search(models_dir, wsn_ts, send_mdp_ts):
+def test_key_matches_unpruned_search(models_dir, wsn_ts, send_mdp_ts, virus_ts):
     rng = random.Random(29)
     outcomes = set()
     for _ in range(200):
@@ -521,9 +521,8 @@ def test_key_matches_unpruned_search(models_dir, wsn_ts, send_mdp_ts):
         outcomes.add(canonical_key(h) == key)
     assert outcomes == {True, False}
     # the builds key their states with the search under test
-    states = [g for ts in (wsn_ts, send_mdp_ts) for _, g in ts.states]
-    for name in ("mobile_sink", "virus"):
-        states += _model_states(models_dir / f"{name}.big")
+    states = [g for ts in (wsn_ts, send_mdp_ts, virus_ts) for _, g in ts.states]
+    states += _model_states(models_dir / "mobile_sink.big")
     states += _model_states(models_dir / "budding.big", 300)
     for g in states:
         assert canonical_key(g) == unpruned_key(g)

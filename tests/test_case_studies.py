@@ -195,8 +195,8 @@ def budding_hand_chain(cmax=50, pmax=20, rc=1, rd=1, re=Fraction(1, 4),
     return hand_ts("sbrs", rows, labels)
 
 
-def test_budding_engine_matches_hand_chain(models_dir):
-    engine = build_transition_system(load_model(models_dir / "budding.big"))
+def test_budding_engine_matches_hand_chain(budding_ts):
+    engine = budding_ts
     hand = budding_hand_chain()
     assert engine.n_states == hand.n_states
     assert len(list(engine.transitions())) == len(list(hand.transitions()))

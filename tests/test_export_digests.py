@@ -38,7 +38,13 @@ MODELS = {
     ]
 }
 DIGESTS = Path(__file__).resolve().parent / "data" / "export_digests.json"
-FIXTURES = {"wsn": "wsn_ts", "send_mdp": "send_mdp_ts"}  # see conftest
+FIXTURES = {  # the shared closures of conftest
+    "wsn": "wsn_ts",
+    "send_mdp": "send_mdp_ts",
+    "virus": "virus_ts",
+    "budding": "budding_ts",
+    "mobile_sink2": "sink2_ts",
+}
 MDPS = ("send_mdp", "mobile_sink")
 SEEDS = (1, 2, 3)
 STEPS = 300

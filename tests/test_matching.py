@@ -14,6 +14,7 @@ from bigrs.bigraph import (
     NODE,
     REGION,
     NotGroundError,
+    ShapeError,
     SolidityError,
     close_name,
     compose,
@@ -464,9 +465,12 @@ def test_witness_reconstruction_random():
 # ---------------------------------------------------------------------------
 
 
-def _states(path, max_states):
-    """The rules of a model and its first `max_states` stored states."""
+def _states(path, max_states, shared=None):
+    """The rules of a model and its first `max_states` stored states, or
+    all the states of `shared`, its closure."""
     spec = load_model(path)
+    if shared is not None:
+        return spec.rules, [g for _, g in shared.states]
     try:
         ts = build_transition_system(spec, max_states=max_states)
     except StateCapError as exc:
@@ -475,19 +479,26 @@ def _states(path, max_states):
 
 
 def _assert_splice_matches_algebra(g, rule, m):
-    res = rewrite(g, rule, m)
+    """The splice's form keys like the algebraic result, and the `Bigraph`
+    built from it equals that result id for id."""
+    redex, reactum = (rule.redex, rule.reactum) if hasattr(rule, "redex") else rule
     ref = algebraic_rewrite(g, rule, m)
+    form = matching._splice(canon.form_of(g), redex, reactum, m)
+    assert canonical_key(form) == canonical_key(ref)
+    res = form.bigraph()
     assert to_json(res) == to_json(ref)
     assert res.links.keys() == ref.links.keys()
 
 
-def test_splice_matches_algebra(models_dir):
-    sources = [(models_dir / f"{name}.big", 10**6)
-               for name in ("wsn", "send_mdp", "mobile_sink", "virus")]
-    sources.append((models_dir.parent / "bench/models/mobile_sink2.big", 10**6))
-    sources.append((models_dir / "budding.big", 40))  # the first BFS levels
-    for path, cap in sources:
-        rules, states = _states(path, cap)
+def test_splice_matches_algebra(models_dir, virus_ts, sink2_ts):
+    sources = [(models_dir / f"{name}.big", 10**6, None)
+               for name in ("wsn", "send_mdp", "mobile_sink")]
+    sources.append((models_dir / "virus.big", None, virus_ts))
+    sink2 = models_dir.parent / "bench/models/mobile_sink2.big"
+    sources.append((sink2, None, sink2_ts))
+    sources.append((models_dir / "budding.big", 40, None))  # the first BFS levels
+    for path, cap, shared in sources:
+        rules, states = _states(path, cap, shared)
         n = 0
         for g in states:
             for rule in rules:
@@ -514,6 +525,50 @@ def test_splice_matches_algebra(models_dir):
                 not reactum.links[x].ports for x in reactum.outer.names
             )
     assert min(seen.values()) >= 20, seen
+    # hosts with an idle edge, which the form leaves out but which still
+    # bounds the ids of the reactum's edges
+    idle = 0
+    while idle < 40:
+        redex = random_solid(rng, max_nodes=3)
+        target = random_ground(rng, max_nodes=7, allow_idle_edge=True)
+        if lean(target) is target:
+            continue
+        for m in occurrences(redex, target)[:2]:
+            reactum = random_reactum(rng, redex)
+            _assert_splice_matches_algebra(target, (redex, reactum), m)
+            idle += 1
+
+
+def _form_fields(form):
+    """The constructor arguments of a form, each list copied."""
+    return dict(
+        signature=form.signature, outer=form.outer, ids=list(form.ids),
+        controls=list(form.controls), ctrl=list(form.ctrl), up=list(form.up),
+        edges=list(form.edges),
+        edge_ports=[list(eps) for eps in form.edge_ports],
+        name_ports=[list(ps) for ps in form.name_ports],
+    )
+
+
+def test_corrupted_form_fails_the_totality_guard(wsn_ts):
+    g = wsn_ts.states[0][1]
+    fields = _form_fields(canon.form_of(g))
+    canon.Form(**fields)  # the copy itself is total
+
+    unfilled = _form_fields(canon.form_of(g))
+    unfilled["edge_ports"][0].pop()
+    with pytest.raises(ShapeError, match="no link"):
+        canon.Form(**unfilled)
+
+    twice = _form_fields(canon.form_of(g))
+    twice["edge_ports"][0].append(twice["edge_ports"][0][0])
+    with pytest.raises(ShapeError, match="filled twice"):
+        canon.Form(**twice)
+
+    stray = _form_fields(canon.form_of(g))
+    stray["up"][0] = len(stray["ids"])
+    with pytest.raises(ShapeError, match="parent out of range"):
+        canon.Form(**stray)
 
 
 def test_rewrite_constructs_one_lean_bigraph(models_dir, monkeypatch):
@@ -545,15 +600,17 @@ def test_rewrite_constructs_one_lean_bigraph(models_dir, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _model_corpus(models_dir):
+@pytest.fixture(scope="module")
+def model_corpus(models_dir, virus_ts, sink2_ts):
     """(model name, rules, states): every state of five models and the
     first 300 budding states."""
-    sources = [(models_dir / f"{name}.big", 10**6)
-               for name in ("wsn", "send_mdp", "mobile_sink", "virus")]
-    sources.append((models_dir.parent / "bench/models/mobile_sink2.big", 10**6))
-    sources.append((models_dir / "budding.big", 300))
-    return tuple((path.stem, *_states(path, cap)) for path, cap in sources)
+    sources = [(models_dir / f"{name}.big", 10**6, None)
+               for name in ("wsn", "send_mdp", "mobile_sink")]
+    sources.append((models_dir / "virus.big", None, virus_ts))
+    sink2 = models_dir.parent / "bench/models/mobile_sink2.big"
+    sources.append((sink2, None, sink2_ts))
+    sources.append((models_dir / "budding.big", 300, None))
+    return tuple((source[0].stem, *_states(*source)) for source in sources)
 
 
 @lru_cache(maxsize=None)
@@ -586,8 +643,8 @@ def test_grouping_matches_ungrouped_on_generated_states(monkeypatch):
     assert occ > 1000 and len(rewrites) < occ * 0.6, (len(rewrites), occ)
 
 
-def test_grouping_matches_ungrouped_on_model_states(models_dir):
-    for name, rules, states in _model_corpus(models_dir):
+def test_grouping_matches_ungrouped_on_model_states(model_corpus):
+    for name, rules, states in model_corpus:
         for g in states:
             for rule in rules:
                 assert _outcomes(apply_rule_all(g, rule)) == _outcomes(
@@ -635,7 +692,7 @@ def _check_twin_classes(g) -> int:
     # a cell of the stable colouring lies in one class exactly when its
     # members are twins by the oracle's rule
     b = lean(g)
-    sk = canon._Skeleton(b)
+    sk = canon.form_of(b)
     init = {c: r for r, c in enumerate(sorted(set(sk.ctrl)))}
     ncol, _ = full_refine(b, sk, [init[c] for c in sk.ctrl], [0] * sk.ne)
     rep = twin_classes(g)
@@ -646,9 +703,9 @@ def _check_twin_classes(g) -> int:
     return pairs
 
 
-def test_twin_classes_are_automorphic(models_dir):
+def test_twin_classes_are_automorphic(model_corpus):
     pairs = sum(_check_twin_classes(g) for g in _twin_corpus())
     assert pairs > 500, pairs
-    for name, _, states in _model_corpus(models_dir):
+    for name, _, states in model_corpus:
         pairs = sum(_check_twin_classes(g) for g in states)
         assert pairs > 1000 or name != "budding", pairs

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from bigrs.bigraph import ControlDecl, close_name, ion, merge_parallel, to_json
+from bigrs.bigraph import (
+    Bigraph,
+    ControlDecl,
+    close_name,
+    ion,
+    lean,
+    merge_parallel,
+    to_json,
+)
 from bigrs.canon import canonical_key
 from bigrs.language import load_model
 from bigrs.export import (
@@ -21,11 +29,13 @@ from bigrs.system import (
     PredicateDecl,
     StateCapError,
     SystemError_,
+    StateStore,
     SystemSpec,
     TransitionSystem,
     WeightedRule,
     build_transition_system,
 )
+from bigrs.walk import simulate
 
 from oracles import (
     action_step,
@@ -452,3 +462,46 @@ def test_closure_matches_reference_at_every_cap(models_dir, name):
         assert ts.action_reward == ref.action_reward, cap
         assert ts.complete == ref.complete, cap
     assert ts.complete == (name != "virus")
+
+
+def _count_constructions(monkeypatch) -> list:
+    """Record every `Bigraph.__init__` call from here on."""
+    calls: list = []
+    init = Bigraph.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Bigraph, "__init__", counted)
+    return calls
+
+
+def test_closure_builds_one_bigraph_per_kept_state(models_dir, monkeypatch):
+    # every other rewrite result is spliced and keyed as a form only
+    spec = load_model(models_dir / "virus.big")
+    calls = _count_constructions(monkeypatch)
+    lean(spec.initial)
+    by_lean = len(calls)
+    calls.clear()
+    ts = build_transition_system(spec)
+    assert len(calls) == ts.n_states - 1 + by_lean
+
+
+def test_walk_builds_one_bigraph_per_expanded_state(models_dir, monkeypatch):
+    spec = load_model(models_dir.parent / "bench/models/mobile_sink2.big")
+    expanded: list = []
+    expand = StateStore.expand
+
+    def recorded(self, i):
+        expanded.append(i)
+        return expand(self, i)
+
+    monkeypatch.setattr(StateStore, "expand", recorded)
+    calls = _count_constructions(monkeypatch)
+    lean(spec.initial)
+    by_lean = len(calls)
+    calls.clear()
+    trace = simulate(spec, 400, seed=5)
+    assert len(trace) == 400 and len(set(expanded)) == len(expanded) > 50
+    assert len(calls) == len(expanded) - 1 + by_lean
