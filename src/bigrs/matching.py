@@ -56,7 +56,12 @@ to it: the map between their leaf orders keeps controls, parents and
 the partition of ports into links.  Validity (a forest, atomic nodes
 without children, arities) is invariant under isomorphism, so that form
 is valid too.  A form with a new key becomes a `Bigraph`, and is
-validated, when the state store labels or expands it.
+validated, when the state store labels or expands it.  A closure labels
+every state it keeps, so each state it reports is validated.  A walk
+does not: a state it reaches but never expands, such as the last state
+of a trace, is reported by its key alone and never built.  Such a state
+rests on the guard, which checks neither that the parents form a forest
+nor that atomic nodes have no children.
 
 `apply_rule_all` rewrites once per orbit of occurrences.  Leaves of one
 control under one parent whose ports sit on the same links, or on private

@@ -19,9 +19,10 @@ representative seen for each number.  A successor arrives from `_step`
 as the flat form its rewrite spliced and keyed (`canon.Form`), and the
 store keeps the form of a new key and drops the rest.  A number gets its
 `Bigraph`, built from the form and validated once, the first time the
-closure labels or expands it, or when the walk expands it.  Expanding a
-state runs `_step` on that `Bigraph` and gives back choices over
-successor numbers.  Then the state's form is dropped, and so is its
+closure labels or expands it, or when the walk expands it.  So a walk's
+unexpanded states are keyed but never built or validated (see
+`bigrs.matching`).  Expanding a state runs `_step` on that `Bigraph` and
+gives back choices over successor numbers.  Then the state's form is dropped, and so is its
 `Bigraph` in the walk; the closure keeps the `Bigraph` for the exports,
 bare of the indexes memoised on it.
 """

@@ -465,12 +465,9 @@ def test_witness_reconstruction_random():
 # ---------------------------------------------------------------------------
 
 
-def _states(path, max_states, shared=None):
-    """The rules of a model and its first `max_states` stored states, or
-    all the states of `shared`, its closure."""
+def _states(path, max_states):
+    """The rules of a model and its first `max_states` stored states."""
     spec = load_model(path)
-    if shared is not None:
-        return spec.rules, [g for _, g in shared.states]
     try:
         ts = build_transition_system(spec, max_states=max_states)
     except StateCapError as exc:
@@ -490,22 +487,30 @@ def _assert_splice_matches_algebra(g, rule, m):
     assert res.links.keys() == ref.links.keys()
 
 
-def test_splice_matches_algebra(models_dir, virus_ts, sink2_ts):
-    sources = [(models_dir / f"{name}.big", 10**6, None)
-               for name in ("wsn", "send_mdp", "mobile_sink")]
-    sources.append((models_dir / "virus.big", None, virus_ts))
+def _corpus(models_dir, virus_ts, sink2_ts, budding_cap):
+    """(model name, rules, states): every state of five models, virus and
+    the two-sensor sink from their shared closures, and the first
+    `budding_cap` budding states."""
+    corpus = [(name, *_states(models_dir / f"{name}.big", 10**6))
+              for name in ("wsn", "send_mdp", "mobile_sink")]
     sink2 = models_dir.parent / "bench/models/mobile_sink2.big"
-    sources.append((sink2, None, sink2_ts))
-    sources.append((models_dir / "budding.big", 40, None))  # the first BFS levels
-    for path, cap, shared in sources:
-        rules, states = _states(path, cap, shared)
+    for path, ts in ((models_dir / "virus.big", virus_ts), (sink2, sink2_ts)):
+        corpus.append((path.stem, load_model(path).rules,
+                       [g for _, g in ts.states]))
+    corpus.append(("budding", *_states(models_dir / "budding.big", budding_cap)))
+    return tuple(corpus)
+
+
+def test_splice_matches_algebra(models_dir, virus_ts, sink2_ts):
+    # budding: the first BFS levels
+    for name, rules, states in _corpus(models_dir, virus_ts, sink2_ts, 40):
         n = 0
         for g in states:
             for rule in rules:
                 for m in occurrences(rule.redex, g):
                     _assert_splice_matches_algebra(g, rule, m)
                     n += 1
-        assert n >= len(states), path.name
+        assert n >= len(states), name
     # random planted pairs, with reactums that grow, shrink, close new
     # edges and leave outer names idle
     rng = random.Random(61)
@@ -602,15 +607,8 @@ def test_rewrite_constructs_one_lean_bigraph(models_dir, monkeypatch):
 
 @pytest.fixture(scope="module")
 def model_corpus(models_dir, virus_ts, sink2_ts):
-    """(model name, rules, states): every state of five models and the
-    first 300 budding states."""
-    sources = [(models_dir / f"{name}.big", 10**6, None)
-               for name in ("wsn", "send_mdp", "mobile_sink")]
-    sources.append((models_dir / "virus.big", None, virus_ts))
-    sink2 = models_dir.parent / "bench/models/mobile_sink2.big"
-    sources.append((sink2, None, sink2_ts))
-    sources.append((models_dir / "budding.big", 300, None))
-    return tuple((source[0].stem, *_states(*source)) for source in sources)
+    """`_corpus` with the first 300 budding states."""
+    return _corpus(models_dir, virus_ts, sink2_ts, 300)
 
 
 @lru_cache(maxsize=None)
@@ -624,23 +622,26 @@ def _outcomes(outs):
 
 
 def test_grouping_matches_ungrouped_on_generated_states(monkeypatch):
-    rewrites = []
-    plain = matching.rewrite
+    splices = []
+    plain = matching._splice
 
     def counted(*args):
-        rewrites.append(1)
+        splices.append(1)
         return plain(*args)
 
-    monkeypatch.setattr(matching, "rewrite", counted)
-    occ = 0
+    monkeypatch.setattr(matching, "_splice", counted)
+    occ = grouped = 0
     for g in _twin_corpus():
         for rule in twin_rules():
-            assert _outcomes(apply_rule_all(g, rule)) == _outcomes(
-                ungrouped_apply_rule_all(g, rule)
-            )
+            before = len(splices)
+            outs = apply_rule_all(g, rule)
+            grouped += len(splices) - before
+            assert _outcomes(outs) == _outcomes(ungrouped_apply_rule_all(g, rule))
             occ += len(occurrences(rule[0], g))
+    # the counter sees every splice: the oracle splices each occurrence
+    assert grouped and len(splices) == grouped + occ, (len(splices), grouped, occ)
     # the grouping is exercised: most occurrences are never rewritten
-    assert occ > 1000 and len(rewrites) < occ * 0.6, (len(rewrites), occ)
+    assert occ > 1000 and grouped < occ * 0.6, (grouped, occ)
 
 
 def test_grouping_matches_ungrouped_on_model_states(model_corpus):
