@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
@@ -143,7 +144,8 @@ class Bigraph:
 
     Parameters mirror the stored fields:
 
-    * ``signature`` -- mapping control name -> :class:`ControlDecl`
+    * ``signature`` -- mapping control name -> :class:`ControlDecl`, kept
+      as a read-only view; one given as such a view is shared, not copied
     * ``nodes`` -- mapping node id -> (control name, parameter tuple)
     * ``parent`` -- mapping node id -> place (its parent node or region)
     * ``site_parent`` -- mapping site index -> place
@@ -181,7 +183,10 @@ class Bigraph:
         inner: Interface,
         outer: Interface,
     ):
-        self.signature = dict(signature)
+        self.signature = (
+            signature if type(signature) is MappingProxyType
+            else MappingProxyType(dict(signature))
+        )
         norm: dict = {}  # each distinct (control, params) normalised once
         self.nodes = {}
         for v, node in nodes.items():
@@ -242,10 +247,6 @@ class Bigraph:
                 index.setdefault(self.nodes[v], []).append(v)
             self._by_control = index
         return self._by_control
-
-    def forget_indexes(self) -> None:
-        """Drop the memoised indexes; each is rebuilt on its next use."""
-        self._children = self._port_link = self._by_control = self._form = None
 
     def is_ground(self) -> bool:
         return self.inner.width == 0 and not self.inner.names
@@ -339,6 +340,13 @@ class Bigraph:
         outer_keys = {k for k in self.links if isinstance(k, str)}
         if outer_keys != set(self.outer.names):
             raise ShapeError("outer-name links do not match the outer interface")
+
+
+def merge_signatures(a: Mapping, b: Mapping) -> Mapping:
+    """The union of two signatures, b's declarations winning: a itself
+    when b adds nothing to it, so that the bigraphs of one model share one
+    signature."""
+    return a if b is a or b.items() <= a.items() else MappingProxyType({**a, **b})
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +458,7 @@ def _nest(node_big: Bigraph, child: Bigraph) -> Bigraph:
         else:
             links[key] = link
     return Bigraph(
-        {**node_big.signature, **child.signature},
+        merge_signatures(node_big.signature, child.signature),
         nodes,
         parent,
         site_parent,
@@ -543,7 +551,7 @@ def compose(outer_part: Bigraph, inner_part: Bigraph) -> Bigraph:
             (link.inner - outer_part.inner.names) | frozenset(extra_inner.get(key, ())),
         )
     return Bigraph(
-        {**outer_part.signature, **inner_part.signature},
+        merge_signatures(outer_part.signature, inner_part.signature),
         nodes,
         parent,
         site_parent,
@@ -588,7 +596,7 @@ def _juxtapose(left: Bigraph, right: Bigraph, share_names: bool,
             f"{sorted(left.inner.names & right.inner.names)}"
         )
     return Bigraph(
-        {**left.signature, **right.signature},
+        merge_signatures(left.signature, right.signature),
         nodes,
         parent,
         site_parent,

@@ -5,14 +5,15 @@ states get the same key exactly when they are lean-support equivalent
 (equal after renaming nodes and closed edges and dropping idle edges).
 Region indices and outer names are interface and stay fixed.
 
-Every state is keyed through its flat form, `Form`: integer arrays over
-the node indices (ids ascending) that keep the concrete ids.  A form is
-made from a `Bigraph` by `form_of` (initial states, patterns, tests) or,
-for every rewrite result, by `matching`'s splice straight from the host's
-form, so most results are keyed and dropped without ever being a
-`Bigraph`.  `canonical_key` accepts either and gives the same bytes.
-`Form.bigraph` builds and validates the `Bigraph` of a state that is
-used: labelled, expanded or exported (`system.StateStore`).
+The engine's one state type is the flat form, `Form`: integer arrays
+over the node indices (ids ascending) that keep the concrete ids.  A form
+is made in two places: by `form_of` from a `Bigraph` (an initial state, a
+pattern, a test's state) and by `matching._splice` from its host's form,
+for every rewrite result.  It is checked in one place, the `Form`
+constructor.  The engine keys, labels, matches and expands forms, and
+`Form.bigraph` builds a `Bigraph` only for a state that a closure keeps,
+once, for `TransitionSystem.states` and the exports.  `canonical_key`
+accepts a form or a `Bigraph` and gives the same bytes.
 
 The key is the lexicographically minimal encoding over the leaves of an
 individualisation-refinement search tree.  Each tree node holds colours
@@ -96,13 +97,14 @@ from .bigraph import (
 
 
 class Form:
-    """The flat form of a state: index-based, without idle edges, keeping
-    the concrete ids.
+    """The flat form of a ground state: index-based, without idle edges,
+    keeping the concrete ids.  It is the engine's one state type.
 
     Node i is `ids[i]`, ids ascending, with concrete control `controls[i]`
     and key token `ctrl[i]`.  Edge e is `edges[e]`, idents ascending.
-    `up[i]` is the parent's index, or -1 - r for region r.  Link code e is
-    edge e and ne + r the r-th outer name (`outer_names` is sorted):
+    `up[i]` is the parent's index, or -1 - r for region r, and
+    `children[i]` the child indices, ascending.  Link code e is edge e and
+    ne + r the r-th outer name (`outer_names` is sorted):
     `port_codes[i][pos]` is the code of the port's link, and `edge_ports[e]`
     and `name_ports[r]` hold each link's (node index, position) ports.
     `places[i]` and `links[code]` are the `Bigraph` place of node i and
@@ -113,21 +115,19 @@ class Form:
     it has none (a lean state), since it still bounds a splice's new edge
     ids.
 
-    A form is made from a `Bigraph` by `form_of`, or by splicing a match
-    into the host's form (`matching._splice`).  Either way the constructor
-    is the splice's totality guard: every port slot is filled by exactly
-    one link and every parent index is in range, else `ShapeError`.  The
-    form keys the state (`canonical_key`) and gives its twin classes;
-    `bigraph` builds the validated `Bigraph` of a state that is used."""
+    The constructor is the one validity check of a state, in O(ports):
+    every port slot is filled by exactly one link, every parent index is
+    in range, the parents form a forest and no atomic node has a child,
+    else `ShapeError`."""
 
     __slots__ = (
         "signature", "outer", "ids", "controls", "ctrl", "up", "children",
         "port_codes", "edges", "edge_ports", "name_ports", "places",
         "links", "outer_names", "n", "ne", "port_span", "width", "idle_edge",
-        "twins", "_index",
+        "twins", "_by_control",
     )
 
-    def __init__(self, signature: dict, outer, ids: list, controls: list,
+    def __init__(self, signature, outer, ids: list, controls: list,
                  ctrl: list, up: list, edges: list, edge_ports: list,
                  name_ports: list, places: list | None = None,
                  links: list | None = None, idle_edge: int = -1):
@@ -147,7 +147,7 @@ class Form:
         self.ne = len(edges)
         width = self.width = outer.width
         self.outer_names = tuple(sorted(outer.names))
-        self.twins = self._index = None
+        self.twins = self._by_control = None
         children: list = [()] * n  # a leaf's is shared, for memory
         for i, u in enumerate(up):
             if not -width <= u < n:
@@ -156,9 +156,18 @@ class Form:
                 continue
             if children[u]:
                 children[u].append(i)
+            elif signature[controls[u][0]].atomic:
+                raise ShapeError(f"atomic node {ids[u]} has children")
             else:
                 children[u] = [i]
         self.children = children
+        # each node has one parent, so the walk down from the regions
+        # reaches every node exactly when no chain of parents cycles
+        reached = [i for i, u in enumerate(up) if u < 0]
+        for i in reached:
+            reached.extend(children[i])
+        if len(reached) != n:
+            raise ShapeError("the parents form a cycle")
         codes = self.port_codes = [
             [-1] * a if a else () for a in (signature[c[0]].arity for c in controls)
         ]
@@ -174,16 +183,21 @@ class Form:
             raise ShapeError("a port lies on no link")
         self.port_span = max(map(len, codes), default=0) or 1
 
-    def index(self) -> dict:
-        """Node id -> index, built on first use."""
-        if self._index is None:
-            self._index = {v: i for i, v in enumerate(self.ids)}
-        return self._index
+    def nodes_by_control(self) -> dict:
+        """The indices of the nodes of each concrete control present, in
+        ascending order, built on first use: `Bigraph.nodes_by_control`
+        over indices."""
+        if self._by_control is None:
+            index: dict = {}
+            for i, c in enumerate(self.controls):
+                index.setdefault(c, []).append(i)
+            self._by_control = index
+        return self._by_control
 
     def bigraph(self) -> Bigraph:
-        """The state as a validated `Bigraph` with these ids, holding this
-        form until `Bigraph.forget_indexes`.  Its places and links become
-        the form's, so the splices from it share those they leave unchanged."""
+        """The state as a `Bigraph` with these ids.  Its places and links
+        become the form's, so the splices from it share those they leave
+        unchanged."""
         ids, places, links = self.ids, self.places, self.links
         for i, u in enumerate(self.up):
             if places[i] is None:
@@ -191,7 +205,7 @@ class Form:
         for code, ports in enumerate(chain(self.edge_ports, self.name_ports)):
             if links[code] is None:
                 links[code] = Link(frozenset([(ids[i], pos) for i, pos in ports]))
-        b = Bigraph(
+        return Bigraph(
             self.signature,
             dict(zip(ids, self.controls)),
             dict(zip(ids, places)),
@@ -200,8 +214,6 @@ class Form:
             Interface(0),
             self.outer,
         )
-        b._form = self
-        return b
 
 
 def form_of(b: Bigraph) -> Form:
@@ -321,28 +333,26 @@ def _refine(sk: Form, ncol: list, ecol: list, ncells: dict, ecells: dict,
             return
 
 
-def twin_classes(g) -> dict:
-    """Node id -> a representative of its twin class, in one pass over the
-    form of g (a `Form` or a `Bigraph`).
+def twin_classes(form: Form) -> list[int]:
+    """Node index -> the index of a representative of its twin class, in
+    one pass over the form.
 
     Twins are leaves of one concrete control and one parent whose ports,
     position by position, sit on the same link or each on a private
     single-port edge.  Every permutation of a class is an automorphism of
-    g.  A node with children is its own class.  Memoised on the form."""
-    form = g if isinstance(g, Form) else form_of(g)
+    the state.  A node with children is its own class.  Memoised on the
+    form."""
     if form.twins is not None:
         return form.twins
-    ids, ne, eps, up = form.ids, form.ne, form.edge_ports, form.up
-    rep: dict = {}
+    ne, eps, up = form.ne, form.edge_ports, form.up
+    rep = list(range(form.n))
     first: dict = {}
-    for i, v in enumerate(ids):
-        if form.children[i]:
-            rep[v] = v
-            continue
-        ports = tuple([
-            None if c < ne and len(eps[c]) == 1 else c for c in form.port_codes[i]
-        ])
-        rep[v] = ids[first.setdefault((form.ctrl[i], up[i], ports), i)]
+    for i, kids in enumerate(form.children):
+        if not kids:
+            ports = tuple([
+                None if c < ne and len(eps[c]) == 1 else c for c in form.port_codes[i]
+            ])
+            rep[i] = first.setdefault((form.ctrl[i], up[i], ports), i)
     form.twins = rep
     return rep
 
@@ -402,7 +412,7 @@ def _search(sk: Form, col: tuple, top: int, moved, autos: list, probe=None):
             return leaf, leaf
         target = sorted(ncells[start])
         twins = twin_classes(sk)
-        if len({twins[sk.ids[i]] for i in target}) > 1:
+        if len({twins[i] for i in target}) > 1:
             break
         del ncells[start]
         for i in target:
@@ -454,15 +464,21 @@ def _automorphism(order: list[int], image: list[int]) -> list[int]:
     return g
 
 
+def ground_form(g) -> Form:
+    """The form of a ground state given as a `Form` or as a `Bigraph`: the
+    one conversion at the entry of `canonical_key` and of the public
+    functions of `matching`."""
+    if isinstance(g, Form):
+        return g
+    if not g.is_ground():
+        raise NotGroundError("keys and occurrences are defined on ground states")
+    return form_of(g)
+
+
 def canonical_key(g) -> bytes:
     """Deterministic key of a ground state, given as a `Form` or a
     `Bigraph`; equal keys iff lean-support equivalent states."""
-    if isinstance(g, Form):
-        sk = g
-    elif not g.is_ground():
-        raise NotGroundError("canonical keys are defined on ground states")
-    else:
-        sk = form_of(g)
+    sk = ground_form(g)
     ncol, ncells = _starts(sk.ctrl)
     ecells = {0: list(range(sk.ne))} if sk.ne else {}
     best, _ = _search(sk, (ncol, [0] * sk.ne, ncells, ecells), sk.n, None, [])

@@ -14,11 +14,16 @@ to holders: it is an automorphism.  No automorphism is enumerated.
 There is one searcher, `_Embedder`: plain backtracking over pattern nodes
 in a most-constrained-first order (rarest control in the target first,
 then nodes adjacent to already-placed ones), with place- and
-link-feasibility pruning at every assignment.  It draws candidates from
-the target's control index (`Bigraph.nodes_by_control`, built once per
-state), extends one partial embedding in place and undoes it through one
-trail.  Matching restricted to existence checks (`has_occurrence`) stops
-at the first embedding and skips deduplication.  What a search needs of
+link-feasibility pruning at every assignment.  The pattern is a `Bigraph`
+and the target a state's flat form (`canon.Form`), read through its
+arrays: a match maps pattern nodes to node indices and pattern links to
+link codes.  The public functions take a state as a form or as a
+`Bigraph`, converted once at entry (`canon.ground_form`).  The searcher
+draws candidates from the target's control index
+(`Form.nodes_by_control`, built once per state), extends one partial
+embedding in place and undoes it through one trail.  Matching
+restricted to existence checks (`has_occurrence`) stops at the first
+embedding and skips deduplication.  What a search needs of
 its pattern is compiled once into a `_Plan`, memoised on the pattern as
 the control index is on a state: the pattern passed its checks, and the
 plan holds its control requirement, neighbour sets, site holders, outer
@@ -39,29 +44,15 @@ candidates (`system._step`, `system.labeller`).
 
 Rewriting at an occurrence replaces the redex image by the reactum over
 the same parameter: the result is ``lean(C . (R x id_X) . d)``.  `_splice`
-writes it in one pass straight into the flat form that canon keys
-(`canon.Form`): context copied, reactum added, parameter subtrees
-re-parented under the reactum's sites, ports relinked, idle edges
-dropped.  The node and edge ids it assigns are the ones the composition
-formula assigns (see `rewrite`).  `apply_rule_all` splices and keys
-forms only; `rewrite` is the splice plus `Form.bigraph`.
-
-No result is validated as a `Bigraph` when it is made.  It passes instead
-the O(ports) totality guard of the `Form` constructor: every port slot
-is filled by exactly one link and every parent index is in range.  That
-is enough because a total form has a well-defined key, and the key
-writes out every node's control, parent and ports in the leaf order.  So
-a total form whose key equals the key of a validated state is isomorphic
-to it: the map between their leaf orders keeps controls, parents and
-the partition of ports into links.  Validity (a forest, atomic nodes
-without children, arities) is invariant under isomorphism, so that form
-is valid too.  A form with a new key becomes a `Bigraph`, and is
-validated, when the state store labels or expands it.  A closure labels
-every state it keeps, so each state it reports is validated.  A walk
-does not: a state it reaches but never expands, such as the last state
-of a trace, is reported by its key alone and never built.  Such a state
-rests on the guard, which checks neither that the parents form a forest
-nor that atomic nodes have no children.
+writes it in one pass straight into the result's form: context copied,
+reactum added, parameter subtrees re-parented under the reactum's sites,
+ports relinked, idle edges dropped.  The node and edge ids it assigns are
+the ones the composition formula assigns (see `rewrite`).  A form is
+made here or by `canon.form_of`, and the `Form` constructor checks it,
+as it checks every state: ports, a forest of parents, atomic nodes
+without children.  `apply_rule_all` splices and keys forms only;
+`rewrite` is the splice plus `Form.bigraph`.  The engine builds a
+`Bigraph` only for a state that a closure keeps (`system`).
 
 `apply_rule_all` rewrites once per orbit of occurrences.  Leaves of one
 control under one parent whose ports sit on the same links, or on private
@@ -76,6 +67,7 @@ that match is the first of its orbit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,11 +77,11 @@ from .bigraph import (
     BigraphError,
     Edge,
     NODE,
-    NotGroundError,
     REGION,
+    merge_signatures,
     require_solid,
 )
-from .canon import Form, canonical_key, form_of, twin_classes
+from .canon import Form, canonical_key, form_of, ground_form, twin_classes
 
 
 class MatchError(BigraphError):
@@ -98,11 +90,13 @@ class MatchError(BigraphError):
 
 @dataclass
 class Match:
-    """One occurrence: injective node map, induced link map, and the place
-    each pattern region is grafted into."""
+    """One occurrence in the form `target`: the injective map of pattern
+    nodes to node indices, the induced map of pattern links to link codes,
+    and the place each pattern region is grafted into, coded as
+    `Form.up` codes a parent."""
 
     redex: Bigraph
-    target: Bigraph
+    target: Form
     node_map: dict
     link_map: dict
     region_place: tuple
@@ -173,10 +167,11 @@ def pattern_plan(pattern: Bigraph) -> _Plan:
 
 
 class _Embedder:
-    """Backtracking search for the embeddings of `pattern` into `target`
-    under occurrence semantics: controls, parents and ports are kept, a
-    site's holder may have spare children (the parameter), an outer name
-    may map to any target link, and distinct names map to distinct links.
+    """Backtracking search for the embeddings of `pattern` into the form
+    `target` under occurrence semantics: controls, parents and ports are
+    kept, a site's holder may have spare children (the parameter), an
+    outer name may map to any target link, and distinct names map to
+    distinct links.
 
     The partial embedding lives on the instance.  Every binding (a node,
     a link and the claim on its image, a region's place) is pushed onto
@@ -184,7 +179,7 @@ class _Embedder:
     the mark it took on entry.
     """
 
-    def __init__(self, pattern: Bigraph, target: Bigraph):
+    def __init__(self, pattern: Bigraph, target: Form):
         self.r = pattern
         self.g = target
         self.by_ctrl = target.nodes_by_control()
@@ -195,12 +190,12 @@ class _Embedder:
         if order is None:
             order = plan.orders[self.counts] = self._order()
         self.order = order
-        self.node_map: dict = {}  # pattern node -> target node
-        self.used: dict = {}  # target node -> pattern node
-        self.link_map: dict = {}  # pattern link -> target link
-        self.edge_claimed: dict = {}  # target edge -> pattern edge
-        self.name_claimed: dict = {}  # target link -> pattern name
-        self.region_place: dict = {}  # pattern region -> target place
+        self.node_map: dict = {}  # pattern node -> target node index
+        self.used: dict = {}  # target node index -> pattern node
+        self.link_map: dict = {}  # pattern link -> target link code
+        self.edge_claimed: dict = {}  # target edge code -> pattern edge
+        self.name_claimed: dict = {}  # target link code -> pattern name
+        self.region_place: dict = {}  # pattern region -> target place code
         self.trail: list = []  # (table, key) of each binding, in order
         self.matches: list[Match] = []
 
@@ -233,24 +228,18 @@ class _Embedder:
 
     def _candidates(self, v):
         r, g, node_map = self.r, self.g, self.node_map
+        c, controls = r.nodes[v], g.controls
         rp = r.parent[v]
         if rp[0] == NODE and rp[1] in node_map:
-            return [
-                w
-                for w in g.children((NODE, node_map[rp[1]]))
-                if g.nodes[w] == r.nodes[v]
-            ]
+            return [w for w in g.children[node_map[rp[1]]] if controls[w] == c]
         for i in range(r.arity(v)):
             key = r.port_link(v, i)
             for rv, ri in r.links[key].ports:
                 if rv in node_map:
-                    tkey = g.port_link(node_map[rv], ri)
-                    return [
-                        w
-                        for w, j in sorted(g.links[tkey].ports)
-                        if j == i and g.nodes[w] == r.nodes[v]
-                    ]
-        return self.by_ctrl.get(r.nodes[v], ())
+                    code, ne = g.port_codes[node_map[rv]][ri], g.ne
+                    ports = g.edge_ports[code] if code < ne else g.name_ports[code - ne]
+                    return [w for w, j in sorted(ports) if j == i and controls[w] == c]
+        return self.by_ctrl.get(c, ())
 
     def _dfs(self, idx):
         r = self.r
@@ -275,21 +264,21 @@ class _Embedder:
 
     def _place_ok(self, v, w) -> bool:
         r, g, node_map = self.r, self.g, self.node_map
+        up = g.up
         rp = r.parent[v]
-        gp = g.parent[w]
+        gp = up[w]
         if rp[0] == NODE:
             u = rp[1]
             if u in node_map:
-                if gp != (NODE, node_map[u]):
+                if gp != node_map[u]:
                     return False
-            else:
-                if gp[0] != NODE or g.nodes[gp[1]] != r.nodes[u]:
-                    return False
-        for c in r.children((NODE, v)):
-            if c in node_map and g.parent[node_map[c]] != (NODE, w):
+            elif gp < 0 or g.controls[gp] != r.nodes[u]:
                 return False
-        rk = len(r.children((NODE, v)))
-        gk = len(g.children((NODE, w)))
+        kids = r.children((NODE, v))
+        for c in kids:
+            if c in node_map and up[node_map[c]] != w:
+                return False
+        rk, gk = len(kids), len(g.children[w])
         # a site's holder may have spare children; other nodes may not
         return gk >= rk if v in self.holders else gk == rk
 
@@ -300,19 +289,27 @@ class _Embedder:
     def _bind(self, v, w) -> bool:
         """Bind v to w, with the links of v's ports and, for a root, the
         place its region is grafted into.  False at the first conflict;
-        whatever was bound by then is on the trail for `_dfs` to undo."""
+        whatever was bound by then is on the trail for `_dfs` to undo.
+
+        A complete embedding needs no link check of its own.  Each port of
+        a pattern edge is mapped onto the edge's target link when its node
+        is bound, and the first binding rejects a target edge with another
+        port count (with fewer, when the edge has inner names), so the
+        image of the edge's ports is the target edge's ports (a subset of
+        them)."""
         r, g, link_map = self.r, self.g, self.link_map
+        codes = g.port_codes[w]
         for i in range(r.arity(v)):
             rk = r.port_link(v, i)
-            tk = g.port_link(w, i)
+            tk = codes[i]
             if rk in link_map:
                 if link_map[rk] != tk:
                     return False
                 continue
             if isinstance(rk, Edge):
-                if not isinstance(tk, Edge) or tk in self.edge_claimed:
+                if tk >= g.ne or tk in self.edge_claimed:
                     return False
-                rl, n = r.links[rk], len(g.links[tk].ports)
+                rl, n = r.links[rk], len(g.edge_ports[tk])
                 # an edge with inner names may have more ports in the target
                 if n < len(rl.ports) or (n > len(rl.ports) and not rl.inner):
                     return False
@@ -324,7 +321,7 @@ class _Embedder:
             self._set(link_map, rk, tk)
         rp = r.parent[v]
         if rp[0] == REGION:
-            gp = g.parent[w]
+            gp = g.up[w]
             bound = self.region_place.get(rp[1])
             if bound is None:
                 self._set(self.region_place, rp[1], gp)
@@ -335,31 +332,17 @@ class _Embedder:
         return True
 
     def _complete_ok(self) -> bool:
-        r, g = self.r, self.g
-        places = []
-        for i in range(r.outer.width):
-            p = self.region_place[i]
+        up, used = self.g.up, self.used
+        places = [self.region_place[i] for i in range(self.r.outer.width)]
+        for p in places:
             # the grafting place must lie in the context: not in the image,
             # and not below it (nothing of the redex may sit inside an
             # absorbed parameter subtree)
-            while p[0] == NODE:
-                if p[1] in self.used:
+            while p >= 0:
+                if p in used:
                     return False
-                p = g.parent[p[1]]
-            places.append(self.region_place[i])
-        if len(set(places)) != len(places):
-            return False
-        for rk, tk in self.link_map.items():
-            if isinstance(rk, Edge):
-                rl = r.links[rk]
-                img = {(self.node_map[v], i) for v, i in rl.ports}
-                tports = g.links[tk].ports
-                if rl.inner:
-                    if not img <= tports:
-                        return False
-                elif img != tports:
-                    return False
-        return True
+                p = up[p]
+        return len(set(places)) == len(places)
 
 
 def occurrences(redex: Bigraph, target: Bigraph) -> list[Match]:
@@ -377,8 +360,7 @@ def occurrences(redex: Bigraph, target: Bigraph) -> list[Match]:
     solid redex with no inner names matches each edge's ports exactly)
     and holders to holders, so it is an automorphism."""
     plan = redex_plan(redex)
-    if not target.is_ground():
-        raise NotGroundError("occurrence targets must be ground")
+    target = ground_form(target)
     if _short_of_controls(plan, target):
         return []
     raw = _Embedder(redex, target).run()
@@ -402,14 +384,13 @@ def occurrences(redex: Bigraph, target: Bigraph) -> list[Match]:
 def has_occurrence(pattern: Bigraph, target: Bigraph) -> bool:
     """Existence only: first embedding wins, no dedup (used for predicates)."""
     plan = pattern_plan(pattern)
-    if not target.is_ground():
-        raise NotGroundError("occurrence targets must be ground")
+    target = ground_form(target)
     if _short_of_controls(plan, target):
         return False
     return bool(_Embedder(pattern, target).run(first_only=True))
 
 
-def _short_of_controls(plan: _Plan, target: Bigraph) -> bool:
+def _short_of_controls(plan: _Plan, target: Form) -> bool:
     """True when the target lacks enough nodes of some concrete control,
     so no embedding can exist (O(pattern) prune before any search)."""
     have = target.nodes_by_control()
@@ -442,8 +423,9 @@ class Dispatch:
             else:
                 self.always.append(i)
 
-    def candidates(self, g: Bigraph) -> list:
-        """The items whose patterns g has the controls for, in list order."""
+    def candidates(self, g: Form) -> list:
+        """The items whose patterns the state g has the controls for, in
+        list order."""
         hits = list(self.always)
         for c in g.nodes_by_control():
             for i in self.by_anchor.get(c, ()):
@@ -489,27 +471,26 @@ def rewrite(g: Bigraph, rule, m: Match) -> Bigraph:
     edge ``e`` becomes ``e + 1 + max id of the unconsumed host edges``.
     Exports write these ids, so they must not change."""
     redex, reactum = _rule_pair(rule)
-    if m.target is not g or m.redex is not redex:
+    if m.target is not ground_form(g) or m.redex is not redex:
         raise MatchError("stale match: it does not witness this state and rule")
     _check_rule_interfaces(redex, reactum)
-    return _splice(form_of(g), redex, reactum, m).bigraph()
+    return _splice(m.target, redex, reactum, m).bigraph()
 
 
 def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
-    """The form of the result of rewriting the host g at match m, with
-    the ids `rewrite` states, built in one pass over the host's form and
-    the reactum's.  Ids ascend in the order context, reactum, parameter,
-    so the result's node order needs no sort."""
+    """The form of the result of rewriting the host at match m, with the
+    ids `rewrite` states, built in one pass over the host's form and the
+    reactum's.  Ids ascend in the order context, reactum, parameter, so
+    the result's node order needs no sort."""
     rf = form_of(reactum)
-    idx = host.index()
     nmap = m.node_map
-    images = {idx[w] for w in nmap.values()}
+    images = set(nmap.values())
     # the parameter: the unmapped children of each site's holder, with
     # everything below them
     site_of: dict = {}
     for s, (_, v) in redex.site_parent.items():  # solid: under a node
-        mapped = {idx[nmap[c]] for c in redex.children((NODE, v))}
-        for c in host.children[idx[nmap[v]]]:
+        mapped = {nmap[c] for c in redex.children((NODE, v))}
+        for c in host.children[nmap[v]]:
             if c not in mapped:
                 site_of[c] = s
     below: set = set()
@@ -526,19 +507,17 @@ def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
     poff = off + (rf.ids[-1] + 1 if rf.n else 0)
 
     # result indices: context, then reactum, then parameter; a moved
-    # node's stays out of range, so the guard catches a parent left on it
+    # node's stays out of range, so the constructor catches a parent left
+    # on it
     new = [-1 - host.width] * host.n
     for j, i in enumerate(ctx):
         new[i] = j
     nc = len(ctx)
     for j, i in enumerate(prm, nc + rf.n):
         new[i] = j
-    places = [
-        new[idx[p[1]]] if p[0] == NODE else -1 - p[1] for p in m.region_place
-    ]
-    ridx = rf.index()
+    places = [new[p] if p >= 0 else p for p in m.region_place]
     homes = [
-        nc + ridx[p[1]] if p[0] == NODE else places[p[1]]
+        nc + bisect_left(rf.ids, p[1]) if p[0] == NODE else places[p[1]]
         for p in (reactum.site_parent[s] for s in range(reactum.inner.width))
     ]
     up = [hup[i] if hup[i] < 0 else new[hup[i]] for i in ctx]
@@ -546,13 +525,14 @@ def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
     up += [homes[site_of[c]] if c in site_of else new[hup[c]] for c in prm]
 
     # host links (by link code) lose the image ports and renumber the
-    # rest; a reactum name's ports join the host link that the redex name's
-    # ports sit on; a link no moved node touches keeps its `Link`; idle
+    # rest; a reactum name's ports join the host link that the redex name
+    # is mapped to; a link no moved node touches keeps its `Link`; idle
     # edges are left out
     consumed = {k for rk, k in m.link_map.items() if isinstance(rk, Edge)}
     eoff = 1 + max(
         host.idle_edge,
-        next((e.ident for e in reversed(host.edges) if e not in consumed), -1),
+        next((host.edges[e].ident for e in reversed(range(host.ne))
+              if e not in consumed), -1),
     )
     old = host.edge_ports + host.name_ports
     ports = [[(new[i], pos) for i, pos in eps if i not in images] for eps in old]
@@ -562,13 +542,12 @@ def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
     ]
     for y, ps in zip(rf.outer_names, rf.name_ports):
         if ps:
-            v, pos = next(iter(redex.links[y].ports))  # solid: y has a port
-            code = host.port_codes[idx[nmap[v]]][pos]
+            code = m.link_map[y]  # solid: y has a port, so it is mapped
             ports[code].extend([(nc + t, p) for t, p in ps])
             links[code] = None
     keep = [e for e in range(host.ne) if ports[e]]
     return Form(
-        {**host.signature, **reactum.signature},
+        merge_signatures(host.signature, reactum.signature),
         host.outer,
         [hids[i] for i in ctx] + [t + off for t in rf.ids]
         + [hids[i] + poff for i in prm],
@@ -588,8 +567,9 @@ def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
 def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:
     """Rewrite at every occurrence and partition the results by
     support-equivalence; counts sum to the occurrence count and outcomes
-    come in canonical-key order.  Each result is spliced into g's form and
-    keyed as a form; no `Bigraph` is built here.
+    come in canonical-key order.  The state g is a form or a `Bigraph`.
+    Each result is spliced from g's form and keyed as a form; no `Bigraph`
+    is built here.
 
     Occurrences are grouped by orbit before rewriting: two matches whose
     image nodes, taken in redex node order, lie in the same twin classes
@@ -603,7 +583,7 @@ def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:
     if not matches:
         return []
     _check_rule_interfaces(redex, reactum)
-    host = form_of(g)
+    host = matches[0].target
     # a single match needs no grouping (the loop below runs once)
     twin = twin_classes(host) if len(matches) > 1 else None
     fixed = redex._plan.fixed  # compiled by `occurrences`

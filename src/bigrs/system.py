@@ -14,17 +14,17 @@ Probabilities are exact rationals end to end; they become floats only at
 export time.
 
 The closure and the simulator (`bigrs.walk`) keep their states in one
-`StateStore`: canonical key -> discovery number, and the first
-representative seen for each number.  A successor arrives from `_step`
-as the flat form its rewrite spliced and keyed (`canon.Form`), and the
-store keeps the form of a new key and drops the rest.  A number gets its
-`Bigraph`, built from the form and validated once, the first time the
-closure labels or expands it, or when the walk expands it.  So a walk's
-unexpanded states are keyed but never built or validated (see
-`bigrs.matching`).  Expanding a state runs `_step` on that `Bigraph` and
-gives back choices over successor numbers.  Then the state's form is dropped, and so is its
-`Bigraph` in the walk; the closure keeps the `Bigraph` for the exports,
-bare of the indexes memoised on it.
+`StateStore`: canonical key -> discovery number, and the flat form
+(`canon.Form`) first seen for each number.  A form is made by
+`canon.form_of` (the initial state) or by the splice of a rewrite
+(`matching._splice`), and checked by the `Form` constructor, so every
+state that is numbered has passed that check.  `_step` and the labeller
+read forms.  Expanding a state runs `_step` on its form and gives back
+choices over successor numbers.  The closure builds each kept state's
+`Bigraph` once (`Form.bigraph`), for `TransitionSystem.states` and the
+exports, just before its expansion so that the splices from it share its
+places and links, and the store then drops the form.  The walk builds no
+`Bigraph`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bigraph import Bigraph, BigraphError, lean, require_solid
-from .canon import Form, canonical_key
+from .canon import Form, canonical_key, form_of
 from .matching import (
     Dispatch,
     apply_rule_all,
@@ -168,7 +168,7 @@ class TransitionSystem:
     """
 
     kind: str
-    states: list  # (canonical key, Bigraph | None)
+    states: list  # (canonical key, Bigraph)
     rows: list
     labels: list = field(default_factory=list)
     label_names: tuple = ()  # the declared label universe
@@ -255,7 +255,7 @@ def rule_dispatch(rules=(), actions=()) -> Dispatch:
     return Dispatch(rules, [redex_plan(rule.redex) for rule in rules])
 
 
-def _step(kind: str, g: Bigraph, rules: Dispatch, actions=()) -> list:
+def _step(kind: str, g: Form, rules: Dispatch, actions=()) -> list:
     """The choices at state g as (action or None, entries): one per
     applicable action of an abrs, in declaration order, and at most one
     for the other kinds.  An entry is (rule name, successor key,
@@ -306,7 +306,7 @@ def labeller(predicates):
     the controls for."""
     preds = Dispatch(predicates, [pattern_plan(p.pattern) for p in predicates])
 
-    def label(g: Bigraph) -> tuple:
+    def label(g: Form) -> tuple:
         sat = [p for p in preds.candidates(g) if has_occurrence(p.pattern, g)]
         return frozenset(p.name for p in sat), sum((p.reward for p in sat), Fraction(0))
 
@@ -314,42 +314,29 @@ def labeller(predicates):
 
 
 class StateStore:
-    """The states of a closure (`keep`) or a walk; see the module
-    docstring."""
+    """The states of a closure or a walk; see the module docstring."""
 
-    def __init__(self, spec: SystemSpec, keep: bool = False):
+    def __init__(self, spec: SystemSpec):
         self.spec = spec
         self.rules = rule_dispatch(spec.rules, spec.actions)
-        self.keep = keep
         self.number: dict = {}  # canonical key -> discovery number
         self.keys: list = []  # discovery number -> canonical key
-        self.reps: list = []  # discovery number -> Form, Bigraph or None
+        self.forms: list = []  # discovery number -> Form, None once expanded
 
-    def add(self, key: bytes, state) -> int:
-        """The number of the state with this key, a `Form` or a `Bigraph`,
-        kept as given if the key is new."""
+    def add(self, key: bytes, form: Form) -> int:
+        """The number of the state with this key, its form kept if the key
+        is new."""
         if key not in self.number:
             self.number[key] = len(self.keys)
             self.keys.append(key)
-            self.reps.append(state)
+            self.forms.append(form)
         return self.number[key]
-
-    def state(self, i: int) -> Bigraph:
-        """State i's representative, built from its form on first use."""
-        g = self.reps[i]
-        if isinstance(g, Form):
-            g = self.reps[i] = g.bigraph()
-        return g
 
     def expand(self, i: int) -> list:
         """State i's choices as (action or None, [(rule name, successor
-        number, mass)]), in `_step`'s order."""
-        g = self.state(i)
-        choices = _step(self.spec.kind, g, self.rules, self.spec.actions)
-        if self.keep:
-            g.forget_indexes()
-        else:
-            self.reps[i] = None
+        number, mass)]), in `_step`'s order; its form is dropped."""
+        form, self.forms[i] = self.forms[i], None
+        choices = _step(self.spec.kind, form, self.rules, self.spec.actions)
         return [(a, [(r, self.add(k, succ), m) for r, k, succ, m in es])
                 for a, es in choices]
 
@@ -369,14 +356,17 @@ def build_transition_system(
     At the cap, the first states of the last level are kept unexpanded
     (see docs/formats.md).  Each kept state is labelled once, before its
     expansion, which then reuses the control index the labeller built.
+    The initial state is kept as given; every other kept state's `Bigraph`
+    is built from its form.
     """
     if max_states <= 0:
         raise SystemError_("state cap must be positive")
-    store = StateStore(spec, keep=True)
+    store = StateStore(spec)
     init = lean(spec.initial)
-    store.add(canonical_key(init), init)
+    store.add(canonical_key(init), form_of(init))
     label = labeller(spec.predicates)
     order: list = []  # export number -> discovery number
+    states: list = []  # export number -> (key, Bigraph)
     marks: list = []  # export number -> (labels, state reward)
     raw: dict = {}  # discovery number -> row over discovery numbers
     truncated = False
@@ -384,8 +374,10 @@ def build_transition_system(
     while level:
         seen = len(store.keys)
         for i in level:
+            form = store.forms[i]
             order.append(i)
-            marks.append(label(store.state(i)))
+            states.append((store.keys[i], form.bigraph() if i else init))
+            marks.append(label(form))
             if not truncated:
                 raw[i] = _row(spec.kind, i, store.expand(i), store.keys)
         level = sorted(range(seen, len(store.keys)), key=store.keys.__getitem__)
@@ -397,7 +389,7 @@ def build_transition_system(
     reward_of = {a.name: a.reward for a in spec.actions}
     ts = TransitionSystem(
         kind=spec.kind,
-        states=[(store.keys[i], store.reps[i]) for i in order],
+        states=states,
         rows=rows,
         labels=[ls for ls, _ in marks],
         label_names=tuple(p.name for p in spec.predicates),

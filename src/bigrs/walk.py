@@ -7,6 +7,9 @@ The walk keeps its states in a `system.StateStore` and expands each
 distinct state at most once per trace.  For each expanded state it
 keeps its choices, free of bigraphs: for each entry of a choice its
 rule, its successor's number and the running float sum of the masses.
+A state is a flat form (`canon.Form`), made by `canon.form_of` or a
+rewrite's splice and checked by the `Form` constructor, so every state a
+trace reports is checked, expanded or not.  The walk builds no `Bigraph`.
 
 This is sound because a trace depends on a state only through its key.
 `_step` lists its entries in rule order and then successor-key order,
@@ -25,7 +28,7 @@ from itertools import accumulate
 from typing import Optional
 
 from .bigraph import lean
-from .canon import canonical_key
+from .canon import canonical_key, form_of
 from .system import StateStore, SystemSpec
 
 
@@ -81,7 +84,7 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
         return tuple(row)
 
     g = lean(spec.initial)
-    here = store.add(canonical_key(g), g)
+    here = store.add(canonical_key(g), form_of(g))
     now = 0.0 if kind == "sbrs" else None
     trace: list[TraceStep] = []
     for k in range(1, steps + 1):

@@ -331,7 +331,7 @@ def quotient_occurrences(redex: Bigraph, target: Bigraph) -> list:
     """`occurrences` as it was before it kept one embedding per cover: the
     engine's raw embeddings, sorted by image, with the first of each class
     modulo redex automorphisms kept (a min over `_brute_automorphisms`)."""
-    raw = _Embedder(redex, target).run()
+    raw = _Embedder(redex, form_of(target)).run()
     fixed = sorted(redex.nodes)
     raw.sort(key=lambda m: tuple(m.node_map[v] for v in fixed))
     auts = _brute_automorphisms(redex)
@@ -548,11 +548,20 @@ def _fresh_names(count: int, taken) -> list[str]:
     return [f"{prefix}{i}" for i in range(count)]
 
 
-def decompose(m):
-    """The witness ``(context, parameter, identity names)`` of match `m`,
-    with ``target = context . (redex x id_names) . parameter``."""
-    r, g = m.redex, m.target
-    images = set(m.node_map.values())
+def decompose(g: Bigraph, m):
+    """The witness ``(context, parameter, identity names)`` of match `m`
+    in g, with ``g = context . (redex x id_names) . parameter``.  The
+    match's node indices and link codes are read back as ids and keys
+    through g's form."""
+    form, r = m.target, m.redex
+    assert form is form_of(g)
+    node_map = {v: form.ids[i] for v, i in m.node_map.items()}
+    keys = [*form.edges, *form.outer_names]
+    link_map = {k: keys[c] for k, c in m.link_map.items()}
+    region_place = [
+        (NODE, form.ids[p]) if p >= 0 else (REGION, -1 - p) for p in m.region_place
+    ]
+    images = set(node_map.values())
 
     # parameter: one region per redex site, carrying the absorbed subtrees
     site_owner = {
@@ -560,8 +569,8 @@ def decompose(m):
     }  # solid: every site sits under a node
     absorbed_top: dict = {}
     for s in range(r.inner.width):
-        holder = m.node_map[site_owner[s]]
-        mapped = {m.node_map[c] for c in r.children((NODE, site_owner[s]))}
+        holder = node_map[site_owner[s]]
+        mapped = {node_map[c] for c in r.children((NODE, site_owner[s]))}
         absorbed_top[s] = [
             c for c in g.children((NODE, holder)) if c not in mapped
         ]
@@ -605,7 +614,7 @@ def decompose(m):
 
     # context: everything else, with one site per redex region
     consumed = {
-        m.link_map[k] for k in m.link_map if isinstance(k, Edge)
+        link_map[k] for k in link_map if isinstance(k, Edge)
     }
     ctx_nodes = {
         v: g.nodes[v] for v in g.nodes if v not in images and v not in prm_nodes
@@ -619,7 +628,7 @@ def decompose(m):
         )
     inner_on: dict = {}
     for y in sorted(r.outer.names):
-        inner_on.setdefault(m.link_map[y], set()).add(y)
+        inner_on.setdefault(link_map[y], set()).add(y)
     for x, k in zip(xnames, group_keys):
         inner_on.setdefault(k, set()).add(x)
     for key, names in inner_on.items():
@@ -629,7 +638,7 @@ def decompose(m):
         g.signature,
         ctx_nodes,
         {v: g.parent[v] for v in ctx_nodes},
-        {i: m.region_place[i] for i in range(r.outer.width)},
+        {i: region_place[i] for i in range(r.outer.width)},
         ctx_links,
         Interface(r.outer.width, r.outer.names | frozenset(xnames)),
         g.outer,
@@ -643,7 +652,7 @@ def algebraic_rewrite(g: Bigraph, rule, m) -> Bigraph:
     match, built with the bigraph operations: the reference that
     `bigrs.matching.rewrite` must reproduce id for id."""
     reactum = rule.reactum if hasattr(rule, "reactum") else rule[1]
-    ctx, prm, xnames = decompose(m)
+    ctx, prm, xnames = decompose(g, m)
     mid = reactum
     if xnames:
         mid = tensor(mid, identity(xnames, signature=g.signature))

@@ -131,7 +131,7 @@ def test_pattern_occurs_three_times():
 def test_occurrence_witness_reconstructs_host():
     sig, host, pattern = fig1_host_and_pattern()
     for m in occurrences(pattern, host):
-        ctx, prm, xnames = decompose(m)
+        ctx, prm, xnames = decompose(host, m)
         rebuilt = compose(
             ctx, compose(tensor(pattern, identity(xnames, signature=sig)), prm)
         )
@@ -450,7 +450,7 @@ def test_witness_reconstruction_random():
         redex = random_solid(rng, max_nodes=4)
         target = plant(rng, redex)
         for m in occurrences(redex, target)[:3]:
-            ctx, prm, xnames = decompose(m)
+            ctx, prm, xnames = decompose(target, m)
             rebuilt = compose(
                 ctx,
                 compose(tensor(redex, identity(xnames, signature=SIG)), prm),
@@ -555,7 +555,7 @@ def _form_fields(form):
     )
 
 
-def test_corrupted_form_fails_the_totality_guard(wsn_ts):
+def test_corrupted_form_fails_the_totality_guard(wsn_ts, virus_ts):
     g = wsn_ts.states[0][1]
     fields = _form_fields(canon.form_of(g))
     canon.Form(**fields)  # the copy itself is total
@@ -574,6 +574,19 @@ def test_corrupted_form_fails_the_totality_guard(wsn_ts):
     stray["up"][0] = len(stray["ids"])
     with pytest.raises(ShapeError, match="parent out of range"):
         canon.Form(**stray)
+
+    # every parent in range, but two cells are each other's parent
+    cells = _form_fields(canon.form_of(virus_ts.states[0][1]))
+    a, b = [i for i, u in enumerate(cells["up"]) if u < 0][:2]
+    cells["up"][a], cells["up"][b] = b, a
+    with pytest.raises(ShapeError, match="cycle"):
+        canon.Form(**cells)
+
+    # a sensor moved under another node, all of which are atomic
+    atomic = _form_fields(canon.form_of(g))
+    atomic["up"][1] = 0
+    with pytest.raises(ShapeError, match="atomic"):
+        canon.Form(**atomic)
 
 
 def test_rewrite_constructs_one_lean_bigraph(models_dir, monkeypatch):
@@ -681,8 +694,9 @@ def _assert_transposition_fixes(g, a, b):
 def _check_twin_classes(g) -> int:
     """Check every class of g and return the number of twin pairs."""
     classes: dict = {}
-    for v, rep in twin_classes(g).items():
-        classes.setdefault(rep, []).append(v)
+    form = canon.form_of(g)
+    for i, rep in enumerate(twin_classes(form)):
+        classes.setdefault(form.ids[rep], []).append(form.ids[i])
     pairs = 0
     for members in classes.values():
         lead = members[0]
@@ -696,10 +710,10 @@ def _check_twin_classes(g) -> int:
     sk = canon.form_of(b)
     init = {c: r for r, c in enumerate(sorted(set(sk.ctrl)))}
     ncol, _ = full_refine(b, sk, [init[c] for c in sk.ctrl], [0] * sk.ne)
-    rep = twin_classes(g)
+    rep = twin_classes(sk)
     for cell in partition(ncol):
         if len(cell) > 1:
-            one_class = len({rep[sk.ids[i]] for i in cell}) == 1
+            one_class = len({rep[i] for i in cell}) == 1
             assert twin_cell(b, sk, cell) == one_class
     return pairs
 

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -488,7 +489,8 @@ def test_closure_builds_one_bigraph_per_kept_state(models_dir, monkeypatch):
     assert len(calls) == ts.n_states - 1 + by_lean
 
 
-def test_walk_builds_one_bigraph_per_expanded_state(models_dir, monkeypatch):
+def test_walk_builds_no_bigraph_beyond_the_initial_state(models_dir, monkeypatch):
+    # every state is expanded and keyed as a form
     spec = load_model(models_dir.parent / "bench/models/mobile_sink2.big")
     expanded: list = []
     expand = StateStore.expand
@@ -504,4 +506,12 @@ def test_walk_builds_one_bigraph_per_expanded_state(models_dir, monkeypatch):
     calls.clear()
     trace = simulate(spec, 400, seed=5)
     assert len(trace) == 400 and len(set(expanded)) == len(expanded) > 50
-    assert len(calls) == len(expanded) - 1 + by_lean
+    assert len(calls) == by_lean
+
+
+def test_closure_states_share_one_signature(budding_ts):
+    # a splice whose reactum adds no control keeps its host's read-only
+    # signature, so one model's states hold one between them
+    sigs = {id(g.signature): g.signature for _, g in budding_ts.states}
+    assert len(sigs) == 1
+    assert all(isinstance(sig, MappingProxyType) for sig in sigs.values())
