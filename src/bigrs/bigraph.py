@@ -168,7 +168,6 @@ class Bigraph:
         "outer",
         "_children",
         "_port_link",
-        "_by_control",
         "_form",
         "_plan",
     )
@@ -202,7 +201,6 @@ class Bigraph:
         self.outer = outer
         self._children: Optional[dict] = None
         self._port_link: Optional[dict] = None
-        self._by_control: Optional[dict] = None
         self._form = None  # canon's flat form, memoised
         self._plan = None  # matching's search plan, memoised
         self._validate()
@@ -237,16 +235,6 @@ class Bigraph:
         return sorted(
             (k for k in self.links if isinstance(k, Edge)), key=lambda e: e.ident
         )
-
-    def nodes_by_control(self) -> dict:
-        """The ids of the nodes of each concrete control (name, params)
-        present, in ascending order."""
-        if self._by_control is None:
-            index: dict = {}
-            for v in sorted(self.nodes):
-                index.setdefault(self.nodes[v], []).append(v)
-            self._by_control = index
-        return self._by_control
 
     def is_ground(self) -> bool:
         return self.inner.width == 0 and not self.inner.names

@@ -185,8 +185,8 @@ class Form:
 
     def nodes_by_control(self) -> dict:
         """The indices of the nodes of each concrete control present, in
-        ascending order, built on first use: `Bigraph.nodes_by_control`
-        over indices."""
+        ascending order, built on first use.  Controls come in the order
+        of their first node."""
         if self._by_control is None:
             index: dict = {}
             for i, c in enumerate(self.controls):

@@ -14,23 +14,25 @@ to holders: it is an automorphism.  No automorphism is enumerated.
 There is one searcher, `_Embedder`: plain backtracking over pattern nodes
 in a most-constrained-first order (rarest control in the target first,
 then nodes adjacent to already-placed ones), with place- and
-link-feasibility pruning at every assignment.  The pattern is a `Bigraph`
-and the target a state's flat form (`canon.Form`), read through its
-arrays: a match maps pattern nodes to node indices and pattern links to
-link codes.  The public functions take a state as a form or as a
-`Bigraph`, converted once at entry (`canon.ground_form`).  The searcher
-draws candidates from the target's control index
+link-feasibility pruning at every assignment.  Pattern and target are
+both flat forms (`canon.Form`) and the search reads them through the
+same arrays: a match maps pattern node indices to node indices and
+pattern link codes to link codes.  The public functions take a state as
+a form or as a `Bigraph`, converted once at entry (`canon.ground_form`).
+The searcher draws candidates from the target's control index
 (`Form.nodes_by_control`, built once per state), extends one partial
 embedding in place and undoes it through one trail.  Matching
 restricted to existence checks (`has_occurrence`) stops at the first
-embedding and skips deduplication.  What a search needs of
-its pattern is compiled once into a `_Plan`, memoised on the pattern as
-the control index is on a state: the pattern passed its checks, and the
-plan holds its control requirement, neighbour sets, site holders, outer
-names and sorted nodes, and the node orders already planned.  An order
+embedding and skips deduplication.  A pattern is compiled once into a
+`_Plan`, memoised on the pattern as the control index is on a state:
+the pattern passed its checks, and the plan holds its form (`form_of`,
+itself memoised), its control requirement, neighbour sets and site
+holders as node indices, and the node orders already planned.  An order
 depends on the target only through the number of candidates of each
 pattern control, so it is memoised by that vector, and every search uses
-the order a fresh plan would give.
+the order a fresh plan would give.  A target short of some control gets
+no match without a separate check: the order plans a node with no
+candidates first.
 
 A `Dispatch` answers, once per state, which patterns of a list can occur
 in it.  Each pattern is filed under one anchor control it requires, the
@@ -77,7 +79,6 @@ from .bigraph import (
     BigraphError,
     Edge,
     NODE,
-    REGION,
     merge_signatures,
     require_solid,
 )
@@ -90,54 +91,58 @@ class MatchError(BigraphError):
 
 @dataclass
 class Match:
-    """One occurrence in the form `target`: the injective map of pattern
-    nodes to node indices, the induced map of pattern links to link codes,
-    and the place each pattern region is grafted into, coded as
+    """One occurrence in the form `target`, read through the form of
+    `redex` (`canon.form_of`): `node_map[v]` is the node index of the
+    image of pattern node v, `link_map[c]` the link code of the image of
+    pattern link code c (edges first, then outer names), and
+    `region_place[r]` the place pattern region r is grafted into, coded as
     `Form.up` codes a parent."""
 
     redex: Bigraph
     target: Form
-    node_map: dict
-    link_map: dict
+    node_map: tuple
+    link_map: tuple
     region_place: tuple
 
 
 class _Plan:
     """The parts of a search that depend on the pattern alone, compiled
-    once per pattern by `_plan`.
+    once per pattern by `_plan` over its form `form`, so that a pattern
+    node is a node index and a pattern link a link code, as in a state.
 
     ``controls`` are the pattern's concrete controls in node order and
     ``need`` how many nodes of each it has; ``slot`` gives each node's
-    control position.  ``holders`` are the nodes that hold a site (all
-    sites sit under nodes in a solid pattern), ``neigh`` each node's
-    parent, children and link peers, ``fixed`` the nodes in id order.
-    ``orders`` maps a vector of target candidate counts, one per control,
-    to the node order planned for it."""
+    control position.  ``sites`` holds the node that holds each site, by
+    site (all sites sit under nodes in a solid pattern), and ``holders``
+    the same nodes as a set.  ``neigh`` is each node's parent, children
+    and link peers.  ``orders`` maps a vector of target candidate counts,
+    one per control, to the node order planned for it."""
 
     __slots__ = (
-        "controls", "need", "slot", "holders", "neigh", "names", "fixed", "orders"
+        "form", "controls", "need", "slot", "sites", "holders", "neigh", "orders"
     )
 
     def __init__(self, pattern: Bigraph):
-        by_ctrl = pattern.nodes_by_control()
+        form = self.form = form_of(pattern)
+        by_ctrl = form.nodes_by_control()
         self.controls = tuple(by_ctrl)
         self.need = tuple(len(vs) for vs in by_ctrl.values())
-        self.slot = {
-            v: i for i, vs in enumerate(by_ctrl.values()) for v in vs
-        }
-        self.holders = frozenset(p[1] for p in pattern.site_parent.values())
-        neigh: dict = {v: set() for v in pattern.nodes}
-        for v, p in pattern.parent.items():
-            if p[0] == NODE:
-                neigh[v].add(p[1])
-                neigh[p[1]].add(v)
-        for link in pattern.links.values():
-            on_link = sorted({v for v, _ in link.ports})
+        self.slot = [self.controls.index(c) for c in form.controls]
+        self.sites = tuple(
+            form.ids.index(pattern.site_parent[s][1])
+            for s in range(pattern.inner.width)
+        )
+        self.holders = frozenset(self.sites)
+        neigh = [set() for _ in range(form.n)]
+        for v, u in enumerate(form.up):
+            if u >= 0:
+                neigh[v].add(u)
+                neigh[u].add(v)
+        for ports in form.edge_ports + form.name_ports:
+            on_link = {v for v, _ in ports}
             for v in on_link:
-                neigh[v].update(on_link)
+                neigh[v] |= on_link
         self.neigh = neigh
-        self.names = pattern.outer.names
-        self.fixed = tuple(sorted(pattern.nodes))
         self.orders: dict = {}
 
 
@@ -171,43 +176,45 @@ class _Embedder:
     `target` under occurrence semantics: controls, parents and ports are
     kept, a site's holder may have spare children (the parameter), an
     outer name may map to any target link, and distinct names map to
-    distinct links.
+    distinct links.  The pattern is read through its plan's form `r`.
 
-    The partial embedding lives on the instance.  Every binding (a node,
-    a link and the claim on its image, a region's place) is pushed onto
-    one trail, and `_dfs` undoes a candidate by popping the trail back to
-    the mark it took on entry.
+    The partial embedding lives on the instance, in lists indexed by node
+    index or link code, None where unbound.  Every binding (a node, a
+    link and the claim on its image, a region's place) is pushed onto one
+    trail, and `_dfs` undoes a candidate by popping the trail back to the
+    mark it took on entry.
     """
 
     def __init__(self, pattern: Bigraph, target: Form):
-        self.r = pattern
+        self.pattern = pattern
+        self.plan = plan = _plan(pattern)
+        self.r = r = plan.form
         self.g = target
         self.by_ctrl = target.nodes_by_control()
-        self.plan = plan = _plan(pattern)
         self.holders = plan.holders
         self.counts = tuple(len(self.by_ctrl.get(c, ())) for c in plan.controls)
         order = plan.orders.get(self.counts)
         if order is None:
             order = plan.orders[self.counts] = self._order()
         self.order = order
-        self.node_map: dict = {}  # pattern node -> target node index
-        self.used: dict = {}  # target node index -> pattern node
-        self.link_map: dict = {}  # pattern link -> target link code
-        self.edge_claimed: dict = {}  # target edge code -> pattern edge
-        self.name_claimed: dict = {}  # target link code -> pattern name
-        self.region_place: dict = {}  # pattern region -> target place code
-        self.trail: list = []  # (table, key) of each binding, in order
+        self.node_map: list = [None] * r.n  # pattern node -> target node
+        self.used: list = [None] * target.n  # target node -> pattern node
+        self.link_map: list = [None] * len(r.links)  # pattern -> target link
+        self.edge_claimed: list = [None] * target.ne  # target -> pattern edge
+        self.name_claimed: list = [None] * len(target.links)  # -> pattern name
+        self.region_place: list = [None] * r.width  # region -> target place
+        self.trail: list = []  # (table, index) of each binding, in order
         self.matches: list[Match] = []
 
     def _order(self) -> list[int]:
         """Most constrained first: fewest target candidates, then lowest
-        id, among the nodes next to those already ordered.  It reads the
-        target only through `self.counts`."""
+        index, among the nodes next to those already ordered.  It reads
+        the target only through `self.counts`."""
         plan = self.plan
         neigh = plan.neigh
-        n_cands = {v: self.counts[i] for v, i in plan.slot.items()}
+        n_cands = [self.counts[k] for k in plan.slot]
         order: list[int] = []
-        remaining = set(plan.fixed)
+        remaining = set(range(self.r.n))
         while remaining:
             pool = (
                 {v for v in remaining if any(u in order for u in neigh[v])}
@@ -228,61 +235,58 @@ class _Embedder:
 
     def _candidates(self, v):
         r, g, node_map = self.r, self.g, self.node_map
-        c, controls = r.nodes[v], g.controls
-        rp = r.parent[v]
-        if rp[0] == NODE and rp[1] in node_map:
-            return [w for w in g.children[node_map[rp[1]]] if controls[w] == c]
-        for i in range(r.arity(v)):
-            key = r.port_link(v, i)
-            for rv, ri in r.links[key].ports:
-                if rv in node_map:
-                    code, ne = g.port_codes[node_map[rv]][ri], g.ne
-                    ports = g.edge_ports[code] if code < ne else g.name_ports[code - ne]
-                    return [w for w, j in sorted(ports) if j == i and controls[w] == c]
+        c, controls = r.controls[v], g.controls
+        u = r.up[v]
+        if u >= 0 and node_map[u] is not None:
+            return [w for w in g.children[node_map[u]] if controls[w] == c]
+        for i, rk in enumerate(r.port_codes[v]):
+            # a link is bound once a node on it is
+            code = self.link_map[rk]
+            if code is not None:
+                ports = g.edge_ports[code] if code < g.ne else g.name_ports[code - g.ne]
+                return [w for w, j in sorted(ports) if j == i and controls[w] == c]
         return self.by_ctrl.get(c, ())
 
     def _dfs(self, idx):
-        r = self.r
         if idx == len(self.order):
             if self._complete_ok():
-                places = tuple(self.region_place[i] for i in range(r.outer.width))
-                self.matches.append(
-                    Match(r, self.g, dict(self.node_map), dict(self.link_map), places)
-                )
+                self.matches.append(Match(
+                    self.pattern, self.g, tuple(self.node_map),
+                    tuple(self.link_map), tuple(self.region_place),
+                ))
             return
         v = self.order[idx]
-        trail = self.trail
+        used, trail = self.used, self.trail
         mark = len(trail)
         for w in self._candidates(v):
-            if w not in self.used and self._place_ok(v, w) and self._bind(v, w):
+            if used[w] is None and self._place_ok(v, w) and self._bind(v, w):
                 self._dfs(idx + 1)
             while len(trail) > mark:
                 table, key = trail.pop()
-                del table[key]
+                table[key] = None
             if self.first_only and self.matches:
                 return
 
     def _place_ok(self, v, w) -> bool:
         r, g, node_map = self.r, self.g, self.node_map
         up = g.up
-        rp = r.parent[v]
+        u = r.up[v]
         gp = up[w]
-        if rp[0] == NODE:
-            u = rp[1]
-            if u in node_map:
+        if u >= 0:
+            if node_map[u] is not None:
                 if gp != node_map[u]:
                     return False
-            elif gp < 0 or g.controls[gp] != r.nodes[u]:
+            elif gp < 0 or g.controls[gp] != r.controls[u]:
                 return False
-        kids = r.children((NODE, v))
+        kids = r.children[v]
         for c in kids:
-            if c in node_map and up[node_map[c]] != w:
+            if node_map[c] is not None and up[node_map[c]] != w:
                 return False
         rk, gk = len(kids), len(g.children[w])
         # a site's holder may have spare children; other nodes may not
         return gk >= rk if v in self.holders else gk == rk
 
-    def _set(self, table: dict, key, value) -> None:
+    def _set(self, table: list, key, value) -> None:
         table[key] = value
         self.trail.append((table, key))
 
@@ -299,32 +303,31 @@ class _Embedder:
         them)."""
         r, g, link_map = self.r, self.g, self.link_map
         codes = g.port_codes[w]
-        for i in range(r.arity(v)):
-            rk = r.port_link(v, i)
+        for i, rk in enumerate(r.port_codes[v]):
             tk = codes[i]
-            if rk in link_map:
+            if link_map[rk] is not None:
                 if link_map[rk] != tk:
                     return False
                 continue
-            if isinstance(rk, Edge):
-                if tk >= g.ne or tk in self.edge_claimed:
+            if rk < r.ne:
+                if tk >= g.ne or self.edge_claimed[tk] is not None:
                     return False
-                rl, n = r.links[rk], len(g.edge_ports[tk])
+                m, n = len(r.edge_ports[rk]), len(g.edge_ports[tk])
                 # an edge with inner names may have more ports in the target
-                if n < len(rl.ports) or (n > len(rl.ports) and not rl.inner):
+                if n < m or (n > m and not r.links[rk].inner):
                     return False
                 self._set(self.edge_claimed, tk, rk)
             else:
-                if tk in self.name_claimed:
+                if self.name_claimed[tk] is not None:
                     return False
                 self._set(self.name_claimed, tk, rk)
             self._set(link_map, rk, tk)
-        rp = r.parent[v]
-        if rp[0] == REGION:
+        u = r.up[v]
+        if u < 0:
             gp = g.up[w]
-            bound = self.region_place.get(rp[1])
+            bound = self.region_place[-1 - u]
             if bound is None:
-                self._set(self.region_place, rp[1], gp)
+                self._set(self.region_place, -1 - u, gp)
             elif bound != gp:
                 return False
         self._set(self.node_map, v, w)
@@ -333,13 +336,13 @@ class _Embedder:
 
     def _complete_ok(self) -> bool:
         up, used = self.g.up, self.used
-        places = [self.region_place[i] for i in range(self.r.outer.width)]
+        places = self.region_place
         for p in places:
             # the grafting place must lie in the context: not in the image,
             # and not below it (nothing of the redex may sit inside an
             # absorbed parameter subtree)
             while p >= 0:
-                if p in used:
+                if used[p] is not None:
                     return False
                 p = up[p]
         return len(set(places)) == len(places)
@@ -360,19 +363,15 @@ def occurrences(redex: Bigraph, target: Bigraph) -> list[Match]:
     solid redex with no inner names matches each edge's ports exactly)
     and holders to holders, so it is an automorphism."""
     plan = redex_plan(redex)
-    target = ground_form(target)
-    if _short_of_controls(plan, target):
-        return []
-    raw = _Embedder(redex, target).run()
-    fixed = plan.fixed
-    raw.sort(key=lambda m: tuple(m.node_map[v] for v in fixed))
-    names, holders = plan.names, plan.holders
+    raw = _Embedder(redex, ground_form(target)).run()
+    raw.sort(key=lambda m: m.node_map)
+    ne, holders = plan.form.ne, plan.holders
     seen = set()
     out = []
     for m in raw:
         cover = (
-            frozenset(m.node_map.values()),
-            frozenset(m.link_map[x] for x in names),
+            frozenset(m.node_map),
+            frozenset(m.link_map[ne:]),
             frozenset(m.node_map[v] for v in holders),
         )
         if cover not in seen:
@@ -383,16 +382,13 @@ def occurrences(redex: Bigraph, target: Bigraph) -> list[Match]:
 
 def has_occurrence(pattern: Bigraph, target: Bigraph) -> bool:
     """Existence only: first embedding wins, no dedup (used for predicates)."""
-    plan = pattern_plan(pattern)
-    target = ground_form(target)
-    if _short_of_controls(plan, target):
-        return False
-    return bool(_Embedder(pattern, target).run(first_only=True))
+    pattern_plan(pattern)
+    return bool(_Embedder(pattern, ground_form(target)).run(first_only=True))
 
 
 def _short_of_controls(plan: _Plan, target: Form) -> bool:
     """True when the target lacks enough nodes of some concrete control,
-    so no embedding can exist (O(pattern) prune before any search)."""
+    so no embedding can exist."""
     have = target.nodes_by_control()
     return any(
         len(have.get(c, ())) < k for c, k in zip(plan.controls, plan.need)
@@ -482,14 +478,15 @@ def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
     ids `rewrite` states, built in one pass over the host's form and the
     reactum's.  Ids ascend in the order context, reactum, parameter, so
     the result's node order needs no sort."""
-    rf = form_of(reactum)
+    plan = _plan(redex)
+    rf, lf = form_of(reactum), plan.form
     nmap = m.node_map
-    images = set(nmap.values())
+    images = set(nmap)
     # the parameter: the unmapped children of each site's holder, with
     # everything below them
     site_of: dict = {}
-    for s, (_, v) in redex.site_parent.items():  # solid: under a node
-        mapped = {nmap[c] for c in redex.children((NODE, v))}
+    for s, v in enumerate(plan.sites):
+        mapped = {nmap[c] for c in lf.children[v]}
         for c in host.children[nmap[v]]:
             if c not in mapped:
                 site_of[c] = s
@@ -528,7 +525,7 @@ def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
     # rest; a reactum name's ports join the host link that the redex name
     # is mapped to; a link no moved node touches keeps its `Link`; idle
     # edges are left out
-    consumed = {k for rk, k in m.link_map.items() if isinstance(rk, Edge)}
+    consumed = set(m.link_map[:lf.ne])
     eoff = 1 + max(
         host.idle_edge,
         next((host.edges[e].ident for e in reversed(range(host.ne))
@@ -540,9 +537,11 @@ def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
         None if any(i in moved for i, _ in eps) else link
         for eps, link in zip(old, host.links)
     ]
-    for y, ps in zip(rf.outer_names, rf.name_ports):
+    for r, ps in enumerate(rf.name_ports):
         if ps:
-            code = m.link_map[y]  # solid: y has a port, so it is mapped
+            # the interfaces are equal, so the reactum's name r is the
+            # redex's, and a solid redex's names have ports, so it is mapped
+            code = m.link_map[lf.ne + r]
             ports[code].extend([(nc + t, p) for t, p in ps])
             links[code] = None
     keep = [e for e in range(host.ne) if ports[e]]
@@ -586,11 +585,10 @@ def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:
     host = matches[0].target
     # a single match needs no grouping (the loop below runs once)
     twin = twin_classes(host) if len(matches) > 1 else None
-    fixed = redex._plan.fixed  # compiled by `occurrences`
     groups: dict = {}  # key -> [form of its first match's result, count]
     orbit_key: dict = {}  # twin-class tuple -> key of the orbit
     for m in matches:
-        orbit = tuple(twin[m.node_map[v]] for v in fixed) if twin else None
+        orbit = tuple([twin[w] for w in m.node_map]) if twin else None
         key = orbit_key.get(orbit)
         if key is None:
             res = _splice(host, redex, reactum, m)

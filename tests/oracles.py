@@ -333,12 +333,13 @@ def quotient_occurrences(redex: Bigraph, target: Bigraph) -> list:
     modulo redex automorphisms kept (a min over `_brute_automorphisms`)."""
     raw = _Embedder(redex, form_of(target)).run()
     fixed = sorted(redex.nodes)
-    raw.sort(key=lambda m: tuple(m.node_map[v] for v in fixed))
+    raw.sort(key=lambda m: m.node_map)
     auts = _brute_automorphisms(redex)
     seen = set()
     out = []
     for m in raw:
-        rep = min(tuple(m.node_map[a[v]] for v in fixed) for a in auts)
+        image = dict(zip(fixed, m.node_map))
+        rep = min(tuple(image[a[v]] for v in fixed) for a in auts)
         if rep not in seen:
             seen.add(rep)
             out.append(m)
@@ -552,12 +553,14 @@ def decompose(g: Bigraph, m):
     """The witness ``(context, parameter, identity names)`` of match `m`
     in g, with ``g = context . (redex x id_names) . parameter``.  The
     match's node indices and link codes are read back as ids and keys
-    through g's form."""
+    through the forms of g and of the redex."""
     form, r = m.target, m.redex
     assert form is form_of(g)
-    node_map = {v: form.ids[i] for v, i in m.node_map.items()}
+    rf = form_of(r)
+    node_map = {rf.ids[v]: form.ids[i] for v, i in enumerate(m.node_map)}
     keys = [*form.edges, *form.outer_names]
-    link_map = {k: keys[c] for k, c in m.link_map.items()}
+    rkeys = [*rf.edges, *rf.outer_names]
+    link_map = {rkeys[c]: keys[t] for c, t in enumerate(m.link_map)}
     region_place = [
         (NODE, form.ids[p]) if p >= 0 else (REGION, -1 - p) for p in m.region_place
     ]
@@ -734,7 +737,7 @@ def reference_order(pattern: Bigraph, target: Bigraph) -> list:
         on_link = {v for v, _ in link.ports}
         for v in on_link:
             neigh[v] |= on_link
-    have = target.nodes_by_control()
+    have = form_of(target).nodes_by_control()
     n_cands = {v: len(have.get(c, ())) for v, c in pattern.nodes.items()}
     order: list = []
     remaining = set(pattern.nodes)
@@ -780,7 +783,7 @@ def _distribution(g: Bigraph, entries) -> dict:
 def next_distribution(g: Bigraph, rules) -> dict:
     """The reaction probability distribution from g as key -> (state, prob);
     the delta on g itself when nothing (with positive weight) applies."""
-    (_, entries), = _step("pbrs", g, rule_dispatch(rules))
+    (_, entries), = _step("pbrs", form_of(g), rule_dispatch(rules))
     return _distribution(g, entries)
 
 
@@ -788,14 +791,14 @@ def next_rates(g: Bigraph, rules) -> dict:
     """Aggregate exit rates from g as key -> (state, rate); zero-rate
     targets are omitted and the map may be empty (CTMC terminal state)."""
     return _masses(
-        e for _, es in _step("sbrs", g, rule_dispatch(rules)) for e in es
+        e for _, es in _step("sbrs", form_of(g), rule_dispatch(rules)) for e in es
     )
 
 
 def action_step(g: Bigraph, actions) -> list:
     """One (action, distribution) entry per applicable action, in name
     order, normalized within the action; empty when no action applies."""
-    choices = _step("abrs", g, rule_dispatch(actions=actions), actions)
+    choices = _step("abrs", form_of(g), rule_dispatch(actions=actions), actions)
     return [(a, _distribution(g, es))
             for a, es in sorted(choices, key=lambda c: c[0].name)]
 
