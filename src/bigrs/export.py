@@ -22,12 +22,20 @@ class, marked with a ``charged(r)`` label, and the reward is added to the
 split state's state reward.  This trades one step of reward timing for
 compatibility with checkers that cannot import action rewards; it is off
 by default and documented in docs/formats.md.
+
+The JSON file is ``json.dumps(doc, indent=2, sort_keys=True)`` of the
+system's document plus a newline, written one transition and one state
+at a time, so memory holds one state's document at most.  Every file is
+written atomically: to a temporary file beside its target, moved into
+place when complete, so a failed write leaves the earlier file intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -200,7 +208,7 @@ def export_prism(
         texts["srew"] = render_srew(ts)
     if ts.kind == "abrs" and _action_rewarded(ts):
         texts["trew"] = render_trew(ts)
-    paths = {role: _write(out_dir, f"{stem}.{role}", text)
+    paths = {role: _write(out_dir, f"{stem}.{role}", [text])
              for role, text in texts.items()}
     return ExportBundle(paths["tra"], paths["lab"], paths.get("srew"),
                         paths.get("trew"))
@@ -210,14 +218,21 @@ def _action_rewarded(ts: TransitionSystem) -> bool:
     return any(r != 0 for per in ts.action_reward for r in per.values())
 
 
-def _write(out_dir, name: str, content: str) -> Path:
-    """Write `content` to out_dir/name, creating out_dir, and return the
-    path."""
+def _write(out_dir, name: str, chunks: Iterable[str]) -> Path:
+    """Write the text `chunks` to out_dir/name, creating out_dir, and
+    return the path.  The target is replaced only by a complete file; a
+    write that fails part-way leaves it as it was, and no temporary file."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
+    tmp = out_dir / f".{name}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -246,19 +261,51 @@ def render_dot(ts: TransitionSystem) -> str:
 # JSON
 # ---------------------------------------------------------------------------
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
-def system_to_json(ts: TransitionSystem) -> dict:
-    doc: dict = {"kind": ts.kind, "states": ts.n_states, "complete": ts.complete}
+
+def _at_depth(value, depth: int) -> str:
+    """`value` encoded as ``json.dumps(value, indent=2, sort_keys=True)``
+    would print it `depth` levels deep: an encoded string never holds a
+    raw newline, so every newline is a line break to indent."""
+    return _ENCODER.encode(value).replace("\n", "\n" + "  " * depth)
+
+
+def _json_list(items) -> Iterator[str]:
+    """A top-level list of the document, one item at a time."""
+    empty = True
+    for item in items:
+        yield ("[" if empty else ",") + "\n    " + _at_depth(item, 2)
+        empty = False
+    yield "[]" if empty else "\n  ]"
+
+
+def _json_chunks(ts: TransitionSystem) -> Iterator[str]:
+    """The text of the system's JSON document in pieces, equal to
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of the whole
+    document; the transitions and the state bigraphs are made one item
+    at a time."""
     weight = "rate" if ts.kind == "sbrs" else "prob"
-    doc["transitions"] = []
-    for i, name, j, p in ts.transitions():
-        edge = {"src": i, "dst": j}
-        if name is not None:
-            edge["action"] = name
-        if p is not None:
-            edge[weight] = float(p)
-        doc["transitions"].append(edge)
-    doc["labels"] = {str(i): sorted(ls) for i, ls in enumerate(ts.labels) if ls}
+
+    def edges():
+        for i, name, j, p in ts.transitions():
+            edge = {"src": i, "dst": j}
+            if name is not None:
+                edge["action"] = name
+            if p is not None:
+                edge[weight] = float(p)
+            yield edge
+
+    doc: dict = {
+        "kind": ts.kind,
+        "states": ts.n_states,
+        "complete": ts.complete,
+        "transitions": _json_list(edges()),
+        "labels": {str(i): sorted(ls) for i, ls in enumerate(ts.labels) if ls},
+        "state_bigraphs": _json_list(
+            to_json(b) if b is not None else None for _, b in ts.states
+        ),
+    }
     if any(r != 0 for r in ts.state_reward):
         doc["state_rewards"] = {
             str(i): float(r) for i, r in enumerate(ts.state_reward) if r != 0
@@ -269,16 +316,19 @@ def system_to_json(ts: TransitionSystem) -> dict:
             for i, per in enumerate(ts.action_reward)
             if any(r != 0 for r in per.values())
         }
-    doc["state_bigraphs"] = [
-        to_json(b) if b is not None else None for _, b in ts.states
-    ]
-    return doc
+    for n, key in enumerate(sorted(doc)):
+        yield ("{" if n == 0 else ",") + f"\n  {json.dumps(key)}: "
+        value = doc[key]
+        if isinstance(value, Iterator):
+            yield from value
+        else:
+            yield _at_depth(value, 1)
+    yield "\n}\n"
 
 
 def export_json(ts: TransitionSystem, out_dir, stem: str) -> Path:
-    text = json.dumps(system_to_json(ts), indent=2, sort_keys=True) + "\n"
-    return _write(out_dir, f"{stem}.json", text)
+    return _write(out_dir, f"{stem}.json", _json_chunks(ts))
 
 
 def export_dot(ts: TransitionSystem, out_dir, stem: str) -> Path:
-    return _write(out_dir, f"{stem}.dot", render_dot(ts))
+    return _write(out_dir, f"{stem}.dot", [render_dot(ts)])

@@ -20,8 +20,9 @@ scratch (for the memoised plans).  The per-state views over the step
 kernel (successor distributions, rates and per-action steps, and the
 jump chain of a CTMC), which only tests call, and the closure as a
 plain key-indexed search through that index-free kernel (for the state
-store of `bigrs.system`).  Last,
-the helpers that only round-trip checks need: bounded DTMC reachability
+store of `bigrs.system`).  The JSON export
+built as one document in memory (for the export, which writes it one
+state at a time).  Last, the helpers that only round-trip checks need: bounded DTMC reachability
 in exact rationals, readers of bigraph JSON and of exported PRISM DTMC
 bundles, and a printer of `.big` source."""
 
@@ -46,6 +47,7 @@ from bigrs.bigraph import (
     identity,
     lean,
     tensor,
+    to_json,
 )
 from bigrs.canon import Form, _encode, canonical_key, form_of
 from bigrs.language import (
@@ -1014,6 +1016,44 @@ def exact_bounded_reach(ts, goal_label: str, horizon: int) -> Fraction:
             for i in range(n)
         ]
     return x[0]
+
+
+# ---------------------------------------------------------------------------
+# the JSON export as one document (for the streamed `export_json`)
+# ---------------------------------------------------------------------------
+
+
+def system_to_json(ts: TransitionSystem) -> dict:
+    """The whole JSON document of a system, built in memory: the file
+    `bigrs.export.export_json` writes holds
+    ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` of it."""
+    doc: dict = {"kind": ts.kind, "states": ts.n_states, "complete": ts.complete}
+    weight = "rate" if ts.kind == "sbrs" else "prob"
+    doc["transitions"] = []
+    for i, name, j, p in ts.transitions():
+        edge = {"src": i, "dst": j}
+        if name is not None:
+            edge["action"] = name
+        if p is not None:
+            edge[weight] = float(p)
+        doc["transitions"].append(edge)
+    doc["labels"] = {str(i): sorted(ls) for i, ls in enumerate(ts.labels) if ls}
+    if any(r != 0 for r in ts.state_reward):
+        doc["state_rewards"] = {
+            str(i): float(r) for i, r in enumerate(ts.state_reward) if r != 0
+        }
+    if ts.kind == "abrs" and any(
+        r != 0 for per in ts.action_reward for r in per.values()
+    ):
+        doc["action_rewards"] = {
+            str(i): {name: float(r) for name, r in sorted(per.items()) if r != 0}
+            for i, per in enumerate(ts.action_reward)
+            if any(r != 0 for r in per.values())
+        }
+    doc["state_bigraphs"] = [
+        to_json(b) if b is not None else None for _, b in ts.states
+    ]
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 
 from bigrs.analysis import dtmc_bounded_reach, dtmc_reach
 from bigrs.canon import canonical_key
+from bigrs import export
 from bigrs.export import (
     ExportError,
+    export_json,
     export_prism,
     render_dot,
     render_lab,
@@ -18,14 +21,13 @@ from bigrs.export import (
     render_tra,
     render_trew,
     rewards_to_states,
-    system_to_json,
 )
 from bigrs.language import elaborate, load_model, parse
 from bigrs import system
 from bigrs.walk import simulate
-from bigrs.system import TransitionSystem, build_transition_system
+from bigrs.system import StateCapError, TransitionSystem, build_transition_system
 
-from oracles import load_prism_dtmc, reference_simulate
+from oracles import load_prism_dtmc, reference_simulate, system_to_json
 
 WSN_TRA = """4 6
 0 1 1
@@ -330,6 +332,98 @@ def test_transitions_order():
     assert [(i, a, j) for i, a, j, _ in ABRS.transitions()] == [
         (0, "back", 0), (0, "go", 1), (0, "go", 2), (1, "retry", 0), (1, "retry", 2)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the streamed JSON export and atomic writes
+# ---------------------------------------------------------------------------
+
+# one state and no transitions, and a label with a newline, a quote and a
+# non-ASCII character
+LONE = _hand_built("brs", [[]], [set()])
+ODD_LABEL = _hand_built(
+    "pbrs",
+    [[(None, {1: Fraction(1)})], [(None, {1: Fraction(1)})]],
+    [{'line\nbreak "quoted" caf\u00e9'}, set()],
+)
+
+
+def _capped_virus(models_dir):
+    with pytest.raises(StateCapError) as exc:
+        build_transition_system(load_model(models_dir / "virus.big"), max_states=10)
+    return exc.value.partial
+
+
+SYSTEMS = {
+    "wsn": lambda r: r.getfixturevalue("wsn_ts"),
+    "send_mdp": lambda r: r.getfixturevalue("send_mdp_ts"),
+    "virus": lambda r: r.getfixturevalue("virus_ts"),
+    "budding": lambda r: r.getfixturevalue("budding_ts"),
+    "mobile_sink2": lambda r: r.getfixturevalue("sink2_ts"),
+    "mobile_sink": lambda r: build_transition_system(
+        load_model(r.getfixturevalue("models_dir") / "mobile_sink.big")
+    ),
+    "brs": lambda r: BRS,
+    "sbrs": lambda r: SBRS,
+    "abrs": lambda r: ABRS,
+    "lone": lambda r: LONE,
+    "odd-label": lambda r: ODD_LABEL,
+    "capped-virus": lambda r: _capped_virus(r.getfixturevalue("models_dir")),
+}
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_json_export_bytes_equal_the_whole_document(name, request, tmp_path):
+    # the file written one item at a time is the dump of the whole document
+    ts = SYSTEMS[name](request)
+    path = export_json(ts, tmp_path, "m")
+    text = json.dumps(system_to_json(ts), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == text.encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_json_export_holds_one_state_at_a_time(virus_ts, tmp_path):
+    # the whole document of the 286 virus states takes about 23 MB to
+    # build; the streamed export never holds more than one state's
+    tracemalloc.start()
+    try:
+        export_json(virus_ts, tmp_path, "virus")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
+
+
+def test_failed_json_export_keeps_the_earlier_file(
+    wsn_ts, send_mdp_ts, tmp_path, monkeypatch
+):
+    earlier = export_json(send_mdp_ts, tmp_path, "m").read_bytes()
+    seen = []
+
+    def failing_to_json(b, _to_json=export.to_json):
+        seen.append(b)
+        if len(seen) == 3:
+            raise RuntimeError("third state")
+        return _to_json(b)
+
+    monkeypatch.setattr(export, "to_json", failing_to_json)
+    with pytest.raises(RuntimeError, match="third state"):
+        export_json(wsn_ts, tmp_path, "m")
+    assert len(seen) == 3
+    assert (tmp_path / "m.json").read_bytes() == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_failed_prism_write_keeps_the_earlier_bundle(send_mdp_ts, tmp_path):
+    # an action name with a lone surrogate renders, but cannot be written
+    # as UTF-8, so writing the .tra file fails part-way
+    bundle = export_prism(send_mdp_ts, tmp_path, "m")
+    earlier = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    unwritable = _hand_built("abrs", [[("\ud800", {0: Fraction(1)})]], [set()])
+    with pytest.raises(UnicodeEncodeError):
+        export_prism(unwritable, tmp_path, "m")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier
+    assert earlier.keys() == {p.name for p in bundle.manifest.values()}
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from bigrs.export import (
     render_lab,
     render_tra,
     render_trew,
-    system_to_json,
 )
 from bigrs.system import (
     KINDS,
@@ -44,6 +43,7 @@ from oracles import (
     next_distribution,
     next_rates,
     reference_closure,
+    system_to_json,
 )
 
 SIG = {
