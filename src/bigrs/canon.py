@@ -10,10 +10,10 @@ over the node indices (ids ascending) that keep the concrete ids.  A form
 is made in two places: by `form_of` from a `Bigraph` (an initial state, a
 pattern, a test's state) and by `matching._splice` from its host's form,
 for every rewrite result.  It is checked in one place, the `Form`
-constructor.  The engine keys, labels, matches and expands forms, and
-`Form.bigraph` builds a `Bigraph` only for a state that a closure keeps,
-once, for `TransitionSystem.states` and the exports.  `canonical_key`
-accepts a form or a `Bigraph` and gives the same bytes.
+constructor.  The engine keys, labels, matches and expands forms.  A
+closure keeps each state as a `KeptState` of its form's arrays, whose
+`bigraph()` is the one place a form becomes a `Bigraph`, with its ids.
+`canonical_key` accepts a form or a `Bigraph` and gives the same bytes.
 
 The key is the lexicographically minimal encoding over the leaves of an
 individualisation-refinement search tree.  Each tree node holds colours
@@ -85,7 +85,6 @@ from itertools import chain
 
 from .bigraph import (
     Bigraph,
-    Edge,
     Interface,
     Link,
     NODE,
@@ -107,10 +106,6 @@ class Form:
     ne + r the r-th outer name (`outer_names` is sorted):
     `port_codes[i][pos]` is the code of the port's link, and `edge_ports[e]`
     and `name_ports[r]` hold each link's (node index, position) ports.
-    `places[i]` and `links[code]` are the `Bigraph` place of node i and
-    `Link` of a link when one is known with these ids (the source's, or a
-    host's that a splice left unchanged), else None, so that the states
-    built from forms share them.
     `idle_edge` is the largest ident of an idle edge of the source, -1 if
     it has none (a lean state), since it still bounds a splice's new edge
     ids.
@@ -122,15 +117,13 @@ class Form:
 
     __slots__ = (
         "signature", "outer", "ids", "controls", "ctrl", "up", "children",
-        "port_codes", "edges", "edge_ports", "name_ports", "places",
-        "links", "outer_names", "n", "ne", "port_span", "width", "idle_edge",
-        "twins", "_by_control",
+        "port_codes", "edges", "edge_ports", "name_ports", "outer_names",
+        "n", "ne", "port_span", "width", "idle_edge", "twins", "_by_control",
     )
 
     def __init__(self, signature, outer, ids: list, controls: list,
                  ctrl: list, up: list, edges: list, edge_ports: list,
-                 name_ports: list, places: list | None = None,
-                 links: list | None = None, idle_edge: int = -1):
+                 name_ports: list, idle_edge: int = -1):
         self.signature = signature
         self.outer = outer
         self.ids = ids
@@ -140,8 +133,6 @@ class Form:
         self.edges = edges
         self.edge_ports = edge_ports
         self.name_ports = name_ports
-        self.places = places or [None] * len(ids)
-        self.links = links or [None] * (len(edges) + len(name_ports))
         self.idle_edge = idle_edge
         n = self.n = len(ids)
         self.ne = len(edges)
@@ -194,23 +185,35 @@ class Form:
             self._by_control = index
         return self._by_control
 
+
+class KeptState:
+    """A state as a closure keeps it: the `Form` fields of these names,
+    the form's own lists and not copies, which are all its `Bigraph` needs,
+    so the rest of the form can go once the state is expanded."""
+
+    __slots__ = (
+        "signature", "outer", "ids", "controls", "up", "edges", "edge_ports",
+        "name_ports",
+    )
+
+    def __init__(self, form: Form):
+        for name in self.__slots__:
+            setattr(self, name, getattr(form, name))
+
     def bigraph(self) -> Bigraph:
-        """The state as a `Bigraph` with these ids.  Its places and links
-        become the form's, so the splices from it share those they leave
-        unchanged."""
-        ids, places, links = self.ids, self.places, self.links
-        for i, u in enumerate(self.up):
-            if places[i] is None:
-                places[i] = (REGION, -1 - u) if u < 0 else (NODE, ids[u])
-        for code, ports in enumerate(chain(self.edge_ports, self.name_ports)):
-            if links[code] is None:
-                links[code] = Link(frozenset([(ids[i], pos) for i, pos in ports]))
+        """The state as a validated `Bigraph` with these ids, built anew
+        on every call."""
+        ids = self.ids
+        keys = chain(self.edges, sorted(self.outer.names))
+        ports = chain(self.edge_ports, self.name_ports)
         return Bigraph(
             self.signature,
             dict(zip(ids, self.controls)),
-            dict(zip(ids, places)),
+            {v: (REGION, -1 - u) if u < 0 else (NODE, ids[u])
+             for v, u in zip(ids, self.up)},
             {},
-            dict(zip([*self.edges, *self.outer_names], links)),
+            {k: Link(frozenset([(ids[i], pos) for i, pos in ps]))
+             for k, ps in zip(keys, ports)},
             Interface(0),
             self.outer,
         )
@@ -228,9 +231,9 @@ def form_of(b: Bigraph) -> Form:
     for c in controls:
         if c not in tokens:
             tokens[c] = (c[0], tuple(map(number_text, c[1])))
-    places = [b.parent[v] for v in ids]
-    up = [-1 - at if kind == REGION else idx[at] for kind, at in places]
-    edges = sorted((k for k in b.links if isinstance(k, Edge)), key=lambda e: e.ident)
+    up = [-1 - at if kind == REGION else idx[at]
+          for kind, at in map(b.parent.__getitem__, ids)]
+    edges = b.edges()
     idle = [k.ident for k in edges if not b.links[k].ports]
     if idle:
         edges = [k for k in edges if b.links[k].ports]
@@ -240,8 +243,6 @@ def form_of(b: Bigraph) -> Form:
         edges,
         [[(idx[v], pos) for v, pos in link.ports] for link in links[:len(edges)]],
         [[(idx[v], pos) for v, pos in link.ports] for link in links[len(edges):]],
-        places,
-        links,
         max(idle, default=-1),
     )
     return form

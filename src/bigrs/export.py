@@ -11,7 +11,8 @@ with 17 significant digits so doubles round-trip):
   state gets a single ``tau`` self-loop choice (the trivial identity
   action) so every state has at least one choice.
 * ``.lab``: header assigning label ids (``init`` is always id 0 and holds
-  on state 0), then ``<state>: <ids...>`` for each labelled state.
+  on state 0), then ``<state>: <ids...>`` for each labelled state.  A
+  label holding ``"`` or a line break is refused: the header has no escape.
 * ``.srew``: header ``<numStates> <numNonzero>`` then ``<state> <reward>``.
 * ``.trew`` (MDP action rewards): header ``<numStates> <numNonzero>``
   then ``<src> <choiceIndex> <reward>`` per rewarded choice.
@@ -25,9 +26,11 @@ by default and documented in docs/formats.md.
 
 The JSON file is ``json.dumps(doc, indent=2, sort_keys=True)`` of the
 system's document plus a newline, written one transition and one state
-at a time, so memory holds one state's document at most.  Every file is
-written atomically: to a temporary file beside its target, moved into
-place when complete, so a failed write leaves the earlier file intact.
+at a time, each state's `Bigraph` built from what the closure kept, so
+memory holds one state's document at most.  Every file is written
+atomically: all the files of one export go to temporary files beside
+their targets and are moved into place once complete, so a failed write
+leaves every earlier file intact.
 """
 
 from __future__ import annotations
@@ -103,8 +106,9 @@ def render_lab(ts: TransitionSystem) -> str:
     names = sorted({l for ls in ts.labels for l in ls})
     ids = {"init": 0}
     for name in names:
-        if name != "init":
-            ids[name] = len(ids)
+        if any(c in name for c in '"\n\r'):
+            raise ExportError(f"label {name!r} holds a quote or a line break")
+        ids.setdefault(name, len(ids))
     header = " ".join(f'{i}="{n}"' for n, i in sorted(ids.items(), key=lambda x: x[1]))
     lines = [header]
     for s in range(ts.n_states):
@@ -169,8 +173,8 @@ def rewards_to_states(ts: TransitionSystem) -> TransitionSystem:
     labels = []
     state_reward = []
     for orig, reward in classes:
-        key, b = ts.states[orig]
-        states.append((key + f"|charged:{reward}".encode(), b))
+        key, state = ts.states[orig]
+        states.append((key + f"|charged:{reward}".encode(), state))
         marks = set(ts.labels[orig])
         if reward != 0:
             marks.add(f"charged({_render_reward(reward)})")
@@ -208,8 +212,8 @@ def export_prism(
         texts["srew"] = render_srew(ts)
     if ts.kind == "abrs" and _action_rewarded(ts):
         texts["trew"] = render_trew(ts)
-    paths = {role: _write(out_dir, f"{stem}.{role}", [text])
-             for role, text in texts.items()}
+    files = {f"{stem}.{role}": [text] for role, text in texts.items()}
+    paths = dict(zip(texts, _write(out_dir, files)))
     return ExportBundle(paths["tra"], paths["lab"], paths.get("srew"),
                         paths.get("trew"))
 
@@ -218,22 +222,26 @@ def _action_rewarded(ts: TransitionSystem) -> bool:
     return any(r != 0 for per in ts.action_reward for r in per.values())
 
 
-def _write(out_dir, name: str, chunks: Iterable[str]) -> Path:
-    """Write the text `chunks` to out_dir/name, creating out_dir, and
-    return the path.  The target is replaced only by a complete file; a
-    write that fails part-way leaves it as it was, and no temporary file."""
+def _write(out_dir, files: dict[str, Iterable[str]]) -> list[Path]:
+    """Write each file's text chunks to out_dir/name, creating out_dir,
+    and return the paths.  The targets are replaced only once all of them
+    are written in full to temporary files beside them: a write that fails
+    part-way leaves every target as it was, and no temporary file."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    tmp = out_dir / f".{name}.{os.getpid()}.tmp"
+    tmps = {}
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        for name, chunks in files.items():
+            tmp = tmps[name] = out_dir / f".{name}.{os.getpid()}.tmp"
+            with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(chunks)
+        for name, tmp in tmps.items():
+            os.replace(tmp, out_dir / name)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
         raise
-    return path
+    return [out_dir / name for name in files]
 
 
 # ---------------------------------------------------------------------------
@@ -241,18 +249,21 @@ def _write(out_dir, name: str, chunks: Iterable[str]) -> Path:
 # ---------------------------------------------------------------------------
 
 
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
+
+
 def render_dot(ts: TransitionSystem) -> str:
     lines = ["digraph ts {", "  node [shape=circle];"]
     for i in range(ts.n_states):
         labels = sorted(ts.labels[i])
         text = str(i) if not labels else f"{i}: " + ",".join(labels)
-        lines.append(f'  s{i} [label="{text}"];')
+        lines.append(f'  s{i} [label="{text.translate(_DOT_ESCAPES)}"];')
     for i, name, j, p in ts.transitions():
         if p is None:
             lines.append(f"  s{i} -> s{j};")
         else:
             text = f"{float(p):.6g}" if name is None else f"{name}:{float(p):.6g}"
-            lines.append(f'  s{i} -> s{j} [label="{text}"];')
+            lines.append(f'  s{i} -> s{j} [label="{text.translate(_DOT_ESCAPES)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -303,7 +314,7 @@ def _json_chunks(ts: TransitionSystem) -> Iterator[str]:
         "transitions": _json_list(edges()),
         "labels": {str(i): sorted(ls) for i, ls in enumerate(ts.labels) if ls},
         "state_bigraphs": _json_list(
-            to_json(b) if b is not None else None for _, b in ts.states
+            to_json(s.bigraph()) if s is not None else None for _, s in ts.states
         ),
     }
     if any(r != 0 for r in ts.state_reward):
@@ -327,8 +338,8 @@ def _json_chunks(ts: TransitionSystem) -> Iterator[str]:
 
 
 def export_json(ts: TransitionSystem, out_dir, stem: str) -> Path:
-    return _write(out_dir, f"{stem}.json", _json_chunks(ts))
+    return _write(out_dir, {f"{stem}.json": _json_chunks(ts)})[0]
 
 
 def export_dot(ts: TransitionSystem, out_dir, stem: str) -> Path:
-    return _write(out_dir, f"{stem}.dot", [render_dot(ts)])
+    return _write(out_dir, {f"{stem}.dot": [render_dot(ts)]})[0]

@@ -53,8 +53,7 @@ the ones the composition formula assigns (see `rewrite`).  A form is
 made here or by `canon.form_of`, and the `Form` constructor checks it,
 as it checks every state: ports, a forest of parents, atomic nodes
 without children.  `apply_rule_all` splices and keys forms only;
-`rewrite` is the splice plus `Form.bigraph`.  The engine builds a
-`Bigraph` only for a state that a closure keeps (`system`).
+`rewrite` is the splice plus `canon.KeptState.bigraph`.
 
 `apply_rule_all` rewrites once per orbit of occurrences.  Leaves of one
 control under one parent whose ports sit on the same links, or on private
@@ -72,7 +71,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 from .bigraph import (
     Bigraph,
@@ -82,7 +80,7 @@ from .bigraph import (
     merge_signatures,
     require_solid,
 )
-from .canon import Form, canonical_key, form_of, ground_form, twin_classes
+from .canon import Form, KeptState, canonical_key, form_of, ground_form, twin_classes
 
 
 class MatchError(BigraphError):
@@ -114,12 +112,14 @@ class _Plan:
     ``need`` how many nodes of each it has; ``slot`` gives each node's
     control position.  ``sites`` holds the node that holds each site, by
     site (all sites sit under nodes in a solid pattern), and ``holders``
-    the same nodes as a set.  ``neigh`` is each node's parent, children
-    and link peers.  ``orders`` maps a vector of target candidate counts,
-    one per control, to the node order planned for it."""
+    the same nodes as a set.  ``open_edges`` holds the codes of the
+    pattern's edges that have inner names.  ``neigh`` is each node's
+    parent, children and link peers.  ``orders`` maps a vector of target
+    candidate counts, one per control, to the node order planned for it."""
 
     __slots__ = (
-        "form", "controls", "need", "slot", "sites", "holders", "neigh", "orders"
+        "form", "controls", "need", "slot", "sites", "holders", "open_edges",
+        "neigh", "orders",
     )
 
     def __init__(self, pattern: Bigraph):
@@ -133,6 +133,9 @@ class _Plan:
             for s in range(pattern.inner.width)
         )
         self.holders = frozenset(self.sites)
+        self.open_edges = frozenset(
+            e for e, edge in enumerate(form.edges) if pattern.links[edge].inner
+        )
         neigh = [set() for _ in range(form.n)]
         for v, u in enumerate(form.up):
             if u >= 0:
@@ -199,9 +202,9 @@ class _Embedder:
         self.order = order
         self.node_map: list = [None] * r.n  # pattern node -> target node
         self.used: list = [None] * target.n  # target node -> pattern node
-        self.link_map: list = [None] * len(r.links)  # pattern -> target link
+        self.link_map: list = [None] * (r.ne + len(r.name_ports))  # -> target link
         self.edge_claimed: list = [None] * target.ne  # target -> pattern edge
-        self.name_claimed: list = [None] * len(target.links)  # -> pattern name
+        self.name_claimed: list = [None] * (target.ne + len(target.name_ports))
         self.region_place: list = [None] * r.width  # region -> target place
         self.trail: list = []  # (table, index) of each binding, in order
         self.matches: list[Match] = []
@@ -314,7 +317,7 @@ class _Embedder:
                     return False
                 m, n = len(r.edge_ports[rk]), len(g.edge_ports[tk])
                 # an edge with inner names may have more ports in the target
-                if n < m or (n > m and not r.links[rk].inner):
+                if n < m or (n > m and rk not in self.plan.open_edges):
                     return False
                 self._set(self.edge_claimed, tk, rk)
             else:
@@ -445,11 +448,6 @@ class RewriteOutcome:
     count: int
     key: bytes
 
-    @cached_property
-    def result(self) -> Bigraph:
-        """The result's `Bigraph`, built on first use."""
-        return self.form.bigraph()
-
 
 def rewrite(g: Bigraph, rule, m: Match) -> Bigraph:
     """Replace the matched redex image by the reactum over the same
@@ -470,7 +468,7 @@ def rewrite(g: Bigraph, rule, m: Match) -> Bigraph:
     if m.target is not ground_form(g) or m.redex is not redex:
         raise MatchError("stale match: it does not witness this state and rule")
     _check_rule_interfaces(redex, reactum)
-    return _splice(m.target, redex, reactum, m).bigraph()
+    return KeptState(_splice(m.target, redex, reactum, m)).bigraph()
 
 
 def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
@@ -523,8 +521,7 @@ def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
 
     # host links (by link code) lose the image ports and renumber the
     # rest; a reactum name's ports join the host link that the redex name
-    # is mapped to; a link no moved node touches keeps its `Link`; idle
-    # edges are left out
+    # is mapped to; idle edges are left out
     consumed = set(m.link_map[:lf.ne])
     eoff = 1 + max(
         host.idle_edge,
@@ -533,17 +530,12 @@ def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
     )
     old = host.edge_ports + host.name_ports
     ports = [[(new[i], pos) for i, pos in eps if i not in images] for eps in old]
-    links = [
-        None if any(i in moved for i, _ in eps) else link
-        for eps, link in zip(old, host.links)
-    ]
     for r, ps in enumerate(rf.name_ports):
         if ps:
             # the interfaces are equal, so the reactum's name r is the
             # redex's, and a solid redex's names have ports, so it is mapped
             code = m.link_map[lf.ne + r]
             ports[code].extend([(nc + t, p) for t, p in ps])
-            links[code] = None
     keep = [e for e in range(host.ne) if ports[e]]
     return Form(
         merge_signatures(host.signature, reactum.signature),
@@ -558,8 +550,6 @@ def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
         [ports[e] for e in keep]
         + [[(nc + t, pos) for t, pos in eps] for eps in rf.edge_ports],
         ports[host.ne:],
-        [host.places[i] for i in ctx] + [None] * (rf.n + len(prm)),
-        [links[e] for e in keep] + [None] * rf.ne + links[host.ne:],
     )
 
 

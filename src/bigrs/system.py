@@ -20,11 +20,10 @@ The closure and the simulator (`bigrs.walk`) keep their states in one
 (`matching._splice`), and checked by the `Form` constructor, so every
 state that is numbered has passed that check.  `_step` and the labeller
 read forms.  Expanding a state runs `_step` on its form and gives back
-choices over successor numbers.  The closure builds each kept state's
-`Bigraph` once (`Form.bigraph`), for `TransitionSystem.states` and the
-exports, just before its expansion so that the splices from it share its
-places and links, and the store then drops the form.  The walk builds no
-`Bigraph`.
+choices over successor numbers, and the store then drops the form.  The
+closure keeps each state as a `canon.KeptState` of its form's arrays,
+whose `bigraph()` builds the state's `Bigraph` on demand.  Beyond `lean`
+of the initial state, neither the closure nor the walk builds a `Bigraph`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bigraph import Bigraph, BigraphError, lean, require_solid
-from .canon import Form, canonical_key, form_of
+from .canon import Form, KeptState, canonical_key, form_of
 from .matching import (
     Dispatch,
     apply_rule_all,
@@ -168,7 +167,7 @@ class TransitionSystem:
     """
 
     kind: str
-    states: list  # (canonical key, Bigraph)
+    states: list  # (canonical key, KeptState)
     rows: list
     labels: list = field(default_factory=list)
     label_names: tuple = ()  # the declared label universe
@@ -356,17 +355,15 @@ def build_transition_system(
     At the cap, the first states of the last level are kept unexpanded
     (see docs/formats.md).  Each kept state is labelled once, before its
     expansion, which then reuses the control index the labeller built.
-    The initial state is kept as given; every other kept state's `Bigraph`
-    is built from its form.
     """
     if max_states <= 0:
         raise SystemError_("state cap must be positive")
     store = StateStore(spec)
-    init = lean(spec.initial)
-    store.add(canonical_key(init), form_of(init))
+    init = form_of(lean(spec.initial))
+    store.add(canonical_key(init), init)
     label = labeller(spec.predicates)
     order: list = []  # export number -> discovery number
-    states: list = []  # export number -> (key, Bigraph)
+    states: list = []  # export number -> (key, KeptState)
     marks: list = []  # export number -> (labels, state reward)
     raw: dict = {}  # discovery number -> row over discovery numbers
     truncated = False
@@ -376,7 +373,7 @@ def build_transition_system(
         for i in level:
             form = store.forms[i]
             order.append(i)
-            states.append((store.keys[i], form.bigraph() if i else init))
+            states.append((store.keys[i], KeptState(form)))
             marks.append(label(form))
             if not truncated:
                 raw[i] = _row(spec.kind, i, store.expand(i), store.keys)

@@ -49,7 +49,7 @@ from bigrs.bigraph import (
     tensor,
     to_json,
 )
-from bigrs.canon import Form, _encode, canonical_key, form_of
+from bigrs.canon import Form, KeptState, _encode, canonical_key, form_of
 from bigrs.language import (
     BAtom,
     BClose,
@@ -670,7 +670,7 @@ class Outcome(NamedTuple):
     """An outcome of `ungrouped_apply_rule_all`, read like a
     `bigrs.matching.RewriteOutcome`."""
 
-    result: Bigraph
+    form: Form
     count: int
     key: bytes
 
@@ -686,7 +686,7 @@ def ungrouped_apply_rule_all(g: Bigraph, rule) -> list:
         if key in groups:
             groups[key][1] += 1
         else:
-            groups[key] = [res, 1]
+            groups[key] = [form_of(res), 1]
     return [
         Outcome(groups[k][0], groups[k][1], k) for k in sorted(groups)
     ]
@@ -712,7 +712,7 @@ def reference_step(kind: str, g: Bigraph, rules=(), actions=()) -> list:
             w = 1 if kind == "brs" else rule.weight
             if w:
                 out.extend(
-                    (rule.name, o.key, o.result, w * o.count)
+                    (rule.name, o.key, KeptState(o.form).bigraph(), w * o.count)
                     for o in outcomes[rule.name]
                 )
         return out
@@ -828,7 +828,8 @@ def reference_closure(spec, max_states: int = 1_000_000) -> TransitionSystem:
     level is numbered in key order.  At the cap the first states of the
     last level are kept unexpanded.  A row that is unexpanded or leads past
     the cap becomes terminal (the delta for a pbrs).  A cut system comes
-    back with `complete` False instead of being raised."""
+    back with `complete` False instead of being raised.  Its states are
+    kept as the engine keeps them, as a `KeptState` of their forms."""
     init = lean(spec.initial)
     states = [(canonical_key(init), init)]
     index = {states[0][0]: 0}
@@ -872,7 +873,7 @@ def reference_closure(spec, max_states: int = 1_000_000) -> TransitionSystem:
     marks = [reference_labels(g, spec.predicates) for _, g in states]
     reward_of = {a.name: a.reward for a in spec.actions}
     return TransitionSystem(
-        spec.kind, states, rows,
+        spec.kind, [(k, KeptState(form_of(g))) for k, g in states], rows,
         labels=[ls for ls, _ in marks],
         label_names=tuple(p.name for p in spec.predicates),
         state_reward=[r for _, r in marks],
@@ -1051,7 +1052,7 @@ def system_to_json(ts: TransitionSystem) -> dict:
             if any(r != 0 for r in per.values())
         }
     doc["state_bigraphs"] = [
-        to_json(b) if b is not None else None for _, b in ts.states
+        to_json(s.bigraph()) if s is not None else None for _, s in ts.states
     ]
     return doc
 

@@ -274,7 +274,7 @@ def test_criterion_7_semantics_invariants(models_dir, seed):
             index[k]: p
             for k, (_, p) in next_distribution(g, spec.rules).items()
         })]
-        for i, (_, g) in enumerate(base.states)
+        for i, g in enumerate(s.bigraph() for _, s in base.states)
     )
     checks.append(("per-state distributions match builder rows", lemma1))
 
@@ -294,7 +294,7 @@ def test_criterion_7_semantics_invariants(models_dir, seed):
     lemma2 = True
     actions = {a.name: a for a in mdp_spec.actions}
     for i, row in enumerate(mdp_ts.rows):
-        g = mdp_ts.states[i][1]
+        g = mdp_ts.states[i][1].bigraph()
         for name, dist in row:
             fixed = {
                 midx[k]: p

@@ -420,7 +420,7 @@ def _model_states(path, cap=10**6):
         ts = build_transition_system(load_model(path), max_states=cap)
     except StateCapError as exc:
         ts = exc.partial
-    return [g for _, g in ts.states]
+    return [s.bigraph() for _, s in ts.states]
 
 
 def _refine_both(g, sk, col, dense, moved):
@@ -521,7 +521,9 @@ def test_key_matches_unpruned_search(models_dir, wsn_ts, send_mdp_ts, virus_ts):
         outcomes.add(canonical_key(h) == key)
     assert outcomes == {True, False}
     # the builds key their states with the search under test
-    states = [g for ts in (wsn_ts, send_mdp_ts, virus_ts) for _, g in ts.states]
+    states = [
+        s.bigraph() for ts in (wsn_ts, send_mdp_ts, virus_ts) for _, s in ts.states
+    ]
     states += _model_states(models_dir / "mobile_sink.big")
     states += _model_states(models_dir / "budding.big", 300)
     for g in states:

@@ -19,7 +19,7 @@ from bigrs.bigraph import (
     lean,
     to_json,
 )
-from bigrs.canon import Form, canonical_key, form_of
+from bigrs.canon import Form, KeptState, canonical_key, form_of
 from bigrs.language import elaborate, load_model, parse
 from bigrs.matching import MatchError, _Embedder, has_occurrence, occurrences
 from bigrs.system import (
@@ -52,7 +52,7 @@ def _view(choices):
     a `Form` (`_step`) or a `Bigraph` (`reference_step`)."""
     return [
         (a and a.name, [
-            (r, k, m, to_json(b.bigraph() if isinstance(b, Form) else b))
+            (r, k, m, to_json(KeptState(b).bigraph() if isinstance(b, Form) else b))
             for r, k, b, m in es
         ])
         for a, es in choices
@@ -93,7 +93,7 @@ def test_dispatch_matches_every_rule_kernel_on_model_states(models_dir, name):
             for _, key, succ, _ in es:
                 if key not in seen:
                     seen.add(key)
-                    states.append(succ.bigraph())
+                    states.append(KeptState(succ).bigraph())
     assert _labels(states, spec.predicates) == [
         reference_labels(g, spec.predicates) for g in states
     ]

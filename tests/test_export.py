@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -424,6 +425,41 @@ def test_failed_prism_write_keeps_the_earlier_bundle(send_mdp_ts, tmp_path):
         export_prism(unwritable, tmp_path, "m")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == earlier
     assert earlier.keys() == {p.name for p in bundle.manifest.values()}
+
+    # the .tra file is written, and the .lab file fails: neither is moved
+    # into place, so the earlier bundle is not mixed with the new one
+    out = tmp_path / "pbrs"
+    export_prism(_hand_built("pbrs", [[(None, {0: Fraction(1)})]], [set()]), out, "m")
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    unwritable = _hand_built(
+        "pbrs", [[(None, {1: Fraction(1)})], [(None, {1: Fraction(1)})]],
+        [{"\ud800"}, set()],
+    )
+    with pytest.raises(UnicodeEncodeError):
+        export_prism(unwritable, out, "m")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+    assert earlier.keys() == {"m.tra", "m.lab"}
+
+
+def test_lab_refuses_a_label_it_cannot_quote(tmp_path):
+    # a .lab header has no escape for a quote or a line break
+    label = 'line\nbreak "quoted" caf\u00e9'
+    with pytest.raises(ExportError, match=re.escape(repr(label))):
+        render_lab(ODD_LABEL)
+    with pytest.raises(ExportError):
+        export_prism(ODD_LABEL, tmp_path, "m")
+    assert list(tmp_path.iterdir()) == []
+    for odd in ('a"b', "a\nb", "a\rb"):
+        with pytest.raises(ExportError):
+            render_lab(_hand_built("pbrs", [[(None, {0: Fraction(1)})]], [{odd}]))
+
+
+def test_dot_escapes_label_text():
+    dot = render_dot(ODD_LABEL)
+    assert '  s0 [label="0: line\\nbreak \\"quoted\\" caf\u00e9"];' in dot.splitlines()
+    assert all(line.endswith(("{", ";", "}")) for line in dot.splitlines())
+    crlf = _hand_built("pbrs", [[(None, {0: Fraction(1)})]], [{"a\\b\r\nc"}])
+    assert '  s0 [label="0: a\\\\b\\r\\nc"];' in render_dot(crlf).splitlines()
 
 
 # ---------------------------------------------------------------------------

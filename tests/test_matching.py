@@ -29,7 +29,7 @@ from bigrs.bigraph import (
     unit,
 )
 from bigrs import canon, matching
-from bigrs.canon import canonical_key, twin_classes
+from bigrs.canon import KeptState, canonical_key, twin_classes
 from bigrs.language import elaborate, load_model, parse
 from bigrs.matching import (
     MatchError,
@@ -150,7 +150,8 @@ def test_fail_occurrences_and_counts():
     assert len(occurrences(fail[0], g3)) == 0
     outs = apply_rule_all(g0, fail)
     assert len(outs) == 1 and outs[0].count == 3
-    assert outs[0].key == canonical_key(outs[0].result) == canonical_key(g1)
+    assert outs[0].key == canonical_key(KeptState(outs[0].form).bigraph())
+    assert outs[0].key == canonical_key(g1)
     # counts partition occurrences
     assert sum(o.count for o in apply_rule_all(g1, fail)) == len(
         occurrences(fail[0], g1)
@@ -171,7 +172,7 @@ def test_identity_rule_self_loop():
     wait = (fail[0], fail[0])  # L = R
     outs = apply_rule_all(g0, wait)
     assert len(outs) == 1 and outs[0].count == 3
-    assert canonical_key(outs[0].result) == canonical_key(g0)
+    assert canonical_key(KeptState(outs[0].form).bigraph()) == canonical_key(g0)
 
 
 def test_non_solid_redex_reports_clause():
@@ -472,7 +473,7 @@ def _states(path, max_states):
         ts = build_transition_system(spec, max_states=max_states)
     except StateCapError as exc:
         ts = exc.partial
-    return spec.rules, [g for _, g in ts.states]
+    return spec.rules, [s.bigraph() for _, s in ts.states]
 
 
 def _assert_splice_matches_algebra(g, rule, m):
@@ -482,7 +483,7 @@ def _assert_splice_matches_algebra(g, rule, m):
     ref = algebraic_rewrite(g, rule, m)
     form = matching._splice(canon.form_of(g), redex, reactum, m)
     assert canonical_key(form) == canonical_key(ref)
-    res = form.bigraph()
+    res = KeptState(form).bigraph()
     assert to_json(res) == to_json(ref)
     assert res.links.keys() == ref.links.keys()
 
@@ -496,7 +497,7 @@ def _corpus(models_dir, virus_ts, sink2_ts, budding_cap):
     sink2 = models_dir.parent / "bench/models/mobile_sink2.big"
     for path, ts in ((models_dir / "virus.big", virus_ts), (sink2, sink2_ts)):
         corpus.append((path.stem, load_model(path).rules,
-                       [g for _, g in ts.states]))
+                       [s.bigraph() for _, s in ts.states]))
     corpus.append(("budding", *_states(models_dir / "budding.big", budding_cap)))
     return tuple(corpus)
 
@@ -556,7 +557,7 @@ def _form_fields(form):
 
 
 def test_corrupted_form_fails_the_totality_guard(wsn_ts, virus_ts):
-    g = wsn_ts.states[0][1]
+    g = wsn_ts.states[0][1].bigraph()
     fields = _form_fields(canon.form_of(g))
     canon.Form(**fields)  # the copy itself is total
 
@@ -576,7 +577,7 @@ def test_corrupted_form_fails_the_totality_guard(wsn_ts, virus_ts):
         canon.Form(**stray)
 
     # every parent in range, but two cells are each other's parent
-    cells = _form_fields(canon.form_of(virus_ts.states[0][1]))
+    cells = _form_fields(canon.form_of(virus_ts.states[0][1].bigraph()))
     a, b = [i for i, u in enumerate(cells["up"]) if u < 0][:2]
     cells["up"][a], cells["up"][b] = b, a
     with pytest.raises(ShapeError, match="cycle"):
@@ -631,7 +632,7 @@ def _twin_corpus():
 
 
 def _outcomes(outs):
-    return [(o.key, o.count, to_json(o.result)) for o in outs]
+    return [(o.key, o.count, to_json(KeptState(o.form).bigraph())) for o in outs]
 
 
 def test_grouping_matches_ungrouped_on_generated_states(monkeypatch):

@@ -18,6 +18,7 @@ from bigrs.bigraph import (
 from bigrs.canon import canonical_key
 from bigrs.language import load_model
 from bigrs.export import (
+    export_json,
     render_dot,
     render_lab,
     render_tra,
@@ -230,7 +231,8 @@ def test_pbrs_rows_equal_per_state_distributions():
     fail, recover = rules(2, 1)
     ts = build_wsn()
     index = key_index(ts)
-    for i, (key, g) in enumerate(ts.states):
+    for i, (key, s) in enumerate(ts.states):
+        g = s.bigraph()
         recomputed = {
             index[k]: p for k, (_, p) in next_distribution(g, [fail, recover]).items()
         }
@@ -281,7 +283,7 @@ def test_abrs_build_and_lemma2_fixed_policy():
     )
     ts = build_transition_system(spec)
     for i, row in enumerate(ts.rows):
-        g = ts.states[i][1]
+        g = ts.states[i][1].bigraph()
         per_action = dict(row)
         for action in (a_fail, a_fix):
             if action.name in per_action:
@@ -451,8 +453,8 @@ def test_closure_matches_reference_at_every_cap(models_dir, name):
     for cap in caps:
         ts, ref = _closure(spec, cap), reference_closure(spec, cap)
         assert [k for k, _ in ts.states] == [k for k, _ in ref.states], cap
-        assert [to_json(b) for _, b in ts.states] == [
-            to_json(b) for _, b in ref.states
+        assert [to_json(s.bigraph()) for _, s in ts.states] == [
+            to_json(s.bigraph()) for _, s in ref.states
         ], cap
         # entry order too, which a brs row keeps
         assert [[(a, list(es.items())) for a, es in row] for row in ts.rows] == [
@@ -478,15 +480,21 @@ def _count_constructions(monkeypatch) -> list:
     return calls
 
 
-def test_closure_builds_one_bigraph_per_kept_state(models_dir, monkeypatch):
-    # every other rewrite result is spliced and keyed as a form only
-    spec = load_model(models_dir / "virus.big")
+@pytest.mark.parametrize("name", ["virus", "budding"])
+def test_closure_keeps_no_bigraph_and_the_json_export_builds_one_per_state(
+    models_dir, name, monkeypatch, tmp_path
+):
+    # every state is kept as its form's arrays; only the export builds
+    # each state's `Bigraph`, once
+    spec = load_model(models_dir / f"{name}.big")
     calls = _count_constructions(monkeypatch)
     lean(spec.initial)
     by_lean = len(calls)
     calls.clear()
     ts = build_transition_system(spec)
-    assert len(calls) == ts.n_states - 1 + by_lean
+    assert len(calls) == by_lean
+    export_json(ts, tmp_path, name)
+    assert len(calls) == by_lean + ts.n_states
 
 
 def test_walk_builds_no_bigraph_beyond_the_initial_state(models_dir, monkeypatch):
