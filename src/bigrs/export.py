@@ -9,7 +9,8 @@ with 17 significant digits so doubles round-trip):
   rows ``<src> <choiceIndex> <dst> <prob> <actionName>``; choices are
   indexed per source in lexicographic action-name order, and a terminal
   state gets a single ``tau`` self-loop choice (the trivial identity
-  action) so every state has at least one choice.
+  action) so every state has at least one choice.  An action name that
+  is empty or holds whitespace is refused: the row has no escape.
 * ``.lab``: header assigning label ids (``init`` is always id 0 and holds
   on state 0), then ``<state>: <ids...>`` for each labelled state.  A
   label holding ``"`` or a line break is refused: the header has no escape.
@@ -27,10 +28,12 @@ by default and documented in docs/formats.md.
 The JSON file is ``json.dumps(doc, indent=2, sort_keys=True)`` of the
 system's document plus a newline, written one transition and one state
 at a time, each state's `Bigraph` built from what the closure kept, so
-memory holds one state's document at most.  Every file is written
-atomically: all the files of one export go to temporary files beside
-their targets and are moved into place once complete, so a failed write
-leaves every earlier file intact.
+memory holds one state's document at most.  `_dump` writes that text
+directly, with strings escaped by json's own C function: json's indented
+encoder is pure Python, and most of the export's time went to it.
+Every file is written atomically: all the files of one export go to
+temporary files beside their targets and are moved into place once
+complete, so a failed write leaves every earlier file intact.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ def render_tra(ts: TransitionSystem) -> str:
         n_trans = sum(len(entries) for _, _, _, entries in choices)
         lines = [f"{ts.n_states} {len(choices)} {n_trans}"]
         for src, ci, name, entries in choices:
+            if name.split() != [name]:
+                raise ExportError(f"action {name!r} is empty or holds whitespace")
             for j, p in entries.items():
                 lines.append(f"{src} {ci} {j} {_fmt(p)} {name}")
         return "\n".join(lines) + "\n"
@@ -272,21 +277,52 @@ def render_dot(ts: TransitionSystem) -> str:
 # JSON
 # ---------------------------------------------------------------------------
 
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INFINITIES = {float("inf"): "Infinity", float("-inf"): "-Infinity"}
+# json's text of a scalar, by its exact type
+_SCALARS = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: lambda x: "NaN" if x != x else _INFINITIES.get(x) or float.__repr__(x),
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
 
 
-def _at_depth(value, depth: int) -> str:
-    """`value` encoded as ``json.dumps(value, indent=2, sort_keys=True)``
-    would print it `depth` levels deep: an encoded string never holds a
-    raw newline, so every newline is a line break to indent."""
-    return _ENCODER.encode(value).replace("\n", "\n" + "  " * depth)
+def _dump(value, pad: str, out: list[str]) -> list[str]:
+    """Append to `out`, and return it, the text of ``json.dumps(value,
+    indent=2, sort_keys=True)`` with every line after the first indented
+    by `pad`.  Dicts need `str` keys, and scalars must be of exact type
+    `str`, `int`, `float`, `bool` or `None`; anything else is a `TypeError`."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
+    elif isinstance(value, dict):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            out.append(sep + _ESCAPE(key) + ": ")
+            _dump(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _dump(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]" if value else "[]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not written as JSON")
+    return out
 
 
 def _json_list(items) -> Iterator[str]:
     """A top-level list of the document, one item at a time."""
     empty = True
     for item in items:
-        yield ("[" if empty else ",") + "\n    " + _at_depth(item, 2)
+        yield "".join(_dump(item, "    ", ["[" if empty else ",", "\n    "]))
         empty = False
     yield "[]" if empty else "\n  ]"
 
@@ -328,12 +364,12 @@ def _json_chunks(ts: TransitionSystem) -> Iterator[str]:
             if any(r != 0 for r in per.values())
         }
     for n, key in enumerate(sorted(doc)):
-        yield ("{" if n == 0 else ",") + f"\n  {json.dumps(key)}: "
+        yield ("{" if n == 0 else ",") + f"\n  {_ESCAPE(key)}: "
         value = doc[key]
         if isinstance(value, Iterator):
             yield from value
         else:
-            yield _at_depth(value, 1)
+            yield "".join(_dump(value, "  ", []))
     yield "\n}\n"
 
 

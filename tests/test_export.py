@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bigrs.analysis import dtmc_bounded_reach, dtmc_reach
 from bigrs.canon import canonical_key
@@ -355,6 +357,17 @@ def _capped_virus(models_dir):
     return exc.value.partial
 
 
+# states with a rational and a negative parameter: N.Buf(1/2), N.Buf(-3)
+# and N.(Buf(1/3) | Buf(-3))
+PARAMS_MODEL = """
+ctrl N = 0;
+fun ctrl Buf(b) = 0;
+big start = N.Buf(0.5);
+react drop = N.Buf(0.5) -[1.0]-> N.Buf(-3);
+react split = N.Buf(-3) -[2.0]-> N.(Buf(1/3) | Buf(-3));
+begin pbrs init = start; rules = [drop, split]; end
+"""
+
 SYSTEMS = {
     "wsn": lambda r: r.getfixturevalue("wsn_ts"),
     "send_mdp": lambda r: r.getfixturevalue("send_mdp_ts"),
@@ -370,6 +383,7 @@ SYSTEMS = {
     "lone": lambda r: LONE,
     "odd-label": lambda r: ODD_LABEL,
     "capped-virus": lambda r: _capped_virus(r.getfixturevalue("models_dir")),
+    "params": lambda r: build_transition_system(elaborate(parse(PARAMS_MODEL))),
 }
 
 
@@ -381,6 +395,43 @@ def test_json_export_bytes_equal_the_whole_document(name, request, tmp_path):
     text = json.dumps(system_to_json(ts), indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == text.encode()
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(2**64) - 1, 10**40]),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, float("nan"), float("inf"), float("-inf")]),
+    st.text(st.characters(exclude_categories=[]), max_size=6),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t\r", "caf\u00e9", "\ud800"]),
+)
+_KEYS = st.text(st.characters(exclude_categories=[]), max_size=4) | st.sampled_from(
+    ['"', "\\", "\n", "\u00e9", "\ud800"]
+)
+_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_KEYS, kids, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_VALUES, st.integers(0, 3))
+@example([[], {}, [[]], {"a": {}, "b": [[], [{}]]}], 2)
+def test_dump_writes_what_json_dumps_writes(value, depth):
+    pad = "  " * depth
+    text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    assert "".join(export._dump(value, pad, [])) == text
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1: 2}, {"a": {3}}, [b"x"]])
+def test_dump_refuses_what_the_export_never_holds(value):
+    with pytest.raises(TypeError):
+        export._dump(value, "", [])
 
 
 def test_json_export_holds_one_state_at_a_time(virus_ts, tmp_path):
@@ -452,6 +503,19 @@ def test_lab_refuses_a_label_it_cannot_quote(tmp_path):
     for odd in ('a"b', "a\nb", "a\rb"):
         with pytest.raises(ExportError):
             render_lab(_hand_built("pbrs", [[(None, {0: Fraction(1)})]], [{odd}]))
+
+
+def test_tra_refuses_an_action_it_cannot_write(tmp_path):
+    # a .tra row is split at whitespace, and has no escape
+    broken = _hand_built("abrs", [[("go on\nnow", {0: Fraction(1)})]], [set()])
+    with pytest.raises(ExportError, match=re.escape(repr("go on\nnow"))):
+        render_tra(broken)
+    with pytest.raises(ExportError):
+        export_prism(broken, tmp_path, "m")
+    assert list(tmp_path.iterdir()) == []
+    for odd in ("", "a b", "a\tb", "a\u00a0b", "a\r"):
+        with pytest.raises(ExportError):
+            render_tra(_hand_built("abrs", [[(odd, {0: Fraction(1)})]], [set()]))
 
 
 def test_dot_escapes_label_text():
