@@ -97,7 +97,6 @@ class Edge:
 # A link is keyed by an outer name (str) or an Edge; a place is a node or
 # a region.  Ports are (node id, port index) pairs.
 LinkKey = Union[str, Edge]
-Port = tuple  # (int, int)
 NODE = "node"
 REGION = "region"
 Place = tuple  # (NODE, id) | (REGION, index)
@@ -167,7 +166,6 @@ class Bigraph:
         "inner",
         "outer",
         "_children",
-        "_port_link",
         "_form",
         "_plan",
     )
@@ -200,18 +198,11 @@ class Bigraph:
         self.inner = inner
         self.outer = outer
         self._children: Optional[dict] = None
-        self._port_link: Optional[dict] = None
         self._form = None  # canon's flat form, memoised
         self._plan = None  # matching's search plan, memoised
         self._validate()
 
     # -- structure queries -------------------------------------------------
-
-    def control(self, node: int) -> ControlDecl:
-        return self.signature[self.nodes[node][0]]
-
-    def arity(self, node: int) -> int:
-        return self.control(node).arity
 
     def children(self, place: Place) -> tuple:
         """Child nodes of a place, in ascending node-id order."""
@@ -221,15 +212,6 @@ class Bigraph:
                 kids.setdefault(p, []).append(v)
             self._children = {p: tuple(sorted(vs)) for p, vs in kids.items()}
         return self._children.get(place, ())
-
-    def port_link(self, node: int, port: int) -> LinkKey:
-        if self._port_link is None:
-            pl = {}
-            for key, link in self.links.items():
-                for pt in link.ports:
-                    pl[pt] = key
-            self._port_link = pl
-        return self._port_link[(node, port)]
 
     def edges(self) -> list[Edge]:
         return sorted(
@@ -694,60 +676,3 @@ def require_solid(b: Bigraph, what: str = "bigraph") -> None:
         raise SolidityError(
             f"{what} is not solid: " + "; ".join(violations), violations
         )
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization (debugging surface / `export json`)
-# ---------------------------------------------------------------------------
-
-
-def _num_to_json(x):
-    if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator}
-    return x
-
-
-def to_json(b: Bigraph) -> dict:
-    """Structure dump; schema documented in docs/formats.md."""
-
-    def key_out(k):
-        return {"name": k} if isinstance(k, str) else {"edge": k.ident}
-
-    return {
-        "signature": [
-            {
-                "name": d.name,
-                "arity": d.arity,
-                "atomic": d.atomic,
-                "params": d.param_count,
-            }
-            for d in sorted(b.signature.values(), key=lambda d: d.name)
-        ],
-        "nodes": [
-            {
-                "id": v,
-                "control": b.nodes[v][0],
-                "params": [_num_to_json(p) for p in b.nodes[v][1]],
-            }
-            for v in sorted(b.nodes)
-        ],
-        "place": {
-            "regions": b.outer.width,
-            "sites": b.inner.width,
-            "node_parent": {str(v): list(b.parent[v]) for v in sorted(b.parent)},
-            "site_parent": {
-                str(s): list(b.site_parent[s]) for s in sorted(b.site_parent)
-            },
-        },
-        "links": [
-            {
-                **key_out(k),
-                "ports": sorted(map(list, b.links[k].ports)),
-                "inner": sorted(b.links[k].inner),
-            }
-            for k in sorted(b.links, key=lambda k: (isinstance(k, Edge),
-                                                    k.ident if isinstance(k, Edge) else k))
-        ],
-        "inner_names": sorted(b.inner.names),
-        "outer_names": sorted(b.outer.names),
-    }

@@ -3,8 +3,9 @@
 Subcommands:
 
 * ``validate <model>`` -- parse and elaborate, report problems.
-* ``full <model> [--max-states N] [--out DIR] [--format prism|dot|json]``
-  -- build the transition system and export it.
+* ``full <model> [--max-states N] [--out DIR] [--format prism|dot|json]
+  [--rewards-as-states]`` -- build the transition system and export it;
+  ``--rewards-as-states`` needs the prism format.
 * ``check <model> --query "<query>" [--max-states N]`` -- build and answer
   one query (see `bigrs.analysis` for the query fragment).  The state
   cap N of ``full`` and ``check`` must be >= 1.
@@ -85,7 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "full" and args.rewards_as_states and args.format != "prism":
+        parser.error("--rewards-as-states applies to --format prism only")
     try:
         return _dispatch(args)
     except BigraphError as exc:

@@ -27,10 +27,11 @@ by default and documented in docs/formats.md.
 
 The JSON file is ``json.dumps(doc, indent=2, sort_keys=True)`` of the
 system's document plus a newline, written one transition and one state
-at a time, each state's `Bigraph` built from what the closure kept, so
-memory holds one state's document at most.  `_dump` writes that text
-directly, with strings escaped by json's own C function: json's indented
-encoder is pure Python, and most of the export's time went to it.
+at a time, each state's document written from the arrays the closure
+kept (`_state_json`), so memory holds one state's document at most.
+`_dump` writes that text directly, with strings escaped by json's own C
+function: json's indented encoder is pure Python, and most of the
+export's time went to it.
 Every file is written atomically: all the files of one export go to
 temporary files beside their targets and are moved into place once
 complete, so a failed write leaves every earlier file intact.
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .bigraph import BigraphError, to_json
+from .bigraph import NODE, REGION, BigraphError
 from .system import TransitionSystem
 
 
@@ -318,6 +319,43 @@ def _dump(value, pad: str, out: list[str]) -> list[str]:
     return out
 
 
+def _state_json(s) -> dict:
+    """The JSON document of a kept state (docs/formats.md § Bigraph JSON),
+    written from its arrays.  Ids and edge idents ascend and the outer
+    names are sorted, so only each link's ports need sorting, and by
+    node index is by id."""
+    ids, names = s.ids, sorted(s.outer.names)
+
+    def link(key: dict, ps) -> dict:
+        return {**key, "ports": [[ids[i], j] for i, j in sorted(ps)], "inner": []}
+
+    return {
+        "signature": [
+            {"name": d.name, "arity": d.arity, "atomic": d.atomic,
+             "params": d.param_count}
+            for d in sorted(s.signature.values(), key=lambda d: d.name)
+        ],
+        "nodes": [
+            {"id": v, "control": c, "params": [
+                {"num": p.numerator, "den": p.denominator}
+                if isinstance(p, Fraction) else p for p in params
+            ]}
+            for v, (c, params) in zip(ids, s.controls)
+        ],
+        "place": {
+            "regions": s.outer.width,
+            "sites": 0,
+            "node_parent": {str(v): [REGION, -1 - u] if u < 0 else [NODE, ids[u]]
+                            for v, u in zip(ids, s.up)},
+            "site_parent": {},
+        },
+        "links": [link({"name": k}, ps) for k, ps in zip(names, s.name_ports)]
+        + [link({"edge": e.ident}, ps) for e, ps in zip(s.edges, s.edge_ports)],
+        "inner_names": [],
+        "outer_names": names,
+    }
+
+
 def _json_list(items) -> Iterator[str]:
     """A top-level list of the document, one item at a time."""
     empty = True
@@ -350,7 +388,7 @@ def _json_chunks(ts: TransitionSystem) -> Iterator[str]:
         "transitions": _json_list(edges()),
         "labels": {str(i): sorted(ls) for i, ls in enumerate(ts.labels) if ls},
         "state_bigraphs": _json_list(
-            to_json(s.bigraph()) if s is not None else None for _, s in ts.states
+            _state_json(s) if s is not None else None for _, s in ts.states
         ),
     }
     if any(r != 0 for r in ts.state_reward):

@@ -28,6 +28,7 @@ of the initial state, neither the closure nor the walk builds a `Bigraph`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,6 +47,10 @@ KINDS = ("brs", "pbrs", "sbrs", "abrs")
 
 class SystemError_(BigraphError):
     pass
+
+
+class DoubleRangeError(SystemError_):
+    """A rate, a total of rates or a reward beyond the double range."""
 
 
 class StateCapError(SystemError_):
@@ -159,11 +164,13 @@ class TransitionSystem:
     mass 1 per successor.  State 0 is the initial state's class.
 
     The constructor checks every row: masses are positive, a choice is
-    non-empty, and a pbrs or abrs choice has mass exactly 1 (within 1e-12
-    for floats).  It orders the choices by action name and the entries
-    by successor index, except that a brs keeps its stored order
-    (canonical-key order in a built system).  Absent labels and rewards
-    are filled with empty and zero values.
+    non-empty, a pbrs or abrs choice has mass exactly 1 (within 1e-12 for
+    floats), and an sbrs choice's rates and their total are doubles.  Each
+    reward must be a double too (`DoubleRangeError` otherwise).  It orders
+    the choices by action name and the entries by successor index, except
+    that a brs keeps its stored order (canonical-key order in a built
+    system).  Absent labels and rewards are filled with empty and zero
+    values.
     """
 
     kind: str
@@ -198,6 +205,11 @@ class TransitionSystem:
         self.labels = self.labels or [frozenset()] * n
         self.state_reward = self.state_reward or [Fraction(0)] * n
         self.action_reward = self.action_reward or [{} for _ in range(n)]
+        for i, r in enumerate(self.state_reward):
+            check_doubles(i, "state reward", (r,))
+        for i, per in enumerate(self.action_reward):
+            for name, r in per.items():
+                check_doubles(i, f"reward of action {name}", (r,))
 
     @property
     def n_states(self) -> int:
@@ -217,14 +229,25 @@ class TransitionSystem:
                     yield i, name, j, p if numbered else None
 
 
+def check_doubles(i: int, what: str, values) -> None:
+    """Raise `DoubleRangeError`, naming state i, unless each of the values
+    and their sum are doubles."""
+    try:
+        math.fsum(map(float, values))
+    except OverflowError:
+        raise DoubleRangeError(f"state {i}: {what} beyond the double range") from None
+
+
 def _check_choice(kind: str, i: int, entries: dict) -> None:
     """A choice of state i is non-empty with positive masses, summing to
     one for a pbrs or abrs (exactly for rationals, within 1e-12 for
-    floats)."""
+    floats); an sbrs choice's rates and their total are doubles."""
     if not entries:
         raise SystemError_(f"state {i}: empty choice")
     if any(m <= 0 for m in entries.values()):
         raise SystemError_(f"state {i}: choice entries must be positive")
+    if kind == "sbrs":
+        check_doubles(i, "rate", entries.values())
     if kind in ("pbrs", "abrs"):
         total = sum(entries.values())
         if isinstance(total, Fraction):

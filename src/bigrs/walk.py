@@ -29,7 +29,7 @@ from typing import Optional
 
 from .bigraph import lean
 from .canon import canonical_key, form_of
-from .system import StateStore, SystemSpec
+from .system import StateStore, SystemSpec, check_doubles
 
 
 @dataclass
@@ -66,7 +66,8 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
         """State i's choices as (action name, rules, successor numbers,
         total mass, running sums of the masses).  The total is the float
         of the exact sum and the running sums add the masses as floats in
-        entry order; a draw x picks the first entry whose sum exceeds x."""
+        entry order; a draw x picks the first entry whose sum exceeds x.
+        Masses whose total is beyond the double range are refused."""
         row = []
         for action, entries in store.expand(i):
             if kind == "brs":  # one entry per distinct successor
@@ -74,6 +75,7 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
                 for e in entries:
                     first.setdefault(e[1], e)
                 entries = list(first.values())
+            check_doubles(i, "mass", (e[2] for e in entries))
             row.append((
                 action.name if action else None,
                 tuple(e[0] for e in entries),

@@ -21,8 +21,9 @@ kernel (successor distributions, rates and per-action steps, and the
 jump chain of a CTMC), which only tests call, and the closure as a
 plain key-indexed search through that index-free kernel (for the state
 store of `bigrs.system`).  The JSON export
-built as one document in memory (for the export, which writes it one
-state at a time).  Last, the helpers that only round-trip checks need: bounded DTMC reachability
+built as one document in memory from `to_json` of each state's `Bigraph`
+(for the export, which writes it one state at a time from the kept
+arrays).  Last, the helpers that only round-trip checks need: bounded DTMC reachability
 in exact rationals, readers of bigraph JSON and of exported PRISM DTMC
 bundles, and a printer of `.big` source."""
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from typing import NamedTuple
 
@@ -47,7 +49,6 @@ from bigrs.bigraph import (
     identity,
     lean,
     tensor,
-    to_json,
 )
 from bigrs.canon import Form, KeptState, _encode, canonical_key, form_of
 from bigrs.language import (
@@ -86,6 +87,20 @@ def _classes(b: Bigraph) -> dict:
     for v in sorted(b.nodes):
         by.setdefault(b.nodes[v], []).append(v)
     return by
+
+
+def arity(b: Bigraph, v: int) -> int:
+    """The port count of node v of b."""
+    return b.signature[b.nodes[v][0]].arity
+
+
+@lru_cache(maxsize=64)
+def port_links(b: Bigraph) -> dict:
+    """(node, port) -> the key of the link holding that port, for every
+    port of b; memoised for the last bigraphs asked about (a `Bigraph`
+    hashes by identity), since a search asks about one bigraph many
+    times.  Callers only read the map."""
+    return {pt: key for key, link in b.links.items() for pt in link.ports}
 
 
 def brute_is_solid(b: Bigraph) -> bool:
@@ -144,10 +159,11 @@ def _is_iso(f: Bigraph, g: Bigraph, m: dict) -> bool:
         elif q != (NODE, m[p[1]]):
             return False
     emap = {}
+    lf, lg = port_links(f), port_links(g)
     for v in f.nodes:
-        for i in range(f.arity(v)):
-            kf = f.port_link(v, i)
-            kg = g.port_link(m[v], i)
+        for i in range(arity(f, v)):
+            kf = lf[v, i]
+            kg = lg[m[v], i]
             if isinstance(kf, str):
                 if kf != kg:
                     return False
@@ -228,10 +244,11 @@ def _valid_embedding(r: Bigraph, g: Bigraph, m: dict) -> bool:
             return False
     # links: ports land consistently; edges exact; names injective
     lmap: dict = {}
+    lr, lg = port_links(r), port_links(g)
     for v in r.nodes:
-        for i in range(r.arity(v)):
-            kf = r.port_link(v, i)
-            kg = g.port_link(m[v], i)
+        for i in range(arity(r, v)):
+            kf = lr[v, i]
+            kg = lg[m[v], i]
             if kf in lmap:
                 if lmap[kf] != kg:
                     return False
@@ -291,10 +308,11 @@ def _is_automorphism(r: Bigraph, m: dict, with_site: set) -> bool:
             return False
     emap: dict = {}
     nmap: dict = {}
+    links = port_links(r)
     for v in r.nodes:
-        for i in range(r.arity(v)):
-            kf = r.port_link(v, i)
-            kg = r.port_link(m[v], i)
+        for i in range(arity(r, v)):
+            kf = links[v, i]
+            kg = links[m[v], i]
             if isinstance(kf, str):
                 if not isinstance(kg, str):
                     return False
@@ -380,12 +398,13 @@ def _labelled_graph(b: Bigraph):
     for v, (control, params) in b.nodes.items():
         params = tuple(Fraction(p) for p in params)
         gr.add_node((NODE, v), label=(control, params, size[v]))
+    links = port_links(b)
     for v in b.nodes:
         gr.add_edge(b.parent[v], (NODE, v))
-        for i in range(b.arity(v)):
+        for i in range(arity(b, v)):
             gr.add_node(("port", v, i), label=("port", i))
             gr.add_edge((NODE, v), ("port", v, i))
-            gr.add_edge(("port", v, i), b.port_link(v, i))
+            gr.add_edge(("port", v, i), links[v, i])
     hashes = nx.weisfeiler_lehman_subgraph_hashes(
         gr.to_undirected(), node_attr="label", iterations=6
     )
@@ -420,8 +439,9 @@ def twins(g: Bigraph, a: int, b: int) -> bool:
         return False
     if g.children((NODE, a)) or g.children((NODE, b)):
         return False
-    for pos in range(g.arity(a)):
-        ka, kb = g.port_link(a, pos), g.port_link(b, pos)
+    links = port_links(g)
+    for pos in range(arity(g, a)):
+        ka, kb = links[a, pos], links[b, pos]
         if ka != kb and not (
             isinstance(ka, Edge)
             and isinstance(kb, Edge)
@@ -442,8 +462,9 @@ def _refine_tokens(g: Bigraph, sk: Form) -> tuple[list, list]:
     """Per node of `sk`, read from `g`: ('r', region) or the parent's
     index, and per port ('y', name) or the edge's index."""
     idx = {v: i for i, v in enumerate(sk.ids)}
+    links = port_links(g)
     eidx = {
-        g.port_link(sk.ids[v], pos): e
+        links[sk.ids[v], pos]: e
         for e, eps in enumerate(sk.edge_ports)
         for v, pos in eps
     }
@@ -452,8 +473,8 @@ def _refine_tokens(g: Bigraph, sk: Form) -> tuple[list, list]:
     for v in sk.ids:
         kind, at = g.parent[v]
         parents.append(("r", at) if kind == REGION else idx[at])
-        links = [g.port_link(v, pos) for pos in range(g.arity(v))]
-        ports.append([eidx[k] if isinstance(k, Edge) else ("y", k) for k in links])
+        keys = [links[v, pos] for pos in range(arity(g, v))]
+        ports.append([eidx[k] if isinstance(k, Edge) else ("y", k) for k in keys])
     return parents, ports
 
 
@@ -595,9 +616,10 @@ def decompose(g: Bigraph, m):
 
     # links reaching out of the parameter get one identity name each
     port_groups: dict = {}
+    links = port_links(g)
     for c in sorted(prm_nodes):
-        for i in range(g.arity(c)):
-            key = g.port_link(c, i)
+        for i in range(arity(g, c)):
+            key = links[c, i]
             port_groups.setdefault(key, set()).add((c, i))
     group_keys = sorted(
         port_groups, key=lambda k: (1, k.ident) if isinstance(k, Edge) else (0, k)
@@ -1020,8 +1042,61 @@ def exact_bounded_reach(ts, goal_label: str, horizon: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# the JSON export as one document (for the streamed `export_json`)
+# the JSON export as one document of `Bigraph` dumps (for the streamed
+# `export_json`, which writes each state from its kept arrays)
 # ---------------------------------------------------------------------------
+
+
+def _num_to_json(x):
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    return x
+
+
+def to_json(b: Bigraph) -> dict:
+    """Structure dump; schema documented in docs/formats.md."""
+
+    def key_out(k):
+        return {"name": k} if isinstance(k, str) else {"edge": k.ident}
+
+    return {
+        "signature": [
+            {
+                "name": d.name,
+                "arity": d.arity,
+                "atomic": d.atomic,
+                "params": d.param_count,
+            }
+            for d in sorted(b.signature.values(), key=lambda d: d.name)
+        ],
+        "nodes": [
+            {
+                "id": v,
+                "control": b.nodes[v][0],
+                "params": [_num_to_json(p) for p in b.nodes[v][1]],
+            }
+            for v in sorted(b.nodes)
+        ],
+        "place": {
+            "regions": b.outer.width,
+            "sites": b.inner.width,
+            "node_parent": {str(v): list(b.parent[v]) for v in sorted(b.parent)},
+            "site_parent": {
+                str(s): list(b.site_parent[s]) for s in sorted(b.site_parent)
+            },
+        },
+        "links": [
+            {
+                **key_out(k),
+                "ports": sorted(map(list, b.links[k].ports)),
+                "inner": sorted(b.links[k].inner),
+            }
+            for k in sorted(b.links, key=lambda k: (isinstance(k, Edge),
+                                                    k.ident if isinstance(k, Edge) else k))
+        ],
+        "inner_names": sorted(b.inner.names),
+        "outer_names": sorted(b.outer.names),
+    }
 
 
 def system_to_json(ts: TransitionSystem) -> dict:
@@ -1063,7 +1138,7 @@ def system_to_json(ts: TransitionSystem) -> dict:
 
 
 def from_json(data: dict) -> Bigraph:
-    """The bigraph that `bigrs.bigraph.to_json` dumped."""
+    """The bigraph that `to_json` dumped."""
 
     def num(x):
         return Fraction(x["num"], x["den"]) if isinstance(x, dict) else x

@@ -30,7 +30,6 @@ from bigrs.bigraph import (
     parallel,
     solidity_violations,
     tensor,
-    to_json,
     unit,
 )
 from bigrs import canon
@@ -54,6 +53,7 @@ from oracles import (
     full_refine,
     nx_support_equivalent,
     partition,
+    to_json,
     twin_cell,
     unpruned_key,
 )

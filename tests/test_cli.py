@@ -178,6 +178,60 @@ def test_full_rewards_as_states(models_dir, tmp_path, capsys):
     assert (tmp_path / "mobile_sink.srew").exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_rewards_as_states_with_another_format_exits_2(
+    models_dir, tmp_path, capsys, fmt
+):
+    # refused even for an MDP: only the PRISM bundle folds the rewards
+    out = tmp_path / "out"
+    args = ["full", str(models_dir / "send_mdp.big"), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--format", fmt, "--rewards-as-states"])
+    assert exc.value.code == 2
+    assert "--rewards-as-states applies to --format prism" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a rate beyond the double range, and one that fits but not times two
+HUGE_RATES = {
+    "weight": ("A", "1e400"),
+    "weight-times-count": ("A | A", "1e308"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["prism", "json", "dot"])
+@pytest.mark.parametrize("case", HUGE_RATES)
+def test_rate_beyond_the_double_range_exits_1(tmp_path, capsys, case, fmt):
+    start, rate = HUGE_RATES[case]
+    model = tmp_path / "huge.big"
+    model.write_text(
+        f"ctrl A = 0;\nctrl B = 0;\nbig s = {start};\n"
+        f"react r = A -[ {rate} ]-> B;\nbegin sbrs init = s; rules = [r]; end\n"
+    )
+    out = tmp_path / "out"
+    assert main(["full", str(model), "--out", str(out), "--format", fmt]) == 1
+    assert capsys.readouterr() == ("", "error: state 0: rate beyond the double range\n")
+    assert not out.exists()
+    assert main(["sim", str(model), "--steps", "3", "--seed", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: state 0: mass beyond the double range\n")
+
+
+def test_reward_beyond_the_double_range_exits_1(tmp_path, capsys):
+    model = tmp_path / "huge.big"
+    model.write_text(
+        "ctrl A = 0;\nctrl B = 0;\nbig s = A;\nreact r = A -[1.0]-> B;\n"
+        "begin abrs init = s; rules = [r]; preds = [s[1e400]];\n"
+        "  actions = [go = {r}]; end\n"
+    )
+    error = ("", "error: state 0: state reward beyond the double range\n")
+    assert main(["check", str(model), "--query", "Rmax=? [ C<=3 ]"]) == 1
+    assert capsys.readouterr() == error
+    out = tmp_path / "out"
+    assert main(["full", str(model), "--out", str(out), "--format", "json"]) == 1
+    assert capsys.readouterr() == error
+    assert not out.exists()
+
+
 def test_sim_json_lines(models_dir, capsys):
     rc = main(["sim", str(models_dir / "wsn.big"), "--steps", "5", "--seed", "3"])
     assert rc == 0

@@ -17,7 +17,6 @@ from bigrs.bigraph import (
     SolidityError,
     hole,
     lean,
-    to_json,
 )
 from bigrs.canon import Form, KeptState, canonical_key, form_of
 from bigrs.language import elaborate, load_model, parse
@@ -44,7 +43,7 @@ from genutil import (
     twin_rules,
     twin_state,
 )
-from oracles import reference_labels, reference_order, reference_step
+from oracles import reference_labels, reference_order, reference_step, to_json
 
 
 def _view(choices):

@@ -368,6 +368,17 @@ react split = N.Buf(-3) -[2.0]-> N.(Buf(1/3) | Buf(-3));
 begin pbrs init = start; rules = [drop, split]; end
 """
 
+# states holding outer names beside a closed edge
+OPEN_NAMES_MODEL = """
+ctrl A = 1;
+ctrl D = 1;
+ctrl B = 2;
+big start = /e (A{e} | B{e, x}) | A{y};
+react flip = A{y} -[1.0]-> D{y};
+react back = D{y} -[2.0]-> A{y};
+begin pbrs init = start; rules = [flip, back]; end
+"""
+
 SYSTEMS = {
     "wsn": lambda r: r.getfixturevalue("wsn_ts"),
     "send_mdp": lambda r: r.getfixturevalue("send_mdp_ts"),
@@ -384,6 +395,9 @@ SYSTEMS = {
     "odd-label": lambda r: ODD_LABEL,
     "capped-virus": lambda r: _capped_virus(r.getfixturevalue("models_dir")),
     "params": lambda r: build_transition_system(elaborate(parse(PARAMS_MODEL))),
+    "open-names": lambda r: build_transition_system(
+        elaborate(parse(OPEN_NAMES_MODEL))
+    ),
 }
 
 
@@ -452,13 +466,13 @@ def test_failed_json_export_keeps_the_earlier_file(
     earlier = export_json(send_mdp_ts, tmp_path, "m").read_bytes()
     seen = []
 
-    def failing_to_json(b, _to_json=export.to_json):
-        seen.append(b)
+    def failing_state_json(s, _state_json=export._state_json):
+        seen.append(s)
         if len(seen) == 3:
             raise RuntimeError("third state")
-        return _to_json(b)
+        return _state_json(s)
 
-    monkeypatch.setattr(export, "to_json", failing_to_json)
+    monkeypatch.setattr(export, "_state_json", failing_state_json)
     with pytest.raises(RuntimeError, match="third state"):
         export_json(wsn_ts, tmp_path, "m")
     assert len(seen) == 3

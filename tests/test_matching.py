@@ -25,7 +25,6 @@ from bigrs.bigraph import (
     merge_parallel,
     parallel,
     tensor,
-    to_json,
     unit,
 )
 from bigrs import canon, matching
@@ -52,12 +51,15 @@ from genutil import (
 from oracles import (
     _brute_automorphisms,
     algebraic_rewrite,
+    arity,
     brute_occurrence_count,
     decompose,
     full_refine,
     next_rates,
     partition,
+    port_links,
     quotient_occurrences,
+    to_json,
     twin_cell,
     ungrouped_apply_rule_all,
 )
@@ -680,8 +682,9 @@ def _assert_transposition_fixes(g, a, b):
         s(v): (NODE, s(p[1])) if p[0] == NODE else p for v, p in g.parent.items()
     } == g.parent
     trade = {}
-    for i in range(g.arity(a)):
-        ka, kb = g.port_link(a, i), g.port_link(b, i)
+    links = port_links(g)
+    for i in range(arity(g, a)):
+        ka, kb = links[a, i], links[b, i]
         if ka != kb:
             assert isinstance(ka, Edge) and g.links[ka].ports == {(a, i)}
             assert isinstance(kb, Edge) and g.links[kb].ports == {(b, i)}

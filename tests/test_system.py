@@ -13,7 +13,6 @@ from bigrs.bigraph import (
     ion,
     lean,
     merge_parallel,
-    to_json,
 )
 from bigrs.canon import canonical_key
 from bigrs.language import load_model
@@ -27,6 +26,7 @@ from bigrs.export import (
 from bigrs.system import (
     KINDS,
     ActionDecl,
+    DoubleRangeError,
     PredicateDecl,
     StateCapError,
     SystemError_,
@@ -45,6 +45,7 @@ from oracles import (
     next_rates,
     reference_closure,
     system_to_json,
+    to_json,
 )
 
 SIG = {
@@ -151,6 +152,10 @@ def hand_built(kind, rows, **fields):
     )
 
 
+_HUGE = Fraction(10**400)  # beyond the double range
+_LARGE = Fraction(int(1e308))  # a double, but not twice over
+_ONE = [(None, {0: Fraction(1)})]
+
 # (id, kind, rows, whether the TransitionSystem constructor accepts them)
 ROW_CASES = [
     ("exact-mass-below-1", "pbrs", [[(None, {0: Fraction(1, 2)})]], False),
@@ -171,6 +176,8 @@ ROW_CASES = [
      [[(None, {0: Fraction(1)}), (None, {0: Fraction(2)})]], False),
     ("brs-row-of-2-choices", "brs", [[(None, {0: 1}), (None, {0: 1})]], False),
     ("unknown-kind", "qbrs", [[]], False),
+    ("rates-summing-to-a-double", "sbrs",
+     [[(None, {0: _LARGE, 1: Fraction(int(7e307))})], []], True),
 ]
 
 
@@ -184,6 +191,28 @@ def test_row_invariants(kind, rows, accepted):
     else:
         with pytest.raises(SystemError_):
             hand_built(kind, rows)
+
+
+# (id, kind, rows, other fields, the error's text); one state but for "sum"
+DOUBLE_CASES = [
+    ("rate", "sbrs", [[(None, {0: _HUGE})]], {}, "state 0: rate"),
+    ("sum", "sbrs", [_ONE, [(None, {0: _LARGE, 1: _LARGE})]], {}, "state 1: rate"),
+    ("state-reward", "pbrs", [_ONE], {"state_reward": [_HUGE]},
+     "state 0: state reward"),
+    ("action-reward", "abrs", [[("go", {0: Fraction(1)})]],
+     {"action_reward": [{"go": _HUGE}]}, "state 0: reward of action go"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, rows, fields, text", [c[1:] for c in DOUBLE_CASES],
+    ids=[c[0] for c in DOUBLE_CASES],
+)
+def test_rates_and_rewards_beyond_the_double_range_are_refused(
+    kind, rows, fields, text
+):
+    with pytest.raises(DoubleRangeError, match=f"^{text} beyond the double range$"):
+        hand_built(kind, rows, **fields)
 
 
 def test_mdp_choices_stored_in_name_order():
@@ -481,11 +510,11 @@ def _count_constructions(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name", ["virus", "budding"])
-def test_closure_keeps_no_bigraph_and_the_json_export_builds_one_per_state(
+def test_closure_and_json_export_build_no_bigraph(
     models_dir, name, monkeypatch, tmp_path
 ):
-    # every state is kept as its form's arrays; only the export builds
-    # each state's `Bigraph`, once
+    # every state is kept as its form's arrays, and the export writes
+    # each state's document from them
     spec = load_model(models_dir / f"{name}.big")
     calls = _count_constructions(monkeypatch)
     lean(spec.initial)
@@ -494,7 +523,7 @@ def test_closure_keeps_no_bigraph_and_the_json_export_builds_one_per_state(
     ts = build_transition_system(spec)
     assert len(calls) == by_lean
     export_json(ts, tmp_path, name)
-    assert len(calls) == by_lean + ts.n_states
+    assert len(calls) == by_lean
 
 
 def test_walk_builds_no_bigraph_beyond_the_initial_state(models_dir, monkeypatch):
