@@ -11,6 +11,9 @@ The cumulative-reward semantics counts the state reward at every time
 step (one state plus one action reward per step), so a single absorbing
 state of reward 1 yields exactly k after k steps.
 
+numpy is imported inside the functions that make or read the arrays, so
+the first query loads it; a build, an export or a walk never does.
+
 The query syntax accepted by `parse_query` is the tiny PCTL fragment the
 command line exposes:
 
@@ -28,8 +31,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .bigraph import BigraphError
 from .system import TransitionSystem
@@ -140,6 +141,8 @@ def _choices(ts: TransitionSystem) -> _Choices:
     """The rows' choices, each carrying its action reward; a CTMC choice
     is divided by its exit rate (the embedded chain), and an empty row
     becomes a self-loop of reward 0."""
+    import numpy as np
+
     rated = ts.kind == "sbrs"
     first_choice, first_entry, reward, dst, prob = [], [], [], [], []
     for i, row in enumerate(ts.rows):
@@ -157,6 +160,8 @@ def _backup(m: _Choices, x, mode: str = "max", rewarded: bool = False):
     """One Bellman backup: per state, the min or max over its choices of
     sum prob * x[dst] over the choice's entries, plus the choice's reward
     when `rewarded`."""
+    import numpy as np
+
     q = np.add.reduceat(m.prob * x[m.dst], m.first_entry)
     if rewarded:
         q += m.reward
@@ -168,6 +173,8 @@ def _reach(ts, goal_label: str, mode: str, sweeps: int, tol=None) -> ReachValue:
     """From the goal indicator, repeat x <- backup(x) with x = 1 kept on
     the goal states: `sweeps` times, or, given `tol`, until the sup-norm
     change is below it (ConvergenceError if that takes over `sweeps`)."""
+    import numpy as np
+
     goals = _goal_states(ts, goal_label)
     m = _choices(ts)
     x = np.zeros(ts.n_states)
@@ -246,6 +253,8 @@ def mdp_expected_cost(ts: TransitionSystem, horizon: int, mode: str) -> float:
     """Optimal expected cumulative reward over `horizon` steps:
     v_{j+1}(s) = r(s) + opt_a [ r(s,a) + sum mu_a(s') v_j(s') ], with
     absorbing states accumulating their state reward each step."""
+    import numpy as np
+
     _check(ts, "abrs", "expected cost", horizon, mode)
     srew = np.array([float(r) for r in ts.state_reward])
     m = _choices(ts)

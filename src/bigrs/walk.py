@@ -24,6 +24,7 @@ import hashlib
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
@@ -48,6 +49,29 @@ def _digest(key: bytes) -> str:
     return hashlib.sha256(key).hexdigest()[:16]
 
 
+def _scaled(masses: list) -> list:
+    """Masses that count only by their ratios (pbrs, abrs, brs) divided
+    by 2^k, for the least k >= 0 that brings their total into the double
+    range.  Masses that already fit (k = 0) come back as they are, so
+    their running sums and draws do not change."""
+    total = sum(masses)
+    try:
+        float(total)
+        return masses
+    except OverflowError:
+        pass
+    total = Fraction(total)
+    # total / 2^k > 2^1024 for this k, so the least k that fits is larger
+    k = total.numerator.bit_length() - total.denominator.bit_length() - 1025
+    while True:
+        k += 1
+        try:
+            float(total / 2**k)
+            return [Fraction(m) / 2**k for m in masses]
+        except OverflowError:
+            pass
+
+
 def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[TraceStep]:
     """Walk up to `steps` transitions from the initial state, one trace
     entry per applied step (fewer if a terminal state is hit first, empty
@@ -67,7 +91,8 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
         total mass, running sums of the masses).  The total is the float
         of the exact sum and the running sums add the masses as floats in
         entry order; a draw x picks the first entry whose sum exceeds x.
-        Masses whose total is beyond the double range are refused."""
+        sbrs rates whose total is beyond the double range are refused;
+        other masses are brought into it by `_scaled`."""
         row = []
         for action, entries in store.expand(i):
             if kind == "brs":  # one entry per distinct successor
@@ -75,13 +100,17 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
                 for e in entries:
                     first.setdefault(e[1], e)
                 entries = list(first.values())
-            check_doubles(i, "mass", (e[2] for e in entries))
+            masses = [e[2] for e in entries]
+            if kind == "sbrs":
+                check_doubles(i, "mass", masses)
+            else:
+                masses = _scaled(masses)
             row.append((
                 action.name if action else None,
                 tuple(e[0] for e in entries),
                 tuple(e[1] for e in entries),
-                float(sum(e[2] for e in entries)),
-                tuple(accumulate(float(e[2]) for e in entries)),
+                float(sum(masses)),
+                tuple(accumulate(map(float, masses))),
             ))
         return tuple(row)
 

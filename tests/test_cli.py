@@ -1,14 +1,19 @@
 """Command-line behaviour: exit codes, outputs, formats."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
+import bigrs
+from bigrs.analysis import parse_query, run_query
 from bigrs.bigraph import BigraphError
 from bigrs.cli import main
-from bigrs.language import elaborate, parse, tokenize
+from bigrs.language import elaborate, load_model, parse, tokenize
 from bigrs.system import StateCapError, build_transition_system
 
 
@@ -230,6 +235,43 @@ def test_reward_beyond_the_double_range_exits_1(tmp_path, capsys):
     assert main(["full", str(model), "--out", str(out), "--format", "json"]) == 1
     assert capsys.readouterr() == error
     assert not out.exists()
+
+
+def test_build_export_and_sim_never_load_numpy(models_dir, tmp_path):
+    # in a fresh interpreter, as this one may have loaded numpy already:
+    # only the query loads it, and gives the value computed here
+    query = "P=? [ F<=3 all_failed ]"
+    model = models_dir / "wsn.big"
+    child = f"""
+import contextlib, io, sys
+import bigrs
+from bigrs import cli
+out = {str(tmp_path)!r}
+spec = bigrs.load_model({str(model)!r})
+ts = bigrs.build_transition_system(spec)
+bigrs.export_prism(ts, out, "api")
+bigrs.export_dot(ts, out, "api")
+bigrs.export_json(ts, out, "api")
+bigrs.simulate(spec, 20, seed=1)
+with contextlib.redirect_stdout(io.StringIO()):
+    for args in (["validate"], ["full", "--out", out], ["sim", "--steps", "20"]):
+        assert cli.main([args[0], {str(model)!r}, *args[1:]]) == 0
+assert "numpy" not in sys.modules, "numpy loaded before any query"
+value = bigrs.run_query(ts, bigrs.parse_query({query!r}))
+assert "numpy" in sys.modules
+print(repr(value))
+"""
+    src = os.path.dirname(os.path.dirname(bigrs.__file__))
+    path_env = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        env=dict(os.environ, PYTHONPATH=path_env),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = run_query(build_transition_system(load_model(model)), parse_query(query))
+    assert float(proc.stdout) == expected
 
 
 def test_sim_json_lines(models_dir, capsys):

@@ -645,7 +645,25 @@ begin brs
 end
 """
 
-INLINE = {"zero-weight": ZERO_WEIGHT_MDP, "brs": BRS_MODEL, "stuck": STUCK_PBRS}
+# weights whose total is beyond the double range: only their ratios
+# count, so the closure builds and the walk scales them down
+HUGE_WEIGHTS = """
+ctrl A = 0;
+ctrl B = 0;
+ctrl C = 0;
+react r = A -[ 1e400 ]-> B;
+react s = A -[ 1e400 ]-> C;
+big start = A;
+begin {kind} init = start; rules = [r, s];{actions} end
+"""
+
+INLINE = {
+    "zero-weight": ZERO_WEIGHT_MDP,
+    "brs": BRS_MODEL,
+    "stuck": STUCK_PBRS,
+    "huge-pbrs": HUGE_WEIGHTS.format(kind="pbrs", actions=""),
+    "huge-abrs": HUGE_WEIGHTS.format(kind="abrs", actions=" actions = [go = {r, s}];"),
+}
 
 
 def _spec(models_dir, model):
@@ -655,7 +673,11 @@ def _spec(models_dir, model):
 
 
 @pytest.mark.parametrize(
-    "model", ["wsn.big", "send_mdp.big", "mobile_sink.big", "zero-weight", "brs"]
+    "model",
+    [
+        "wsn.big", "send_mdp.big", "mobile_sink.big", "zero-weight", "brs",
+        "huge-pbrs", "huge-abrs",
+    ],
 )
 def test_sim_agrees_with_closure(models_dir, model):
     # every simulated step is a positive-probability transition of the
