@@ -368,9 +368,12 @@ def ion(
     """A single node with its ports on ``names``, optionally nesting ``child``.
 
     ``names[i]`` is the outer name holding port ``i``; the same name may
-    appear on several ports.  With ``child`` given (a width-1 bigraph) the
-    child's region contents are placed inside the node and its outer names
-    are shared with the ion's, mirroring the DSL form ``K{x}.(...)``.
+    appear on several ports.  With ``child`` given (a width-1 bigraph), the
+    DSL form ``K{x}.(...)``, nesting is composition: the node gets one site
+    and the child's outer names as inner names, each on the link of the
+    same name, and the result is ``compose(node, child)``, so the child's
+    region contents sit inside the node and its outer names are shared
+    with the ion's.
     """
     decl = signature.get(ctrl)
     if decl is None:
@@ -383,59 +386,26 @@ def ion(
         raise ShapeError(
             f"control {ctrl} takes {decl.param_count} parameter(s), got {len(params)}"
         )
-    ports: dict = {}
+    if child is not None:
+        if decl.atomic:
+            raise ShapeError(f"atomic control {ctrl} cannot contain anything")
+        if child.outer.width != 1:
+            raise ShapeError("nested bigraph must have exactly one region")
+    inner = frozenset() if child is None else child.outer.names
+    ports: dict = {n: set() for n in inner}
     for i, n in enumerate(names):
         ports.setdefault(n, set()).add((0, i))
-    links = {n: Link(frozenset(pts)) for n, pts in ports.items()}
+    links = {n: Link(frozenset(pts), inner & {n}) for n, pts in ports.items()}
     node = Bigraph(
         signature,
         {0: (ctrl, tuple(params))},
         {0: (REGION, 0)},
-        {},
+        {} if child is None else {0: (NODE, 0)},
         links,
-        Interface(0),
-        Interface(1, frozenset(names)),
+        Interface(0 if child is None else 1, inner),
+        Interface(1, frozenset(names) | inner),
     )
-    if child is None:
-        return node
-    if decl.atomic:
-        raise ShapeError(f"atomic control {ctrl} cannot contain anything")
-    if child.outer.width != 1:
-        raise ShapeError("nested bigraph must have exactly one region")
-    return _nest(node, child)
-
-
-def _nest(node_big: Bigraph, child: Bigraph) -> Bigraph:
-    """Place ``child``'s single region inside the single node of ``node_big``,
-    sharing equally-named outer names."""
-    off_n = node_big.max_node_id() + 1
-    off_e = node_big.max_edge_id() + 1
-    c_nodes, c_parent, c_sites, c_links = _shifted_parts(child, off_n, off_e)
-    nodes = dict(node_big.nodes)
-    nodes.update(c_nodes)
-    parent = dict(node_big.parent)
-    for v, p in c_parent.items():
-        parent[v] = (NODE, 0) if p[0] == REGION else p
-    site_parent = dict(node_big.site_parent)
-    base = node_big.inner.width
-    for s, p in sorted(c_sites.items()):
-        site_parent[base + s] = (NODE, 0) if p[0] == REGION else p
-    links = dict(node_big.links)
-    for key, link in c_links.items():
-        if isinstance(key, str) and key in links:
-            old = links[key]
-            links[key] = Link(old.ports | link.ports, old.inner | link.inner)
-        else:
-            links[key] = link
-    return Bigraph(
-        merge_signatures(node_big.signature, child.signature),
-        nodes,
-        parent,
-        site_parent,
-        links,
-        Interface(base + child.inner.width, node_big.inner.names | child.inner.names),
-        Interface(1, node_big.outer.names | child.outer.names),
-    )
+    return node if child is None else compose(node, child)
 
 
 def _shifted_parts(b: Bigraph, node_off: int, edge_off: int) -> tuple:

@@ -44,6 +44,9 @@ short of some control, so `occurrences` would find nothing and
 candidate.  The step kernel and the labeller offer a state only its
 candidates (`system._step`, `system.labeller`).
 
+A rule, for `apply_rule_all` and `rewrite`, is a `system.WeightedRule`:
+its constructor has checked that the redex is solid and that redex and
+reactum share one interface, so neither function checks that again.
 Rewriting at an occurrence replaces the redex image by the reactum over
 the same parameter: the result is ``lean(C . (R x id_X) . d)``.  `_splice`
 writes it in one pass straight into the result's form: context copied,
@@ -450,9 +453,10 @@ class RewriteOutcome:
 
 
 def rewrite(g: Bigraph, rule, m: Match) -> Bigraph:
-    """Replace the matched redex image by the reactum over the same
+    """Replace the matched redex image by the rule's reactum over the same
     parameter (identity instantiation): the splice of the match into g's
-    form (`_splice`), built as a validated `Bigraph`.
+    form (`_splice`), built as a validated `Bigraph`.  The rule is a
+    `system.WeightedRule`.
 
     The result is ``lean(C . (R x id_X) . d)`` for the decomposition
     ``g = C . (L x id_X) . d`` that the match induces, with the ids the
@@ -464,11 +468,9 @@ def rewrite(g: Bigraph, rule, m: Match) -> Bigraph:
     Host edges keep their ids unless the redex consumed them, and reactum
     edge ``e`` becomes ``e + 1 + max id of the unconsumed host edges``.
     Exports write these ids, so they must not change."""
-    redex, reactum = _rule_pair(rule)
-    if m.target is not ground_form(g) or m.redex is not redex:
+    if m.target is not ground_form(g) or m.redex is not rule.redex:
         raise MatchError("stale match: it does not witness this state and rule")
-    _check_rule_interfaces(redex, reactum)
-    return KeptState(_splice(m.target, redex, reactum, m)).bigraph()
+    return KeptState(_splice(m.target, rule.redex, rule.reactum, m)).bigraph()
 
 
 def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
@@ -554,9 +556,11 @@ def _splice(host: Form, redex: Bigraph, reactum: Bigraph, m: Match) -> Form:
 
 
 def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:
-    """Rewrite at every occurrence and partition the results by
-    support-equivalence; counts sum to the occurrence count and outcomes
-    come in canonical-key order.  The state g is a form or a `Bigraph`.
+    """Rewrite at every occurrence of the rule's redex and partition the
+    results by support-equivalence; counts sum to the occurrence count and
+    outcomes come in canonical-key order.  The rule is a
+    `system.WeightedRule` (its interfaces are checked once, when it is
+    made), and the state g is a form or a `Bigraph`.
     Each result is spliced from g's form and keyed as a form; no `Bigraph`
     is built here.
 
@@ -567,11 +571,10 @@ def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:
     and keyed; the others add to its count.  The kept result of a key is
     still that of its first match in occurrence order, which is the first
     member of its own orbit."""
-    redex, reactum = _rule_pair(rule)
+    redex, reactum = rule.redex, rule.reactum
     matches = occurrences(redex, g)
     if not matches:
         return []
-    _check_rule_interfaces(redex, reactum)
     host = matches[0].target
     # a single match needs no grouping (the loop below runs once)
     twin = twin_classes(host) if len(matches) > 1 else None
@@ -588,18 +591,3 @@ def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:
     return [
         RewriteOutcome(groups[k][0], groups[k][1], k) for k in sorted(groups)
     ]
-
-
-def _rule_pair(rule):
-    if hasattr(rule, "redex"):
-        return rule.redex, rule.reactum
-    redex, reactum = rule
-    return redex, reactum
-
-
-def _check_rule_interfaces(redex: Bigraph, reactum: Bigraph) -> None:
-    if redex.inner != reactum.inner or redex.outer != reactum.outer:
-        raise MatchError(
-            f"redex {redex.inner}->{redex.outer} and reactum "
-            f"{reactum.inner}->{reactum.outer} must have the same interface"
-        )

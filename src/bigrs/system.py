@@ -50,7 +50,8 @@ class SystemError_(BigraphError):
 
 
 class DoubleRangeError(SystemError_):
-    """A rate, a total of rates or a reward beyond the double range."""
+    """A rate, a total of rates, a probability or a reward beyond the
+    double range, or a nonzero one whose double is 0."""
 
 
 class StateCapError(SystemError_):
@@ -165,8 +166,9 @@ class TransitionSystem:
 
     The constructor checks every row: masses are positive, a choice is
     non-empty, a pbrs or abrs choice has mass exactly 1 (within 1e-12 for
-    floats), and an sbrs choice's rates and their total are doubles.  Each
-    reward must be a double too (`DoubleRangeError` otherwise).  It orders
+    floats), and its probabilities, or an sbrs choice's rates and their
+    total, are doubles, none of them with the double 0.  Rewards are held
+    to the same range (`DoubleRangeError` otherwise).  It orders
     the choices by action name and the entries by successor index, except
     that a brs keeps its stored order (canonical-key order in a built
     system).  Absent labels and rewards are filled with empty and zero
@@ -231,17 +233,21 @@ class TransitionSystem:
 
 def check_doubles(i: int, what: str, values) -> None:
     """Raise `DoubleRangeError`, naming state i, unless each of the values
-    and their sum are doubles."""
+    and their sum are doubles and no nonzero value's double is 0."""
     try:
-        math.fsum(map(float, values))
+        doubles = list(map(float, values))
+        math.fsum(doubles)
     except OverflowError:
         raise DoubleRangeError(f"state {i}: {what} beyond the double range") from None
+    if any(v and not d for v, d in zip(values, doubles)):
+        raise DoubleRangeError(f"state {i}: {what} below the double range")
 
 
 def _check_choice(kind: str, i: int, entries: dict) -> None:
     """A choice of state i is non-empty with positive masses, summing to
     one for a pbrs or abrs (exactly for rationals, within 1e-12 for
-    floats); an sbrs choice's rates and their total are doubles."""
+    floats).  Its probabilities (pbrs, abrs) or rates (sbrs) and their
+    total are doubles, and none of them has the double 0."""
     if not entries:
         raise SystemError_(f"state {i}: empty choice")
     if any(m <= 0 for m in entries.values()):
@@ -256,6 +262,7 @@ def _check_choice(kind: str, i: int, entries: dict) -> None:
             ok = abs(total - 1) <= 1e-12
         if not ok:
             raise SystemError_(f"state {i}: choice mass is {total}, not 1")
+        check_doubles(i, "probability", entries.values())
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,26 +51,22 @@ def _digest(key: bytes) -> str:
 
 
 def _scaled(masses: list) -> list:
-    """Masses that count only by their ratios (pbrs, abrs, brs) divided
-    by 2^k, for the least k >= 0 that brings their total into the double
-    range.  Masses that already fit (k = 0) come back as they are, so
-    their running sums and draws do not change."""
+    """Masses that count only by their ratios (pbrs, abrs, brs) times
+    2^-e, for e the binary exponent of their exact total, when the
+    total's double is not a normal double: beyond the double range, or
+    so small that it is subnormal or 0.  The scaled total lies between
+    1/2 and 2.  Masses whose total is a normal double come back as they
+    are, so their running sums and draws do not change."""
     total = sum(masses)
     try:
-        float(total)
-        return masses
+        if not total or float(total) >= sys.float_info.min:
+            return masses
     except OverflowError:
         pass
     total = Fraction(total)
-    # total / 2^k > 2^1024 for this k, so the least k that fits is larger
-    k = total.numerator.bit_length() - total.denominator.bit_length() - 1025
-    while True:
-        k += 1
-        try:
-            float(total / 2**k)
-            return [Fraction(m) / 2**k for m in masses]
-        except OverflowError:
-            pass
+    e = total.numerator.bit_length() - total.denominator.bit_length()
+    scale = Fraction(2) ** -e
+    return [m * scale for m in masses]
 
 
 def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[TraceStep]:
@@ -91,8 +88,8 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
         total mass, running sums of the masses).  The total is the float
         of the exact sum and the running sums add the masses as floats in
         entry order; a draw x picks the first entry whose sum exceeds x.
-        sbrs rates whose total is beyond the double range are refused;
-        other masses are brought into it by `_scaled`."""
+        sbrs rates beyond or below the double range are refused; other
+        masses are brought into it by `_scaled`."""
         row = []
         for action, entries in store.expand(i):
             if kind == "brs":  # one entry per distinct successor

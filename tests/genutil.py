@@ -24,7 +24,7 @@ from bigrs.bigraph import (
     tensor,
     unit,
 )
-from bigrs.system import TransitionSystem
+from bigrs.system import TransitionSystem, WeightedRule
 
 SIG = {
     "A": ControlDecl("A", 0),
@@ -494,15 +494,22 @@ def _idle(*names) -> Bigraph:
     )
 
 
+def weighted_rule(redex: Bigraph, reactum: Bigraph, name: str = "r",
+                  weight=1) -> WeightedRule:
+    """The rule ``redex -> reactum`` as the engine takes it, of weight 1
+    unless given."""
+    return WeightedRule(name, redex, reactum, Fraction(weight))
+
+
 def twin_rules() -> list:
-    """(redex, reactum) pairs over SIG whose redexes match one or two
-    twins, a room with or without a twin inside, or leaves in two
-    regions.  Each reactum changes its images, so matches that are not
-    related by an automorphism give different results."""
+    """Rules over SIG whose redexes match one or two twins, a room with
+    or without a twin inside, or leaves in two regions.  Each reactum
+    changes its images, so matches that are not related by an
+    automorphism give different results."""
     k, a = ion(SIG, "K"), ion(SIG, "A")
     lx = ion(SIG, "L", (), ["x"])
     p0, p1 = ion(SIG, "P", (0,), ["x"]), ion(SIG, "P", (1,), ["x"])
-    return [
+    pairs = [
         (k, unit(SIG)),
         (lx, merge_parallel(a, _idle("x"))),
         (ion(SIG, "A", child=hole(SIG)),
@@ -519,6 +526,7 @@ def twin_rules() -> list:
         (parallel(k, lx), parallel(a, ion(SIG, "B", (), ["x"]))),
         (ion(SIG, "C", (), ["x", "y"]), ion(SIG, "C", (), ["y", "x"])),
     ]
+    return [weighted_rule(l, r, f"t{i}") for i, (l, r) in enumerate(pairs)]
 
 
 def random_mdp(rng: random.Random, lo: int = 2, hi: int = 12) -> TransitionSystem:

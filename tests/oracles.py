@@ -678,9 +678,8 @@ def algebraic_rewrite(g: Bigraph, rule, m) -> Bigraph:
     """``lean(C . (R x id_X) . d)`` for the witness ``(C, d, X)`` of the
     match, built with the bigraph operations: the reference that
     `bigrs.matching.rewrite` must reproduce id for id."""
-    reactum = rule.reactum if hasattr(rule, "reactum") else rule[1]
     ctx, prm, xnames = decompose(g, m)
-    mid = reactum
+    mid = rule.reactum
     if xnames:
         mid = tensor(mid, identity(xnames, signature=g.signature))
     if prm.nodes or prm.links or mid.inner.width or mid.inner.names:
@@ -700,9 +699,8 @@ class Outcome(NamedTuple):
 def ungrouped_apply_rule_all(g: Bigraph, rule) -> list:
     """`bigrs.matching.apply_rule_all` without orbit grouping: rewrite and
     key every occurrence, then merge the results by key."""
-    redex = rule.redex if hasattr(rule, "redex") else rule[0]
     groups: dict = {}
-    for m in occurrences(redex, g):
+    for m in occurrences(rule.redex, g):
         res = rewrite(g, rule, m)
         key = canonical_key(res)
         if key in groups:

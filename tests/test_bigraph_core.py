@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bigrs.bigraph import (
     Bigraph,
     CompositionError,
+    ControlDecl,
     Edge,
     Interface,
     Link,
@@ -80,6 +81,40 @@ def test_compose_width_mismatch_names_both_interfaces():
     with pytest.raises(CompositionError) as err:
         compose(outer, inner)
     assert "<1,{}>" in str(err.value) and "<2,{}>" in str(err.value)
+
+
+def test_ion_nests_its_child_with_pinned_ids():
+    # K{x,y}.(/e A{e} | A{x} | M{z}.L | id): the child has a closed edge, a
+    # name it shares with the ion, a name of its own, a site and a nested ion
+    sig = {
+        "K": ControlDecl("K", 2),
+        "A": ControlDecl("A", 1),
+        "M": ControlDecl("M", 1),
+        "L": ControlDecl("L", 0, atomic=True),
+    }
+    child = merge_parallel(
+        merge_parallel(close_name(ion(sig, "A", (), ["e"]), "e"),
+                       ion(sig, "A", (), ["x"])),
+        merge_parallel(ion(sig, "M", (), ["z"], child=ion(sig, "L")), hole(sig)),
+    )
+    b = ion(sig, "K", (), ["x", "y"], child)
+    # the ion's node is 0; the child's nodes 0..3 become 1..4 and its
+    # edge 0 stays edge 0, since the ion's node has no edges
+    assert b.nodes == {
+        0: ("K", ()), 1: ("A", ()), 2: ("A", ()), 3: ("M", ()), 4: ("L", ()),
+    }
+    assert b.parent == {
+        0: (REGION, 0), 1: (NODE, 0), 2: (NODE, 0), 3: (NODE, 0), 4: (NODE, 3),
+    }
+    assert b.site_parent == {0: (NODE, 0)}
+    assert b.links == {
+        Edge(0): Link(frozenset([(1, 0)])),
+        "x": Link(frozenset([(0, 0), (2, 0)])),
+        "y": Link(frozenset([(0, 1)])),
+        "z": Link(frozenset([(3, 0)])),
+    }
+    assert b.inner == Interface(1)
+    assert b.outer == Interface(1, frozenset(["x", "y", "z"]))
 
 
 def test_compose_fuses_like_names():

@@ -221,6 +221,38 @@ def test_rate_beyond_the_double_range_exits_1(tmp_path, capsys, case, fmt):
     assert capsys.readouterr() == ("", "error: state 0: mass beyond the double range\n")
 
 
+# a positive rate or probability whose double is 0: two sbrs rates of
+# 1e-400, and the pbrs probability 1 / (1 + 1e400)
+TINY_MASSES = {
+    "sbrs-rates": ("sbrs", "1e-400", "rate"),
+    "pbrs-probability": ("pbrs", "1", "probability"),
+}
+
+
+@pytest.mark.parametrize("case", TINY_MASSES)
+def test_mass_below_the_double_range_exits_1(tmp_path, capsys, case):
+    kind, weight, what = TINY_MASSES[case]
+    other = "1e-400" if kind == "sbrs" else "1e400"
+    model = tmp_path / "tiny.big"
+    model.write_text(
+        "ctrl A = 0;\nctrl B = 0;\nctrl C = 0;\nbig s = A;\n"
+        f"react r = A -[ {weight} ]-> B;\nreact q = A -[ {other} ]-> C;\n"
+        f"begin {kind} init = s; rules = [r, q]; end\n"
+    )
+    out = tmp_path / "out"
+    for fmt in ("prism", "json", "dot"):
+        assert main(["full", str(model), "--out", str(out), "--format", fmt]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: state 0: {what} below the double range\n"
+        )
+        assert not out.exists()
+    if kind == "sbrs":
+        assert main(["sim", str(model), "--steps", "2", "--seed", "1"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: state 0: mass below the double range\n"
+        )
+
+
 def test_reward_beyond_the_double_range_exits_1(tmp_path, capsys):
     model = tmp_path / "huge.big"
     model.write_text(

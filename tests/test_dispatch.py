@@ -101,7 +101,7 @@ def test_dispatch_matches_every_rule_kernel_on_model_states(models_dir, name):
 def _rule_pool(rng):
     """Weighted rules over SIG: the twin rules and random solid redexes
     with random reactums, some of weight 0."""
-    pairs = list(twin_rules())
+    pairs = [(r.redex, r.reactum) for r in twin_rules()]
     while len(pairs) < 30:
         redex = random_solid(rng, max_nodes=3)
         pairs.append((redex, random_reactum(rng, redex)))

@@ -657,6 +657,9 @@ big start = A;
 begin {kind} init = start; rules = [r, s];{actions} end
 """
 
+# weights whose total is below the double range: the walk scales them up
+TINY_WEIGHTS = HUGE_WEIGHTS.replace("1e400", "1e-400")
+
 INLINE = {
     "zero-weight": ZERO_WEIGHT_MDP,
     "brs": BRS_MODEL,
@@ -699,6 +702,17 @@ def test_sim_agrees_with_closure(models_dir, model):
             here = there
         if len(trace) < budget:
             assert not ts.rows[here]
+
+
+@pytest.mark.parametrize(
+    "kind, actions",
+    [("pbrs", ""), ("abrs", " actions = [go = {r, s}];")],
+    ids=["pbrs", "abrs"],
+)
+def test_sim_draws_between_masses_below_the_double_range(kind, actions):
+    # each of the two rules has probability 1/2: one-step walks take both
+    spec = elaborate(parse(TINY_WEIGHTS.format(kind=kind, actions=actions)))
+    assert {simulate(spec, 1, seed=s)[0].rule for s in range(200)} == {"r", "s"}
 
 
 def test_sim_brs_uniform_over_distinct_successors():

@@ -47,6 +47,7 @@ from genutil import (
     random_solid,
     twin_rules,
     twin_state,
+    weighted_rule,
 )
 from oracles import (
     _brute_automorphisms,
@@ -84,7 +85,12 @@ def wsn_parts():
     fail_reactum = merge_parallel(
         ion(sig, "BS", (), ["x"]), close_name(ion(sig, "S", (), ["y"]), "y")
     )
-    return sig, state, (fail_redex, fail_reactum), (fail_reactum, fail_redex)
+    return (
+        sig,
+        state,
+        weighted_rule(fail_redex, fail_reactum, "fail"),
+        weighted_rule(fail_reactum, fail_redex, "recover"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -148,30 +154,30 @@ def test_occurrence_witness_reconstructs_host():
 def test_fail_occurrences_and_counts():
     _, state, fail, recover = wsn_parts()
     g0, g1, g3 = state(3, 0), state(2, 1), state(0, 3)
-    assert len(occurrences(fail[0], g0)) == 3
-    assert len(occurrences(fail[0], g3)) == 0
+    assert len(occurrences(fail.redex, g0)) == 3
+    assert len(occurrences(fail.redex, g3)) == 0
     outs = apply_rule_all(g0, fail)
     assert len(outs) == 1 and outs[0].count == 3
     assert outs[0].key == canonical_key(KeptState(outs[0].form).bigraph())
     assert outs[0].key == canonical_key(g1)
     # counts partition occurrences
     assert sum(o.count for o in apply_rule_all(g1, fail)) == len(
-        occurrences(fail[0], g1)
+        occurrences(fail.redex, g1)
     )
 
 
 def test_fail_then_recover_round_trip():
     _, state, fail, recover = wsn_parts()
     g0 = state(3, 0)
-    g1 = rewrite(g0, fail, occurrences(fail[0], g0)[0])
-    back = rewrite(g1, recover, occurrences(recover[0], g1)[0])
+    g1 = rewrite(g0, fail, occurrences(fail.redex, g0)[0])
+    back = rewrite(g1, recover, occurrences(recover.redex, g1)[0])
     assert canonical_key(back) == canonical_key(g0)
 
 
 def test_identity_rule_self_loop():
     _, state, fail, _ = wsn_parts()
     g0 = state(3, 0)
-    wait = (fail[0], fail[0])  # L = R
+    wait = weighted_rule(fail.redex, fail.redex, "wait")  # L = R
     outs = apply_rule_all(g0, wait)
     assert len(outs) == 1 and outs[0].count == 3
     assert canonical_key(KeptState(outs[0].form).bigraph()) == canonical_key(g0)
@@ -192,18 +198,9 @@ def test_target_must_be_ground():
 def test_stale_match_rejected():
     _, state, fail, _ = wsn_parts()
     g0, g1 = state(3, 0), state(2, 1)
-    m = occurrences(fail[0], g0)[0]
+    m = occurrences(fail.redex, g0)[0]
     with pytest.raises(MatchError):
         rewrite(g1, fail, m)
-
-
-def test_rule_interface_mismatch():
-    _, state, fail, _ = wsn_parts()
-    g0 = state(3, 0)
-    m = occurrences(fail[0], g0)[0]
-    bad_reactum = ion(SIG, "A", (), [])  # <0,{}> -> <1,{}>: wrong names
-    with pytest.raises(MatchError):
-        rewrite(g0, (fail[0], bad_reactum), m)
 
 
 def test_no_occurrences_empty_outcome():
@@ -222,7 +219,7 @@ def test_symmetric_redex_quotient():
 def test_groundness_and_interface_preserved_by_rewrite():
     _, state, fail, _ = wsn_parts()
     g0 = state(3, 0)
-    for m in occurrences(fail[0], g0):
+    for m in occurrences(fail.redex, g0):
         res = rewrite(g0, fail, m)
         assert res.is_ground()
         assert res.outer == g0.outer
@@ -440,7 +437,7 @@ def test_identity_rule_fixes_random_states():
         redex = random_solid(rng, max_nodes=4)
         target = plant(rng, redex)
         for m in occurrences(redex, target)[:3]:
-            res = rewrite(target, (redex, redex), m)
+            res = rewrite(target, weighted_rule(redex, redex), m)
             assert canonical_key(res) == canonical_key(target)
             checked += 1
     assert checked >= 20
@@ -481,9 +478,8 @@ def _states(path, max_states):
 def _assert_splice_matches_algebra(g, rule, m):
     """The splice's form keys like the algebraic result, and the `Bigraph`
     built from it equals that result id for id."""
-    redex, reactum = (rule.redex, rule.reactum) if hasattr(rule, "redex") else rule
     ref = algebraic_rewrite(g, rule, m)
-    form = matching._splice(canon.form_of(g), redex, reactum, m)
+    form = matching._splice(canon.form_of(g), rule.redex, rule.reactum, m)
     assert canonical_key(form) == canonical_key(ref)
     res = KeptState(form).bigraph()
     assert to_json(res) == to_json(ref)
@@ -524,7 +520,9 @@ def test_splice_matches_algebra(models_dir, virus_ts, sink2_ts):
         target = plant(rng, redex)
         for m in occurrences(redex, target)[:3]:
             reactum = random_reactum(rng, redex)
-            _assert_splice_matches_algebra(target, (redex, reactum), m)
+            _assert_splice_matches_algebra(
+                target, weighted_rule(redex, reactum), m
+            )
             pairs += 1
             seen["grow"] += len(reactum.nodes) > len(redex.nodes)
             seen["shrink"] += len(reactum.nodes) < len(redex.nodes)
@@ -543,7 +541,9 @@ def test_splice_matches_algebra(models_dir, virus_ts, sink2_ts):
             continue
         for m in occurrences(redex, target)[:2]:
             reactum = random_reactum(rng, redex)
-            _assert_splice_matches_algebra(target, (redex, reactum), m)
+            _assert_splice_matches_algebra(
+                target, weighted_rule(redex, reactum), m
+            )
             idle += 1
 
 
@@ -653,7 +653,7 @@ def test_grouping_matches_ungrouped_on_generated_states(monkeypatch):
             outs = apply_rule_all(g, rule)
             grouped += len(splices) - before
             assert _outcomes(outs) == _outcomes(ungrouped_apply_rule_all(g, rule))
-            occ += len(occurrences(rule[0], g))
+            occ += len(occurrences(rule.redex, g))
     # the counter sees every splice: the oracle splices each occurrence
     assert grouped and len(splices) == grouped + occ, (len(splices), grouped, occ)
     # the grouping is exercised: most occurrences are never rewritten

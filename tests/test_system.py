@@ -155,6 +155,7 @@ def hand_built(kind, rows, **fields):
 _HUGE = Fraction(10**400)  # beyond the double range
 _LARGE = Fraction(int(1e308))  # a double, but not twice over
 _ONE = [(None, {0: Fraction(1)})]
+_TINY = Fraction(1, 10**400)  # positive, but its double is 0
 
 # (id, kind, rows, whether the TransitionSystem constructor accepts them)
 ROW_CASES = [
@@ -195,12 +196,20 @@ def test_row_invariants(kind, rows, accepted):
 
 # (id, kind, rows, other fields, the error's text); one state but for "sum"
 DOUBLE_CASES = [
-    ("rate", "sbrs", [[(None, {0: _HUGE})]], {}, "state 0: rate"),
-    ("sum", "sbrs", [_ONE, [(None, {0: _LARGE, 1: _LARGE})]], {}, "state 1: rate"),
+    ("rate", "sbrs", [[(None, {0: _HUGE})]], {}, "state 0: rate beyond"),
+    ("sum", "sbrs", [_ONE, [(None, {0: _LARGE, 1: _LARGE})]], {},
+     "state 1: rate beyond"),
     ("state-reward", "pbrs", [_ONE], {"state_reward": [_HUGE]},
-     "state 0: state reward"),
+     "state 0: state reward beyond"),
     ("action-reward", "abrs", [[("go", {0: Fraction(1)})]],
-     {"action_reward": [{"go": _HUGE}]}, "state 0: reward of action go"),
+     {"action_reward": [{"go": _HUGE}]}, "state 0: reward of action go beyond"),
+    ("tiny-rate", "sbrs", [[(None, {0: _TINY})]], {}, "state 0: rate below"),
+    ("tiny-probability", "pbrs", [[(None, {0: 1 - _TINY, 1: _TINY})], _ONE], {},
+     "state 0: probability below"),
+    ("tiny-abrs-probability", "abrs", [[("go", {0: 1 - _TINY, 1: _TINY})], []],
+     {}, "state 0: probability below"),
+    ("tiny-state-reward", "pbrs", [_ONE], {"state_reward": [_TINY]},
+     "state 0: state reward below"),
 ]
 
 
@@ -211,7 +220,7 @@ DOUBLE_CASES = [
 def test_rates_and_rewards_beyond_the_double_range_are_refused(
     kind, rows, fields, text
 ):
-    with pytest.raises(DoubleRangeError, match=f"^{text} beyond the double range$"):
+    with pytest.raises(DoubleRangeError, match=f"^{text} the double range$"):
         hand_built(kind, rows, **fields)
 
 
