@@ -24,6 +24,8 @@ choices over successor numbers, and the store then drops the form.  The
 closure keeps each state as a `canon.KeptState` of its form's arrays,
 whose `bigraph()` builds the state's `Bigraph` on demand.  Beyond `lean`
 of the initial state, neither the closure nor the walk builds a `Bigraph`.
+The closure makes each row once, a BFS level at a time, in the form that
+the `TransitionSystem` constructor keeps.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 
 from .bigraph import Bigraph, BigraphError, lean, require_solid
 from .canon import Form, KeptState, canonical_key, form_of
@@ -164,15 +167,16 @@ class TransitionSystem:
     most one choice, holding the rates, and a brs row at most one, with
     mass 1 per successor.  State 0 is the initial state's class.
 
-    The constructor checks every row: masses are positive, a choice is
-    non-empty, a pbrs or abrs choice has mass exactly 1 (within 1e-12 for
-    floats), and its probabilities, or an sbrs choice's rates and their
-    total, are doubles, none of them with the double 0.  Rewards are held
-    to the same range (`DoubleRangeError` otherwise).  It orders
-    the choices by action name and the entries by successor index, except
-    that a brs keeps its stored order (canonical-key order in a built
-    system).  Absent labels and rewards are filled with empty and zero
-    values.
+    The constructor checks every row: a choice is non-empty, over states,
+    with positive masses; a pbrs or abrs choice has mass exactly 1 (within
+    1e-12 for floats), and its probabilities, or an sbrs choice's rates
+    and their total, are doubles, none of them with the double 0.
+    Rewards are held to the same range (`DoubleRangeError` otherwise).
+    Choices are stored by action name and entries by successor index,
+    except that a brs keeps its given order (canonical-key order in a
+    built system).  Only a row out of that order is copied, never a
+    closure-built one; the caller's list is not changed.  Absent labels
+    and rewards are filled with empty and zero values.
     """
 
     kind: str
@@ -187,8 +191,15 @@ class TransitionSystem:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SystemError_(f"unknown system kind {self.kind!r}")
+        n = len(self.states)
+        self.rows = list(self.rows)
+        self.labels = self.labels or [frozenset()] * n
+        self.state_reward = self.state_reward or [Fraction(0)] * n
+        self.action_reward = self.action_reward or [{}] * n
+        for what in ("rows", "labels", "state_reward", "action_reward"):
+            if len(getattr(self, what)) != n:
+                raise SystemError_(f"{len(getattr(self, what))} {what} for {n} states")
         by_index = self.kind != "brs"
-        rows = []
         for i, row in enumerate(self.rows):
             if self.kind == "pbrs" and len(row) != 1 or (
                 self.kind in ("brs", "sbrs") and len(row) > 1
@@ -197,16 +208,14 @@ class TransitionSystem:
                     f"state {i}: a {self.kind} row has {len(row)} choices"
                 )
             for _, entries in row:
-                _check_choice(self.kind, i, entries)
-            rows.append([
-                (name, dict(sorted(entries.items())) if by_index else entries)
-                for name, entries in sorted(row, key=lambda c: c[0])
-            ])
-        self.rows = rows
-        n = len(rows)
-        self.labels = self.labels or [frozenset()] * n
-        self.state_reward = self.state_reward or [Fraction(0)] * n
-        self.action_reward = self.action_reward or [{} for _ in range(n)]
+                _check_choice(self.kind, i, entries, n)
+            if any(a > b for (a, _), (b, _) in pairwise(row)) or by_index and any(
+                j > k for _, es in row for j, k in pairwise(es)
+            ):
+                self.rows[i] = [
+                    (name, dict(sorted(entries.items())) if by_index else entries)
+                    for name, entries in sorted(row, key=lambda c: c[0])
+                ]
         for i, r in enumerate(self.state_reward):
             check_doubles(i, "state reward", (r,))
         for i, per in enumerate(self.action_reward):
@@ -243,13 +252,16 @@ def check_doubles(i: int, what: str, values) -> None:
         raise DoubleRangeError(f"state {i}: {what} below the double range")
 
 
-def _check_choice(kind: str, i: int, entries: dict) -> None:
-    """A choice of state i is non-empty with positive masses, summing to
-    one for a pbrs or abrs (exactly for rationals, within 1e-12 for
-    floats).  Its probabilities (pbrs, abrs) or rates (sbrs) and their
-    total are doubles, and none of them has the double 0."""
+def _check_choice(kind: str, i: int, entries: dict, n: int) -> None:
+    """A choice of state i is non-empty, over successors 0..n-1, with
+    positive masses, summing to one for a pbrs or abrs (exactly for
+    rationals, within 1e-12 for floats).  Its probabilities (pbrs, abrs)
+    or rates (sbrs) and their total are doubles, none with the double 0."""
     if not entries:
         raise SystemError_(f"state {i}: empty choice")
+    for j in entries:
+        if not 0 <= j < n:
+            raise SystemError_(f"state {i}: successor {j} is not one of {n} states")
     if any(m <= 0 for m in entries.values()):
         raise SystemError_(f"state {i}: choice entries must be positive")
     if kind == "sbrs":
@@ -385,6 +397,8 @@ def build_transition_system(
     At the cap, the first states of the last level are kept unexpanded
     (see docs/formats.md).  Each kept state is labelled once, before its
     expansion, which then reuses the control index the labeller built.
+    A level's rows are made once, when the next level is numbered; equal
+    label sets, rewards and action-reward maps are one object each.
     """
     if max_states <= 0:
         raise SystemError_("state cap must be positive")
@@ -392,39 +406,41 @@ def build_transition_system(
     init = form_of(lean(spec.initial))
     store.add(canonical_key(init), init)
     label = labeller(spec.predicates)
-    order: list = []  # export number -> discovery number
+    reward_of = {a.name: a.reward for a in spec.actions}
+    export: list = [0]  # discovery number -> export number, None past the cap
     states: list = []  # export number -> (key, KeptState)
-    marks: list = []  # export number -> (labels, state reward)
-    raw: dict = {}  # discovery number -> row over discovery numbers
+    rows, labels, state_reward, action_reward = [], [], [], []
+    same: dict = {}  # a label set, reward or action-reward map -> one object
     truncated = False
     level = [0]
     while level:
-        seen = len(store.keys)
+        expanded = []  # the level's choices over discovery numbers
         for i in level:
             form = store.forms[i]
-            order.append(i)
             states.append((store.keys[i], KeptState(form)))
-            marks.append(label(form))
-            if not truncated:
-                raw[i] = _row(spec.kind, i, store.expand(i), store.keys)
-        level = sorted(range(seen, len(store.keys)), key=store.keys.__getitem__)
-        if len(order) + len(level) > max_states:
+            ls, r = label(form)
+            labels.append(same.setdefault(ls, ls))
+            state_reward.append(same.setdefault(r, r))
+            expanded.append(None if truncated else store.expand(i))
+        level = sorted(range(len(export), len(store.keys)), key=store.keys.__getitem__)
+        if len(states) + len(level) > max_states:
             truncated = True
-            del level[max_states - len(order):]
-
-    rows = _finalize(spec.kind, order, raw)
-    reward_of = {a.name: a.reward for a in spec.actions}
+            del level[max_states - len(states):]
+        export += [None] * (len(store.keys) - len(export))
+        for n, j in enumerate(level, len(states)):
+            export[j] = n
+        for n, choices in enumerate(expanded, len(rows)):
+            rows.append(_row(spec.kind, n, choices, export, store.keys))
+            per = {a: reward_of[a] for a, _ in rows[n] if a in reward_of}
+            action_reward.append(same.setdefault(tuple(per.items()), per))
     ts = TransitionSystem(
         kind=spec.kind,
         states=states,
         rows=rows,
-        labels=[ls for ls, _ in marks],
+        labels=labels,
         label_names=tuple(p.name for p in spec.predicates),
-        state_reward=[r for _, r in marks],
-        action_reward=[
-            {name: reward_of[name] for name, _ in row if name in reward_of}
-            for row in rows
-        ],
+        state_reward=state_reward,
+        action_reward=action_reward,
         complete=not truncated,
     )
     if truncated:
@@ -435,35 +451,25 @@ def build_transition_system(
     return ts
 
 
-def _row(kind: str, i: int, choices: list, keys: list) -> list:
-    """State i's row over discovery numbers: a brs choice in successor-key
-    order, an sbrs choice holding the summed rates, and a pbrs or abrs
-    choice normalized (the delta on i when it has no entries)."""
+def _row(kind: str, n: int, choices, export: list, keys: list) -> list:
+    """Row n from its choices over discovery numbers, in stored order; an
+    sbrs choice sums the rates, a pbrs or abrs choice is normalized (the
+    delta on n if empty).  A row never expanded (choices None), or leading
+    past the cap, is terminal: the delta for a pbrs, empty otherwise."""
+    if choices is None or any(export[j] is None for _, es in choices for _, j, _ in es):
+        return [(None, {n: Fraction(1)})] if kind == "pbrs" else []
 
     def entries(es) -> dict:
         if kind == "brs":
-            return dict.fromkeys(sorted({j for _, j, _ in es}, key=keys.__getitem__), 1)
+            succs = sorted({j for _, j, _ in es}, key=keys.__getitem__)
+            return dict.fromkeys((export[j] for j in succs), 1)
         masses: dict = {}
-        for _, j, m in es:
+        for j, m in sorted((export[j], m) for _, j, m in es):
             masses[j] = masses[j] + m if j in masses else m
         if kind == "sbrs":
             return masses
         total = sum(masses.values())
-        return {j: m / total for j, m in masses.items()} if total else {i: Fraction(1)}
+        return {j: m / total for j, m in masses.items()} if total else {n: Fraction(1)}
 
-    return [(a and a.name, entries(es)) for a, es in choices]
-
-
-def _finalize(kind: str, order: list, raw: dict) -> list:
-    """The rows over export numbers, `order` listing the kept states by
-    discovery number.  A row never expanded, or leading beyond the cap,
-    becomes terminal so a truncated system stays well-formed: the delta
-    for a pbrs, empty otherwise."""
-    export = {i: n for n, i in enumerate(order)}
-    out = []
-    for i in order:
-        row = raw.get(i)
-        if row is None or any(j not in export for _, es in row for j in es):
-            row = [(None, {i: Fraction(1)})] if kind == "pbrs" else []
-        out.append([(a, {export[j]: m for j, m in es.items()}) for a, es in row])
-    return out
+    return sorted(((a and a.name, entries(es)) for a, es in choices),
+                  key=lambda c: c[0])

@@ -50,16 +50,15 @@ def _digest(key: bytes) -> str:
     return hashlib.sha256(key).hexdigest()[:16]
 
 
-def _scaled(masses: list) -> list:
-    """Masses that count only by their ratios (pbrs, abrs, brs) times
+def _scaled(masses: list, total) -> list:
+    """Masses that count only by their ratios (pbrs, abrs) times
     2^-e, for e the binary exponent of their exact total, when the
     total's double is not a normal double: beyond the double range, or
     so small that it is subnormal or 0.  The scaled total lies between
     1/2 and 2.  Masses whose total is a normal double come back as they
     are, so their running sums and draws do not change."""
-    total = sum(masses)
     try:
-        if not total or float(total) >= sys.float_info.min:
+        if float(total) >= sys.float_info.min:
             return masses
     except OverflowError:
         pass
@@ -88,8 +87,10 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
         total mass, running sums of the masses).  The total is the float
         of the exact sum and the running sums add the masses as floats in
         entry order; a draw x picks the first entry whose sum exceeds x.
-        sbrs rates beyond or below the double range are refused; other
-        masses are brought into it by `_scaled`."""
+        sbrs rates beyond or below the double range are refused, and so
+        is a pbrs or abrs choice with an exact probability (mass / total)
+        below it, as in the closure; the masses themselves are brought
+        into the range by `_scaled`."""
         row = []
         for action, entries in store.expand(i):
             if kind == "brs":  # one entry per distinct successor
@@ -100,8 +101,11 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
             masses = [e[2] for e in entries]
             if kind == "sbrs":
                 check_doubles(i, "mass", masses)
-            else:
-                masses = _scaled(masses)
+            elif kind != "brs" and masses:
+                total = sum(masses)
+                # the least probability is the one that can round to 0
+                check_doubles(i, "probability", [min(masses) / total])
+                masses = _scaled(masses, total)
             row.append((
                 action.name if action else None,
                 tuple(e[0] for e in entries),

@@ -222,17 +222,18 @@ def test_rate_beyond_the_double_range_exits_1(tmp_path, capsys, case, fmt):
 
 
 # a positive rate or probability whose double is 0: two sbrs rates of
-# 1e-400, and the pbrs probability 1 / (1 + 1e400)
+# 1e-400, the pbrs probability 1 / (1 + 1e400), and 1e-300 / (1e-300 +
+# 1e300), whose total is a double
 TINY_MASSES = {
-    "sbrs-rates": ("sbrs", "1e-400", "rate"),
-    "pbrs-probability": ("pbrs", "1", "probability"),
+    "sbrs-rates": ("sbrs", "1e-400", "1e-400", "rate"),
+    "pbrs-probability": ("pbrs", "1", "1e400", "probability"),
+    "pbrs-double-total": ("pbrs", "1e-300", "1e300", "probability"),
 }
 
 
 @pytest.mark.parametrize("case", TINY_MASSES)
 def test_mass_below_the_double_range_exits_1(tmp_path, capsys, case):
-    kind, weight, what = TINY_MASSES[case]
-    other = "1e-400" if kind == "sbrs" else "1e400"
+    kind, weight, other, what = TINY_MASSES[case]
     model = tmp_path / "tiny.big"
     model.write_text(
         "ctrl A = 0;\nctrl B = 0;\nctrl C = 0;\nbig s = A;\n"
@@ -246,11 +247,12 @@ def test_mass_below_the_double_range_exits_1(tmp_path, capsys, case):
             "", f"error: state 0: {what} below the double range\n"
         )
         assert not out.exists()
-    if kind == "sbrs":
-        assert main(["sim", str(model), "--steps", "2", "--seed", "1"]) == 1
-        assert capsys.readouterr() == (
-            "", "error: state 0: mass below the double range\n"
-        )
+    # the walk refuses what the closure refuses
+    assert main(["sim", str(model), "--steps", "2", "--seed", "1"]) == 1
+    what = "mass" if kind == "sbrs" else what
+    assert capsys.readouterr() == (
+        "", f"error: state 0: {what} below the double range\n"
+    )
 
 
 def test_reward_beyond_the_double_range_exits_1(tmp_path, capsys):

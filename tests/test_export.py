@@ -157,6 +157,9 @@ def test_rewards_to_states_folding():
     )
     folded = rewards_to_states(ts)
     assert folded.n_states == 3  # s1 split into charged and uncharged copies
+    for row in folded.rows:  # stored in name and then index order
+        assert [a for a, _ in row] == sorted(a for a, _ in row)
+        assert all(list(es) == sorted(es) for _, es in row)
     assert all(all(r == 0 for r in per.values()) for per in folded.action_reward)
     charged = [i for i, ls in enumerate(folded.labels) if "charged(2)" in ls]
     assert len(charged) == 1

@@ -1,5 +1,7 @@
 """Transition-system construction: normalization, labelling, determinism."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from types import MappingProxyType
@@ -179,6 +181,8 @@ ROW_CASES = [
     ("unknown-kind", "qbrs", [[]], False),
     ("rates-summing-to-a-double", "sbrs",
      [[(None, {0: _LARGE, 1: Fraction(int(7e307))})], []], True),
+    ("successor-beyond-the-states", "pbrs", [[(None, {5: Fraction(1)})]], False),
+    ("negative-successor", "sbrs", [[(None, {-1: Fraction(1)})]], False),
 ]
 
 
@@ -192,6 +196,72 @@ def test_row_invariants(kind, rows, accepted):
     else:
         with pytest.raises(SystemError_):
             hand_built(kind, rows)
+
+
+@pytest.mark.parametrize("field, values", [
+    ("rows", [_ONE, _ONE]),
+    ("labels", [frozenset(), frozenset()]),
+    ("state_reward", [Fraction(0)] * 2),
+    ("action_reward", [{}, {}]),
+])
+def test_lists_longer_than_the_states_are_refused(field, values):
+    # one state, so a second row would be exported as a state that is not
+    fields = {"rows": [_ONE], field: values}
+    with pytest.raises(SystemError_, match=f"^2 {field} for 1 states$"):
+        TransitionSystem(kind="pbrs", states=[(b"s0", None)], **fields)
+
+
+def test_constructor_copies_only_rows_out_of_order():
+    ordered = [("a", {0: Fraction(1, 3), 1: Fraction(2, 3)}), ("b", {1: Fraction(1)})]
+    by_name = [("b", {1: Fraction(1)}), ("a", {0: Fraction(1)})]
+    by_index = [("a", {1: Fraction(2, 3), 0: Fraction(1, 3)})]
+    rows = [ordered, by_name, by_index]
+    given = [list(row) for row in rows]
+    ts = hand_built("abrs", rows)
+    assert ts.rows[0] is ordered
+    assert ts.rows[1] == [("a", {0: Fraction(1)}), ("b", {1: Fraction(1)})]
+    assert [list(es) for _, es in ts.rows[2]] == [[0, 1]]
+    assert rows == given and rows[1] is by_name and ts.rows is not rows
+    assert [list(es) for _, es in by_index] == [[1, 0]]
+    # a brs keeps its successors in the order given
+    brs_row = [(None, {1: 1, 0: 1})]
+    assert hand_built("brs", [brs_row, []]).rows[0] is brs_row
+
+
+@pytest.mark.parametrize(
+    "name", ["wsn_ts", "send_mdp_ts", "virus_ts", "budding_ts", "sink2_ts"]
+)
+def test_closure_rows_are_kept_as_built(request, name):
+    ts = request.getfixturevalue(name)
+    again = replace(ts)
+    assert all(a is b for a, b in zip(again.rows, ts.rows))
+
+
+@pytest.mark.parametrize("name", ["virus_ts", "sink2_ts"])
+def test_equal_marks_are_one_object(request, name):
+    # equal label sets, state rewards and action-reward maps of one closure
+    ts = request.getfixturevalue(name)
+    for values in (ts.labels, ts.state_reward, ts.action_reward):
+        first: dict = {}
+        for v in values:
+            key = tuple(sorted(v.items())) if isinstance(v, dict) else v
+            assert first.setdefault(key, v) is v
+        assert len(first) < ts.n_states
+
+
+def test_build_peak_is_near_its_retained_memory(models_dir):
+    # rows are made once, so the build holds no copy of them at its end
+    spec = load_model(models_dir.parent / "bench/models/mobile_sink2.big")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ts = build_transition_system(spec)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ts.n_states == 820
+    assert peak - retained <= 2**20
 
 
 # (id, kind, rows, other fields, the error's text); one state but for "sum"
