@@ -172,7 +172,10 @@ def _backup(m: _Choices, x, mode: str = "max", rewarded: bool = False):
 def _reach(ts, goal_label: str, mode: str, sweeps: int, tol=None) -> ReachValue:
     """From the goal indicator, repeat x <- backup(x) with x = 1 kept on
     the goal states: `sweeps` times, or, given `tol`, until the sup-norm
-    change is below it (ConvergenceError if that takes over `sweeps`)."""
+    change is below it (ConvergenceError if that takes over `sweeps`).
+    Without `tol`, a sweep that gives back its input element for element
+    ends the loop early: the backup depends on x alone, so every later
+    sweep would give the same vector."""
     import numpy as np
 
     goals = _goal_states(ts, goal_label)
@@ -182,7 +185,10 @@ def _reach(ts, goal_label: str, mode: str, sweeps: int, tol=None) -> ReachValue:
     for it in range(1, sweeps + 1):
         nxt = _backup(m, x, mode)
         nxt[goals] = 1.0
-        done = tol is not None and float(np.max(np.abs(nxt - x))) < tol
+        if tol is None:
+            done = np.array_equal(nxt, x)
+        else:
+            done = float(np.max(np.abs(nxt - x))) < tol
         x = nxt
         if done:
             return ReachValue(float(x[0]), it)

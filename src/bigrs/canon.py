@@ -25,6 +25,19 @@ tree node branches on the first cell of more than one member, in colour
 order, by giving each member in turn a colour above all others; a leaf
 is a discrete colouring, encoded in colour order.
 
+A leaf's encoding is the tuple (width, outer names, rows), a row per
+node in order: its control token, its parent (('n', node rank) or ('r',
+region)) and its ports' links (('e', edge rank) or ('y', outer name)).
+The key is the UTF-8 `repr` of the minimal one, but no leaf builds the
+tuple (`tests/oracles.reference_encoding` does).  Leaves are compared on
+`_flat`, an integer list that sorts exactly like it: a control token
+becomes its root colour, which ranks the state's tokens in their order;
+a region parent n + r, above every node rank; an outer name ne + r,
+above every edge rank.  A control fixes its arity, so the rows of two
+leaves line up while they are equal.  A search with one leaf compares
+nothing and makes no flat list.  `_key` writes the key bytes once, from
+the minimal leaf's order.
+
 Refinement only re-sorts touched cells (Paige & Tarjan, "Three partition
 refinement algorithms", SIAM J. Comput. 1987).  Colours are cell starts:
 a cell's colour is the number of items of smaller colour, computed once
@@ -60,7 +73,8 @@ instead of factorial.  Leaves with different parents are not twins:
 reordering them moves them between parents, so they are branched on like
 any other cell.  `twin_classes` finds the classes of a whole state in one
 pass over its form and memoises them there; `matching.apply_rule_all`
-also uses them, to rewrite one occurrence per orbit.
+also uses them, with the automorphisms below, to rewrite one occurrence
+per orbit.
 
 The search prunes by automorphisms (McKay & Piperno, "Practical graph
 isomorphism, II", J. Symb. Comput. 2014).  When two leaves encode
@@ -76,7 +90,10 @@ child's, the whole child subtree is an automorphic image of the first
 child's, and it is abandoned.  Neither rule changes which encoding is
 minimal.  They only cut how many leaves are visited: k disjoint copies
 of a symmetric ring visit 2k leaves instead of k! times a power of the
-ring length.
+ring length.  Each map recorded sends a leaf to a leaf that encodes
+equally, so it is an automorphism of the state; `canonical_key` leaves
+them on the form as `Form.autos`, and the closure expands the same form
+object it keyed, so grouping by them costs no search of its own.
 """
 
 from __future__ import annotations
@@ -108,7 +125,9 @@ class Form:
     and `name_ports[r]` hold each link's (node index, position) ports.
     `idle_edge` is the largest ident of an idle edge of the source, -1 if
     it has none (a lean state), since it still bounds a splice's new edge
-    ids.
+    ids.  `twins` memoises `twin_classes`, and `autos` holds the
+    automorphisms, as node index maps, that `canonical_key` found in its
+    search; both are None until computed.
 
     The constructor is the one validity check of a state, in O(ports):
     every port slot is filled by exactly one link, every parent index is
@@ -118,7 +137,8 @@ class Form:
     __slots__ = (
         "signature", "outer", "ids", "controls", "ctrl", "up", "children",
         "port_codes", "edges", "edge_ports", "name_ports", "outer_names",
-        "n", "ne", "port_span", "width", "idle_edge", "twins", "_by_control",
+        "n", "ne", "port_span", "width", "idle_edge", "twins", "autos",
+        "_by_control",
     )
 
     def __init__(self, signature, outer, ids: list, controls: list,
@@ -138,7 +158,7 @@ class Form:
         self.ne = len(edges)
         width = self.width = outer.width
         self.outer_names = tuple(sorted(outer.names))
-        self.twins = self._by_control = None
+        self.twins = self.autos = self._by_control = None
         children: list = [()] * n  # a leaf's is shared, for memory
         for i, u in enumerate(up):
             if not -width <= u < n:
@@ -358,26 +378,65 @@ def twin_classes(form: Form) -> list[int]:
     return rep
 
 
-def _encode(sk: Form, order: list[int]) -> tuple:
+def _ranks(sk: Form, order: list[int]) -> tuple[list[int], list[int]]:
+    """A leaf's node ranks, by `order`, and edge ranks.  Edges are ranked
+    as their sorted lists of (node rank, position) ports sort.  Distinct
+    edges have disjoint ports, so that is the order of their least ports,
+    in which a walk over the nodes in order, and over each node's ports in
+    position order, first meets them."""
     ci = [0] * sk.n
     for rank, i in enumerate(order):
         ci[i] = rank
-    ekeys = [
-        tuple(sorted((ci[v], pos) for v, pos in sk.edge_ports[e]))
-        for e in range(sk.ne)
-    ]
-    ei = [0] * sk.ne
-    for rank, e in enumerate(sorted(range(sk.ne), key=lambda e: ekeys[e])):
-        ei[e] = rank
-    ne, names = sk.ne, sk.outer_names
+    ne = sk.ne
+    ei = [0] * ne
+    if ne:
+        met = dict.fromkeys(chain.from_iterable(map(sk.port_codes.__getitem__, order)))
+        for rank, e in enumerate([c for c in met if c < ne]):
+            ei[e] = rank
+    return ci, ei
+
+
+def _flat(sk: Form, order: list[int], rank: list[int]) -> list[int]:
+    """A leaf's encoding as the integer list that sorts like it (see the
+    module docstring); `rank` holds the root's colours."""
+    ci, ei = _ranks(sk, order)
+    n, up, codes = sk.n, sk.up, sk.port_codes
+    link = ei + list(range(sk.ne, sk.ne + len(sk.outer_names)))
+    flat: list = []
+    for i in order:
+        p = up[i]
+        flat += (rank[i], ci[p] if p >= 0 else n - 1 - p)
+        if codes[i]:
+            flat += map(link.__getitem__, codes[i])
+    return flat
+
+
+def _key(sk: Form, order: list[int]) -> bytes:
+    """The key of the leaf `order`, the UTF-8 `repr` of its encoding,
+    written as text in one pass."""
+    ci, ei = _ranks(sk, order)
+    up, codes, ctrl = sk.up, sk.port_codes, sk.ctrl
+    link = [f"('e', {r})" for r in ei] + [f"('y', {x!r})" for x in sk.outer_names]
+    heads: dict = {}  # id of a control token -> its row's opening text
     rows = []
     for i in order:
-        p = sk.up[i]
-        ports = tuple(
-            ("e", ei[c]) if c < ne else ("y", names[c - ne]) for c in sk.port_codes[i]
-        )
-        rows.append((sk.ctrl[i], ("r", -1 - p) if p < 0 else ("n", ci[p]), ports))
-    return (sk.width, sk.outer_names, tuple(rows))
+        head = heads.get(id(ctrl[i]))
+        if head is None:
+            head = heads[id(ctrl[i])] = f"({ctrl[i]!r}, "
+        cs = codes[i]
+        if not cs:
+            ports = "()"
+        elif len(cs) == 1:
+            ports = f"({link[cs[0]]},)"
+        else:
+            ports = f"({', '.join(map(link.__getitem__, cs))})"
+        p = up[i]
+        if p >= 0:
+            rows.append(f"{head}('n', {ci[p]}), {ports})")
+        else:
+            rows.append(f"{head}('r', {-1 - p}), {ports})")
+    text = f"({rows[0]},)" if len(rows) == 1 else f"({', '.join(rows)})"
+    return f"({sk.width}, {sk.outer_names!r}, {text})".encode()
 
 
 def _find(root: dict, v: int) -> int:
@@ -386,12 +445,15 @@ def _find(root: dict, v: int) -> int:
     return v
 
 
-def _search(sk: Form, col: tuple, top: int, moved, autos: list, probe=None):
-    """The minimal and the first leaf, each (encoding, node order), of the
-    search subtree whose colouring `col` (node colours, edge colours, node
-    cells and edge cells, keyed by colour) was last stable before `moved`
-    were individualised; `col` is refined in place.  `top` is the least
-    colour above all others.  Automorphisms found are appended to `autos`.
+def _search(sk: Form, col: tuple, top: int, moved, autos: list,
+            rank: list[int], probe=None):
+    """The minimal and the first leaf, each (`_flat` encoding, node order),
+    of the search subtree whose colouring `col` (node colours, edge
+    colours, node cells and edge cells, keyed by colour) was last stable
+    before `moved` were individualised; `col` is refined in place.  `top`
+    is the least colour above all others, and `rank` the root's colours.
+    Automorphisms found are appended to `autos`.  A leaf of the root call
+    (`moved` None) is the tree's only leaf, and its encoding is None.
     `probe` is (first leaf, colouring, first branch node, this branch node)
     of the nearest ancestor that this subtree is a later child of, when
     this call is on that child's first-leaf path; returns None when the
@@ -402,7 +464,7 @@ def _search(sk: Form, col: tuple, top: int, moved, autos: list, probe=None):
         start = min((s for s, c in ncells.items() if len(c) > 1), default=None)
         if start is None:
             order = [ncells[s][0] for s in sorted(ncells)]
-            leaf = (_encode(sk, order), order)
+            leaf = (None if moved is None else _flat(sk, order, rank), order)
             if probe is not None and probe[0][0] == leaf[0]:
                 (_, porder), pcol, i1, i = probe
                 g = _automorphism(porder, order)
@@ -439,7 +501,7 @@ def _search(sk: Form, col: tuple, top: int, moved, autos: list, probe=None):
         cells[top] = [i]
         res = _search(
             sk, (branch, list(ecol), cells, dict(ecells)), top + 1, [i], autos,
-            probe if first is None else (first, ncol, target[0], i),
+            rank, probe if first is None else (first, ncol, target[0], i),
         )
         if res is None:
             if first is None:
@@ -476,11 +538,22 @@ def ground_form(g) -> Form:
     return form_of(g)
 
 
-def canonical_key(g) -> bytes:
-    """Deterministic key of a ground state, given as a `Form` or a
-    `Bigraph`; equal keys iff lean-support equivalent states."""
-    sk = ground_form(g)
+def _minimal_order(sk: Form) -> list[int]:
+    """The node order of the minimal leaf of sk's search tree.  The
+    automorphisms the search found are left on the form, as `autos`."""
     ncol, ncells = _starts(sk.ctrl)
     ecells = {0: list(range(sk.ne))} if sk.ne else {}
-    best, _ = _search(sk, (ncol, [0] * sk.ne, ncells, ecells), sk.n, None, [])
-    return repr(best[0]).encode()
+    autos: list = []
+    best, _ = _search(
+        sk, (ncol, [0] * sk.ne, ncells, ecells), sk.n, None, autos, list(ncol),
+    )
+    sk.autos = autos
+    return best[1]
+
+
+def canonical_key(g) -> bytes:
+    """Deterministic key of a ground state, given as a `Form` or a
+    `Bigraph`; equal keys iff lean-support equivalent states.  Leaves the
+    automorphisms its search found on the form (`Form.autos`)."""
+    sk = ground_form(g)
+    return _key(sk, _minimal_order(sk))

@@ -58,15 +58,19 @@ as it checks every state: ports, a forest of parents, atomic nodes
 without children.  `apply_rule_all` splices and keys forms only;
 `rewrite` is the splice plus `canon.KeptState.bigraph`.
 
-`apply_rule_all` rewrites once per orbit of occurrences.  Leaves of one
-control under one parent whose ports sit on the same links, or on private
-edges, are twins (`canon.twin_classes`, computed once per state over its
-form), and any permutation of twins is an automorphism of the state.  So
-two matches whose image nodes lie in the same twin classes, redex node by
-redex node, give isomorphic results: the first is rewritten and keyed,
-and the rest only add to its count.  Results are still merged by key,
-and the result kept for a key is still that of its first match, because
-that match is the first of its orbit.
+`apply_rule_all` rewrites once per orbit of occurrences, under the group
+generated by the permutations of twins and the automorphisms that keying
+the state found.  Leaves of one control under one parent whose ports sit
+on the same links, or on private edges, are twins (`canon.twin_classes`,
+computed once per state over its form), and any permutation of twins is
+an automorphism of the state; `canonical_key` leaves the maps its search
+found on the form (`Form.autos`).  Matches that these automorphisms map
+onto each other give isomorphic results: the first is rewritten and
+keyed, and the rest only add to its count.  An orbit joined only through
+a match that `occurrences` does not report stays split, which costs a
+splice and a key, not a count.  Results are still merged by key, and the
+result kept for a key is still that of its first match, because that
+match is the first of its orbit.
 """
 
 from __future__ import annotations
@@ -83,7 +87,9 @@ from .bigraph import (
     merge_signatures,
     require_solid,
 )
-from .canon import Form, KeptState, canonical_key, form_of, ground_form, twin_classes
+from .canon import (
+    Form, KeptState, _find, canonical_key, form_of, ground_form, twin_classes,
+)
 
 
 class MatchError(BigraphError):
@@ -564,9 +570,9 @@ def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:
     Each result is spliced from g's form and keyed as a form; no `Bigraph`
     is built here.
 
-    Occurrences are grouped by orbit before rewriting: two matches whose
-    image nodes, taken in redex node order, lie in the same twin classes
-    (`canon.twin_classes`) differ by an automorphism of g, so their
+    Occurrences are grouped by orbit before rewriting (`_orbits`): two
+    matches of one orbit differ by an automorphism of g, made of twin
+    permutations and the maps recorded when g's form was keyed, so their
     results have one key.  Only the first match of each orbit is rewritten
     and keyed; the others add to its count.  The kept result of a key is
     still that of its first match in occurrence order, which is the first
@@ -577,17 +583,41 @@ def apply_rule_all(g: Bigraph, rule) -> list[RewriteOutcome]:
         return []
     host = matches[0].target
     # a single match needs no grouping (the loop below runs once)
-    twin = twin_classes(host) if len(matches) > 1 else None
+    orbit = _orbits(host, matches) if len(matches) > 1 else [0]
     groups: dict = {}  # key -> [form of its first match's result, count]
-    orbit_key: dict = {}  # twin-class tuple -> key of the orbit
-    for m in matches:
-        orbit = tuple([twin[w] for w in m.node_map]) if twin else None
-        key = orbit_key.get(orbit)
+    orbit_key: dict = {}  # orbit -> key of its first match's result
+    for j, m in enumerate(matches):
+        key = orbit_key.get(orbit[j])
         if key is None:
             res = _splice(host, redex, reactum, m)
-            key = orbit_key[orbit] = canonical_key(res)
+            key = orbit_key[orbit[j]] = canonical_key(res)
             groups.setdefault(key, [res, 0])
         groups[key][1] += 1
     return [
         RewriteOutcome(groups[k][0], groups[k][1], k) for k in sorted(groups)
     ]
+
+
+def _orbits(host: Form, matches: list) -> list[int]:
+    """Per match, the position of the first match of its orbit.
+
+    A match is read as the tuple of its image nodes' twin classes
+    (`canon.twin_classes`), in redex node order: two matches with one
+    tuple differ by a permutation of twins.  An automorphism of the host
+    maps a twin class onto a twin class, so it acts on these tuples, and
+    each map in `host.autos` (none if the host was never keyed) joins a
+    tuple's orbit with its image's, when that image is a match's."""
+    twin = twin_classes(host)
+    first: dict = {}  # twin-class tuple -> position of its first match
+    orbit = []
+    for j, m in enumerate(matches):
+        orbit.append(first.setdefault(tuple([twin[w] for w in m.node_map]), j))
+    autos = host.autos or ()
+    root = {j: j for j in first.values()}  # each rooted at its least member
+    for t, j in first.items():
+        for g in autos:
+            k = first.get(tuple([twin[g[w]] for w in t]))
+            if k is not None:
+                a, b = _find(root, j), _find(root, k)
+                root[max(a, b)] = min(a, b)
+    return [_find(root, j) for j in orbit]

@@ -7,7 +7,11 @@ MDPs (for the analysis kernel).  Also the earlier canonical-form search,
 with a refinement that recomputes every signature each round and no
 automorphism pruning (for the worklist refinement and the pruned search);
 it has its own twin rule, written from the definition on the bigraph, and
-shares only the form's numbering and the encoding with `bigrs.canon`.  And `apply_rule_all` as it was before orbit grouping,
+shares only the form's numbering with `bigrs.canon`.  Its leaf encoding,
+a nested tuple, is the reference for the key `canon` writes and for the
+order in which `canon` compares leaves.  A check that a node map is an
+isomorphism of two states (for the automorphisms `canon` records).  And
+`apply_rule_all` as it was before orbit grouping,
 which rewrites and keys every occurrence with the engine's own
 `occurrences`, `rewrite` and `canonical_key` (for the grouping), and
 `occurrences` as it was before the cover key, which quotients the
@@ -50,7 +54,7 @@ from bigrs.bigraph import (
     lean,
     tensor,
 )
-from bigrs.canon import Form, KeptState, _encode, canonical_key, form_of
+from bigrs.canon import Form, KeptState, canonical_key, form_of
 from bigrs.language import (
     BAtom,
     BClose,
@@ -430,6 +434,44 @@ def nx_support_equivalent(f: Bigraph, g: Bigraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def check_isomorphism(a: Bigraph, b: Bigraph, node_map: dict) -> bool:
+    """`node_map` (a's node ids -> b's) is an isomorphism of the ground
+    states a and b up to renaming edges, in O(n + ports): a bijection of
+    the nodes that keeps controls; parents correspond, with regions
+    fixed; and the ports go to links bijectively, the ports of each link
+    of a onto all the ports of one link of b, edges onto edges and each
+    outer name onto itself.  Idle edges are ignored."""
+    if a.outer != b.outer or len(a.nodes) != len(b.nodes):
+        return False
+    if node_map.keys() != a.nodes.keys() or set(node_map.values()) != b.nodes.keys():
+        return False
+    for v, w in node_map.items():
+        kind, at = a.parent[v]
+        if a.nodes[v] != b.nodes[w] or b.parent[w] != (
+            (NODE, node_map[at]) if kind == NODE else (kind, at)
+        ):
+            return False
+    link_of = {port: key for key, link in b.links.items() for port in link.ports}
+    hit = set()
+    for key, link in a.links.items():
+        if not link.ports:
+            continue
+        images = {link_of.get((node_map[v], pos)) for v, pos in link.ports}
+        if len(images) != 1:
+            return False
+        image = images.pop()
+        if image is None or image in hit:
+            return False
+        if len(b.links[image].ports) != len(link.ports):
+            return False
+        if isinstance(key, Edge) != isinstance(image, Edge):
+            return False
+        if not isinstance(key, Edge) and key != image:
+            return False
+        hit.add(image)
+    return len(hit) == sum(1 for link in b.links.values() if link.ports)
+
+
 def twins(g: Bigraph, a: int, b: int) -> bool:
     """Nodes a and b of g are twins: leaves of one concrete control and one
     parent whose ports, position by position, share a link or each sit on
@@ -521,6 +563,39 @@ def partition(col: list) -> list[list[int]]:
     return [by[c] for c in sorted(by)]
 
 
+def reference_encoding(sk: Form, order: list[int]) -> tuple:
+    """The encoding of the leaf `order` of the search over `sk` as a nested
+    tuple: (width, outer names, rows), where row i is (control token,
+    ('n', parent rank) or ('r', region), ports), a port ('e', edge rank)
+    or ('y', outer name), and edges are ranked by their sorted (node rank,
+    position) ports.  `canon` writes the key `reference_key` gives from
+    it, and compares leaves in the order these tuples sort in."""
+    ci = [0] * sk.n
+    for rank, i in enumerate(order):
+        ci[i] = rank
+    ekeys = [
+        tuple(sorted((ci[v], pos) for v, pos in sk.edge_ports[e]))
+        for e in range(sk.ne)
+    ]
+    ei = [0] * sk.ne
+    for rank, e in enumerate(sorted(range(sk.ne), key=lambda e: ekeys[e])):
+        ei[e] = rank
+    ne, names = sk.ne, sk.outer_names
+    rows = []
+    for i in order:
+        p = sk.up[i]
+        ports = tuple(
+            ("e", ei[c]) if c < ne else ("y", names[c - ne]) for c in sk.port_codes[i]
+        )
+        rows.append((sk.ctrl[i], ("r", -1 - p) if p < 0 else ("n", ci[p]), ports))
+    return (sk.width, sk.outer_names, tuple(rows))
+
+
+def reference_key(sk: Form, order: list[int]) -> bytes:
+    """The key of the leaf `order`: its `reference_encoding` by `repr`."""
+    return repr(reference_encoding(sk, order)).encode()
+
+
 def unpruned_search(g: Bigraph, sk: Form, ncol: list[int], ecol: list[int],
                     tokens=None) -> tuple:
     """The minimal encoding over every leaf of the search tree of the lean
@@ -531,7 +606,7 @@ def unpruned_search(g: Bigraph, sk: Form, ncol: list[int], ecol: list[int],
     while True:
         target = next((c for c in partition(ncol) if len(c) > 1), None)
         if target is None:
-            return _encode(sk, sorted(range(sk.n), key=ncol.__getitem__))
+            return reference_encoding(sk, sorted(range(sk.n), key=ncol.__getitem__))
         if twin_cell(g, sk, target):
             fresh = sk.n + sk.ne
             ncol = list(ncol)

@@ -14,6 +14,7 @@ from oracles import (
     exact_bounded_reach,
 )
 
+from bigrs import analysis
 from bigrs.analysis import (
     AnalysisError,
     ConvergenceError,
@@ -157,6 +158,24 @@ def test_nonconvergence_carries_last_vector():
     with pytest.raises(ConvergenceError) as err:
         dtmc_reach(WSN, "all_failed", tol=0.0, max_iterations=5)
     assert err.value.last_vector is not None
+
+
+def test_huge_bounded_horizon_stops_at_the_fixed_point(wsn_ts, virus_ts):
+    # the sweeps reach a vector that the next sweep gives back unchanged
+    # after 146 (wsn) and 173 (virus) sweeps; every later one would too
+    huge = 10**20
+    for ts, label, fixed in ((wsn_ts, "all_failed", 146), (virus_ts, "all_infected", 173)):
+        assert analysis._reach(ts, label, "max", huge).iterations == fixed
+        value = dtmc_bounded_reach(ts, label, huge)
+        assert value == dtmc_bounded_reach(ts, label, fixed + 1)
+        assert value == run_query(ts, parse_query(f"P=? [ F<={huge} {label} ]"))
+        assert value != dtmc_bounded_reach(ts, label, fixed - 10)
+    for mode in ("min", "max"):
+        fixed = analysis._reach(SEND, "sent", mode, huge).iterations
+        assert fixed < 2000
+        assert mdp_bounded_reach(SEND, "sent", huge, mode) == mdp_bounded_reach(
+            SEND, "sent", fixed + 1, mode
+        )
 
 
 # ---------------------------------------------------------------------------

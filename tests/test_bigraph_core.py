@@ -1,6 +1,7 @@
 """Core bigraph structure: algebra, solidity, equivalence, canonical keys."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -50,10 +51,13 @@ from genutil import (
 )
 from oracles import (
     brute_support_equivalent,
+    check_isomorphism,
     from_json,
     full_refine,
     nx_support_equivalent,
     partition,
+    reference_encoding,
+    reference_key,
     to_json,
     twin_cell,
     unpruned_key,
@@ -575,23 +579,203 @@ _SYMMETRIC = {
 @pytest.mark.parametrize("family", sorted(_SYMMETRIC))
 def test_search_leaves_grow_linearly(family, monkeypatch):
     # k like rings have k! * len^k automorphic leaves; pruning visits O(k)
+    # (counted through `canon._flat`, which encodes each leaf of a search
+    # that branches, as every one of these does)
     leaves = []
-    encode = canon._encode
+    flat = canon._flat
 
-    def counted(sk, order):
+    def counted(sk, order, rank):
         leaves.append(1)
-        return encode(sk, order)
+        return flat(sk, order, rank)
 
-    monkeypatch.setattr(canon, "_encode", counted)
+    monkeypatch.setattr(canon, "_flat", counted)
     for k in range(2, 11):
         leaves.clear()
         canonical_key(_SYMMETRIC[family](k))
-        assert len(leaves) <= 4 * k, (k, len(leaves))
+        assert 1 <= len(leaves) <= 4 * k, (k, len(leaves))
     g = _SYMMETRIC[family](8)
     rng = random.Random(8)
     assert {canonical_key(shuffled_copy(rng, g)) for _ in range(10)} == {
         canonical_key(g)
     }
+
+
+# ---------------------------------------------------------------------------
+# the key writer, the flat leaf comparison and the recorded automorphisms
+# against their oracles
+# ---------------------------------------------------------------------------
+
+
+def _orders(rng, sk, count):
+    """`count` random node orders of sk, half of them leaf-like: nodes in
+    control order, shuffled within each control, as every leaf of a search
+    orders them."""
+    orders = []
+    for j in range(count):
+        order = list(range(sk.n))
+        rng.shuffle(order)
+        if j % 2:
+            order.sort(key=sk.ctrl.__getitem__)
+        orders.append(order)
+    return orders
+
+
+def test_key_writer_matches_reference_on_closures(
+    wsn_ts, send_mdp_ts, virus_ts, budding_ts, sink2_ts
+):
+    rng = random.Random(31)
+    states = [s for ts in (wsn_ts, send_mdp_ts, virus_ts, budding_ts, sink2_ts)
+              for s in ts.states]
+    assert len(states) == 4 + 3 + 286 + 1092 + 820
+    for key, kept in states:
+        sk = canon.form_of(kept.bigraph())
+        order = canon._minimal_order(sk)
+        assert canon._key(sk, order) == reference_key(sk, order) == key
+        for order in _orders(rng, sk, 5):
+            assert canon._key(sk, order) == reference_key(sk, order)
+
+
+def _edge_case_states():
+    """Hand-built states for the key writer: no nodes, one node, rows of
+    zero, one and two ports, region parents, control parameters, and
+    outer names that need quotes, backslashes and non-ASCII text."""
+    def state(nodes, parent, links, width=1, names=()):
+        return Bigraph(
+            SIG, nodes, parent, {},
+            {**{Edge(j): Link(frozenset(pts)) for j, pts in enumerate(links)},
+             **{x: Link(frozenset(pts)) for x, pts in names}},
+            Interface(0), Interface(width, frozenset(x for x, _ in names)),
+        )
+
+    r0, r1, r2 = (REGION, 0), (REGION, 1), (REGION, 2)
+    odd = ["it's", 'say "hi"', "both '\"", "back\\slash", "naïve", "名前", "tab\tnl\n"]
+    return [
+        state({}, {}, []),
+        state({}, {}, [], width=0),
+        state({}, {}, [], width=2, names=[("x", ())]),
+        state({0: ("K", ())}, {0: r0}, []),
+        state({0: ("L", ())}, {0: r1}, [{(0, 0)}], width=2),
+        state({0: ("C", ())}, {0: r0}, [{(0, 0), (0, 1)}]),
+        state({0: ("C", ())}, {0: r0}, [{(0, 1)}], names=[("y", {(0, 0)})]),
+        state(
+            {0: ("A", ()), 1: ("B", ()), 2: ("C", ()), 3: ("K", ()), 4: ("L", ()),
+             5: ("B", ())},
+            {0: r2, 1: (NODE, 0), 2: (NODE, 1), 3: r0, 4: (NODE, 0), 5: r1},
+            [{(1, 0), (2, 0)}, {(4, 0)}],
+            width=3, names=[("u", {(2, 1)}), ("w", {(5, 0)}), ("idle", ())],
+        ),
+        state(
+            {i: ("P", (p,)) for i, p in enumerate(
+                [0, 1, -2, Fraction(1, 3), Fraction(-7, 2), 10**30, 0])},
+            {i: r0 for i in range(7)},
+            [{(0, 0), (1, 0)}, {(2, 0)}, {(3, 0), (4, 0), (5, 0)}],
+            names=[("z", {(6, 0)})],
+        ),
+        state(
+            {i: ("L", ()) for i in range(len(odd) + 1)},
+            {i: r0 for i in range(len(odd) + 1)},
+            [{(len(odd), 0)}],
+            names=[(x, {(i, 0)}) for i, x in enumerate(odd)],
+        ),
+    ]
+
+
+def test_key_writer_matches_reference_on_edge_cases():
+    rng = random.Random(37)
+    for g in _edge_case_states():
+        sk = canon.form_of(g)
+        order = canon._minimal_order(sk)
+        assert canonical_key(g) == reference_key(sk, order)
+        assert canonical_key(shuffled_copy(rng, g)) == canonical_key(g)
+        for order in _orders(rng, sk, 20):
+            assert canon._key(sk, order) == reference_key(sk, order)
+
+
+def test_flat_leaves_compare_like_reference_encodings(virus_ts, budding_ts, sink2_ts):
+    rng = random.Random(41)
+    signs = set()
+    forms = [canon.form_of(s.bigraph())
+             for ts in (virus_ts, budding_ts, sink2_ts) for _, s in ts.states]
+    forms += [canon.form_of(g) for g in _edge_case_states()]
+    forms += [canon.form_of(gadget_state(rng)) for _ in range(20)]
+    for sk in forms:
+        rank = canon._starts(sk.ctrl)[0]
+        orders = _orders(rng, sk, 4)
+        # a leaf-like order and a transposition of two of its nodes of
+        # one control, which differ late in the encoding
+        lead = orders[1]
+        i, j = rng.randrange(sk.n or 1), rng.randrange(sk.n or 1)
+        if sk.n and sk.ctrl[lead[i]] == sk.ctrl[lead[j]]:
+            swapped = list(lead)
+            swapped[i], swapped[j] = lead[j], lead[i]
+            orders.append(swapped)
+        for a, b in zip(orders, orders[1:] + orders[:1]):
+            fa, fb = canon._flat(sk, a, rank), canon._flat(sk, b, rank)
+            ta, tb = reference_encoding(sk, a), reference_encoding(sk, b)
+            sign = (fa > fb) - (fa < fb)
+            assert sign == (ta > tb) - (ta < tb)
+            assert (fa == fb) == (ta == tb)
+            signs.add(sign)
+    assert signs == {-1, 0, 1}
+
+
+def _check_autos(g) -> int:
+    """Key g and certify every automorphism its search recorded with the
+    independent check; returns how many there were."""
+    canonical_key(g)
+    sk = canon.form_of(g)
+    ids = sk.ids
+    for auto in sk.autos:
+        assert check_isomorphism(g, g, {ids[i]: ids[w] for i, w in enumerate(auto)})
+    return len(sk.autos)
+
+
+def test_recorded_automorphisms_are_isomorphisms(
+    wsn_ts, send_mdp_ts, virus_ts, budding_ts, sink2_ts
+):
+    states = [s.bigraph() for ts in (wsn_ts, send_mdp_ts, virus_ts, budding_ts,
+                                     sink2_ts) for _, s in ts.states]
+    # the states with a recorded map: 83 of virus and 40 of the sink
+    assert sum(_check_autos(g) > 0 for g in states) == 83 + 40
+    maps = 0
+    for k in range(2, 7):
+        for g in (bare_cycles([3] * k), bare_cycles([7] * k), leafy_cycles([3] * k),
+                  leafy_cycles([5] * k)):
+            maps += _check_autos(g)
+    assert maps >= 100
+
+
+def test_check_isomorphism_rejects_non_isomorphisms():
+    # the check is not vacuous: each clause refuses a map that breaks it
+    g = leafy_cycles([3, 3])
+    sk = canon.form_of(g)
+    canonical_key(g)
+    ids = sk.ids
+    auto = sk.autos[0]
+    good = {ids[i]: ids[w] for i, w in enumerate(auto)}
+    assert check_isomorphism(g, g, good)
+    ident = {v: v for v in g.nodes}
+    assert check_isomorphism(g, g, ident)
+    c_nodes = [v for v in g.nodes if g.nodes[v][0] == "C"]
+    a_nodes = [v for v in g.nodes if g.nodes[v][0] == "A"]
+    # controls differ
+    assert not check_isomorphism(g, g, {**ident, c_nodes[0]: a_nodes[0],
+                                        a_nodes[0]: c_nodes[0]})
+    # parents do not correspond: two leaves trade rings' nodes
+    assert not check_isomorphism(g, g, {**ident, a_nodes[0]: a_nodes[1],
+                                        a_nodes[1]: a_nodes[0]})
+    # links break: two neighbours on a ring trade places, each with its
+    # leaf, so the ports of the edge between them land on two edges
+    c0, c1 = c_nodes[0], c_nodes[1]
+    kids = {g.parent[a][1]: a for a in a_nodes}
+    swap = {**ident, c0: c1, c1: c0, kids[c0]: kids[c1], kids[c1]: kids[c0]}
+    assert not check_isomorphism(g, g, swap)
+    # not a bijection
+    assert not check_isomorphism(g, g, {**ident, c0: c1})
+    # an outer name is fixed
+    h = _edge_case_states()[-1]
+    ls = sorted(v for v in h.nodes)
+    assert not check_isomorphism(h, h, {**{v: v for v in ls}, ls[0]: ls[1], ls[1]: ls[0]})
 
 
 # ---------------------------------------------------------------------------

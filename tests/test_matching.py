@@ -41,6 +41,8 @@ from bigrs.system import StateCapError, build_transition_system
 
 from genutil import (
     SIG,
+    bare_cycles,
+    leafy_cycles,
     plant,
     random_ground,
     random_reactum,
@@ -637,7 +639,8 @@ def _outcomes(outs):
     return [(o.key, o.count, to_json(KeptState(o.form).bigraph())) for o in outs]
 
 
-def test_grouping_matches_ungrouped_on_generated_states(monkeypatch):
+def _count_splices(monkeypatch) -> list:
+    """A list that gets one item per `matching._splice` call."""
     splices = []
     plain = matching._splice
 
@@ -646,27 +649,79 @@ def test_grouping_matches_ungrouped_on_generated_states(monkeypatch):
         return plain(*args)
 
     monkeypatch.setattr(matching, "_splice", counted)
-    occ = grouped = 0
-    for g in _twin_corpus():
-        for rule in twin_rules():
+    return splices
+
+
+def _grouped_splices(splices, states, rules, name) -> int:
+    """Check `apply_rule_all` against the ungrouped oracle on every rule at
+    every state, each keyed first so that its automorphisms are recorded,
+    and return how many splices `apply_rule_all` made."""
+    grouped = 0
+    for g in states:
+        canonical_key(g)
+        for rule in rules:
             before = len(splices)
             outs = apply_rule_all(g, rule)
             grouped += len(splices) - before
-            assert _outcomes(outs) == _outcomes(ungrouped_apply_rule_all(g, rule))
-            occ += len(occurrences(rule.redex, g))
+            assert _outcomes(outs) == _outcomes(ungrouped_apply_rule_all(g, rule)), name
+    return grouped
+
+
+def test_grouping_matches_ungrouped_on_generated_states(monkeypatch):
+    splices = _count_splices(monkeypatch)
+    grouped = _grouped_splices(splices, _twin_corpus(), twin_rules(), "twins")
+    occ = sum(len(occurrences(rule.redex, g))
+              for g in _twin_corpus() for rule in twin_rules())
     # the counter sees every splice: the oracle splices each occurrence
     assert grouped and len(splices) == grouped + occ, (len(splices), grouped, occ)
     # the grouping is exercised: most occurrences are never rewritten
     assert occ > 1000 and grouped < occ * 0.6, (grouped, occ)
 
 
-def test_grouping_matches_ungrouped_on_model_states(model_corpus):
+def test_grouping_matches_ungrouped_on_model_states(model_corpus, monkeypatch):
+    splices = _count_splices(monkeypatch)
+    used: set = set()  # the hosts whose recorded maps were read
+    orbits = matching._orbits
+
+    def watched(host, matches):
+        if host.autos:
+            used.add(id(host))
+        return orbits(host, matches)
+
+    monkeypatch.setattr(matching, "_orbits", watched)
+    grouped = {}
     for name, rules, states in model_corpus:
-        for g in states:
-            for rule in rules:
-                assert _outcomes(apply_rule_all(g, rule)) == _outcomes(
-                    ungrouped_apply_rule_all(g, rule)
-                ), name
+        used.clear()
+        grouped[name] = _grouped_splices(splices, states, rules, name)
+        if name == "virus":
+            # 83 virus states have recorded maps; in 4 of them no rule has
+            # two matches, so there is nothing to group
+            assert sum(bool(canon.form_of(g).autos) for g in states) == 83
+            assert len(used) == 79
+    # every rule at every stored state is what the closure splices (its
+    # initial state is keyed, not spliced): 1,712 and 2,856 by twins alone
+    assert (grouped["virus"], grouped["mobile_sink2"]) == (1543, 2800)
+
+
+def test_grouping_matches_ungrouped_on_symmetric_cycles(monkeypatch):
+    splices = _count_splices(monkeypatch)
+    states = [f(k) for k in range(2, 7)
+              for f in (lambda k: bare_cycles([3] * k), lambda k: bare_cycles([7] * k),
+                        lambda k: leafy_cycles([3] * k))]
+    grouped = _grouped_splices(splices, states, twin_rules(), "cycles")
+    occ = sum(len(occurrences(rule.redex, g)) for g in states for rule in twin_rules())
+    # no two ring nodes are twins: only the recorded maps group them, and
+    # each (state, rule) pair with matches is one orbit
+    assert (grouped, occ) == (15, 260)
+
+
+def test_rule_on_ten_seven_cycles_splices_once(monkeypatch):
+    # the 70 matches of C{x, y} -> C{y, x} are one orbit
+    g = bare_cycles([7] * 10)
+    canonical_key(g)
+    splices = _count_splices(monkeypatch)
+    (out,) = apply_rule_all(g, twin_rules()[10])
+    assert (out.count, len(splices)) == (70, 1)
 
 
 def _assert_transposition_fixes(g, a, b):
