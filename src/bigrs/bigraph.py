@@ -312,6 +312,9 @@ class Bigraph:
             raise ShapeError("outer-name links do not match the outer interface")
 
 
+_NO_CONTROLS = MappingProxyType({})  # the empty signature, one shared view
+
+
 def merge_signatures(a: Mapping, b: Mapping) -> Mapping:
     """The union of two signatures, b's declarations winning: a itself
     when b adds nothing to it, so that the bigraphs of one model share one
@@ -324,31 +327,31 @@ def merge_signatures(a: Mapping, b: Mapping) -> Mapping:
 # ---------------------------------------------------------------------------
 
 
-def empty(signature: Mapping[str, ControlDecl] | None = None) -> Bigraph:
+def empty(signature: Mapping[str, ControlDecl] = _NO_CONTROLS) -> Bigraph:
     """The empty bigraph <0,{}> -> <0,{}> (tensor unit)."""
-    return Bigraph(signature or {}, {}, {}, {}, {}, Interface(0), Interface(0))
+    return Bigraph(signature, {}, {}, {}, {}, Interface(0), Interface(0))
 
 
-def unit(signature: Mapping[str, ControlDecl] | None = None) -> Bigraph:
+def unit(signature: Mapping[str, ControlDecl] = _NO_CONTROLS) -> Bigraph:
     """One empty region: <0,{}> -> <1,{}> (merge unit, the DSL's ``1``)."""
-    return Bigraph(signature or {}, {}, {}, {}, {}, Interface(0), Interface(1))
+    return Bigraph(signature, {}, {}, {}, {}, Interface(0), Interface(1))
 
 
-def hole(signature: Mapping[str, ControlDecl] | None = None) -> Bigraph:
+def hole(signature: Mapping[str, ControlDecl] = _NO_CONTROLS) -> Bigraph:
     """One region containing one site (the DSL's ``id`` in a nesting)."""
     return Bigraph(
-        signature or {}, {}, {}, {0: (REGION, 0)}, {}, Interface(1), Interface(1)
+        signature, {}, {}, {0: (REGION, 0)}, {}, Interface(1), Interface(1)
     )
 
 
 def identity(names: Iterable[str], width: int = 0,
-             signature: Mapping[str, ControlDecl] | None = None) -> Bigraph:
+             signature: Mapping[str, ControlDecl] = _NO_CONTROLS) -> Bigraph:
     """The identity bigraph id_X (plus optional place identity of ``width``)."""
     names = frozenset(names)
     links = {n: Link(frozenset(), frozenset([n])) for n in names}
     site_parent = {i: (REGION, i) for i in range(width)}
     return Bigraph(
-        signature or {},
+        signature,
         {},
         {},
         site_parent,

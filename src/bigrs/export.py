@@ -14,6 +14,8 @@ with 17 significant digits so doubles round-trip):
 * ``.lab``: header assigning label ids (``init`` is always id 0 and holds
   on state 0), then ``<state>: <ids...>`` for each labelled state.  A
   label holding ``"`` or a line break is refused: the header has no escape.
+  So is a label named ``init``, and a ``charged(r)`` marker (below) that
+  is also a predicate label.
 * ``.srew``: header ``<numStates> <numNonzero>`` then ``<state> <reward>``.
 * ``.trew`` (MDP action rewards): header ``<numStates> <numNonzero>``
   then ``<src> <choiceIndex> <reward>`` per rewarded choice.
@@ -110,11 +112,13 @@ def _mdp_choices(ts: TransitionSystem) -> list:
 
 def render_lab(ts: TransitionSystem) -> str:
     names = sorted({l for ls in ts.labels for l in ls})
+    if "init" in names:
+        raise ExportError("label 'init' is PRISM's initial-state label")
     ids = {"init": 0}
     for name in names:
         if any(c in name for c in '"\n\r'):
             raise ExportError(f"label {name!r} holds a quote or a line break")
-        ids.setdefault(name, len(ids))
+        ids[name] = len(ids)
     header = " ".join(f'{i}="{n}"' for n, i in sorted(ids.items(), key=lambda x: x[1]))
     lines = [header]
     for s in range(ts.n_states):
@@ -178,12 +182,16 @@ def rewards_to_states(ts: TransitionSystem) -> TransitionSystem:
     states = []
     labels = []
     state_reward = []
+    taken = set(ts.label_names).union(*ts.labels)
     for orig, reward in classes:
         key, state = ts.states[orig]
         states.append((key + f"|charged:{reward}".encode(), state))
         marks = set(ts.labels[orig])
         if reward != 0:
-            marks.add(f"charged({_render_reward(reward)})")
+            mark = f"charged({_render_reward(reward)})"
+            if mark in taken:
+                raise ExportError(f"label {mark!r} is a predicate and a reward marker")
+            marks.add(mark)
         labels.append(frozenset(marks))
         state_reward.append(ts.state_reward[orig] + reward)
     return TransitionSystem(

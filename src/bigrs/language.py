@@ -13,6 +13,12 @@ Names are unique across declarations.  In a bigraph expression a name,
 with or without arguments, links and a nested child, resolves one way: a
 declared control gives an ion; any other name must be a bigraph
 definition, used with its parameter count and with no links or child.
+
+The AST has one node per construct (a `BAtom` holds its nested child, a
+`BProduct` is `|` or `||`), and expression nodes carry no position: a
+`ParseError` is located at its token, an `ElabError` at the declaration,
+system-block item or action being elaborated, which keep a `pos`, as
+does the system block.  A model's bigraphs share one signature view.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from types import MappingProxyType
 from typing import Optional
 
 from .bigraph import (
@@ -120,20 +127,14 @@ def tokenize(source: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-def _pos_field():
-    return field(default=(0, 0), compare=False, repr=False)
-
-
 @dataclass
 class Num:
     value: str  # literal text, exact
-    pos: tuple = _pos_field()
 
 
 @dataclass
 class Ref:
     name: str
-    pos: tuple = _pos_field()
 
 
 @dataclass
@@ -141,67 +142,55 @@ class BinOp:
     op: str
     left: object
     right: object
-    pos: tuple = _pos_field()
 
 
 @dataclass
 class Neg:
     arg: object
-    pos: tuple = _pos_field()
 
 
 @dataclass
 class BUnit:
-    pos: tuple = _pos_field()
+    pass
 
 
 @dataclass
 class BSite:
-    pos: tuple = _pos_field()
+    pass
 
 
 @dataclass
 class BAtom:
-    """A name with optional arguments and links: an ion if the name is a
-    declared control, otherwise a use of a bigraph definition."""
+    """A name with optional arguments, links and nested child: an ion if
+    the name is a declared control, otherwise a use of a bigraph
+    definition (which takes no links and no child)."""
 
     name: str
     args: list
     names: list
-    pos: tuple = _pos_field()
+    child: object = None
 
 
 @dataclass
-class BNest:
-    head: BAtom
-    child: object
-    pos: tuple = _pos_field()
-
-
-@dataclass
-class BMerge:
+class BProduct:
+    op: str  # '|' (merge) or '||' (parallel)
     parts: list
-    pos: tuple = _pos_field()
-
-
-@dataclass
-class BParallel:
-    parts: list
-    pos: tuple = _pos_field()
 
 
 @dataclass
 class BClose:
     name: str
     body: object
-    pos: tuple = _pos_field()
 
 
 @dataclass
 class BRepl:  # par(n, b)
     count: object
     body: object
-    pos: tuple = _pos_field()
+
+
+def _pos_field():
+    return field(default=(0, 0), compare=False, repr=False)
 
 
 @dataclass
@@ -272,7 +261,6 @@ class SystemBlock:
 class Model:
     decls: list
     system: SystemBlock
-    pos: tuple = _pos_field()
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +329,8 @@ class _Parser:
     # -- model -------------------------------------------------------------
 
     def model(self) -> Model:
-        pos = self.pos()
         if self.at("eof"):
-            raise ParseError("empty model", *pos)
+            raise ParseError("empty model", *self.pos())
         decls = []
         while not self.at("begin"):
             if self.at("eof"):
@@ -351,7 +338,7 @@ class _Parser:
             decls.append(self.decl())
         system = self.system_block()
         self.expect("eof")
-        return Model(decls, system, pos)
+        return Model(decls, system)
 
     def decl(self):
         """One head for every declaration: `[atomic] [fun] kind name
@@ -403,49 +390,48 @@ class _Parser:
 
     def bexp(self, level: int = 0):
         """Level 0 is `||`, level 1 is `|`; their operands are `bterm`s."""
-        op, node = _BIG_LEVELS[level]
+        op = _BIG_LEVELS[level]
         last = level + 1 == len(_BIG_LEVELS)
-        pos = self.pos()
         parts = [self.bterm() if last else self.bexp(level + 1)]
         while self.eat(op):
             parts.append(self.bterm() if last else self.bexp(level + 1))
-        return parts[0] if len(parts) == 1 else node(parts, pos)
+        return parts[0] if len(parts) == 1 else BProduct(op, parts)
 
     def bterm(self):
-        pos = self.pos()
         if self.eat("/"):
-            name = self.name()
-            return BClose(name, self.bterm(), pos)
+            return BClose(self.name(), self.bterm())
         return self.bnest()
 
     def bnest(self):
+        """An atom, nesting a `bterm` after a `.` if it is a name that has
+        no child yet: `(A.B).C` is refused, not read as `A.C`."""
         pos = self.pos()
         head = self.batom()
         if self.eat("."):
-            if not isinstance(head, BAtom):
+            if not isinstance(head, BAtom) or head.child is not None:
                 raise ParseError("only an ion or reference can nest", *pos)
-            return BNest(head, self.bterm(), pos)
+            head.child = self.bterm()
         return head
 
     def batom(self):
         t = self.peek()
-        pos = (t.line, t.col)
         if self.eat("id"):
-            return BSite(pos)
+            return BSite()
         if t.kind == "num":
             if t.text != "1":
                 raise ParseError(
-                    f"number {t.text!r} is not a bigraph (only '1' is)", *pos
+                    f"number {t.text!r} is not a bigraph (only '1' is)",
+                    t.line, t.col,
                 )
             self.next()
-            return BUnit(pos)
+            return BUnit()
         if self.eat("par"):
             self.expect("(")
             count = self.numexp()
             self.expect(",")
             body = self.bexp()
             self.expect(")")
-            return BRepl(count, body, pos)
+            return BRepl(count, body)
         if self.eat("("):
             inner = self.bexp()
             self.expect(")")
@@ -453,10 +439,10 @@ class _Parser:
         if self.eat("name"):
             args = self.args()
             names = self.listed(self.name, "}") if self.eat("{") else []
-            return BAtom(t.text, args, names, pos)
+            return BAtom(t.text, args, names)
         raise ParseError(
             f"expected a bigraph expression, found {t.text or 'end of input'!r}",
-            *pos,
+            t.line, t.col,
         )
 
     # -- numeric expressions -------------------------------------------------
@@ -465,30 +451,28 @@ class _Parser:
         """Level 0 is `+ -`, level 1 is `* /`, both left-associative; their
         operands are `numfactor`s."""
         last = level + 1 == len(_NUM_LEVELS)
-        pos = self.pos()
         left = self.numfactor() if last else self.numexp(level + 1)
         while self.peek().kind in _NUM_LEVELS[level]:
             op = self.next().kind
             right = self.numfactor() if last else self.numexp(level + 1)
-            left = BinOp(op, left, right, pos)
+            left = BinOp(op, left, right)
         return left
 
     def numfactor(self):
         t = self.peek()
-        pos = (t.line, t.col)
         if self.eat("-"):
-            return Neg(self.numfactor(), pos)
+            return Neg(self.numfactor())
         if self.eat("num"):
-            return Num(t.text, pos)
+            return Num(t.text)
         if self.eat("name"):
-            return Ref(t.text, pos)
+            return Ref(t.text)
         if self.eat("("):
             inner = self.numexp()
             self.expect(")")
             return inner
         raise ParseError(
             f"expected a numeric expression, found {t.text or 'end of input'!r}",
-            *pos,
+            t.line, t.col,
         )
 
     # -- system block --------------------------------------------------------
@@ -563,7 +547,7 @@ class _Parser:
         return ActionItem(t.text, reward, rules, (t.line, t.col))
 
 
-_BIG_LEVELS = (("||", BParallel), ("|", BMerge))
+_BIG_LEVELS = ("||", "|")
 _NUM_LEVELS = (("+", "-"), ("*", "/"))
 # the value of each system-block clause, parsed after its `=`
 _CLAUSES = {
@@ -575,7 +559,8 @@ _CLAUSES = {
 
 
 def parse(source: str) -> Model:
-    """Parse `.big` source into an AST with source positions."""
+    """Parse `.big` source into an AST; its declarations, system-block
+    items and actions and the system block carry their source positions."""
     parser = _Parser(tokenize(source))
     try:
         return parser.model()
@@ -664,6 +649,8 @@ class _Elaborator:
                 self.bigs[d.name] = d
             else:
                 self.reacts[d.name] = d
+        # one read-only view, shared by every bigraph of the model
+        self.signature = MappingProxyType(self.signature)
         return self.system()
 
     # -- bigraph evaluation --------------------------------------------------
@@ -673,15 +660,13 @@ class _Elaborator:
             return unit(self.signature)
         if isinstance(e, BSite):
             return hole(self.signature)
-        if isinstance(e, (BAtom, BNest)):
-            head = e if isinstance(e, BAtom) else e.head
-            child = None if head is e else self.big(e.child, env)
-            args = (_eval_num(a, env) for a in head.args)
-            return self.atom(head.name, args, head.names, child)
-        if isinstance(e, BMerge):
-            return reduce(merge_parallel, [self.big(p, env) for p in e.parts])
-        if isinstance(e, BParallel):
-            return reduce(parallel, [self.big(p, env) for p in e.parts])
+        if isinstance(e, BAtom):
+            child = None if e.child is None else self.big(e.child, env)
+            args = (_eval_num(a, env) for a in e.args)
+            return self.atom(e.name, args, e.names, child)
+        if isinstance(e, BProduct):
+            product = merge_parallel if e.op == "|" else parallel
+            return reduce(product, [self.big(p, env) for p in e.parts])
         if isinstance(e, BClose):
             return close_name(self.big(e.body, env), e.name)
         if isinstance(e, BRepl):
@@ -825,7 +810,7 @@ class _Elaborator:
         self.at = s.pos
         return SystemSpec(
             kind=s.kind,
-            signature=dict(self.signature),
+            signature=self.signature,
             initial=initial,
             rules=tuple(rules.values()),
             actions=tuple(actions),

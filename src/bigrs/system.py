@@ -15,7 +15,8 @@ export time.
 
 The closure and the simulator (`bigrs.walk`) keep their states in one
 `StateStore`: canonical key -> discovery number, and the flat form
-(`canon.Form`) first seen for each number.  A form is made by
+(`canon.Form`) first seen for each number.  The store makes the initial
+state's form and key itself and numbers it 0.  A form is made by
 `canon.form_of` (the initial state) or by the splice of a rewrite
 (`matching._splice`), and checked by the `Form` constructor, so every
 state that is numbered has passed that check.  `_step` and the labeller
@@ -34,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
+from typing import Mapping
 
 from .bigraph import Bigraph, BigraphError, lean, require_solid
 from .canon import Form, KeptState, canonical_key, form_of
@@ -131,7 +133,7 @@ class SystemSpec:
     """A fully elaborated system: the engine-facing contract of a model."""
 
     kind: str
-    signature: dict
+    signature: Mapping  # control name -> ControlDecl
     initial: Bigraph
     rules: tuple
     actions: tuple = ()
@@ -355,7 +357,8 @@ def labeller(predicates):
 
 
 class StateStore:
-    """The states of a closure or a walk; see the module docstring."""
+    """The states of a closure or a walk, numbered as they are found from
+    the initial state, number 0; see the module docstring."""
 
     def __init__(self, spec: SystemSpec):
         self.spec = spec
@@ -363,6 +366,8 @@ class StateStore:
         self.number: dict = {}  # canonical key -> discovery number
         self.keys: list = []  # discovery number -> canonical key
         self.forms: list = []  # discovery number -> Form, None once expanded
+        init = form_of(lean(spec.initial))
+        self.add(canonical_key(init), init)
 
     def add(self, key: bytes, form: Form) -> int:
         """The number of the state with this key, its form kept if the key
@@ -403,8 +408,6 @@ def build_transition_system(
     if max_states <= 0:
         raise SystemError_("state cap must be positive")
     store = StateStore(spec)
-    init = form_of(lean(spec.initial))
-    store.add(canonical_key(init), init)
     label = labeller(spec.predicates)
     reward_of = {a.name: a.reward for a in spec.actions}
     export: list = [0]  # discovery number -> export number, None past the cap

@@ -3,10 +3,11 @@ closure).  Traces are reproducible from the seed; MDP action choice is
 resolved uniformly at random among the applicable actions, and a brs
 step uniformly among the distinct successors.
 
-The walk keeps its states in a `system.StateStore` and expands each
-distinct state at most once per trace.  For each expanded state it
-keeps its choices, free of bigraphs: for each entry of a choice its
-rule, its successor's number and the running float sum of the masses.
+The walk keeps its states in a `system.StateStore`, which numbers the
+initial state 0, and expands each distinct state at most once per
+trace.  For each expanded state it keeps its choices, free of bigraphs:
+for each entry of a choice its rule, its successor's number and the
+running float sum of the masses.
 A state is a flat form (`canon.Form`), made by `canon.form_of` or a
 rewrite's splice and checked by the `Form` constructor, so every state a
 trace reports is checked, expanded or not.  The walk builds no `Bigraph`.
@@ -29,8 +30,6 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .bigraph import lean
-from .canon import canonical_key, form_of
 from .system import StateStore, SystemSpec, check_doubles
 
 
@@ -115,8 +114,7 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
             ))
         return tuple(row)
 
-    g = lean(spec.initial)
-    here = store.add(canonical_key(g), form_of(g))
+    here = 0  # the store's number of the initial state
     now = 0.0 if kind == "sbrs" else None
     trace: list[TraceStep] = []
     for k in range(1, steps + 1):

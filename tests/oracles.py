@@ -60,9 +60,7 @@ from bigrs.language import (
     BClose,
     BigDef,
     BinOp,
-    BMerge,
-    BNest,
-    BParallel,
+    BProduct,
     BRepl,
     BSite,
     BUnit,
@@ -1303,13 +1301,9 @@ def _pp_bexp(e) -> str:
             s += "(" + ", ".join(_pp_num(a) for a in e.args) + ")"
         if e.names:
             s += "{" + ",".join(e.names) + "}"
-        return s
-    if isinstance(e, BNest):
-        return f"{_pp_bexp(e.head)}.({_pp_bexp(e.child)})"
-    if isinstance(e, BMerge):
-        return "(" + " | ".join(_pp_bexp(p) for p in e.parts) + ")"
-    if isinstance(e, BParallel):
-        return "(" + " || ".join(_pp_bexp(p) for p in e.parts) + ")"
+        return s if e.child is None else f"{s}.({_pp_bexp(e.child)})"
+    if isinstance(e, BProduct):
+        return "(" + f" {e.op} ".join(_pp_bexp(p) for p in e.parts) + ")"
     if isinstance(e, BClose):
         return f"/{e.name} ({_pp_bexp(e.body)})"
     if isinstance(e, BRepl):

@@ -167,6 +167,28 @@ def test_refused_prism_export_creates_nothing(models_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reward_marker_equal_to_a_predicate_exits_1(models_dir, tmp_path, capsys):
+    # a predicate charged(2) and the marker of a_reset's reward 2 would
+    # share one .lab id (the predicate's state 1 and the marked state 3)
+    src = (models_dir / "send_mdp.big").read_text()
+    for old, new in (
+        ("big sent =", "fun big charged(r) = /x (BSF{x} | SF{x});\nbig sent ="),
+        ("preds = [sent]", "preds = [sent, charged(2)]"),
+        ("a_reset = {reset}", "a_reset[2] = {reset}"),
+    ):
+        assert old in src
+        src = src.replace(old, new)
+    model = tmp_path / "clash.big"
+    model.write_text(src)
+    args = ["full", str(model), "--out"]
+    assert main(args + [str(tmp_path / "plain")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(args + [str(out), "--rewards-as-states"]) == 1
+    assert "'charged(2)'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_full_rewards_as_states(models_dir, tmp_path, capsys):
     rc = main(
         [

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -520,6 +521,31 @@ def test_lab_refuses_a_label_it_cannot_quote(tmp_path):
     for odd in ('a"b', "a\nb", "a\rb"):
         with pytest.raises(ExportError):
             render_lab(_hand_built("pbrs", [[(None, {0: Fraction(1)})]], [{odd}]))
+
+
+def test_lab_refuses_a_label_named_init(tmp_path):
+    # PRISM's `init` is id 0: a label of that name would mark state 1 initial
+    ts = _hand_built("pbrs", [[(None, {1: Fraction(1)})]] * 2, [set(), {"init"}])
+    with pytest.raises(ExportError, match="'init'"):
+        render_lab(ts)
+    with pytest.raises(ExportError):
+        export_prism(ts, tmp_path, "m")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reward_marker_refuses_a_predicate_of_its_name():
+    # the predicate `charged(2)` holds on s0, the marker would on s1's copy
+    ts = _hand_built(
+        "abrs", [[("paid", {1: Fraction(1)})], []], [{"charged(2)"}, set()],
+        action_reward=[{"paid": Fraction(2)}, {}],
+    )
+    with pytest.raises(ExportError, match=re.escape("'charged(2)'")):
+        rewards_to_states(ts)
+    # declared but holding on no state, it is still the predicate's name
+    declared = replace(ts, labels=[], label_names=("charged(2)",))
+    with pytest.raises(ExportError, match=re.escape("'charged(2)'")):
+        rewards_to_states(declared)
+    assert rewards_to_states(replace(ts, labels=[{"charged(1)"}, set()])).n_states == 2
 
 
 def test_tra_refuses_an_action_it_cannot_write(tmp_path):

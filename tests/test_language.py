@@ -14,7 +14,7 @@ from bigrs.language import (
     load_model,
     parse,
 )
-from bigrs.system import SystemError_
+from bigrs.system import StateCapError, SystemError_, build_transition_system
 from oracles import pretty
 
 LISTING_STYLE_PBRS = """
@@ -360,6 +360,28 @@ def test_nest_child_may_close_a_name():
         assert canonical_key(initial(bare)) == canonical_key(initial(bracketed))
 
 
+NEST_MODEL = (
+    "ctrl A = 0;\nctrl B = 0;\nctrl C = 0;\nbig s = {expr};\n"
+    "begin brs init = s; rules = []; end"
+)
+
+
+@pytest.mark.parametrize("expr", ["(A.B).C", "(A | B).C", "1.A", "id.A", "par(2, A).B"])
+def test_only_an_ion_or_reference_can_nest(expr):
+    # a head that already has a child would otherwise lose it: (A.B).C
+    # read as A.C
+    with pytest.raises(ParseError, match="only an ion or reference can nest") as err:
+        parse(NEST_MODEL.format(expr=expr))
+    assert (err.value.line, err.value.col) == (4, 9)
+
+
+def test_parenthesised_ion_nests():
+    spec = elaborate(parse(NEST_MODEL.format(expr="(A).B")))
+    nested = elaborate(parse(NEST_MODEL.format(expr="A.B"))).initial
+    assert canonical_key(spec.initial) == canonical_key(nested)
+    assert len(spec.initial.nodes) == 2
+
+
 def test_round_trip_fixed_sources():
     for src in (LISTING_STYLE_PBRS, CLOSURE_RULE):
         ast = parse(src)
@@ -395,6 +417,31 @@ def test_post_elaboration_sweep_on_corpus(models_dir: Path):
         if spec.kind == "abrs":
             covered = {r.name for a in spec.actions for r in a.rules}
             assert {r.name for r in spec.rules} <= covered
+
+
+@pytest.mark.parametrize("path", [
+    *(f"models/{m}.big" for m in ("budding", "mobile_sink", "send_mdp", "virus", "wsn")),
+    "bench/models/mobile_sink2.big",
+])
+def test_model_shares_one_signature(models_dir, path):
+    # the initial state, every rule and predicate pattern and every kept
+    # state of the closure (its first 200 states) hold one signature object
+    spec = load_model(models_dir.parent / path)
+    sig = spec.signature
+    patterns = [spec.initial] + [p.pattern for p in spec.predicates]
+    patterns += [b for rule in spec.rules for b in (rule.redex, rule.reactum)]
+    assert all(b.signature is sig for b in patterns)
+    try:
+        states = build_transition_system(spec, max_states=200).states
+    except StateCapError as cap:
+        states = cap.partial.states
+    assert len(states) > 1
+    assert all(state.signature is sig for _, state in states)
+
+
+def test_model_without_controls_shares_one_signature():
+    spec = elaborate(parse("big s = 1 | 1;\nbegin brs init = s; rules = []; end"))
+    assert spec.initial.signature is spec.signature
 
 
 def test_action_rewards_elaborate(models_dir):
