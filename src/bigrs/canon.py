@@ -41,10 +41,13 @@ the minimal leaf's order.
 Refinement only re-sorts touched cells (Paige & Tarjan, "Three partition
 refinement algorithms", SIAM J. Comput. 1987).  Colours are cell starts:
 a cell's colour is the number of items of smaller colour, computed once
-from the controls at the root.  The search carries the colours and the cells,
-keyed by colour, from the root to every leaf, and `_refine` refines them
-in place.  Splitting a cell gives its sub-cells starts inside its own
-range, so the first keeps its colour and no other cell is renumbered.
+from the controls at the root.  The search carries the colours and the
+cells, keyed by colour, from the root to every leaf, and `_refine`
+refines them in place.  It groups each touched cell by a flat integer
+signature that sorts as the nested (parent, children, ports) tuple does
+(see `_refine`), so the partitions and every key are unchanged.  The
+sub-cells take starts inside the cell's range, in signature order, so
+the first keeps its colour and no other cell is renumbered.
 Individualising a node moves it into a new singleton cell of colour
 `top`, the least colour above all others: n at the root, one more for
 each node individualised on the path.  Every colour is then ordered as
@@ -284,33 +287,19 @@ def _starts(col: list) -> tuple[list[int], dict[int, list[int]]]:
     return starts, cells
 
 
-def _resort(col: list[int], cells: dict, touched, sig) -> list[int]:
-    """Sort each touched cell by `sig` and split it where `sig` changes.
-
-    Every signature is taken before any colour changes.  A sub-cell's
-    colour is its start within the old cell's range, so the first keeps
-    the old colour and no other cell is renumbered.  Returns the items
-    whose colour changed."""
-    plans = []
-    for start in touched:
-        members = cells[start]
-        if len(members) > 1:
-            keyed = sorted([(sig(v), v) for v in members])
-            if keyed[0][0] != keyed[-1][0]:
-                plans.append((start, keyed))
-    moved = []
-    for start, keyed in plans:
-        sub, cell = start, [keyed[0][1]]
-        for pos in range(1, len(keyed)):
-            key, v = keyed[pos]
-            if key != keyed[pos - 1][0]:
-                cells[sub] = cell
-                sub, cell = start + pos, []
-            cell.append(v)
+def _split(col: list[int], cells: dict, plans: list) -> list[int]:
+    """Split cells as planned, (start, {signature: members}) each, into
+    sub-cells from the start in signature order; returns the moved."""
+    moved: list = []
+    for start, by in plans:
+        sub = start
+        for sig in sorted(by):
+            cell = cells[sub] = by[sig]
             if sub != start:
-                col[v] = sub
-                moved.append(v)
-        cells[sub] = cell
+                for v in cell:
+                    col[v] = sub
+                moved += cell
+            sub += len(cell)
     return moved
 
 
@@ -319,37 +308,62 @@ def _refine(sk: Form, ncol: list, ecol: list, ncells: dict, ecells: dict,
     """Refine node and edge colours, and their cells keyed by colour, in
     place to the stable mutual refinement.  `moved` lists the nodes whose
     colours changed since the colouring was last stable; None re-sorts
-    every cell in the first round."""
+    every cell in the first round.
+
+    A step puts the members of each touched cell of two or more into a
+    dict keyed by signature, in member order, and `_split` sorts only the
+    distinct keys; every signature is taken before any colour changes.
+    An edge's signature is its sorted ports as colour * span + position,
+    a node's (parent token, *sorted child colours, -1, *port links): the
+    parent's colour or 2n + 1 + r for region r, and per port its edge's
+    colour or ne + r for outer name r.  As -1 is below every colour, a
+    child list that is a prefix of another sorts first; the ports come
+    last, as many as the cell's control has.  So it sorts as the nested
+    tuple: cells split in the same order, and every key is unchanged."""
     n, ne, span, up = sk.n, sk.ne, sk.port_span, sk.up
-
-    def esig(e):
-        return tuple(sorted([ncol[v] * span + pos for v, pos in sk.edge_ports[e]]))
-
-    def nsig(i):
-        # a region parent's token 2n + 1 + r sorts above every node colour,
-        # which is below n, or below 2n once individualised; a name port's
-        # code ne + r sorts above every edge colour, a start below ne
-        p = up[i]
-        kids = sk.children[i]
-        return (
-            ncol[p] if p >= 0 else 2 * n - p,
-            tuple(sorted([ncol[c] for c in kids])) if kids else (),
-            tuple([ecol[c] if c < ne else c for c in sk.port_codes[i]]),
-        )
-
+    kids, codes, eports = sk.children, sk.port_codes, sk.edge_ports
+    child = ncol.__getitem__  # ncol changes in place, never rebound
     while True:
         if moved is None:
             etouch = list(ecells)
         else:
-            etouch = {ecol[c] for v in moved for c in sk.port_codes[v] if c < ne}
-        emoved = _resort(ecol, ecells, etouch, esig)
+            etouch = {ecol[c] for v in moved for c in codes[v] if c < ne}
+        plans = []
+        for start in etouch:
+            if len(ecells[start]) > 1:
+                by: dict = {}
+                for e in ecells[start]:
+                    ps = eports[e]
+                    if len(ps) == 2:
+                        (v, a), (w, b) = ps
+                        a, b = ncol[v] * span + a, ncol[w] * span + b
+                        sig = (a, b) if a < b else (b, a)
+                    else:
+                        sig = tuple(sorted([ncol[v] * span + a for v, a in ps]))
+                    by.setdefault(sig, []).append(e)
+                plans.append((start, by))
+        emoved = _split(ecol, ecells, plans)
         if moved is None:
             ntouch = list(ncells)
         else:
-            ntouch = {ncol[c] for v in moved for c in sk.children[v]}
+            ntouch = {ncol[c] for v in moved for c in kids[v]}
             ntouch.update(ncol[up[v]] for v in moved if up[v] >= 0)
-            ntouch.update(ncol[v] for e in emoved for v, _ in sk.edge_ports[e])
-        moved = _resort(ncol, ncells, ntouch, nsig)
+            ntouch.update(ncol[v] for e in emoved for v, _ in eports[e])
+        plans = []
+        for start in ntouch:
+            if len(ncells[start]) > 1:
+                by = {}
+                for i in ncells[start]:
+                    p, ks = up[i], kids[i]
+                    sig = [ncol[p] if p >= 0 else 2 * n - p]
+                    if ks:
+                        sig += sorted(map(child, ks))
+                    sig.append(-1)
+                    for c in codes[i]:
+                        sig.append(ecol[c] if c < ne else c)
+                    by.setdefault(tuple(sig), []).append(i)
+                plans.append((start, by))
+        moved = _split(ncol, ncells, plans)
         if not moved and not emoved:
             return
 

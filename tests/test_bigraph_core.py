@@ -34,8 +34,8 @@ from bigrs.bigraph import (
     tensor,
     unit,
 )
-from bigrs import canon
-from bigrs.canon import canonical_key
+from bigrs import canon, matching, system
+from bigrs.canon import KeptState, canonical_key
 from bigrs.language import load_model
 from bigrs.system import StateCapError, build_transition_system
 
@@ -535,14 +535,58 @@ def _refine_cases(g):
     return twins
 
 
+def _state(nodes, parent, links, width=1, names=()):
+    """A ground state over `SIG`: edge j has the ports `links[j]`, and
+    each (name, ports) of `names` is an outer name."""
+    return Bigraph(
+        SIG, nodes, parent, {},
+        {**{Edge(j): Link(frozenset(pts)) for j, pts in enumerate(links)},
+         **{x: Link(frozenset(pts)) for x, pts in names}},
+        Interface(0), Interface(width, frozenset(x for x, _ in names)),
+    )
+
+
+def _refine_edge_states():
+    """Hand-built states whose signatures differ only in length or in
+    the kind of link: in one cell of the non-atomic control B, with every
+    port on one outer name, a leaf and nodes with child colours (a,),
+    (a, k) and (k,), a < k the colours of A and K; an edge cell of 2-port
+    and 3-port edges, one 2-port edge's port colours a prefix of a 3-port
+    edge's; and ports on outer names next to ports on edges, at either
+    position of C."""
+    r0 = (REGION, 0)
+    kids = _state(
+        {**{i: ("B", ()) for i in range(5)}, 5: ("A", ()), 6: ("A", ()),
+         7: ("K", ()), 8: ("K", ()), 9: ("A", ()), 10: ("L", ()), 11: ("L", ())},
+        {0: r0, 1: r0, 2: r0, 3: r0, 4: r0, 5: (NODE, 1), 6: (NODE, 2),
+         7: (NODE, 2), 8: (NODE, 3), 9: (NODE, 4), 10: r0, 11: r0},
+        [{(10, 0), (11, 0)}],
+        names=[("x", {(i, 0) for i in range(5)})],
+    )
+    arities = _state(
+        {**{i: ("L", ()) for i in range(8)}, 8: ("B", ()), 9: ("B", ())},
+        {i: r0 for i in range(10)},
+        [{(0, 0), (1, 0)}, {(2, 0), (3, 0), (4, 0)}, {(8, 0), (5, 0)},
+         {(9, 0), (6, 0), (7, 0)}],
+    )
+    names = _state(
+        {**{i: ("C", ()) for i in range(6)}, 6: ("L", ()), 7: ("L", ())},
+        {i: r0 for i in range(8)},
+        [{(0, 1), (1, 0)}, {(2, 0), (2, 1)}, {(4, 0), (6, 0)}, {(5, 1), (7, 0)}],
+        names=[("x", {(0, 0), (1, 1)}), ("y", {(3, 0), (3, 1), (4, 1), (5, 0)})],
+    )
+    return [kids, arities, names]
+
+
 def test_refine_matches_full_refine(models_dir):
     rng = random.Random(17)
     states = [random_ground(rng, max_nodes=12, allow_idle_edge=True) for _ in range(150)]
     states += [gadget_state(rng) for _ in range(30)]
     states += [bare_cycles([3, 3, 7]), leafy_cycles([6, 3, 3])]
+    states += _refine_edge_states()
     twins = sum(_refine_cases(g) for g in states)
     # the builds key their states with the refinement under test
-    for name in ("budding", "virus"):
+    for name in ("budding", "virus", "wsn", "mobile_sink"):
         twins += sum(_refine_cases(g) for g in _model_states(models_dir / f"{name}.big", 200))
     assert twins >= 200
 
@@ -639,39 +683,31 @@ def _edge_case_states():
     """Hand-built states for the key writer: no nodes, one node, rows of
     zero, one and two ports, region parents, control parameters, and
     outer names that need quotes, backslashes and non-ASCII text."""
-    def state(nodes, parent, links, width=1, names=()):
-        return Bigraph(
-            SIG, nodes, parent, {},
-            {**{Edge(j): Link(frozenset(pts)) for j, pts in enumerate(links)},
-             **{x: Link(frozenset(pts)) for x, pts in names}},
-            Interface(0), Interface(width, frozenset(x for x, _ in names)),
-        )
-
     r0, r1, r2 = (REGION, 0), (REGION, 1), (REGION, 2)
     odd = ["it's", 'say "hi"', "both '\"", "back\\slash", "naïve", "名前", "tab\tnl\n"]
     return [
-        state({}, {}, []),
-        state({}, {}, [], width=0),
-        state({}, {}, [], width=2, names=[("x", ())]),
-        state({0: ("K", ())}, {0: r0}, []),
-        state({0: ("L", ())}, {0: r1}, [{(0, 0)}], width=2),
-        state({0: ("C", ())}, {0: r0}, [{(0, 0), (0, 1)}]),
-        state({0: ("C", ())}, {0: r0}, [{(0, 1)}], names=[("y", {(0, 0)})]),
-        state(
+        _state({}, {}, []),
+        _state({}, {}, [], width=0),
+        _state({}, {}, [], width=2, names=[("x", ())]),
+        _state({0: ("K", ())}, {0: r0}, []),
+        _state({0: ("L", ())}, {0: r1}, [{(0, 0)}], width=2),
+        _state({0: ("C", ())}, {0: r0}, [{(0, 0), (0, 1)}]),
+        _state({0: ("C", ())}, {0: r0}, [{(0, 1)}], names=[("y", {(0, 0)})]),
+        _state(
             {0: ("A", ()), 1: ("B", ()), 2: ("C", ()), 3: ("K", ()), 4: ("L", ()),
              5: ("B", ())},
             {0: r2, 1: (NODE, 0), 2: (NODE, 1), 3: r0, 4: (NODE, 0), 5: r1},
             [{(1, 0), (2, 0)}, {(4, 0)}],
             width=3, names=[("u", {(2, 1)}), ("w", {(5, 0)}), ("idle", ())],
         ),
-        state(
+        _state(
             {i: ("P", (p,)) for i, p in enumerate(
                 [0, 1, -2, Fraction(1, 3), Fraction(-7, 2), 10**30, 0])},
             {i: r0 for i in range(7)},
             [{(0, 0), (1, 0)}, {(2, 0)}, {(3, 0), (4, 0), (5, 0)}],
             names=[("z", {(6, 0)})],
         ),
-        state(
+        _state(
             {i: ("L", ()) for i in range(len(odd) + 1)},
             {i: r0 for i in range(len(odd) + 1)},
             [{(len(odd), 0)}],
@@ -776,6 +812,46 @@ def test_check_isomorphism_rejects_non_isomorphisms():
     h = _edge_case_states()[-1]
     ls = sorted(v for v in h.nodes)
     assert not check_isomorphism(h, h, {**{v: v for v in ls}, ls[0]: ls[1], ls[1]: ls[0]})
+
+
+def _leaf_ids(kept):
+    """The state's `Bigraph`, built from its kept lists, and its node ids
+    in the order of the minimal leaf of its search."""
+    g = kept.bigraph()
+    sk = canon.form_of(g)
+    return g, [sk.ids[i] for i in canon._minimal_order(sk)]
+
+
+def test_every_merge_is_certified(models_dir, monkeypatch):
+    # a closure merges two states when their keys are equal: two results
+    # of one step, grouped by `apply_rule_all`, or a result and a state in
+    # the store.  Every form the engine keys is mapped onto the first form
+    # keyed to its key, minimal leaf onto minimal leaf, and the
+    # independent check must accept the map.  (`StateStore.add` alone sees
+    # only the store's merges: 1,071 of virus's 1,258.)
+    first: dict = {}  # key -> _leaf_ids of the first form keyed to it
+    hits = []
+
+    def certified(form):
+        key = canonical_key(form)
+        g, order = _leaf_ids(KeptState(form))
+        known = first.setdefault(key, (g, order))
+        if known[0] is not g:
+            assert check_isomorphism(g, known[0], dict(zip(order, known[1])))
+            hits.append(key)
+        return key
+
+    monkeypatch.setattr(matching, "canonical_key", certified)
+    monkeypatch.setattr(system, "canonical_key", certified)
+    counts = []
+    for name in ("virus", "budding", "wsn", "send_mdp"):
+        ts = build_transition_system(load_model(models_dir / f"{name}.big"))
+        counts.append((len(ts.states), len(hits)))
+        first.clear()
+        hits.clear()
+    # every key met again is a merge: keys minus states (traced key counts
+    # 1,544 on virus and 4,141 on budding)
+    assert counts == [(286, 1544 - 286), (1092, 4141 - 1092), (4, 3), (3, 2)]
 
 
 # ---------------------------------------------------------------------------
