@@ -2,17 +2,62 @@
 
 Reachability on DTMCs (bounded and unbounded), unbounded reachability on
 CTMCs via the embedded chain, min/max bounded reachability and bounded
-expected cumulative reward on MDPs.  Every query iterates one Bellman
-backup over the rows' choices held in CSR arrays: a CTMC choice is
-divided by its exit rate (the embedded chain), and an empty row is a
-self-loop choice of reward 0, so such a state absorbs.  The
-unbounded queries stop at absolute sup-norm change below the tolerance.
-The cumulative-reward semantics counts the state reward at every time
-step (one state plus one action reward per step), so a single absorbing
-state of reward 1 yields exactly k after k steps.
+expected cumulative reward on MDPs.
 
-numpy is imported inside the functions that make or read the arrays, so
-the first query loads it; a build, an export or a walk never does.
+Unbounded reachability (`dtmc_reach`, `ctmc_reach`) is solved, not
+iterated to a tolerance.  From the exact rows (a CTMC row divided by its
+exit rate; an empty row a self-loop, so such a state absorbs):
+
+1. Prob0/Prob1 by backward reachability (Baier & Katoen, *Principles of
+   Model Checking*, 2008, 10.1): a state that cannot reach the goal gets
+   exactly 0, and one that cannot reach such a state before the goal
+   gets exactly 1.  What is left, the undecided states, can each leave
+   the undecided set, so their equations x = A x + b have one solution.
+2. Tarjan's strongly connected components of the undecided states, by an
+   explicit stack (no recursion), which lists each SCC after every SCC
+   it reaches.
+3. The SCCs in that order (Dai, Mausam & Weld, "Topological value
+   iteration algorithms", JAIR 2011), each with the values below it
+   already known.  An SCC of at most `DENSE_MAX` states is solved by
+   dense partial-pivot elimination in pure Python, with a second
+   right-hand side: t, the expected number of steps to leave the
+   undecided states.  A larger SCC runs interval iteration (Haddad &
+   Monmege, RP 2014) on that SCC alone, from 0 and from 1, with t
+   iterated beside it, until the two are within `tol`; this path alone
+   loads numpy.
+4. A certificate: one sweep over the exact rows in integer arithmetic.
+   With d_U and d_L the least margins for which x + d_U t is a
+   super-solution (x >= A x + b) and x - d_L t a sub-solution, every
+   true value lies between the two; the sweep also checks t > 0 and
+   (I - A) t > 0 exactly, which proves the solution unique.  Scaling the
+   margin by t certifies states whose whole row stays inside their SCC,
+   where a uniform margin cannot.  Should the check fail (a float solve
+   gone wrong), interval iteration over all undecided states replaces
+   the solved values and is checked again.
+
+`DENSE_MAX` is 128, by measurement (CPython 3.11 on one Xeon core, best
+of three): eliminating an SCC of 128 states takes 33 ms when each row
+has four entries and 66 ms when every row is full, against 50-165 ms to
+import numpy before the first sweep; 192 states take 122 and 259 ms.
+
+`ReachValue.value` is the solved value at the initial state, and
+`.lower` and `.upper` are its certified bounds, rounded outwards (on
+budding's `particles(5)` they are 1.3e-15 apart).  `.iterations` counts
+every sweep over the rows: the certificate's and those of interval
+iteration.  A query whose initial state Prob0/Prob1 decides runs none.
+
+Bounded reachability and the MDP queries iterate one Bellman backup
+over the rows' choices held in CSR arrays: `sweeps` times, or until a
+sweep gives back its input.  The cumulative-reward semantics counts the
+state reward at every time step (one state plus one action reward per
+step), so a single absorbing state of reward 1 yields exactly k after k
+steps.
+
+numpy is imported inside the functions that make or read the arrays:
+bounded and MDP queries load it, and so does an unbounded query that
+iterates: one with an SCC of more than `DENSE_MAX` states (none of the
+shipped models has one) or a failed certificate.  A build, an export or
+a walk never does.
 
 The query syntax accepted by `parse_query` is the tiny PCTL fragment the
 command line exposes:
@@ -27,6 +72,7 @@ command line exposes:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,8 +100,23 @@ class Query:
 
 
 class ReachValue(NamedTuple):
+    """An unbounded reachability probability at the initial state, with
+    certified bounds lower <= true value <= upper and the number of
+    sweeps over the rows it took."""
+
     value: float
     iterations: int
+    lower: float
+    upper: float
+
+
+class _Sweeps(NamedTuple):  # a bounded or MDP sweep's value at state 0
+    value: float
+    iterations: int
+
+
+# the largest SCC solved by dense elimination; larger ones are iterated
+DENSE_MAX = 128
 
 
 _QUERY_RES = [
@@ -138,19 +199,17 @@ class _Choices(NamedTuple):
 
 
 def _choices(ts: TransitionSystem) -> _Choices:
-    """The rows' choices, each carrying its action reward; a CTMC choice
-    is divided by its exit rate (the embedded chain), and an empty row
+    """The rows' choices, each carrying its action reward; an empty row
     becomes a self-loop of reward 0."""
     import numpy as np
 
-    rated = ts.kind == "sbrs"
     first_choice, first_entry, reward, dst, prob = [], [], [], [], []
     for i, row in enumerate(ts.rows):
         first_choice.append(len(first_entry))
         for name, entries in row or [(None, {i: 1})]:
             first_entry.append(len(dst))
             reward.append(float(ts.action_reward[i].get(name, 0)))
-            for j, p in (_jump(entries) if rated else entries).items():
+            for j, p in entries.items():
                 dst.append(j)
                 prob.append(float(p))
     return _Choices(*map(np.array, (first_choice, first_entry, reward, dst, prob)))
@@ -169,13 +228,11 @@ def _backup(m: _Choices, x, mode: str = "max", rewarded: bool = False):
     return opt.reduceat(q, m.first_choice)
 
 
-def _reach(ts, goal_label: str, mode: str, sweeps: int, tol=None) -> ReachValue:
+def _reach(ts, goal_label: str, mode: str, sweeps: int) -> _Sweeps:
     """From the goal indicator, repeat x <- backup(x) with x = 1 kept on
-    the goal states: `sweeps` times, or, given `tol`, until the sup-norm
-    change is below it (ConvergenceError if that takes over `sweeps`).
-    Without `tol`, a sweep that gives back its input element for element
-    ends the loop early: the backup depends on x alone, so every later
-    sweep would give the same vector."""
+    the goal states, `sweeps` times.  A sweep that gives back its input
+    element for element ends the loop early: the backup depends on x
+    alone, so every later sweep would give the same vector."""
     import numpy as np
 
     goals = _goal_states(ts, goal_label)
@@ -185,16 +242,286 @@ def _reach(ts, goal_label: str, mode: str, sweeps: int, tol=None) -> ReachValue:
     for it in range(1, sweeps + 1):
         nxt = _backup(m, x, mode)
         nxt[goals] = 1.0
-        if tol is None:
-            done = np.array_equal(nxt, x)
-        else:
-            done = float(np.max(np.abs(nxt - x))) < tol
+        if np.array_equal(nxt, x):
+            return _Sweeps(float(x[0]), it)
         x = nxt
+    return _Sweeps(float(x[0]), sweeps)
+
+
+# ---------------------------------------------------------------------------
+# unbounded reachability: Prob0/Prob1, SCCs bottom-up, a certificate
+# ---------------------------------------------------------------------------
+
+
+def _decided(succ: list, goals: list) -> tuple[bytearray, bytearray]:
+    """Prob0/Prob1 by backward reachability: `reach[i]` when state i can
+    reach a goal (else its value is 0), `miss[i]` when it can reach a
+    state that cannot, before any goal (else its value is 1)."""
+    n = len(succ)
+    pred = [[] for _ in range(n)]
+    for i, js in enumerate(succ):
+        for j in js:
+            pred[j].append(i)
+    reach, miss, goal = bytearray(n), bytearray(n), bytearray(n)
+    for g in goals:
+        reach[g] = goal[g] = 1
+    stack = list(goals)
+    while stack:
+        for i in pred[stack.pop()]:
+            if not reach[i]:
+                reach[i] = 1
+                stack.append(i)
+    stack = [i for i in range(n) if not reach[i]]
+    for i in stack:
+        miss[i] = 1
+    while stack:
+        for i in pred[stack.pop()]:
+            if not miss[i] and not goal[i]:
+                miss[i] = 1
+                stack.append(i)
+    return reach, miss
+
+
+def _sccs(nodes: list, succ: list, inside: bytearray) -> list[list[int]]:
+    """Tarjan's strongly connected components of the graph on `nodes`
+    (the states with `inside` set; edges leaving them are ignored), with
+    an explicit stack.  Each SCC comes after every SCC it reaches."""
+    index = [-1] * len(succ)
+    low = index[:]
+    on = bytearray(len(succ))
+    stack, out, count = [], [], 0
+    for root in nodes:
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on[root] = 1
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not inside[w]:
+                    continue
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on[w] = 1
+                    work.append((w, iter(succ[w])))
+                    break
+                if on[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on[w] = 0
+                        comp.append(w)
+                        if w == v:
+                            break
+                    out.append(comp)
+    return out
+
+
+def _int_row(entries: dict, rated: bool) -> tuple[list, list, int]:
+    """The row as (successors, integer weights, d): successor j has
+    probability weight/d exactly, a CTMC row being divided by its exit
+    rate."""
+    masses = [m if isinstance(m, (int, Fraction)) else Fraction(m) for m in entries.values()]
+    d = math.lcm(*(m.denominator for m in masses))
+    weights = [m.numerator * (d // m.denominator) for m in masses]
+    return list(entries), weights, sum(weights) if rated else d
+
+
+def _block(comp: list, rows: dict, x: list, t: list):
+    """The equations of the states in `comp`: per state, its in-block
+    entries as (position, probability), and the two right-hand sides
+    b = sum p x[j] and c = 1 + sum p t[j] over the entries leaving it."""
+    pos = {s: r for r, s in enumerate(comp)}
+    out = []
+    for s in comp:
+        js, probs, _ = rows[s]
+        inner, b, c = [], 0.0, 1.0
+        for j, p in zip(js, probs):
+            q = pos.get(j)
+            if q is None:
+                b += p * x[j]
+                c += p * t[j]
+            else:
+                inner.append((q, p))
+        out.append((inner, b, c))
+    return out
+
+
+def _eliminate(comp: list, rows: dict, x: list, t: list) -> None:
+    """Solve (I - A) [x t] = [b c] on one SCC by dense elimination with
+    partial pivoting, writing x and t of its states.  The diagonal is
+    1 - p(s, s) from the exact row, so a self-loop within a double's
+    precision of 1 keeps its way out.  A zero pivot leaves t = 0, which
+    the certificate refuses."""
+    k = len(comp)
+    a = []
+    for r, (inner, b, c) in enumerate(_block(comp, rows, x, t)):
+        line = [0.0] * k + [b, c]
+        for q, p in inner:
+            line[q] -= p
+        line[r] = rows[comp[r]][2]
+        a.append(line)
+    for col in range(k):
+        column = [abs(a[r][col]) for r in range(col, k)]
+        piv = col + column.index(max(column))
+        if not column[piv - col]:
+            return
+        a[col], a[piv] = a[piv], a[col]
+        top = a[col]
+        tail = top[col + 1:]
+        for r in range(col + 1, k):
+            row = a[r]
+            if row[col]:
+                f = row[col] / top[col]
+                row[col + 1:] = [u - f * v for u, v in zip(row[col + 1:], tail)]
+    for r in range(k - 1, -1, -1):
+        row = a[r]
+        b, c = row[k], row[k + 1]
+        for q in range(r + 1, k):
+            if row[q]:
+                b -= row[q] * x[comp[q]]
+                c -= row[q] * t[comp[q]]
+        x[comp[r]] = b / row[r]
+        t[comp[r]] = c / row[r]
+
+
+def _iterate(comp: list, rows: dict, x: list, t: list, tol: float,
+             budget: int) -> int:
+    """Interval iteration on the states of `comp`, from 0 and from 1,
+    with t iterated from 0 beside them, until the two are within `tol`
+    and each step of t adds at most half its right-hand side (so that
+    (I - A) t > 0 holds); x gets the midpoint.  Returns the sweeps run;
+    ConvergenceError after `budget` of them."""
+    import numpy as np
+
+    first, dst, prob, b, c = [], [], [], [], []
+    for inner, bs, cs in _block(comp, rows, x, t):
+        first.append(len(dst))
+        # reduceat needs an entry per row; in the fallback's block a row
+        # may have none inside
+        for q, p in inner or [(len(first) - 1, 0.0)]:
+            dst.append(q)
+            prob.append(p)
+        b.append(bs)
+        c.append(cs)
+    k = len(comp)
+    m = _Choices(np.arange(k), *map(np.array, (first, b, dst, prob)))
+    steps = m._replace(reward=np.array(c))
+    lo, hi, tt = np.zeros(k), np.ones(k), np.zeros(k)
+    half = steps.reward / 2
+    it, done = 0, False
+    for it in range(1, budget + 1):
+        lo = _backup(m, lo, rewarded=True)
+        hi = _backup(m, hi, rewarded=True)
+        nt = _backup(steps, tt, rewarded=True)
+        done = float(np.max(hi - lo)) < tol and bool(np.all(nt - tt <= half))
+        tt = nt
         if done:
-            return ReachValue(float(x[0]), it)
-    if tol is not None:
-        raise ConvergenceError(f"no convergence within {sweeps} iterations", x)
-    return ReachValue(float(x[0]), sweeps)
+            break
+    for r, s in enumerate(comp):
+        x[s] = float(lo[r] + hi[r]) / 2
+        t[s] = float(tt[r])
+    if not done:
+        raise ConvergenceError(f"no convergence within {budget} iterations", x)
+    return it
+
+
+def _certify(undecided: list, irows: dict, x: list, t: list, one: bytearray):
+    """Certified bounds (lower, upper) on the value of state 0, from one
+    sweep of the exact rows in integers, with x and t scaled by 2^e (x = 1
+    on the states in `one`, t = 0 off the undecided ones).  The bounds are
+    x - d_L t and x + d_U t at state 0, for the least margins d_L, d_U >= 0
+    with x - d_L t <= A (x - d_L t) + b and x + d_U t >= A (x + d_U t) + b
+    on every undecided state.  None unless t > 0 and (I - A) t > 0 there,
+    which makes those two a sub- and a super-solution."""
+    ratios = {}
+    e = 0
+    for i in undecided:
+        if not (math.isfinite(x[i]) and math.isfinite(t[i])):
+            return None
+        ratios[i] = x[i].as_integer_ratio(), t[i].as_integer_ratio()
+        e = max(e, ratios[i][0][1].bit_length(), ratios[i][1][1].bit_length())
+    big = 1 << e
+    xs = [big if o else 0 for o in one]
+    ts = [0] * len(one)
+    for i, ((xn, xd), (tn, td)) in ratios.items():
+        xs[i] = xn * (big // xd)
+        ts[i] = tn * (big // td)
+    un, ud, dn, dd = 0, 1, 0, 1
+    for i in undecided:
+        js, weights, d = irows[i]
+        ax = at = 0
+        for j, w in zip(js, weights):
+            ax += w * xs[j]
+            at += w * ts[j]
+        rx = ax - d * xs[i]  # d 2^e (A x + b - x)_i
+        rt = d * ts[i] - at  # d 2^e ((I - A) t)_i
+        if rt <= 0 or ts[i] <= 0:
+            return None
+        if rx * ud > un * rt:
+            un, ud = rx, rt
+        if -rx * dd > dn * rt:
+            dn, dd = -rx, rt
+    return (_outward(xs[0] * dd - dn * ts[0], dd * big, upward=False),
+            _outward(xs[0] * ud + un * ts[0], ud * big, upward=True))
+
+
+def _outward(num: int, den: int, upward: bool) -> float:
+    """num/den (den > 0) as the nearest float on the given side."""
+    f = num / den
+    p, q = f.as_integer_ratio()
+    if upward and p * den < num * q:
+        return math.nextafter(f, math.inf)
+    if not upward and p * den > num * q:
+        return math.nextafter(f, -math.inf)
+    return f
+
+
+def _unbounded(ts: TransitionSystem, goal_label: str, tol: float,
+               max_iterations: int) -> ReachValue:
+    goals = _goal_states(ts, goal_label)
+    succ = [list(row[0][1]) if row else [i] for i, row in enumerate(ts.rows)]
+    reach, miss = _decided(succ, goals)
+    if not (reach[0] and miss[0]):
+        v = float(reach[0])
+        return ReachValue(v, 0, v, v)
+    inside = bytearray(r and m for r, m in zip(reach, miss))
+    one = bytearray(r and not m for r, m in zip(reach, miss))
+    undecided = [i for i, u in enumerate(inside) if u]
+    irows = {i: _int_row(ts.rows[i][0][1], ts.kind == "sbrs") for i in undecided}
+    rows = {}  # per undecided state: successors, probabilities, 1 - p(i, i)
+    for i, (js, weights, d) in irows.items():
+        stay = sum(w for j, w in zip(js, weights) if j == i)
+        rows[i] = js, [w / d for w in weights], (d - stay) / d
+    x = [float(o) for o in one]
+    t = [0.0] * ts.n_states
+    sweeps = 0
+    for comp in _sccs(undecided, succ, inside):
+        if len(comp) <= DENSE_MAX:
+            _eliminate(comp, rows, x, t)
+        else:
+            sweeps += _iterate(comp, rows, x, t, tol, max_iterations - sweeps)
+    bounds = _certify(undecided, irows, x, t, one)
+    sweeps += 1
+    if bounds is None:
+        sweeps += _iterate(undecided, rows, x, t, tol, max_iterations - sweeps)
+        bounds = _certify(undecided, irows, x, t, one)
+        sweeps += 1
+        if bounds is None:
+            raise ConvergenceError("no certified bounds", x)
+    lower, upper = max(bounds[0], 0.0), min(bounds[1], 1.0)
+    return ReachValue(min(max(x[0], lower), upper), sweeps, lower, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +544,15 @@ def dtmc_reach(
     tol: float = 1e-9,
     max_iterations: int = 10**6,
 ) -> ReachValue:
-    """Least fixed point of the reachability equations by value iteration
-    to sup-norm `tol`; also reports the iteration count."""
+    """Probability of ever reaching the goal label from the initial
+    state: Prob0/Prob1, then the undecided states' SCCs solved bottom-up
+    (elimination up to `DENSE_MAX` states, interval iteration to width
+    `tol` above it), then one exact certificate sweep.  `lower` and
+    `upper` are certified bounds; `iterations` counts the sweeps over the
+    rows, the certificate's included, and ConvergenceError ends interval
+    iteration after `max_iterations` of them."""
     _check(ts, "pbrs", "unbounded reachability")
-    return _reach(ts, goal_label, "max", max_iterations, tol)
-
-
-def _jump(rates: dict) -> dict:
-    """A CTMC choice divided by its exit rate."""
-    total = sum(rates.values(), Fraction(0))
-    return {j: r / total for j, r in rates.items()}
+    return _unbounded(ts, goal_label, tol, max_iterations)
 
 
 def ctmc_reach(
@@ -235,10 +561,11 @@ def ctmc_reach(
     tol: float = 1e-9,
     max_iterations: int = 10**6,
 ) -> ReachValue:
-    """Unbounded reachability on the embedded (jump) chain; invariant under
-    uniform scaling of all rates."""
+    """`dtmc_reach` on the embedded (jump) chain, each row divided by its
+    exit rate and an empty row absorbing; invariant under uniform scaling
+    of all rates."""
     _check(ts, "sbrs", "unbounded reachability")
-    return _reach(ts, goal_label, "max", max_iterations, tol)
+    return _unbounded(ts, goal_label, tol, max_iterations)
 
 
 # ---------------------------------------------------------------------------

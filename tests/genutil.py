@@ -560,3 +560,28 @@ def random_mdp(rng: random.Random, lo: int = 2, hi: int = 12) -> TransitionSyste
         state_reward=[Fraction(rng.randint(0, 3), 2) for _ in range(n)],
         action_reward=action_reward,
     )
+
+
+def random_chain(rng: random.Random, kind: str, lo: int = 2, hi: int = 12) -> TransitionSystem:
+    """A DTMC ("pbrs") or CTMC ("sbrs") of lo..hi states with rational
+    masses: about a fifth of the states absorb (a self-loop in a DTMC, an
+    empty row in a CTMC), the others have one to four targets with
+    weights 1..9, normalized in a DTMC and rates in a CTMC.  Some states
+    carry the label "goal"."""
+    n = rng.randint(lo, hi)
+    rows = []
+    for i in range(n):
+        if rng.random() < 0.2:
+            rows.append([(None, {i: Fraction(1)})] if kind == "pbrs" else [])
+            continue
+        targets = rng.sample(range(n), rng.randint(1, min(4, n)))
+        weights = [rng.randint(1, 9) for _ in targets]
+        total = sum(weights) if kind == "pbrs" else rng.randint(1, 4)
+        rows.append([(None, {j: Fraction(w, total) for j, w in zip(targets, weights)})])
+    return TransitionSystem(
+        kind=kind,
+        states=[(f"c{i}".encode(), None) for i in range(n)],
+        rows=rows,
+        labels=[frozenset({"goal"} if rng.random() < 0.25 else ()) for _ in range(n)],
+        label_names=("goal",),
+    )

@@ -27,7 +27,9 @@ plain key-indexed search through that index-free kernel (for the state
 store of `bigrs.system`).  The JSON export
 built as one document in memory from `to_json` of each state's `Bigraph`
 (for the export, which writes it one state at a time from the kept
-arrays).  Last, the helpers that only round-trip checks need: bounded DTMC reachability
+arrays).  Unbounded DTMC/CTMC reachability by one direct solve of the
+reduced system (for the SCC-by-SCC solve and its certified bounds).
+Last, the helpers that only round-trip checks need: bounded DTMC reachability
 in exact rationals, readers of bigraph JSON and of exported PRISM DTMC
 bundles, and a printer of `.big` source."""
 
@@ -1110,6 +1112,63 @@ def exact_bounded_reach(ts, goal_label: str, horizon: int) -> Fraction:
             for i in range(n)
         ]
     return x[0]
+
+
+def reference_reach(ts, goal_label: str, exact_max: int = 40):
+    """Probability of ever reaching the goal from state 0 of a DTMC, or of
+    a CTMC's jump chain, by one direct solve of the whole reduced system,
+    with no SCC split: goal states have 1, states from which no goal is
+    reachable 0, and the others solve x = A x + b together.  In exact
+    rationals (a Fraction) by Gauss-Jordan elimination when at most
+    `exact_max` states remain, else a float from numpy.linalg.solve."""
+    goals = set(ts.states_with_label(goal_label))
+    if ts.kind == "sbrs":
+        rows = embedded_chain(ts)
+    else:
+        rows = [{j: Fraction(p) for j, p in ts.rows[i][0][1].items()}
+                for i in range(ts.n_states)]
+    hits = set(goals)  # grown to the states that can reach a goal
+    while True:
+        more = {i for i, row in enumerate(rows) if i not in hits and hits & row.keys()}
+        if not more:
+            break
+        hits |= more
+    if 0 in goals or 0 not in hits:
+        return Fraction(int(0 in goals))
+    unknown = sorted(hits - goals)
+    pos = {s: r for r, s in enumerate(unknown)}
+    k = len(unknown)
+    eqs = []  # per unknown state: its entries among the unknowns, and b
+    for s in unknown:
+        inner, b = {}, Fraction(0)
+        for j, p in rows[s].items():
+            if j in goals:
+                b += p
+            elif j in pos:
+                inner[pos[j]] = inner.get(pos[j], 0) + p
+        eqs.append((inner, b))
+    if k > exact_max:
+        import numpy as np
+
+        m, rhs = np.eye(k), np.zeros(k)
+        for r, (inner, b) in enumerate(eqs):
+            rhs[r] = float(b)
+            for q, p in inner.items():
+                m[r, q] -= float(p)
+        return float(np.linalg.solve(m, rhs)[pos[0]])
+    a = [[Fraction(int(r == q)) for q in range(k)] + [b] for r, (_, b) in enumerate(eqs)]
+    for line, (inner, _) in zip(a, eqs):
+        for q, p in inner.items():
+            line[q] -= p
+    for col in range(k):
+        piv = next(r for r in range(col, k) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [v / a[col][col] for v in a[col]]
+        for r in range(k):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return a[pos[0]][k]
 
 
 # ---------------------------------------------------------------------------

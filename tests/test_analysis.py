@@ -1,4 +1,5 @@
-"""Value-iteration analyses and the query fragment."""
+"""The analyses: unbounded reachability solved with certified bounds,
+bounded and MDP value iteration, and the query fragment."""
 
 import itertools
 import math
@@ -6,12 +7,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from genutil import random_mdp
+from genutil import random_chain, random_mdp
 from oracles import (
     brute_mdp_bounded_reach,
     brute_mdp_expected_cost,
     embedded_chain,
     exact_bounded_reach,
+    reference_reach,
 )
 
 from bigrs import analysis
@@ -121,10 +123,9 @@ def test_bounded_reach_monotone_in_horizon():
 
 
 def test_reach_absorbing_goal():
+    # Prob1 decides the initial state: exactly 1, and no sweep runs
     chain = dtmc([{1: 1}, {1: 1}], [set(), {"goal"}])
-    res = dtmc_reach(chain, "goal")
-    assert abs(res.value - 1) <= 1e-8
-    assert res.iterations >= 1
+    assert dtmc_reach(chain, "goal") == (1, 0, 1, 1)
 
 
 def test_reach_one_step_analytic():
@@ -155,9 +156,133 @@ def test_bounded_converges_to_unbounded_on_absorbing_chain():
 
 
 def test_nonconvergence_carries_last_vector():
+    # only an SCC above DENSE_MAX iterates; width 0 is never reached
     with pytest.raises(ConvergenceError) as err:
-        dtmc_reach(WSN, "all_failed", tol=0.0, max_iterations=5)
-    assert err.value.last_vector is not None
+        dtmc_reach(RING, "goal", tol=0.0, max_iterations=5)
+    assert len(err.value.last_vector) == RING.n_states
+
+
+# ---------------------------------------------------------------------------
+# unbounded reachability: Prob0/Prob1, SCCs bottom-up, certified bounds
+# ---------------------------------------------------------------------------
+
+
+def ring(n):
+    """States 0..n-1 on a ring, one SCC: state i moves to i + 1 w.p. 1/2
+    and to i - 1 w.p. 1/4, and leaves w.p. 1/4, to the goal n w.p.
+    (1 + i % 3)/16 and to the trap n + 1 otherwise."""
+    rows = []
+    for i in range(n):
+        w = Fraction(1 + i % 3, 16)
+        rows.append({(i + 1) % n: Fraction(1, 2), (i - 1) % n: Fraction(1, 4),
+                     n: w, n + 1: Fraction(1, 4) - w})
+    return dtmc(rows + [{n: 1}, {n + 1: 1}], [set()] * n + [{"goal"}, set()])
+
+
+RING = ring(analysis.DENSE_MAX + 8)
+
+
+def _holds(res, ref):
+    """lower <= ref <= upper: exactly for a rational reference, within
+    the 1e-12 that a float solve of the reference may be off otherwise."""
+    assert res.lower <= res.value <= res.upper
+    if isinstance(ref, Fraction):
+        assert Fraction(res.lower) <= ref <= Fraction(res.upper), (res, ref)
+    else:
+        assert res.lower - 1e-12 <= ref <= res.upper + 1e-12, (res, ref)
+
+
+def test_epsilon_chain_is_exactly_one():
+    # a tolerance stop gave 0.9999 here after 921,031 sweeps
+    eps = Fraction(1, 10**5)
+    chain = dtmc([{0: 1 - eps, 1: eps}, {1: 1}], [set(), {"goal"}])
+    assert dtmc_reach(chain, "goal") == (1, 0, 1, 1)
+    # with a trap beside the goal, 1/2; at eps = 2^-60 the float self-loop
+    # is 1.0, and only the exact diagonal keeps the way out
+    for eps in (Fraction(1, 10**5), Fraction(1, 2**60)):
+        chain = dtmc([{0: 1 - eps, 1: eps / 2, 2: eps / 2}, {1: 1}, {2: 1}],
+                     [set(), {"goal"}, set()])
+        assert dtmc_reach(chain, "goal") == (0.5, 1, 0.5, 0.5)
+
+
+def test_shipped_models_bracket_the_reference(wsn_ts, virus_ts, budding_ts):
+    for ts, label in ((wsn_ts, "all_failed"), (virus_ts, "all_infected")):
+        res = dtmc_reach(ts, label)
+        assert res == (1, 0, 1, 1)  # every state is in Prob1
+        _holds(res, reference_reach(ts, label))
+    for n in (0, 5, 20):
+        res = ctmc_reach(budding_ts, f"particles({n})")
+        assert res.iterations == 1  # the certificate's sweep alone
+        _holds(res, reference_reach(budding_ts, f"particles({n})"))
+        assert res.upper - res.lower <= 1e-13
+    # the exact value, 0.0209169152920720..., has a 1,192-digit denominator
+    value = ctmc_reach(budding_ts, "particles(5)").value
+    assert abs(value - 0.0209169152920720) <= 1e-12
+
+
+def test_bounds_hold_the_exact_value_on_random_chains():
+    rng = random.Random(30)
+    solved = 0
+    for kind, reach in (("pbrs", dtmc_reach), ("sbrs", ctmc_reach)):
+        for _ in range(150):
+            ts = random_chain(rng, kind)
+            res = reach(ts, "goal")
+            ref = reference_reach(ts, "goal")
+            _holds(res, ref)
+            assert abs(res.value - ref) <= 1e-12
+            if ref in (0, 1):
+                assert res == (ref, 0, ref, ref)
+            solved += res.iterations > 0
+    assert solved >= 40
+
+
+def test_scc_above_dense_max_iterates_to_sound_bounds():
+    res = dtmc_reach(RING, "goal")
+    assert res.iterations > 1  # interval iteration, then the certificate
+    assert res.upper - res.lower <= 1e-8
+    _holds(res, reference_reach(RING, "goal"))
+
+
+def test_failed_certificate_falls_back_to_interval_iteration(monkeypatch):
+    def wrong(comp, rows, x, t):  # a solve whose t proves nothing
+        for s in comp:
+            x[s], t[s] = 0.5, 0.0
+
+    monkeypatch.setattr(analysis, "_eliminate", wrong)
+    rng = random.Random(31)
+    fell_back = 0
+    for _ in range(60):
+        ts = random_chain(rng, "pbrs")
+        res = dtmc_reach(ts, "goal")
+        _holds(res, reference_reach(ts, "goal"))
+        fell_back += res.iterations > 2
+    assert fell_back >= 10
+
+
+def test_sccs_match_networkx_and_come_bottom_up():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(32)
+    for _ in range(100):
+        n = rng.randint(1, 30)
+        succ = [rng.sample(range(n), rng.randint(0, min(3, n))) for _ in range(n)]
+        inside = bytearray(rng.random() < 0.8 for _ in range(n))
+        nodes = [i for i in range(n) if inside[i]]
+        comps = analysis._sccs(nodes, succ, inside)
+        g = nx.DiGraph()
+        g.add_nodes_from(nodes)
+        g.add_edges_from((i, j) for i in nodes for j in succ[i] if inside[j])
+        assert sorted(map(sorted, comps)) == sorted(
+            map(sorted, nx.strongly_connected_components(g))
+        )
+        where = {s: k for k, comp in enumerate(comps) for s in comp}
+        assert all(where[j] <= where[i] for i in nodes for j in succ[i] if inside[j])
+    # depth 5000, far past the recursion limit: a cycle, then a path
+    n = 5000
+    everything = bytearray([1]) * n
+    cycle = [[(i + 1) % n] for i in range(n)]
+    assert len(analysis._sccs(list(range(n)), cycle, everything)) == 1
+    path = [[i + 1] for i in range(n - 1)] + [[]]
+    assert analysis._sccs(list(range(n)), path, everything) == [[i] for i in reversed(range(n))]
 
 
 def test_huge_bounded_horizon_stops_at_the_fixed_point(wsn_ts, virus_ts):

@@ -295,7 +295,9 @@ def test_reward_beyond_the_double_range_exits_1(tmp_path, capsys):
 
 def test_build_export_and_sim_never_load_numpy(models_dir, tmp_path):
     # in a fresh interpreter, as this one may have loaded numpy already:
-    # only the query loads it, and gives the value computed here
+    # the unbounded query, by the API and by `check`, prints an exact 1
+    # without numpy; only the bounded query loads it, and gives the value
+    # computed here
     query = "P=? [ F<=3 all_failed ]"
     model = models_dir / "wsn.big"
     child = f"""
@@ -313,6 +315,13 @@ with contextlib.redirect_stdout(io.StringIO()):
     for args in (["validate"], ["full", "--out", out], ["sim", "--steps", "20"]):
         assert cli.main([args[0], {str(model)!r}, *args[1:]]) == 0
 assert "numpy" not in sys.modules, "numpy loaded before any query"
+unbounded = "P=? [ F all_failed ]"
+assert bigrs.run_query(ts, bigrs.parse_query(unbounded)) == 1
+printed = io.StringIO()
+with contextlib.redirect_stdout(printed):
+    assert cli.main(["check", {str(model)!r}, "--query", unbounded]) == 0
+assert printed.getvalue() == "1\\n", printed.getvalue()
+assert "numpy" not in sys.modules, "numpy loaded by an unbounded query"
 value = bigrs.run_query(ts, bigrs.parse_query({query!r}))
 assert "numpy" in sys.modules
 print(repr(value))
@@ -328,6 +337,12 @@ print(repr(value))
     assert proc.returncode == 0, proc.stderr
     expected = run_query(build_transition_system(load_model(model)), parse_query(query))
     assert float(proc.stdout) == expected
+
+
+def test_check_virus_unbounded_prints_exact_one(models_dir, capsys):
+    query = "P=? [ F all_infected ]"
+    assert main(["check", str(models_dir / "virus.big"), "--query", query]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_sim_json_lines(models_dir, capsys):
