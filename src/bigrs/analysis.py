@@ -23,9 +23,9 @@ exit rate; an empty row a self-loop, so such a state absorbs):
    right-hand side: t, the expected number of steps to leave the
    undecided states.  A larger SCC runs interval iteration (Haddad &
    Monmege, RP 2014) on that SCC alone, from 0 and from 1, with t
-   iterated beside it, until the two are within `tol`; this path alone
-   loads numpy.
-4. A certificate: one sweep over the exact rows in integer arithmetic.
+   iterated beside it, until the two are within `TOL`, for at most
+   `MAX_SWEEPS` sweeps in all; this path alone loads numpy.
+4. A certificate: one sweep over the same exact rows, in integers.
    With d_U and d_L the least margins for which x + d_U t is a
    super-solution (x >= A x + b) and x - d_L t a sub-solution, every
    true value lies between the two; the sweep also checks t > 0 and
@@ -110,13 +110,11 @@ class ReachValue(NamedTuple):
     upper: float
 
 
-class _Sweeps(NamedTuple):  # a bounded or MDP sweep's value at state 0
-    value: float
-    iterations: int
-
-
 # the largest SCC solved by dense elimination; larger ones are iterated
 DENSE_MAX = 128
+# interval iteration's width and sweep budget, read at each call
+TOL = 1e-9
+MAX_SWEEPS = 10**6
 
 
 _QUERY_RES = [
@@ -171,12 +169,13 @@ def _check(ts: TransitionSystem, kind: str, what: str, horizon=None,
 
 def _goal_states(ts: TransitionSystem, label: str) -> list[int]:
     goals = ts.states_with_label(label)
-    known = set(ts.label_names) | {l for ls in ts.labels for l in ls}
-    if not goals and label not in known:
-        raise AnalysisError(
-            f"unknown label {label!r}; declared labels: "
-            f"{', '.join(sorted(known)) or 'none'}"
-        )
+    if not goals:
+        known = set(ts.label_names) | {l for ls in ts.labels for l in ls}
+        if label not in known:
+            raise AnalysisError(
+                f"unknown label {label!r}; declared labels: "
+                f"{', '.join(sorted(known)) or 'none'}"
+            )
     return goals
 
 
@@ -228,11 +227,11 @@ def _backup(m: _Choices, x, mode: str = "max", rewarded: bool = False):
     return opt.reduceat(q, m.first_choice)
 
 
-def _reach(ts, goal_label: str, mode: str, sweeps: int) -> _Sweeps:
-    """From the goal indicator, repeat x <- backup(x) with x = 1 kept on
-    the goal states, `sweeps` times.  A sweep that gives back its input
-    element for element ends the loop early: the backup depends on x
-    alone, so every later sweep would give the same vector."""
+def _reach(ts, goal_label: str, mode: str, sweeps: int) -> tuple[float, int]:
+    """(x[0], sweeps run) after x <- backup(x) from the goal indicator,
+    x = 1 kept on the goals, `sweeps` times.  A sweep that gives back its
+    input element for element ends the loop early: the backup depends on
+    x alone, so every later sweep would give the same vector."""
     import numpy as np
 
     goals = _goal_states(ts, goal_label)
@@ -243,9 +242,9 @@ def _reach(ts, goal_label: str, mode: str, sweeps: int) -> _Sweeps:
         nxt = _backup(m, x, mode)
         nxt[goals] = 1.0
         if np.array_equal(nxt, x):
-            return _Sweeps(float(x[0]), it)
+            return float(x[0]), it
         x = nxt
-    return _Sweeps(float(x[0]), sweeps)
+    return float(x[0]), sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -339,22 +338,26 @@ def _int_row(entries: dict, rated: bool) -> tuple[list, list, int]:
 
 
 def _block(comp: list, rows: dict, x: list, t: list):
-    """The equations of the states in `comp`: per state, its in-block
-    entries as (position, probability), and the two right-hand sides
-    b = sum p x[j] and c = 1 + sum p t[j] over the entries leaving it."""
+    """The equations of the states in `comp` from their `_int_row`s, each
+    p = w / d correctly rounded: per state, its in-block entries as
+    (position, p), b = sum p x[j] and c = 1 + sum p t[j] over the entries
+    leaving it, and the exact diagonal 1 - p(s, s)."""
     pos = {s: r for r, s in enumerate(comp)}
     out = []
     for s in comp:
-        js, probs, _ = rows[s]
-        inner, b, c = [], 0.0, 1.0
-        for j, p in zip(js, probs):
+        js, weights, d = rows[s]
+        inner, b, c, stay = [], 0.0, 1.0, 0
+        for j, w in zip(js, weights):
+            p = w / d
             q = pos.get(j)
             if q is None:
                 b += p * x[j]
                 c += p * t[j]
             else:
                 inner.append((q, p))
-        out.append((inner, b, c))
+                if j == s:
+                    stay = w
+        out.append((inner, b, c, (d - stay) / d))
     return out
 
 
@@ -366,11 +369,11 @@ def _eliminate(comp: list, rows: dict, x: list, t: list) -> None:
     the certificate refuses."""
     k = len(comp)
     a = []
-    for r, (inner, b, c) in enumerate(_block(comp, rows, x, t)):
+    for r, (inner, b, c, diag) in enumerate(_block(comp, rows, x, t)):
         line = [0.0] * k + [b, c]
         for q, p in inner:
             line[q] -= p
-        line[r] = rows[comp[r]][2]
+        line[r] = diag
         a.append(line)
     for col in range(k):
         column = [abs(a[r][col]) for r in range(col, k)]
@@ -396,17 +399,16 @@ def _eliminate(comp: list, rows: dict, x: list, t: list) -> None:
         t[comp[r]] = c / row[r]
 
 
-def _iterate(comp: list, rows: dict, x: list, t: list, tol: float,
-             budget: int) -> int:
+def _iterate(comp: list, rows: dict, x: list, t: list, budget: int) -> int:
     """Interval iteration on the states of `comp`, from 0 and from 1,
-    with t iterated from 0 beside them, until the two are within `tol`
+    with t iterated from 0 beside them, until the two are within `TOL`
     and each step of t adds at most half its right-hand side (so that
     (I - A) t > 0 holds); x gets the midpoint.  Returns the sweeps run;
     ConvergenceError after `budget` of them."""
     import numpy as np
 
     first, dst, prob, b, c = [], [], [], [], []
-    for inner, bs, cs in _block(comp, rows, x, t):
+    for inner, bs, cs, _ in _block(comp, rows, x, t):
         first.append(len(dst))
         # reduceat needs an entry per row; in the fallback's block a row
         # may have none inside
@@ -425,7 +427,7 @@ def _iterate(comp: list, rows: dict, x: list, t: list, tol: float,
         lo = _backup(m, lo, rewarded=True)
         hi = _backup(m, hi, rewarded=True)
         nt = _backup(steps, tt, rewarded=True)
-        done = float(np.max(hi - lo)) < tol and bool(np.all(nt - tt <= half))
+        done = float(np.max(hi - lo)) < TOL and bool(np.all(nt - tt <= half))
         tt = nt
         if done:
             break
@@ -437,7 +439,7 @@ def _iterate(comp: list, rows: dict, x: list, t: list, tol: float,
     return it
 
 
-def _certify(undecided: list, irows: dict, x: list, t: list, one: bytearray):
+def _certify(undecided: list, rows: dict, x: list, t: list, one: bytearray):
     """Certified bounds (lower, upper) on the value of state 0, from one
     sweep of the exact rows in integers, with x and t scaled by 2^e (x = 1
     on the states in `one`, t = 0 off the undecided ones).  The bounds are
@@ -460,7 +462,7 @@ def _certify(undecided: list, irows: dict, x: list, t: list, one: bytearray):
         ts[i] = tn * (big // td)
     un, ud, dn, dd = 0, 1, 0, 1
     for i in undecided:
-        js, weights, d = irows[i]
+        js, weights, d = rows[i]
         ax = at = 0
         for j, w in zip(js, weights):
             ax += w * xs[j]
@@ -488,8 +490,7 @@ def _outward(num: int, den: int, upward: bool) -> float:
     return f
 
 
-def _unbounded(ts: TransitionSystem, goal_label: str, tol: float,
-               max_iterations: int) -> ReachValue:
+def _unbounded(ts: TransitionSystem, goal_label: str) -> ReachValue:
     goals = _goal_states(ts, goal_label)
     succ = [list(row[0][1]) if row else [i] for i, row in enumerate(ts.rows)]
     reach, miss = _decided(succ, goals)
@@ -499,11 +500,7 @@ def _unbounded(ts: TransitionSystem, goal_label: str, tol: float,
     inside = bytearray(r and m for r, m in zip(reach, miss))
     one = bytearray(r and not m for r, m in zip(reach, miss))
     undecided = [i for i, u in enumerate(inside) if u]
-    irows = {i: _int_row(ts.rows[i][0][1], ts.kind == "sbrs") for i in undecided}
-    rows = {}  # per undecided state: successors, probabilities, 1 - p(i, i)
-    for i, (js, weights, d) in irows.items():
-        stay = sum(w for j, w in zip(js, weights) if j == i)
-        rows[i] = js, [w / d for w in weights], (d - stay) / d
+    rows = {i: _int_row(ts.rows[i][0][1], ts.kind == "sbrs") for i in undecided}
     x = [float(o) for o in one]
     t = [0.0] * ts.n_states
     sweeps = 0
@@ -511,12 +508,12 @@ def _unbounded(ts: TransitionSystem, goal_label: str, tol: float,
         if len(comp) <= DENSE_MAX:
             _eliminate(comp, rows, x, t)
         else:
-            sweeps += _iterate(comp, rows, x, t, tol, max_iterations - sweeps)
-    bounds = _certify(undecided, irows, x, t, one)
+            sweeps += _iterate(comp, rows, x, t, MAX_SWEEPS - sweeps)
+    bounds = _certify(undecided, rows, x, t, one)
     sweeps += 1
     if bounds is None:
-        sweeps += _iterate(undecided, rows, x, t, tol, max_iterations - sweeps)
-        bounds = _certify(undecided, irows, x, t, one)
+        sweeps += _iterate(undecided, rows, x, t, MAX_SWEEPS - sweeps)
+        bounds = _certify(undecided, rows, x, t, one)
         sweeps += 1
         if bounds is None:
             raise ConvergenceError("no certified bounds", x)
@@ -535,37 +532,27 @@ def dtmc_bounded_reach(
     """Probability of hitting the goal label within `horizon` steps, by the
     backward recursion x_{k+1}(s) = 1 on goal else sum P(s,.) x_k."""
     _check(ts, "pbrs", "bounded reachability", horizon)
-    return _reach(ts, goal_label, "max", horizon).value
+    return _reach(ts, goal_label, "max", horizon)[0]
 
 
-def dtmc_reach(
-    ts: TransitionSystem,
-    goal_label: str,
-    tol: float = 1e-9,
-    max_iterations: int = 10**6,
-) -> ReachValue:
+def dtmc_reach(ts: TransitionSystem, goal_label: str) -> ReachValue:
     """Probability of ever reaching the goal label from the initial
     state: Prob0/Prob1, then the undecided states' SCCs solved bottom-up
     (elimination up to `DENSE_MAX` states, interval iteration to width
-    `tol` above it), then one exact certificate sweep.  `lower` and
+    `TOL` above it), then one exact certificate sweep.  `lower` and
     `upper` are certified bounds; `iterations` counts the sweeps over the
     rows, the certificate's included, and ConvergenceError ends interval
-    iteration after `max_iterations` of them."""
+    iteration after `MAX_SWEEPS` of them."""
     _check(ts, "pbrs", "unbounded reachability")
-    return _unbounded(ts, goal_label, tol, max_iterations)
+    return _unbounded(ts, goal_label)
 
 
-def ctmc_reach(
-    ts: TransitionSystem,
-    goal_label: str,
-    tol: float = 1e-9,
-    max_iterations: int = 10**6,
-) -> ReachValue:
+def ctmc_reach(ts: TransitionSystem, goal_label: str) -> ReachValue:
     """`dtmc_reach` on the embedded (jump) chain, each row divided by its
     exit rate and an empty row absorbing; invariant under uniform scaling
     of all rates."""
     _check(ts, "sbrs", "unbounded reachability")
-    return _unbounded(ts, goal_label, tol, max_iterations)
+    return _unbounded(ts, goal_label)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +566,7 @@ def mdp_bounded_reach(
     """Optimal probability of hitting the goal within `horizon` steps;
     states with an empty action row are absorbing."""
     _check(ts, "abrs", "MDP reachability", horizon, mode)
-    return _reach(ts, goal_label, mode, horizon).value
+    return _reach(ts, goal_label, mode, horizon)[0]
 
 
 def mdp_expected_cost(ts: TransitionSystem, horizon: int, mode: str) -> float:

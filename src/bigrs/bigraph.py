@@ -69,7 +69,7 @@ class ControlDecl:
 
     def __post_init__(self):
         if self.arity < 0:
-            raise ValueError(f"control {self.name}: arity must be >= 0")
+            raise ShapeError(f"control {self.name}: arity must be >= 0")
 
 
 @dataclass(frozen=True)

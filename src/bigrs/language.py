@@ -787,7 +787,7 @@ class _Elaborator:
         for a in s.actions:
             self.at = a.pos
             if any(b.name == a.name for b in actions):
-                raise ElabError("duplicate action name")
+                raise ElabError(f"duplicate action {a.name!r}")
             reward = (
                 Fraction(_eval_num(a.reward, self.consts))
                 if a.reward is not None

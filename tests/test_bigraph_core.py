@@ -87,6 +87,11 @@ def test_compose_width_mismatch_names_both_interfaces():
     assert "<1,{}>" in str(err.value) and "<2,{}>" in str(err.value)
 
 
+def test_negative_arity_is_a_shape_error():
+    with pytest.raises(ShapeError, match="control A: arity must be >= 0"):
+        ControlDecl("A", -1)
+
+
 def test_ion_nests_its_child_with_pinned_ids():
     # K{x,y}.(/e A{e} | A{x} | M{z}.L | id): the child has a closed edge, a
     # name it shares with the ion, a name of its own, a site and a nested ion

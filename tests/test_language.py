@@ -232,6 +232,26 @@ LOCATED_ERRORS = {
         "begin brs init = s; rules = []; end",
         "3:1: bigraph b takes 1 argument(s), got 2",
     ),
+    "rule listed twice": (
+        "ctrl A = 0;\nbig s = A;\nfun react r(n) = A --> A;\n"
+        "begin brs\n  init = s;\n  rules = [r(i) for i in 1:2, r(2)];\nend",
+        "6:31: rule r(2) listed twice",
+    ),
+    "predicate listed twice": (
+        "ctrl A = 0;\nbig s = A;\nreact r = A --> A;\n"
+        "begin brs\n  init = s;\n  rules = [r];\n  preds = [s, s];\nend",
+        "7:15: predicate s listed twice",
+    ),
+    "duplicate action": (
+        "ctrl A = 0;\nbig s = A;\nreact r = A -[1]-> A;\n"
+        "begin abrs\n  init = s;\n  rules = [r];\n  actions = [a = {r}, a = {r}];\nend",
+        "7:23: duplicate action 'a'",
+    ),
+    "action member": (
+        "ctrl A = 0;\nbig s = A;\nreact r = A -[1]-> A;\nreact q = A -[1]-> A;\n"
+        "begin abrs\n  init = s;\n  rules = [r];\n  actions = [a = {r, q}];\nend",
+        "8:22: action a references q, which is not in the rules list",
+    ),
 }
 
 
