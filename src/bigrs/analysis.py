@@ -5,8 +5,9 @@ CTMCs via the embedded chain, min/max bounded reachability and bounded
 expected cumulative reward on MDPs.
 
 Unbounded reachability (`dtmc_reach`, `ctmc_reach`) is solved, not
-iterated to a tolerance.  From the exact rows (a CTMC row divided by its
-exit rate; an empty row a self-loop, so such a state absorbs):
+iterated to a tolerance.  From the exact rows, read from the store as
+integer weights over one denominator each (`_exact`; a CTMC row divided
+by its exit rate; an empty row a self-loop, so such a state absorbs):
 
 1. Prob0/Prob1 by backward reachability (Baier & Katoen, *Principles of
    Model Checking*, 2008, 10.1): a state that cannot reach the goal gets
@@ -47,8 +48,11 @@ every sweep over the rows: the certificate's and those of interval
 iteration.  A query whose initial state Prob0/Prob1 decides runs none.
 
 Bounded reachability and the MDP queries iterate one Bellman backup
-over the rows' choices held in CSR arrays: `sweeps` times, or until a
-sweep gives back its input.  The cumulative-reward semantics counts the
+over the rows' choices in CSR form (`_choices`), read from the
+`TransitionStore`'s own arrays by `np.frombuffer`, with each entry's
+double looked up in the store's table of distinct masses and each
+choice's action reward in a table of the distinct reward maps.  A sweep
+runs `sweeps` times, or until it gives back its input.  The cumulative-reward semantics counts the
 state reward at every time step (one state plus one action reward per
 step), so a single absorbing state of reward 1 yields exactly k after k
 steps.
@@ -75,7 +79,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .bigraph import BigraphError
@@ -198,20 +201,40 @@ class _Choices(NamedTuple):
 
 
 def _choices(ts: TransitionSystem) -> _Choices:
-    """The rows' choices, each carrying its action reward; an empty row
+    """The store's choices, read from its arrays with no Python loop over
+    the entries: the probabilities are looked up in its table of doubles,
+    the action rewards in one table row per distinct reward map, and the
+    offsets and successors widened once to numpy's index type, which
+    every sweep would otherwise convert them to again.  An empty row
     becomes a self-loop of reward 0."""
     import numpy as np
 
-    first_choice, first_entry, reward, dst, prob = [], [], [], [], []
-    for i, row in enumerate(ts.rows):
-        first_choice.append(len(first_entry))
-        for name, entries in row or [(None, {i: 1})]:
-            first_entry.append(len(dst))
-            reward.append(float(ts.action_reward[i].get(name, 0)))
-            for j, p in entries.items():
-                dst.append(j)
-                prob.append(float(p))
-    return _Choices(*map(np.array, (first_choice, first_entry, reward, dst, prob)))
+    rows = ts.rows
+
+    def ints(a):
+        return np.frombuffer(a, np.intc).astype(np.intp)
+
+    choice_at, entry_at, dst = ints(rows.choice_at), ints(rows.entry_at), ints(rows.succ)
+    prob = np.frombuffer(rows.doubles)[np.frombuffer(rows.mass, np.intc)]
+    maps: dict = {}  # id of a reward map -> (its table row, the map)
+    which = [maps.setdefault(id(per), (len(maps), per))[0] for per in ts.action_reward]
+    table = np.array([[float(per.get(a, 0)) for a in rows.names]
+                      for _, per in maps.values()]).reshape(len(maps), len(rows.names))
+    counts = np.diff(choice_at)
+    reward = table[np.repeat(which, counts), np.frombuffer(rows.action, np.intc)]
+    if counts.all():
+        return _Choices(choice_at[:-1], entry_at[:-1], reward, dst, prob)
+    hole = counts == 0
+    empty = np.flatnonzero(hole)
+    at = choice_at[empty]  # the choice each self-loop goes before
+    sizes = np.insert(np.diff(entry_at), at, 1)
+    return _Choices(
+        choice_at[:-1] + np.cumsum(hole) - hole,
+        np.cumsum(sizes) - sizes,
+        np.insert(reward, at, 0.0),
+        np.insert(dst, entry_at[at], empty),
+        np.insert(prob, entry_at[at], 1.0),
+    )
 
 
 def _backup(m: _Choices, x, mode: str = "max", rewarded: bool = False):
@@ -252,14 +275,15 @@ def _reach(ts, goal_label: str, mode: str, sweeps: int) -> tuple[float, int]:
 # ---------------------------------------------------------------------------
 
 
-def _decided(succ: list, goals: list) -> tuple[bytearray, bytearray]:
-    """Prob0/Prob1 by backward reachability: `reach[i]` when state i can
+def _decided(rows, goals: list) -> tuple[bytearray, bytearray]:
+    """Prob0/Prob1 by backward reachability over the store's successors
+    (an empty row's self-loop adds no path): `reach[i]` when state i can
     reach a goal (else its value is 0), `miss[i]` when it can reach a
     state that cannot, before any goal (else its value is 1)."""
-    n = len(succ)
+    n = len(rows)
     pred = [[] for _ in range(n)]
-    for i, js in enumerate(succ):
-        for j in js:
+    for i in range(n):
+        for j in rows.successors(i):
             pred[j].append(i)
     reach, miss, goal = bytearray(n), bytearray(n), bytearray(n)
     for g in goals:
@@ -281,13 +305,14 @@ def _decided(succ: list, goals: list) -> tuple[bytearray, bytearray]:
     return reach, miss
 
 
-def _sccs(nodes: list, succ: list, inside: bytearray) -> list[list[int]]:
+def _sccs(nodes: list, succ, inside: bytearray) -> list[list[int]]:
     """Tarjan's strongly connected components of the graph on `nodes`
-    (the states with `inside` set; edges leaving them are ignored), with
-    an explicit stack.  Each SCC comes after every SCC it reaches."""
-    index = [-1] * len(succ)
+    (the states with `inside` set; edges leaving them are ignored), where
+    succ(v) gives v's successors, with an explicit stack.  Each SCC comes
+    after every SCC it reaches."""
+    index = [-1] * len(inside)
     low = index[:]
-    on = bytearray(len(succ))
+    on = bytearray(len(inside))
     stack, out, count = [], [], 0
     for root in nodes:
         if index[root] >= 0:
@@ -296,7 +321,7 @@ def _sccs(nodes: list, succ: list, inside: bytearray) -> list[list[int]]:
         count += 1
         stack.append(root)
         on[root] = 1
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(succ(root)))]
         while work:
             v, edges = work[-1]
             for w in edges:
@@ -307,7 +332,7 @@ def _sccs(nodes: list, succ: list, inside: bytearray) -> list[list[int]]:
                     count += 1
                     stack.append(w)
                     on[w] = 1
-                    work.append((w, iter(succ[w])))
+                    work.append((w, iter(succ(w))))
                     break
                 if on[w] and index[w] < low[v]:
                     low[v] = index[w]
@@ -327,25 +352,32 @@ def _sccs(nodes: list, succ: list, inside: bytearray) -> list[list[int]]:
     return out
 
 
-def _int_row(entries: dict, rated: bool) -> tuple[list, list, int]:
-    """The row as (successors, integer weights, d): successor j has
-    probability weight/d exactly, a CTMC row being divided by its exit
-    rate."""
-    masses = [m if isinstance(m, (int, Fraction)) else Fraction(m) for m in entries.values()]
-    d = math.lcm(*(m.denominator for m in masses))
-    weights = [m.numerator * (d // m.denominator) for m in masses]
-    return list(entries), weights, sum(weights) if rated else d
+def _exact(ts: TransitionSystem):
+    """A function giving state i's row as (successors, integer weights,
+    d), read from the store: successor j has probability weight/d
+    exactly, a CTMC row being divided by its exit rate."""
+    rows, rated = ts.rows, ts.kind == "sbrs"
+    ratios = [m.as_integer_ratio() for m in rows.masses]
+
+    def row(i: int) -> tuple:
+        lo, hi = rows.span(i)
+        pairs = [ratios[k] for k in rows.mass[lo:hi]]
+        d = math.lcm(*(q for _, q in pairs))
+        weights = [p * (d // q) for p, q in pairs]
+        return rows.succ[lo:hi], weights, sum(weights) if rated else d
+
+    return row
 
 
-def _block(comp: list, rows: dict, x: list, t: list):
-    """The equations of the states in `comp` from their `_int_row`s, each
-    p = w / d correctly rounded: per state, its in-block entries as
+def _block(comp: list, row, x: list, t: list):
+    """The equations of the states in `comp` from their `_exact` rows,
+    each p = w / d correctly rounded: per state, its in-block entries as
     (position, p), b = sum p x[j] and c = 1 + sum p t[j] over the entries
     leaving it, and the exact diagonal 1 - p(s, s)."""
     pos = {s: r for r, s in enumerate(comp)}
     out = []
     for s in comp:
-        js, weights, d = rows[s]
+        js, weights, d = row(s)
         inner, b, c, stay = [], 0.0, 1.0, 0
         for j, w in zip(js, weights):
             p = w / d
@@ -361,7 +393,7 @@ def _block(comp: list, rows: dict, x: list, t: list):
     return out
 
 
-def _eliminate(comp: list, rows: dict, x: list, t: list) -> None:
+def _eliminate(comp: list, row, x: list, t: list) -> None:
     """Solve (I - A) [x t] = [b c] on one SCC by dense elimination with
     partial pivoting, writing x and t of its states.  The diagonal is
     1 - p(s, s) from the exact row, so a self-loop within a double's
@@ -369,7 +401,7 @@ def _eliminate(comp: list, rows: dict, x: list, t: list) -> None:
     the certificate refuses."""
     k = len(comp)
     a = []
-    for r, (inner, b, c, diag) in enumerate(_block(comp, rows, x, t)):
+    for r, (inner, b, c, diag) in enumerate(_block(comp, row, x, t)):
         line = [0.0] * k + [b, c]
         for q, p in inner:
             line[q] -= p
@@ -399,7 +431,7 @@ def _eliminate(comp: list, rows: dict, x: list, t: list) -> None:
         t[comp[r]] = c / row[r]
 
 
-def _iterate(comp: list, rows: dict, x: list, t: list, budget: int) -> int:
+def _iterate(comp: list, row, x: list, t: list, budget: int) -> int:
     """Interval iteration on the states of `comp`, from 0 and from 1,
     with t iterated from 0 beside them, until the two are within `TOL`
     and each step of t adds at most half its right-hand side (so that
@@ -408,7 +440,7 @@ def _iterate(comp: list, rows: dict, x: list, t: list, budget: int) -> int:
     import numpy as np
 
     first, dst, prob, b, c = [], [], [], [], []
-    for inner, bs, cs, _ in _block(comp, rows, x, t):
+    for inner, bs, cs, _ in _block(comp, row, x, t):
         first.append(len(dst))
         # reduceat needs an entry per row; in the fallback's block a row
         # may have none inside
@@ -439,7 +471,7 @@ def _iterate(comp: list, rows: dict, x: list, t: list, budget: int) -> int:
     return it
 
 
-def _certify(undecided: list, rows: dict, x: list, t: list, one: bytearray):
+def _certify(undecided: list, row, x: list, t: list, one: bytearray):
     """Certified bounds (lower, upper) on the value of state 0, from one
     sweep of the exact rows in integers, with x and t scaled by 2^e (x = 1
     on the states in `one`, t = 0 off the undecided ones).  The bounds are
@@ -447,22 +479,22 @@ def _certify(undecided: list, rows: dict, x: list, t: list, one: bytearray):
     with x - d_L t <= A (x - d_L t) + b and x + d_U t >= A (x + d_U t) + b
     on every undecided state.  None unless t > 0 and (I - A) t > 0 there,
     which makes those two a sub- and a super-solution."""
-    ratios = {}
     e = 0
     for i in undecided:
         if not (math.isfinite(x[i]) and math.isfinite(t[i])):
             return None
-        ratios[i] = x[i].as_integer_ratio(), t[i].as_integer_ratio()
-        e = max(e, ratios[i][0][1].bit_length(), ratios[i][1][1].bit_length())
+        e = max(e, x[i].as_integer_ratio()[1].bit_length(),
+                t[i].as_integer_ratio()[1].bit_length())
     big = 1 << e
     xs = [big if o else 0 for o in one]
     ts = [0] * len(one)
-    for i, ((xn, xd), (tn, td)) in ratios.items():
+    for i in undecided:
+        (xn, xd), (tn, td) = x[i].as_integer_ratio(), t[i].as_integer_ratio()
         xs[i] = xn * (big // xd)
         ts[i] = tn * (big // td)
     un, ud, dn, dd = 0, 1, 0, 1
     for i in undecided:
-        js, weights, d = rows[i]
+        js, weights, d = row(i)
         ax = at = 0
         for j, w in zip(js, weights):
             ax += w * xs[j]
@@ -492,28 +524,27 @@ def _outward(num: int, den: int, upward: bool) -> float:
 
 def _unbounded(ts: TransitionSystem, goal_label: str) -> ReachValue:
     goals = _goal_states(ts, goal_label)
-    succ = [list(row[0][1]) if row else [i] for i, row in enumerate(ts.rows)]
-    reach, miss = _decided(succ, goals)
+    reach, miss = _decided(ts.rows, goals)
     if not (reach[0] and miss[0]):
         v = float(reach[0])
         return ReachValue(v, 0, v, v)
     inside = bytearray(r and m for r, m in zip(reach, miss))
     one = bytearray(r and not m for r, m in zip(reach, miss))
     undecided = [i for i, u in enumerate(inside) if u]
-    rows = {i: _int_row(ts.rows[i][0][1], ts.kind == "sbrs") for i in undecided}
+    row = _exact(ts)
     x = [float(o) for o in one]
     t = [0.0] * ts.n_states
     sweeps = 0
-    for comp in _sccs(undecided, succ, inside):
+    for comp in _sccs(undecided, ts.rows.successors, inside):
         if len(comp) <= DENSE_MAX:
-            _eliminate(comp, rows, x, t)
+            _eliminate(comp, row, x, t)
         else:
-            sweeps += _iterate(comp, rows, x, t, MAX_SWEEPS - sweeps)
-    bounds = _certify(undecided, rows, x, t, one)
+            sweeps += _iterate(comp, row, x, t, MAX_SWEEPS - sweeps)
+    bounds = _certify(undecided, row, x, t, one)
     sweeps += 1
     if bounds is None:
-        sweeps += _iterate(undecided, rows, x, t, MAX_SWEEPS - sweeps)
-        bounds = _certify(undecided, rows, x, t, one)
+        sweeps += _iterate(undecided, row, x, t, MAX_SWEEPS - sweeps)
+        bounds = _certify(undecided, row, x, t, one)
         sweeps += 1
         if bounds is None:
             raise ConvergenceError("no certified bounds", x)

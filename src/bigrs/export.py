@@ -34,6 +34,9 @@ kept (`_state_json`), so memory holds one state's document at most.
 `_dump` writes that text directly, with strings escaped by json's own C
 function: json's indented encoder is pure Python, and most of the
 export's time went to it.
+The `.tra` and `.trew` files are likewise written a row or a choice at
+a time, read from the system's `TransitionStore`, with each distinct
+mass formatted once.
 Every file is written atomically: all the files of one export go to
 temporary files beside their targets and are moved into place once
 complete, so a failed write leaves every earlier file intact.
@@ -47,6 +50,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, pairwise
 from pathlib import Path
 
 from .bigraph import NODE, REGION, BigraphError
@@ -81,33 +85,47 @@ class ExportBundle:
 
 
 def render_tra(ts: TransitionSystem) -> str:
-    if ts.kind == "abrs":
-        choices = _mdp_choices(ts)
-        n_trans = sum(len(entries) for _, _, _, entries in choices)
-        lines = [f"{ts.n_states} {len(choices)} {n_trans}"]
-        for src, ci, name, entries in choices:
-            if name.split() != [name]:
-                raise ExportError(f"action {name!r} is empty or holds whitespace")
-            for j, p in entries.items():
-                lines.append(f"{src} {ci} {j} {_fmt(p)} {name}")
-        return "\n".join(lines) + "\n"
+    return "".join(_tra_chunks(ts))
+
+
+def _tra_chunks(ts: TransitionSystem) -> Iterator[str]:
+    """The `.tra` file in chunks, one a row (an MDP: one a choice), each
+    distinct mass formatted once.  A brs, or an MDP action name that is
+    empty or holds whitespace, is refused before any chunk is made."""
     if ts.kind == "brs":
         raise ExportError(
             f"kind {ts.kind!r} has no PRISM transition format (plain reaction "
             "relations export as dot or json)"
         )
-    rows = [f"{i} {j} {_fmt(p)}" for i, _, j, p in ts.transitions()]
-    return "\n".join([f"{ts.n_states} {len(rows)}", *rows]) + "\n"
+    rows = ts.rows
+    text = {k: f"{d:.17g}" for k, d in enumerate(rows.doubles)}
+    if ts.kind != "abrs":
+        lines = (
+            "".join(f"{i} {j} {text[k]}\n" for _, js, ks in rows.choices(i)
+                    for j, k in zip(js, ks))
+            for i in range(ts.n_states)
+        )
+        return chain([f"{ts.n_states} {len(rows.succ)}\n"], lines)
+    for name in rows.names:
+        if name.split() != [name]:
+            raise ExportError(f"action {name!r} is empty or holds whitespace")
+    text[None] = "1"
+    taus = sum(a == b for a, b in pairwise(rows.choice_at))
+    header = f"{ts.n_states} {len(rows.action) + taus} {len(rows.succ) + taus}\n"
+    lines = (
+        "".join(f"{src} {ci} {j} {text[k]} {name}\n" for j, k in zip(js, ks))
+        for src, ci, name, js, ks in _mdp_choices(ts)
+    )
+    return chain([header], lines)
 
 
-def _mdp_choices(ts: TransitionSystem) -> list:
-    """(src, choiceIndex, actionName, entries), with the tau self-loop
-    filled in for terminal states."""
-    return [
-        (i, ci, name, entries)
-        for i, row in enumerate(ts.rows)
-        for ci, (name, entries) in enumerate(row or [("tau", {i: Fraction(1)})])
-    ]
+def _mdp_choices(ts: TransitionSystem) -> Iterator[tuple]:
+    """(src, choiceIndex, actionName, successors, mass indices), with the
+    tau self-loop, whose mass index is None, for terminal states."""
+    for i in range(ts.n_states):
+        choices = ts.rows.choices(i) or [("tau", (i,), (None,))]
+        for ci, (name, js, ks) in enumerate(choices):
+            yield i, ci, name, js, ks
 
 
 def render_lab(ts: TransitionSystem) -> str:
@@ -138,16 +156,23 @@ def render_srew(ts: TransitionSystem) -> str:
 
 
 def render_trew(ts: TransitionSystem) -> str:
+    return "".join(_trew_chunks(ts))
+
+
+def _trew_chunks(ts: TransitionSystem) -> Iterator[str]:
+    """The `.trew` file in chunks, one a rewarded choice; the choices are
+    read twice, to count them for the header and then to write them."""
     if ts.kind != "abrs":
         raise ExportError("transition rewards are only exported for MDPs")
-    rewarded = []
-    for src, ci, name, _ in _mdp_choices(ts):
-        r = ts.action_reward[src].get(name, 0)
-        if r != 0:
-            rewarded.append((src, ci, r))
-    lines = [f"{ts.n_states} {len(rewarded)}"]
-    lines += [f"{s} {c} {_fmt(r)}" for s, c, r in rewarded]
-    return "\n".join(lines) + "\n"
+
+    def rewarded():
+        for src, ci, name, _, _ in _mdp_choices(ts):
+            r = ts.action_reward[src].get(name, 0)
+            if r != 0:
+                yield f"{src} {ci} {_fmt(r)}\n"
+
+    count = sum(1 for _ in rewarded())
+    return chain([f"{ts.n_states} {count}\n"], rewarded())
 
 
 def rewards_to_states(ts: TransitionSystem) -> TransitionSystem:
@@ -167,16 +192,17 @@ def rewards_to_states(ts: TransitionSystem) -> TransitionSystem:
 
     zero = Fraction(0)
     class_of(0, zero)
+    masses = ts.rows.masses
     rows = []  # expanded in creation order, so row k is class k's
     while worklist:
         orig, _ = worklist.popleft()
         row = []
-        for name, dist in ts.rows[orig]:
+        for name, js, ks in ts.rows.choices(orig):
             r = ts.action_reward[orig].get(name, zero)
             entries: dict = {}
-            for j, p in dist.items():
+            for j, k in zip(js, ks):
                 nj = class_of(j, r)
-                entries[nj] = entries.get(nj, zero) + p
+                entries[nj] = entries.get(nj, zero) + masses[k]
             row.append((name, entries))
         rows.append(row)
     states = []
@@ -217,17 +243,18 @@ def export_prism(
     rewards_as_states: bool = False,
 ) -> ExportBundle:
     """Write the PRISM bundle for a built system and return the manifest.
-    Every file is rendered before anything is written, so a system that
-    cannot be exported leaves no output behind."""
+    Every file is checked before anything is written, so a system that
+    cannot be exported leaves no output behind; the `.tra` and `.trew`
+    files are then written a chunk at a time."""
     if rewards_as_states:
         ts = rewards_to_states(ts)
-    texts = {"tra": render_tra(ts), "lab": render_lab(ts)}
+    chunks = {"tra": _tra_chunks(ts), "lab": [render_lab(ts)]}
     if any(r != 0 for r in ts.state_reward):
-        texts["srew"] = render_srew(ts)
+        chunks["srew"] = [render_srew(ts)]
     if ts.kind == "abrs" and _action_rewarded(ts):
-        texts["trew"] = render_trew(ts)
-    files = {f"{stem}.{role}": [text] for role, text in texts.items()}
-    paths = dict(zip(texts, _write(out_dir, files)))
+        chunks["trew"] = _trew_chunks(ts)
+    files = {f"{stem}.{role}": c for role, c in chunks.items()}
+    paths = dict(zip(chunks, _write(out_dir, files)))
     return ExportBundle(paths["tra"], paths["lab"], paths.get("srew"),
                         paths.get("trew"))
 
@@ -272,11 +299,12 @@ def render_dot(ts: TransitionSystem) -> str:
         labels = sorted(ts.labels[i])
         text = str(i) if not labels else f"{i}: " + ",".join(labels)
         lines.append(f'  s{i} [label="{text.translate(_DOT_ESCAPES)}"];')
-    for i, name, j, p in ts.transitions():
-        if p is None:
+    short = [f"{d:.6g}" for d in ts.rows.doubles]
+    for i, name, j, k in ts.rows.entries():
+        if ts.kind == "brs":
             lines.append(f"  s{i} -> s{j};")
         else:
-            text = f"{float(p):.6g}" if name is None else f"{name}:{float(p):.6g}"
+            text = short[k] if name is None else f"{name}:{short[k]}"
             lines.append(f'  s{i} -> s{j} [label="{text.translate(_DOT_ESCAPES)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -379,14 +407,15 @@ def _json_chunks(ts: TransitionSystem) -> Iterator[str]:
     document; the transitions and the state bigraphs are made one item
     at a time."""
     weight = "rate" if ts.kind == "sbrs" else "prob"
+    doubles = ts.rows.doubles
 
     def edges():
-        for i, name, j, p in ts.transitions():
+        for i, name, j, k in ts.rows.entries():
             edge = {"src": i, "dst": j}
             if name is not None:
                 edge["action"] = name
-            if p is not None:
-                edge[weight] = float(p)
+            if ts.kind != "brs":
+                edge[weight] = doubles[k]
             yield edge
 
     doc: dict = {

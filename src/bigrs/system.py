@@ -25,13 +25,15 @@ choices over successor numbers, and the store then drops the form.  The
 closure keeps each state as a `canon.KeptState` of its form's arrays,
 whose `bigraph()` builds the state's `Bigraph` on demand.  Beyond `lean`
 of the initial state, neither the closure nor the walk builds a `Bigraph`.
-The closure makes each row once, a BFS level at a time, in the form that
-the `TransitionSystem` constructor keeps.
+The closure makes each row once, a BFS level at a time, and writes it
+into the system's `TransitionStore`, the one packed form of the rows.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
@@ -157,6 +159,138 @@ class SystemSpec:
             raise SystemError_(f"kind {self.kind} does not take actions")
 
 
+class TransitionStore(Sequence):
+    """The rows of a transition system, packed into arrays of C ints that
+    numpy can view in place:
+
+    * ``choice_at`` -- per state, the index of its first choice, then the
+      number of choices;
+    * ``action`` -- per choice, the index of its action name (or None) in
+      ``names``;
+    * ``entry_at`` -- per choice, the index of its first entry, then the
+      number of entries;
+    * ``succ`` and ``mass`` -- per entry, the successor and the index of
+      its mass in ``masses``, the distinct exact masses in order of first
+      use, whose doubles are ``doubles``.  Equal masses are one, the
+      first given.
+
+    Read as a sequence, it is read-only: row i is made afresh on each
+    read as a list of choices ``(action name or None, {successor:
+    mass})``, and the rows compare equal to lists of such rows.  `add` is
+    the one writer, and checks each row before it appends it.
+    """
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.choice_at = array("i", [0])
+        self.action = array("i")
+        self.entry_at = array("i", [0])
+        self.succ = array("i")
+        self.mass = array("i")
+        self.names: list = []
+        self.masses: list = []
+        self.doubles = array("d")
+        self._index: dict = {}  # a mass's integer ratio -> its index in masses
+        self._what = {"sbrs": "rate", "brs": "mass"}.get(kind, "probability")
+
+    def add(self, row, n: int) -> None:
+        """Append `row`, choices in stored order, as the row of state
+        i = len(self).  A pbrs row has one choice, a brs or sbrs row at
+        most one, and each choice is non-empty, over successors 0..n-1,
+        with positive masses summing to one for a pbrs or abrs (exactly
+        for rationals, within 1e-12 for floats).  Each mass, a rate
+        (sbrs) or a probability (pbrs, abrs), and an sbrs choice's total
+        are doubles, none with the double 0.  A mass is checked once, when
+        first seen."""
+        i, kind = len(self), self.kind
+        if kind == "pbrs" and len(row) != 1 or kind in ("brs", "sbrs") and len(row) > 1:
+            raise SystemError_(f"state {i}: a {kind} row has {len(row)} choices")
+        packed = []
+        for name, entries in row:
+            if not entries:
+                raise SystemError_(f"state {i}: empty choice")
+            for j in entries:
+                if not 0 <= j < n:
+                    raise SystemError_(f"state {i}: successor {j} is not one of {n} states")
+            try:
+                ratios = [m.as_integer_ratio() for m in entries.values()]
+            except (ValueError, OverflowError):
+                raise DoubleRangeError(f"state {i}: {self._what} is not finite") from None
+            ks = list(map(self._index.get, ratios))
+            if None in ks:
+                ks = list(map(self._intern, [i] * len(ratios), entries.values(), ratios))
+            if kind == "sbrs":
+                check_doubles(i, "rate", [self.doubles[k] for k in ks])
+            elif kind != "brs":
+                total = sum(entries.values())
+                if not (total == 1 if isinstance(total, Fraction)
+                        else abs(total - 1) <= 1e-12):
+                    raise SystemError_(f"state {i}: choice mass is {total}, not 1")
+            packed.append((name, entries, ks))
+        for name, entries, ks in packed:
+            if name not in self.names:
+                self.names.append(name)
+            self.action.append(self.names.index(name))
+            self.succ.extend(entries)
+            self.mass.extend(ks)
+            self.entry_at.append(len(self.succ))
+        self.choice_at.append(len(self.action))
+
+    def _intern(self, i: int, m, ratio: tuple) -> int:
+        """The index of mass m, of the given integer ratio, first seen at
+        state i; appended if new."""
+        k = self._index.get(ratio)
+        if k is None:
+            if m <= 0:
+                raise SystemError_(f"state {i}: choice entries must be positive")
+            check_doubles(i, self._what, (m,))
+            k = self._index[ratio] = len(self.masses)
+            self.masses.append(m)
+            self.doubles.append(float(m))
+        return k
+
+    def __len__(self) -> int:
+        return len(self.choice_at) - 1
+
+    def span(self, i: int) -> tuple[int, int]:
+        """The positions in ``succ`` and ``mass`` of state i's entries,
+        as (first, end), over all its choices."""
+        return self.entry_at[self.choice_at[i]], self.entry_at[self.choice_at[i + 1]]
+
+    def successors(self, i: int) -> array:
+        """The successors of all state i's choices, a slice of ``succ``."""
+        lo, hi = self.span(i)
+        return self.succ[lo:hi]
+
+    def choices(self, i: int) -> list:
+        """State i's choices as (action name or None, successors, mass
+        indices), the last two slices of ``succ`` and ``mass``."""
+        e = self.entry_at
+        return [(self.names[self.action[c]], self.succ[e[c]:e[c + 1]],
+                 self.mass[e[c]:e[c + 1]])
+                for c in range(self.choice_at[i], self.choice_at[i + 1])]
+
+    def entries(self):
+        """Every entry as (state, action name or None, successor, mass
+        index), in stored order."""
+        for i in range(len(self)):
+            for name, js, ks in self.choices(i):
+                for j, k in zip(js, ks):
+                    yield i, name, j, k
+
+    def __getitem__(self, i: int) -> list:
+        masses = self.masses
+        return [(name, {j: masses[k] for j, k in zip(js, ks)})
+                for name, js, ks in self.choices(range(len(self))[i])]
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
 @dataclass
 class TransitionSystem:
     """Canonical states, indexed rows, labels and rewards of a built system.
@@ -169,21 +303,20 @@ class TransitionSystem:
     most one choice, holding the rates, and a brs row at most one, with
     mass 1 per successor.  State 0 is the initial state's class.
 
-    The constructor checks every row: a choice is non-empty, over states,
-    with positive masses; a pbrs or abrs choice has mass exactly 1 (within
-    1e-12 for floats), and its probabilities, or an sbrs choice's rates
-    and their total, are doubles, none of them with the double 0.
-    Rewards are held to the same range (`DoubleRangeError` otherwise).
-    Choices are stored by action name and entries by successor index,
-    except that a brs keeps its given order (canonical-key order in a
-    built system).  Only a row out of that order is copied, never a
-    closure-built one; the caller's list is not changed.  Absent labels
-    and rewards are filled with empty and zero values.
+    ``rows`` is a `TransitionStore`.  Given one of this kind, as the
+    closure and `dataclasses.replace` do, the constructor keeps it after
+    checking that its successors are states.  Given any other sequence of
+    rows, it packs them with `TransitionStore.add`, which checks each
+    one, and leaves the caller's list and rows unchanged.  Rewards are
+    held to the double range (`DoubleRangeError` otherwise).  Choices are
+    stored by action name and entries by successor index, except that a
+    brs keeps its given order (canonical-key order in a built system).
+    Absent labels and rewards are filled with empty and zero values.
     """
 
     kind: str
     states: list  # (canonical key, KeptState)
-    rows: list
+    rows: Sequence  # a TransitionStore once constructed
     labels: list = field(default_factory=list)
     label_names: tuple = ()  # the declared label universe
     state_reward: list = field(default_factory=list)
@@ -194,30 +327,25 @@ class TransitionSystem:
         if self.kind not in KINDS:
             raise SystemError_(f"unknown system kind {self.kind!r}")
         n = len(self.states)
-        self.rows = list(self.rows)
         self.labels = self.labels or [frozenset()] * n
         self.state_reward = self.state_reward or [Fraction(0)] * n
         self.action_reward = self.action_reward or [{}] * n
         for what in ("rows", "labels", "state_reward", "action_reward"):
             if len(getattr(self, what)) != n:
                 raise SystemError_(f"{len(getattr(self, what))} {what} for {n} states")
-        by_index = self.kind != "brs"
-        for i, row in enumerate(self.rows):
-            if self.kind == "pbrs" and len(row) != 1 or (
-                self.kind in ("brs", "sbrs") and len(row) > 1
-            ):
-                raise SystemError_(
-                    f"state {i}: a {self.kind} row has {len(row)} choices"
-                )
-            for _, entries in row:
-                _check_choice(self.kind, i, entries, n)
-            if any(a > b for (a, _), (b, _) in pairwise(row)) or by_index and any(
-                j > k for _, es in row for j, k in pairwise(es)
-            ):
-                self.rows[i] = [
-                    (name, dict(sorted(entries.items())) if by_index else entries)
-                    for name, entries in sorted(row, key=lambda c: c[0])
-                ]
+        given = self.rows
+        if isinstance(given, TransitionStore) and given.kind == self.kind:
+            if given.succ and max(given.succ) >= n:
+                raise SystemError_(f"a successor {max(given.succ)} is not one of {n} states")
+        else:
+            self.rows = TransitionStore(self.kind)
+            by_index = self.kind != "brs"
+            for row in given:
+                if self.kind == "abrs" and any(a > b for (a, _), (b, _) in pairwise(row)):
+                    row = sorted(row, key=lambda c: c[0])
+                if by_index and any(j > k for _, es in row for j, k in pairwise(es)):
+                    row = [(name, dict(sorted(es.items()))) for name, es in row]
+                self.rows.add(row, n)
         for i, r in enumerate(self.state_reward):
             check_doubles(i, "state reward", (r,))
         for i, per in enumerate(self.action_reward):
@@ -235,11 +363,10 @@ class TransitionSystem:
         """Every transition as (src, action name or None, dst, probability
         or rate or None), in row order: sources ascending, then choices,
         then entries.  A brs transition carries no number."""
+        masses = self.rows.masses
         numbered = self.kind != "brs"
-        for i, row in enumerate(self.rows):
-            for name, entries in row:
-                for j, p in entries.items():
-                    yield i, name, j, p if numbered else None
+        for i, name, j, k in self.rows.entries():
+            yield i, name, j, masses[k] if numbered else None
 
 
 def check_doubles(i: int, what: str, values) -> None:
@@ -252,31 +379,6 @@ def check_doubles(i: int, what: str, values) -> None:
         raise DoubleRangeError(f"state {i}: {what} beyond the double range") from None
     if any(v and not d for v, d in zip(values, doubles)):
         raise DoubleRangeError(f"state {i}: {what} below the double range")
-
-
-def _check_choice(kind: str, i: int, entries: dict, n: int) -> None:
-    """A choice of state i is non-empty, over successors 0..n-1, with
-    positive masses, summing to one for a pbrs or abrs (exactly for
-    rationals, within 1e-12 for floats).  Its probabilities (pbrs, abrs)
-    or rates (sbrs) and their total are doubles, none with the double 0."""
-    if not entries:
-        raise SystemError_(f"state {i}: empty choice")
-    for j in entries:
-        if not 0 <= j < n:
-            raise SystemError_(f"state {i}: successor {j} is not one of {n} states")
-    if any(m <= 0 for m in entries.values()):
-        raise SystemError_(f"state {i}: choice entries must be positive")
-    if kind == "sbrs":
-        check_doubles(i, "rate", entries.values())
-    if kind in ("pbrs", "abrs"):
-        total = sum(entries.values())
-        if isinstance(total, Fraction):
-            ok = total == 1
-        else:
-            ok = abs(total - 1) <= 1e-12
-        if not ok:
-            raise SystemError_(f"state {i}: choice mass is {total}, not 1")
-        check_doubles(i, "probability", entries.values())
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +504,9 @@ def build_transition_system(
     At the cap, the first states of the last level are kept unexpanded
     (see docs/formats.md).  Each kept state is labelled once, before its
     expansion, which then reuses the control index the labeller built.
-    A level's rows are made once, when the next level is numbered; equal
-    label sets, rewards and action-reward maps are one object each.
+    A level's rows are made once, when the next level is numbered, and
+    written into the store; equal label sets, rewards and action-reward
+    maps are one object each.
     """
     if max_states <= 0:
         raise SystemError_("state cap must be positive")
@@ -412,7 +515,8 @@ def build_transition_system(
     reward_of = {a.name: a.reward for a in spec.actions}
     export: list = [0]  # discovery number -> export number, None past the cap
     states: list = []  # export number -> (key, KeptState)
-    rows, labels, state_reward, action_reward = [], [], [], []
+    rows = TransitionStore(spec.kind)
+    labels, state_reward, action_reward = [], [], []
     same: dict = {}  # a label set, reward or action-reward map -> one object
     truncated = False
     level = [0]
@@ -433,8 +537,9 @@ def build_transition_system(
         for n, j in enumerate(level, len(states)):
             export[j] = n
         for n, choices in enumerate(expanded, len(rows)):
-            rows.append(_row(spec.kind, n, choices, export, store.keys))
-            per = {a: reward_of[a] for a, _ in rows[n] if a in reward_of}
+            row = _row(spec.kind, n, choices, export, store.keys)
+            rows.add(row, len(states) + len(level))
+            per = {a: reward_of[a] for a, _ in row if a in reward_of}
             action_reward.append(same.setdefault(tuple(per.items()), per))
     ts = TransitionSystem(
         kind=spec.kind,

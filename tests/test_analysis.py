@@ -275,7 +275,7 @@ def test_sccs_match_networkx_and_come_bottom_up():
         succ = [rng.sample(range(n), rng.randint(0, min(3, n))) for _ in range(n)]
         inside = bytearray(rng.random() < 0.8 for _ in range(n))
         nodes = [i for i in range(n) if inside[i]]
-        comps = analysis._sccs(nodes, succ, inside)
+        comps = analysis._sccs(nodes, succ.__getitem__, inside)
         g = nx.DiGraph()
         g.add_nodes_from(nodes)
         g.add_edges_from((i, j) for i in nodes for j in succ[i] if inside[j])
@@ -288,9 +288,11 @@ def test_sccs_match_networkx_and_come_bottom_up():
     n = 5000
     everything = bytearray([1]) * n
     cycle = [[(i + 1) % n] for i in range(n)]
-    assert len(analysis._sccs(list(range(n)), cycle, everything)) == 1
+    assert len(analysis._sccs(list(range(n)), cycle.__getitem__, everything)) == 1
     path = [[i + 1] for i in range(n - 1)] + [[]]
-    assert analysis._sccs(list(range(n)), path, everything) == [[i] for i in reversed(range(n))]
+    assert analysis._sccs(list(range(n)), path.__getitem__, everything) == [
+        [i] for i in reversed(range(n))
+    ]
 
 
 def test_huge_bounded_horizon_stops_at_the_fixed_point(wsn_ts, virus_ts):

@@ -849,14 +849,30 @@ def test_every_merge_is_certified(models_dir, monkeypatch):
     monkeypatch.setattr(matching, "canonical_key", certified)
     monkeypatch.setattr(system, "canonical_key", certified)
     counts = []
-    for name in ("virus", "budding", "wsn", "send_mdp"):
+    for name in ("virus", "budding", "wsn", "send_mdp", "mobile_sink"):
         ts = build_transition_system(load_model(models_dir / f"{name}.big"))
         counts.append((len(ts.states), len(hits)))
         first.clear()
         hits.clear()
     # every key met again is a merge: keys minus states (traced key counts
-    # 1,544 on virus and 4,141 on budding)
-    assert counts == [(286, 1544 - 286), (1092, 4141 - 1092), (4, 3), (3, 2)]
+    # 1,544 on virus, 4,141 on budding and 79 on mobile_sink, whose 78
+    # transitions each key one result)
+    assert counts == [(286, 1544 - 286), (1092, 4141 - 1092), (4, 3), (3, 2),
+                      (40, 79 - 40)]
+
+
+@pytest.mark.parametrize(
+    "name", ["wsn_ts", "send_mdp_ts", "virus_ts", "budding_ts", "sink2_ts"]
+)
+def test_no_false_split_under_renaming(request, name):
+    # the other half of soundness: renaming a state's nodes and edges
+    # never changes its key, so canon never splits two isomorphic states
+    ts = request.getfixturevalue(name)
+    rng = random.Random(34)
+    for key, state in rng.sample(ts.states, min(25, ts.n_states)):
+        g = state.bigraph()
+        for _ in range(2):
+            assert canonical_key(shuffled_copy(rng, g)) == key
 
 
 # ---------------------------------------------------------------------------

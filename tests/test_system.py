@@ -1,6 +1,7 @@
 """Transition-system construction: normalization, labelling, determinism."""
 
 import gc
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -34,6 +35,7 @@ from bigrs.system import (
     SystemError_,
     StateStore,
     SystemSpec,
+    TransitionStore,
     TransitionSystem,
     WeightedRule,
     build_transition_system,
@@ -183,6 +185,8 @@ ROW_CASES = [
      [[(None, {0: _LARGE, 1: Fraction(int(7e307))})], []], True),
     ("successor-beyond-the-states", "pbrs", [[(None, {5: Fraction(1)})]], False),
     ("negative-successor", "sbrs", [[(None, {-1: Fraction(1)})]], False),
+    ("infinite-rate", "sbrs", [[(None, {0: float("inf")})]], False),
+    ("nan-rate", "sbrs", [[(None, {0: float("nan")})]], False),
 ]
 
 
@@ -212,29 +216,61 @@ def test_lists_longer_than_the_states_are_refused(field, values):
 
 
 def test_constructor_copies_only_rows_out_of_order():
+    # the rows are packed into the store: the caller's list and rows stay
+    # as given, and rows given out of order read back in stored order
     ordered = [("a", {0: Fraction(1, 3), 1: Fraction(2, 3)}), ("b", {1: Fraction(1)})]
     by_name = [("b", {1: Fraction(1)}), ("a", {0: Fraction(1)})]
     by_index = [("a", {1: Fraction(2, 3), 0: Fraction(1, 3)})]
     rows = [ordered, by_name, by_index]
-    given = [list(row) for row in rows]
+    given = [[(a, list(es.items())) for a, es in row] for row in rows]
     ts = hand_built("abrs", rows)
-    assert ts.rows[0] is ordered
+    assert isinstance(ts.rows, TransitionStore)
+    assert ts.rows[0] == ordered and ts.rows == [ts.rows[i] for i in range(3)]
     assert ts.rows[1] == [("a", {0: Fraction(1)}), ("b", {1: Fraction(1)})]
     assert [list(es) for _, es in ts.rows[2]] == [[0, 1]]
-    assert rows == given and rows[1] is by_name and ts.rows is not rows
-    assert [list(es) for _, es in by_index] == [[1, 0]]
+    assert [[(a, list(es.items())) for a, es in row] for row in rows] == given
+    assert rows[1] is by_name and rows[2][0][1] is by_index[0][1]
+    # a row read back is made afresh, and the store cannot be written
+    ts.rows[0][0][1][0] = Fraction(1)
+    assert ts.rows[0] == ordered
+    with pytest.raises(TypeError):
+        ts.rows[0] = []
     # a brs keeps its successors in the order given
     brs_row = [(None, {1: 1, 0: 1})]
-    assert hand_built("brs", [brs_row, []]).rows[0] is brs_row
+    assert [list(es) for _, es in hand_built("brs", [brs_row, []]).rows[0]] == [[1, 0]]
 
 
 @pytest.mark.parametrize(
     "name", ["wsn_ts", "send_mdp_ts", "virus_ts", "budding_ts", "sink2_ts"]
 )
 def test_closure_rows_are_kept_as_built(request, name):
+    # `replace` shares the closure's store and does not repack it; packing
+    # the same rows given as lists writes the very same arrays
     ts = request.getfixturevalue(name)
-    again = replace(ts)
-    assert all(a is b for a, b in zip(again.rows, ts.rows))
+    assert replace(ts).rows is ts.rows
+    repacked = replace(ts, rows=list(ts.rows)).rows
+    assert repacked is not ts.rows and repacked == ts.rows
+    for part in ("choice_at", "action", "entry_at", "succ", "mass", "names",
+                 "masses", "doubles"):
+        assert getattr(repacked, part) == getattr(ts.rows, part)
+
+
+# (closure, entries, distinct masses); the store's arrays take at most
+# 16 bytes an entry, with every choice offset, state offset and double
+STORE_FOOTPRINT = [
+    ("budding_ts", 4_140, 113),
+    ("virus_ts", 1_357, 55),
+    ("sink2_ts", 2_800, 7),
+]
+
+
+@pytest.mark.parametrize("name, entries, masses", STORE_FOOTPRINT)
+def test_store_footprint(request, name, entries, masses):
+    rows = request.getfixturevalue(name).rows
+    assert (len(rows.succ), len(rows.masses)) == (entries, masses)
+    arrays = (rows.choice_at, rows.action, rows.entry_at, rows.succ, rows.mass,
+              rows.doubles)
+    assert sum(map(sys.getsizeof, arrays)) <= 16 * entries
 
 
 @pytest.mark.parametrize("name", ["virus_ts", "sink2_ts"])
