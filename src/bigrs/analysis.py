@@ -9,24 +9,25 @@ iterated to a tolerance.  From the exact rows, read from the store as
 integer weights over one denominator each (`_exact`; a CTMC row divided
 by its exit rate; an empty row a self-loop, so such a state absorbs):
 
-1. Prob0/Prob1 by backward reachability (Baier & Katoen, *Principles of
-   Model Checking*, 2008, 10.1): a state that cannot reach the goal gets
-   exactly 0, and one that cannot reach such a state before the goal
-   gets exactly 1.  What is left, the undecided states, can each leave
-   the undecided set, so their equations x = A x + b have one solution.
-2. Tarjan's strongly connected components of the undecided states, by an
-   explicit stack (no recursion), which lists each SCC after every SCC
-   it reaches.
-3. The SCCs in that order (Dai, Mausam & Weld, "Topological value
-   iteration algorithms", JAIR 2011), each with the values below it
-   already known.  An SCC of at most `DENSE_MAX` states is solved by
-   dense partial-pivot elimination in pure Python, with a second
-   right-hand side: t, the expected number of steps to leave the
+1. One pass of Tarjan's strongly connected components over every state,
+   along the rows with the goals' out-edges cut, by an explicit stack of
+   states (no recursion).  It completes each SCC after every SCC it
+   reaches, and decides Prob0/Prob1 (Baier & Katoen, *Principles of
+   Model Checking*, 2008, 10.1) as each completes, from the SCCs below
+   it: a state that cannot reach the goal gets exactly 0, and one that
+   cannot reach such a state before the goal gets exactly 1.  What is
+   left, the undecided states, can each leave the undecided set, so
+   their equations x = A x + b have one solution.
+2. The undecided SCCs in completion order (Dai, Mausam & Weld,
+   "Topological value iteration algorithms", JAIR 2011), each with the
+   values below it already known.  An SCC of at most `DENSE_MAX` states
+   is solved by dense partial-pivot elimination in pure Python, with a
+   second right-hand side: t, the expected number of steps to leave the
    undecided states.  A larger SCC runs interval iteration (Haddad &
    Monmege, RP 2014) on that SCC alone, from 0 and from 1, with t
    iterated beside it, until the two are within `TOL`, for at most
    `MAX_SWEEPS` sweeps in all; this path alone loads numpy.
-4. A certificate: one sweep over the same exact rows, in integers.
+3. A certificate: one sweep over the same exact rows, in integers.
    With d_U and d_L the least margins for which x + d_U t is a
    super-solution (x >= A x + b) and x - d_L t a sub-solution, every
    true value lies between the two; the sweep also checks t > 0 and
@@ -271,85 +272,74 @@ def _reach(ts, goal_label: str, mode: str, sweeps: int) -> tuple[float, int]:
 
 
 # ---------------------------------------------------------------------------
-# unbounded reachability: Prob0/Prob1, SCCs bottom-up, a certificate
+# unbounded reachability: one pass for Prob0/Prob1 and the SCCs, the SCCs
+# solved bottom-up, a certificate
 # ---------------------------------------------------------------------------
 
 
-def _decided(rows, goals: list) -> tuple[bytearray, bytearray]:
-    """Prob0/Prob1 by backward reachability over the store's successors
-    (an empty row's self-loop adds no path): `reach[i]` when state i can
-    reach a goal (else its value is 0), `miss[i]` when it can reach a
-    state that cannot, before any goal (else its value is 1)."""
+def _sccs(rows, goal: bytearray) -> tuple[bytearray, bytearray, list]:
+    """Prob0/Prob1 and the undecided states' SCCs, by one pass of Tarjan's
+    algorithm over every state, roots in ascending order, along the
+    store's entries with the goals' out-edges cut (an empty row's
+    self-loop adds no path).  The explicit stack holds states, each
+    resuming from the position of its next entry.
+
+    A state's fate has bit 1 when it can reach a goal (else its value is
+    0), and bit 2 when it can reach, before any goal, a state that cannot
+    (else its value is 1).  A state on the stack ORs in the fates of the
+    states its entries lead to, and so gathers its subtree's.  An SCC
+    completes after every SCC it reaches, so its root then holds the
+    fates of all the states its edges leave for, and the SCC is decided
+    at once: `reach` when it holds a goal or leaves for a `reach` state,
+    `miss` when it is not `reach` or leaves for a `miss` state.  Returns
+    `reach`, `miss` and the SCCs that are both, in completion order, each
+    one's states in the order popped."""
     n = len(rows)
-    pred = [[] for _ in range(n)]
-    for i in range(n):
-        for j in rows.successors(i):
-            pred[j].append(i)
-    reach, miss, goal = bytearray(n), bytearray(n), bytearray(n)
-    for g in goals:
-        reach[g] = goal[g] = 1
-    stack = list(goals)
-    while stack:
-        for i in pred[stack.pop()]:
-            if not reach[i]:
-                reach[i] = 1
-                stack.append(i)
-    stack = [i for i in range(n) if not reach[i]]
-    for i in stack:
-        miss[i] = 1
-    while stack:
-        for i in pred[stack.pop()]:
-            if not miss[i] and not goal[i]:
-                miss[i] = 1
-                stack.append(i)
-    return reach, miss
-
-
-def _sccs(nodes: list, succ, inside: bytearray) -> list[list[int]]:
-    """Tarjan's strongly connected components of the graph on `nodes`
-    (the states with `inside` set; edges leaving them are ignored), where
-    succ(v) gives v's successors, with an explicit stack.  Each SCC comes
-    after every SCC it reaches."""
-    index = [-1] * len(inside)
-    low = index[:]
-    on = bytearray(len(inside))
-    stack, out, count = [], [], 0
-    for root in nodes:
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = count
-        count += 1
-        stack.append(root)
-        on[root] = 1
-        work = [(root, iter(succ(root)))]
+    succ, entry_at, choice_at = rows.succ, rows.entry_at, rows.choice_at
+    index, low, at = [-1] * n, [0] * n, [0] * n
+    fate = bytearray(goal)
+    on = bytearray(n)
+    stack, work, out, count = [], [], [], 0
+    for root in range(n):
+        if index[root] < 0:
+            work.append(root)
         while work:
-            v, edges = work[-1]
-            for w in edges:
-                if not inside[w]:
-                    continue
-                if index[w] < 0:
-                    index[w] = low[w] = count
-                    count += 1
-                    stack.append(w)
-                    on[w] = 1
-                    work.append((w, iter(succ(w))))
+            v = work[-1]
+            end = entry_at[choice_at[v + 1]]
+            if index[v] < 0:
+                index[v] = low[v] = count
+                count += 1
+                stack.append(v)
+                on[v] = 1
+                at[v] = end if goal[v] else entry_at[choice_at[v]]
+            # the entry that led to a new state is read again on its
+            # return, when its low and fate are known
+            i = at[v]
+            while i < end and index[succ[i]] >= 0:
+                w = succ[i]
+                fate[v] |= fate[w]
+                if on[w] and low[w] < low[v]:
+                    low[v] = low[w]
+                i += 1
+            at[v] = i
+            if i < end:
+                work.append(succ[i])
+                continue
+            work.pop()
+            if low[v] < index[v]:
+                continue
+            f = fate[v] if fate[v] & 1 else 2
+            comp = []
+            while True:
+                w = stack.pop()
+                on[w] = 0
+                fate[w] = f
+                comp.append(w)
+                if w == v:
                     break
-                if on[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on[w] = 0
-                        comp.append(w)
-                        if w == v:
-                            break
-                    out.append(comp)
-    return out
+            if f == 3:
+                out.append(comp)
+    return bytearray(b & 1 for b in fate), bytearray(b >> 1 for b in fate), out
 
 
 def _exact(ts: TransitionSystem):
@@ -523,19 +513,21 @@ def _outward(num: int, den: int, upward: bool) -> float:
 
 
 def _unbounded(ts: TransitionSystem, goal_label: str) -> ReachValue:
-    goals = _goal_states(ts, goal_label)
-    reach, miss = _decided(ts.rows, goals)
+    """Steps 1-3 of the module docstring, over the SCCs as `_sccs` gives them."""
+    goal = bytearray(ts.n_states)
+    for g in _goal_states(ts, goal_label):
+        goal[g] = 1
+    reach, miss, sccs = _sccs(ts.rows, goal)
     if not (reach[0] and miss[0]):
         v = float(reach[0])
         return ReachValue(v, 0, v, v)
-    inside = bytearray(r and m for r, m in zip(reach, miss))
     one = bytearray(r and not m for r, m in zip(reach, miss))
-    undecided = [i for i, u in enumerate(inside) if u]
+    undecided = [i for i, (r, m) in enumerate(zip(reach, miss)) if r and m]
     row = _exact(ts)
     x = [float(o) for o in one]
     t = [0.0] * ts.n_states
     sweeps = 0
-    for comp in _sccs(undecided, ts.rows.successors, inside):
+    for comp in sccs:
         if len(comp) <= DENSE_MAX:
             _eliminate(comp, row, x, t)
         else:
@@ -568,12 +560,13 @@ def dtmc_bounded_reach(
 
 def dtmc_reach(ts: TransitionSystem, goal_label: str) -> ReachValue:
     """Probability of ever reaching the goal label from the initial
-    state: Prob0/Prob1, then the undecided states' SCCs solved bottom-up
-    (elimination up to `DENSE_MAX` states, interval iteration to width
-    `TOL` above it), then one exact certificate sweep.  `lower` and
-    `upper` are certified bounds; `iterations` counts the sweeps over the
-    rows, the certificate's included, and ConvergenceError ends interval
-    iteration after `MAX_SWEEPS` of them."""
+    state: one pass over the graph for Prob0/Prob1 and the undecided
+    states' SCCs, those solved bottom-up (elimination up to `DENSE_MAX`
+    states, interval iteration to width `TOL` above it), then one exact
+    certificate sweep.  `lower` and `upper` are certified bounds;
+    `iterations` counts the sweeps over the rows, the certificate's
+    included, and ConvergenceError ends interval iteration after
+    `MAX_SWEEPS` of them."""
     _check(ts, "pbrs", "unbounded reachability")
     return _unbounded(ts, goal_label)
 

@@ -194,17 +194,24 @@ class TransitionStore(Sequence):
         self._what = {"sbrs": "rate", "brs": "mass"}.get(kind, "probability")
 
     def add(self, row, n: int) -> None:
-        """Append `row`, choices in stored order, as the row of state
-        i = len(self).  A pbrs row has one choice, a brs or sbrs row at
-        most one, and each choice is non-empty, over successors 0..n-1,
-        with positive masses summing to one for a pbrs or abrs (exactly
-        for rationals, within 1e-12 for floats).  Each mass, a rate
-        (sbrs) or a probability (pbrs, abrs), and an sbrs choice's total
-        are doubles, none with the double 0.  A mass is checked once, when
-        first seen."""
+        """Append `row` as the row of state i = len(self), its choices in
+        the order given, except that an abrs row's, which must name
+        distinct actions, are stored by name.  A pbrs row has one choice,
+        a brs or sbrs row at most one, and each choice is non-empty, over
+        successors 0..n-1, with positive masses summing to one for a pbrs
+        or abrs (exactly for rationals, within 1e-12 for floats).  Each
+        mass, a rate (sbrs) or a probability (pbrs, abrs), and an sbrs
+        choice's total are doubles, none with the double 0.  A mass is
+        checked once, when first seen."""
         i, kind = len(self), self.kind
         if kind == "pbrs" and len(row) != 1 or kind in ("brs", "sbrs") and len(row) > 1:
             raise SystemError_(f"state {i}: a {kind} row has {len(row)} choices")
+        if kind == "abrs":
+            names = [name for name, _ in row]
+            if None in names or len(set(names)) < len(names):
+                raise SystemError_(
+                    f"state {i}: MDP choices need distinct action names, not {names}")
+            row = sorted(row, key=lambda c: c[0])
         packed = []
         for name, entries in row:
             if not entries:
@@ -256,11 +263,6 @@ class TransitionStore(Sequence):
         """The positions in ``succ`` and ``mass`` of state i's entries,
         as (first, end), over all its choices."""
         return self.entry_at[self.choice_at[i]], self.entry_at[self.choice_at[i + 1]]
-
-    def successors(self, i: int) -> array:
-        """The successors of all state i's choices, a slice of ``succ``."""
-        lo, hi = self.span(i)
-        return self.succ[lo:hi]
 
     def choices(self, i: int) -> list:
         """State i's choices as (action name or None, successors, mass
@@ -341,8 +343,6 @@ class TransitionSystem:
             self.rows = TransitionStore(self.kind)
             by_index = self.kind != "brs"
             for row in given:
-                if self.kind == "abrs" and any(a > b for (a, _), (b, _) in pairwise(row)):
-                    row = sorted(row, key=lambda c: c[0])
                 if by_index and any(j > k for _, es in row for j, k in pairwise(es)):
                     row = [(name, dict(sorted(es.items()))) for name, es in row]
                 self.rows.add(row, n)

@@ -29,7 +29,7 @@ from bigrs.analysis import (
     run_query,
 )
 from bigrs.language import load_model
-from bigrs.system import TransitionSystem, build_transition_system
+from bigrs.system import TransitionStore, TransitionSystem, build_transition_system
 
 
 def dtmc(rows, labels, rewards=None):
@@ -267,32 +267,48 @@ def test_failed_certificate_falls_back_to_interval_iteration(monkeypatch):
     assert fell_back >= 10
 
 
+def _store(succ):
+    """A brs store of the successor lists, a state with none terminal."""
+    rows = TransitionStore("brs")
+    for js in succ:
+        rows.add([(None, dict.fromkeys(js, 1))] if js else [], len(succ))
+    return rows
+
+
 def test_sccs_match_networkx_and_come_bottom_up():
     nx = pytest.importorskip("networkx")
     rng = random.Random(32)
-    for _ in range(100):
+    for _ in range(300):
         n = rng.randint(1, 30)
         succ = [rng.sample(range(n), rng.randint(0, min(3, n))) for _ in range(n)]
-        inside = bytearray(rng.random() < 0.8 for _ in range(n))
-        nodes = [i for i in range(n) if inside[i]]
-        comps = analysis._sccs(nodes, succ.__getitem__, inside)
+        goal = bytearray(rng.random() < 0.15 for _ in range(n))
+        reach, miss, comps = analysis._sccs(_store(succ), goal)
+        # the goals' out-edges are cut
         g = nx.DiGraph()
-        g.add_nodes_from(nodes)
-        g.add_edges_from((i, j) for i in nodes for j in succ[i] if inside[j])
+        g.add_nodes_from(range(n))
+        g.add_edges_from((i, j) for i in range(n) if not goal[i] for j in succ[i])
+        hits = {i for i in range(n) if goal[i]}
+        hits |= set().union(*(nx.ancestors(g, i) for i in hits))
+        misses = set(range(n)) - hits
+        misses |= set().union(*(nx.ancestors(g, i) for i in misses))
+        assert list(reach) == [i in hits for i in range(n)]
+        assert list(miss) == [i in misses for i in range(n)]
+        both = hits & misses
         assert sorted(map(sorted, comps)) == sorted(
-            map(sorted, nx.strongly_connected_components(g))
+            sorted(c) for c in nx.strongly_connected_components(g) if c <= both
         )
         where = {s: k for k, comp in enumerate(comps) for s in comp}
-        assert all(where[j] <= where[i] for i in nodes for j in succ[i] if inside[j])
-    # depth 5000, far past the recursion limit: a cycle, then a path
+        assert all(where[j] <= where[i] for i in both for j in g[i] if j in both)
+    # depth 5000, far past the recursion limit: a cycle, then a path, whose
+    # state 0 or last state leaves for the goal n and the dead end n + 1
     n = 5000
-    everything = bytearray([1]) * n
-    cycle = [[(i + 1) % n] for i in range(n)]
-    assert len(analysis._sccs(list(range(n)), cycle.__getitem__, everything)) == 1
-    path = [[i + 1] for i in range(n - 1)] + [[]]
-    assert analysis._sccs(list(range(n)), path.__getitem__, everything) == [
-        [i] for i in reversed(range(n))
-    ]
+    goal = bytearray(n + 2)
+    goal[n] = 1
+    cycle = [[(i + 1) % n] for i in range(n)] + [[], []]
+    cycle[0] += [n, n + 1]
+    assert list(map(len, analysis._sccs(_store(cycle), goal)[2])) == [n]
+    path = [[i + 1] for i in range(n - 1)] + [[n, n + 1], [], []]
+    assert analysis._sccs(_store(path), goal)[2] == [[i] for i in reversed(range(n))]
 
 
 def test_huge_bounded_horizon_stops_at_the_fixed_point(wsn_ts, virus_ts):

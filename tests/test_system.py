@@ -187,6 +187,11 @@ ROW_CASES = [
     ("negative-successor", "sbrs", [[(None, {-1: Fraction(1)})]], False),
     ("infinite-rate", "sbrs", [[(None, {0: float("inf")})]], False),
     ("nan-rate", "sbrs", [[(None, {0: float("nan")})]], False),
+    ("unnamed-mdp-choice", "abrs", [[(None, {0: Fraction(1)})]], False),
+    ("unnamed-beside-named", "abrs",
+     [[("a", {0: Fraction(1)}), (None, {0: Fraction(1)})]], False),
+    ("action-twice", "abrs",
+     [[("a", {0: Fraction(1)}), ("a", {0: Fraction(1)})]], False),
 ]
 
 
@@ -200,6 +205,18 @@ def test_row_invariants(kind, rows, accepted):
     else:
         with pytest.raises(SystemError_):
             hand_built(kind, rows)
+
+
+@pytest.mark.parametrize(
+    "case", ["unnamed-mdp-choice", "unnamed-beside-named", "action-twice"]
+)
+def test_mdp_choice_names_are_refused_naming_the_state(case):
+    # by the constructor, and by the store's writer for a store made by hand
+    (row,) = next(rows for name, _, rows, _ in ROW_CASES if name == case)
+    with pytest.raises(SystemError_, match="^state 0: "):
+        hand_built("abrs", [row])
+    with pytest.raises(SystemError_, match="^state 0: "):
+        TransitionStore("abrs").add(row, 1)
 
 
 @pytest.mark.parametrize("field, values", [
