@@ -52,7 +52,7 @@ Bounded reachability and the MDP queries iterate one Bellman backup
 over the rows' choices in CSR form (`_choices`), read from the
 `TransitionStore`'s own arrays by `np.frombuffer`, with each entry's
 double looked up in the store's table of distinct masses and each
-choice's action reward in a table of the distinct reward maps.  A sweep
+choice's action reward in one row of doubles over its action names.  A sweep
 runs `sweeps` times, or until it gives back its input.  The cumulative-reward semantics counts the
 state reward at every time step (one state plus one action reward per
 step), so a single absorbing state of reward 1 yields exactly k after k
@@ -204,10 +204,10 @@ class _Choices(NamedTuple):
 def _choices(ts: TransitionSystem) -> _Choices:
     """The store's choices, read from its arrays with no Python loop over
     the entries: the probabilities are looked up in its table of doubles,
-    the action rewards in one table row per distinct reward map, and the
-    offsets and successors widened once to numpy's index type, which
-    every sweep would otherwise convert them to again.  An empty row
-    becomes a self-loop of reward 0."""
+    each choice's reward in one row of doubles over the store's action
+    names, and the offsets and successors widened once to numpy's index
+    type, which every sweep would otherwise convert them to again.  An
+    empty row becomes a self-loop of reward 0."""
     import numpy as np
 
     rows = ts.rows
@@ -217,12 +217,9 @@ def _choices(ts: TransitionSystem) -> _Choices:
 
     choice_at, entry_at, dst = ints(rows.choice_at), ints(rows.entry_at), ints(rows.succ)
     prob = np.frombuffer(rows.doubles)[np.frombuffer(rows.mass, np.intc)]
-    maps: dict = {}  # id of a reward map -> (its table row, the map)
-    which = [maps.setdefault(id(per), (len(maps), per))[0] for per in ts.action_reward]
-    table = np.array([[float(per.get(a, 0)) for a in rows.names]
-                      for _, per in maps.values()]).reshape(len(maps), len(rows.names))
+    table = np.array([float(ts.action_reward.get(a, 0)) for a in rows.names])
+    reward = table[np.frombuffer(rows.action, np.intc)]
     counts = np.diff(choice_at)
-    reward = table[np.repeat(which, counts), np.frombuffer(rows.action, np.intc)]
     if counts.all():
         return _Choices(choice_at[:-1], entry_at[:-1], reward, dst, prob)
     hole = counts == 0
@@ -597,9 +594,9 @@ def mdp_expected_cost(ts: TransitionSystem, horizon: int, mode: str) -> float:
     """Optimal expected cumulative reward over `horizon` steps:
     v_{j+1}(s) = r(s) + opt_a [ r(s,a) + sum mu_a(s') v_j(s') ], with
     absorbing states accumulating their state reward each step."""
+    _check(ts, "abrs", "expected cost", horizon, mode)
     import numpy as np
 
-    _check(ts, "abrs", "expected cost", horizon, mode)
     srew = np.array([float(r) for r in ts.state_reward])
     m = _choices(ts)
     v = np.zeros(ts.n_states)

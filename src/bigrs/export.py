@@ -112,20 +112,14 @@ def _tra_chunks(ts: TransitionSystem) -> Iterator[str]:
     text[None] = "1"
     taus = sum(a == b for a, b in pairwise(rows.choice_at))
     header = f"{ts.n_states} {len(rows.action) + taus} {len(rows.succ) + taus}\n"
+    # a terminal state gets the tau self-loop, whose mass index is None
     lines = (
         "".join(f"{src} {ci} {j} {text[k]} {name}\n" for j, k in zip(js, ks))
-        for src, ci, name, js, ks in _mdp_choices(ts)
+        for src in range(ts.n_states)
+        for ci, (name, js, ks) in enumerate(
+            rows.choices(src) or [("tau", (src,), (None,))])
     )
     return chain([header], lines)
-
-
-def _mdp_choices(ts: TransitionSystem) -> Iterator[tuple]:
-    """(src, choiceIndex, actionName, successors, mass indices), with the
-    tau self-loop, whose mass index is None, for terminal states."""
-    for i in range(ts.n_states):
-        choices = ts.rows.choices(i) or [("tau", (i,), (None,))]
-        for ci, (name, js, ks) in enumerate(choices):
-            yield i, ci, name, js, ks
 
 
 def render_lab(ts: TransitionSystem) -> str:
@@ -161,15 +155,17 @@ def render_trew(ts: TransitionSystem) -> str:
 
 def _trew_chunks(ts: TransitionSystem) -> Iterator[str]:
     """The `.trew` file in chunks, one a rewarded choice; the choices are
-    read twice, to count them for the header and then to write them."""
+    read twice, to count them for the header and then to write them.  A
+    terminal state's tau self-loop is no stored choice, and has no reward."""
     if ts.kind != "abrs":
         raise ExportError("transition rewards are only exported for MDPs")
 
     def rewarded():
-        for src, ci, name, _, _ in _mdp_choices(ts):
-            r = ts.action_reward[src].get(name, 0)
-            if r != 0:
-                yield f"{src} {ci} {_fmt(r)}\n"
+        for src in range(ts.n_states):
+            for ci, (name, _, _) in enumerate(ts.rows.choices(src)):
+                r = ts.action_reward.get(name, 0)
+                if r != 0:
+                    yield f"{src} {ci} {_fmt(r)}\n"
 
     count = sum(1 for _ in rewarded())
     return chain([f"{ts.n_states} {count}\n"], rewarded())
@@ -198,7 +194,7 @@ def rewards_to_states(ts: TransitionSystem) -> TransitionSystem:
         orig, _ = worklist.popleft()
         row = []
         for name, js, ks in ts.rows.choices(orig):
-            r = ts.action_reward[orig].get(name, zero)
+            r = ts.action_reward.get(name, zero)
             entries: dict = {}
             for j, k in zip(js, ks):
                 nj = class_of(j, r)
@@ -225,6 +221,7 @@ def rewards_to_states(ts: TransitionSystem) -> TransitionSystem:
         states=states,
         rows=rows,
         labels=labels,
+        label_names=ts.label_names,
         state_reward=state_reward,
         complete=ts.complete,
     )
@@ -260,7 +257,8 @@ def export_prism(
 
 
 def _action_rewarded(ts: TransitionSystem) -> bool:
-    return any(r != 0 for per in ts.action_reward for r in per.values())
+    """Whether a stored choice has a nonzero reward."""
+    return any(ts.action_reward.get(name, 0) != 0 for name in ts.rows.names)
 
 
 def _write(out_dir, files: dict[str, Iterable[str]]) -> list[Path]:
@@ -433,11 +431,12 @@ def _json_chunks(ts: TransitionSystem) -> Iterator[str]:
             str(i): float(r) for i, r in enumerate(ts.state_reward) if r != 0
         }
     if ts.kind == "abrs" and _action_rewarded(ts):
-        doc["action_rewards"] = {
-            str(i): {name: float(r) for name, r in sorted(per.items()) if r != 0}
-            for i, per in enumerate(ts.action_reward)
-            if any(r != 0 for r in per.values())
-        }
+        per_state = (
+            {name: float(r) for name, _, _ in ts.rows.choices(i)
+             if (r := ts.action_reward.get(name, 0)) != 0}
+            for i in range(ts.n_states)
+        )
+        doc["action_rewards"] = {str(i): per for i, per in enumerate(per_state) if per}
     for n, key in enumerate(sorted(doc)):
         yield ("{" if n == 0 else ",") + f"\n  {_ESCAPE(key)}: "
         value = doc[key]

@@ -36,7 +36,6 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import pairwise
 from typing import Mapping
 
 from .bigraph import Bigraph, BigraphError, lean, require_solid
@@ -194,15 +193,16 @@ class TransitionStore(Sequence):
         self._what = {"sbrs": "rate", "brs": "mass"}.get(kind, "probability")
 
     def add(self, row, n: int) -> None:
-        """Append `row` as the row of state i = len(self), its choices in
-        the order given, except that an abrs row's, which must name
-        distinct actions, are stored by name.  A pbrs row has one choice,
-        a brs or sbrs row at most one, and each choice is non-empty, over
-        successors 0..n-1, with positive masses summing to one for a pbrs
-        or abrs (exactly for rationals, within 1e-12 for floats).  Each
-        mass, a rate (sbrs) or a probability (pbrs, abrs), and an sbrs
-        choice's total are doubles, none with the double 0.  A mass is
-        checked once, when first seen."""
+        """Append `row` as the row of state i = len(self).  This is the
+        one place that orders rows: an abrs row's choices, which must name
+        distinct actions, are stored by name, and a choice's entries by
+        successor index, except that a brs keeps its given order.  A pbrs
+        row has one choice, a brs or sbrs row at most one, and each choice
+        is non-empty, over successors 0..n-1, with positive masses summing
+        to one for a pbrs or abrs (exactly for rationals, within 1e-12 for
+        floats).  Each mass, a rate (sbrs) or a probability (pbrs, abrs),
+        and an sbrs choice's total are doubles, none with the double 0.  A
+        mass is checked once, when first seen."""
         i, kind = len(self), self.kind
         if kind == "pbrs" and len(row) != 1 or kind in ("brs", "sbrs") and len(row) > 1:
             raise SystemError_(f"state {i}: a {kind} row has {len(row)} choices")
@@ -216,29 +216,31 @@ class TransitionStore(Sequence):
         for name, entries in row:
             if not entries:
                 raise SystemError_(f"state {i}: empty choice")
-            for j in entries:
+            js = list(entries) if kind == "brs" else sorted(entries)
+            for j in js:
                 if not 0 <= j < n:
                     raise SystemError_(f"state {i}: successor {j} is not one of {n} states")
+            ms = [entries[j] for j in js]
             try:
-                ratios = [m.as_integer_ratio() for m in entries.values()]
+                ratios = [m.as_integer_ratio() for m in ms]
             except (ValueError, OverflowError):
                 raise DoubleRangeError(f"state {i}: {self._what} is not finite") from None
             ks = list(map(self._index.get, ratios))
             if None in ks:
-                ks = list(map(self._intern, [i] * len(ratios), entries.values(), ratios))
+                ks = list(map(self._intern, [i] * len(ratios), ms, ratios))
             if kind == "sbrs":
-                check_doubles(i, "rate", [self.doubles[k] for k in ks])
+                check_doubles(f"state {i}", "rate", [self.doubles[k] for k in ks])
             elif kind != "brs":
-                total = sum(entries.values())
+                total = sum(ms)
                 if not (total == 1 if isinstance(total, Fraction)
                         else abs(total - 1) <= 1e-12):
                     raise SystemError_(f"state {i}: choice mass is {total}, not 1")
-            packed.append((name, entries, ks))
-        for name, entries, ks in packed:
+            packed.append((name, js, ks))
+        for name, js, ks in packed:
             if name not in self.names:
                 self.names.append(name)
             self.action.append(self.names.index(name))
-            self.succ.extend(entries)
+            self.succ.extend(js)
             self.mass.extend(ks)
             self.entry_at.append(len(self.succ))
         self.choice_at.append(len(self.action))
@@ -250,7 +252,7 @@ class TransitionStore(Sequence):
         if k is None:
             if m <= 0:
                 raise SystemError_(f"state {i}: choice entries must be positive")
-            check_doubles(i, self._what, (m,))
+            check_doubles(f"state {i}", self._what, (m,))
             k = self._index[ratio] = len(self.masses)
             self.masses.append(m)
             self.doubles.append(float(m))
@@ -308,12 +310,14 @@ class TransitionSystem:
     ``rows`` is a `TransitionStore`.  Given one of this kind, as the
     closure and `dataclasses.replace` do, the constructor keeps it after
     checking that its successors are states.  Given any other sequence of
-    rows, it packs them with `TransitionStore.add`, which checks each
-    one, and leaves the caller's list and rows unchanged.  Rewards are
-    held to the double range (`DoubleRangeError` otherwise).  Choices are
-    stored by action name and entries by successor index, except that a
-    brs keeps its given order (canonical-key order in a built system).
-    Absent labels and rewards are filled with empty and zero values.
+    rows, it packs them with `TransitionStore.add`, which checks and
+    orders each one, and leaves the caller's list and rows unchanged.
+    ``ts.rows.entries()`` reads every stored entry in order.
+
+    ``action_reward`` maps an action name to its reward, one per action
+    as in the model; a choice of an action not in it has reward 0.
+    Rewards are held to the double range (`DoubleRangeError` otherwise).
+    Absent labels and state rewards are filled with empty and zero values.
     """
 
     kind: str
@@ -322,7 +326,7 @@ class TransitionSystem:
     labels: list = field(default_factory=list)
     label_names: tuple = ()  # the declared label universe
     state_reward: list = field(default_factory=list)
-    action_reward: list = field(default_factory=list)  # name -> reward
+    action_reward: dict = field(default_factory=dict)  # action name -> reward
     complete: bool = True
 
     def __post_init__(self):
@@ -331,8 +335,7 @@ class TransitionSystem:
         n = len(self.states)
         self.labels = self.labels or [frozenset()] * n
         self.state_reward = self.state_reward or [Fraction(0)] * n
-        self.action_reward = self.action_reward or [{}] * n
-        for what in ("rows", "labels", "state_reward", "action_reward"):
+        for what in ("rows", "labels", "state_reward"):
             if len(getattr(self, what)) != n:
                 raise SystemError_(f"{len(getattr(self, what))} {what} for {n} states")
         given = self.rows
@@ -341,16 +344,12 @@ class TransitionSystem:
                 raise SystemError_(f"a successor {max(given.succ)} is not one of {n} states")
         else:
             self.rows = TransitionStore(self.kind)
-            by_index = self.kind != "brs"
             for row in given:
-                if by_index and any(j > k for _, es in row for j, k in pairwise(es)):
-                    row = [(name, dict(sorted(es.items()))) for name, es in row]
                 self.rows.add(row, n)
         for i, r in enumerate(self.state_reward):
-            check_doubles(i, "state reward", (r,))
-        for i, per in enumerate(self.action_reward):
-            for name, r in per.items():
-                check_doubles(i, f"reward of action {name}", (r,))
+            check_doubles(f"state {i}", "state reward", (r,))
+        for name, r in self.action_reward.items():
+            check_doubles(f"action {name}", "reward", (r,))
 
     @property
     def n_states(self) -> int:
@@ -359,26 +358,18 @@ class TransitionSystem:
     def states_with_label(self, label: str) -> list:
         return [i for i, ls in enumerate(self.labels) if label in ls]
 
-    def transitions(self):
-        """Every transition as (src, action name or None, dst, probability
-        or rate or None), in row order: sources ascending, then choices,
-        then entries.  A brs transition carries no number."""
-        masses = self.rows.masses
-        numbered = self.kind != "brs"
-        for i, name, j, k in self.rows.entries():
-            yield i, name, j, masses[k] if numbered else None
 
-
-def check_doubles(i: int, what: str, values) -> None:
-    """Raise `DoubleRangeError`, naming state i, unless each of the values
-    and their sum are doubles and no nonzero value's double is 0."""
+def check_doubles(where: str, what: str, values) -> None:
+    """Raise `DoubleRangeError`, naming `where` (a state or an action),
+    unless each of the values and their sum are doubles and no nonzero
+    value's double is 0."""
     try:
         doubles = list(map(float, values))
         math.fsum(doubles)
     except OverflowError:
-        raise DoubleRangeError(f"state {i}: {what} beyond the double range") from None
+        raise DoubleRangeError(f"{where}: {what} beyond the double range") from None
     if any(v and not d for v, d in zip(values, doubles)):
-        raise DoubleRangeError(f"state {i}: {what} below the double range")
+        raise DoubleRangeError(f"{where}: {what} below the double range")
 
 
 # ---------------------------------------------------------------------------
@@ -505,19 +496,18 @@ def build_transition_system(
     (see docs/formats.md).  Each kept state is labelled once, before its
     expansion, which then reuses the control index the labeller built.
     A level's rows are made once, when the next level is numbered, and
-    written into the store; equal label sets, rewards and action-reward
-    maps are one object each.
+    written into the store; equal label sets and rewards are one object
+    each.  The action rewards are the actions' own, one per action.
     """
     if max_states <= 0:
         raise SystemError_("state cap must be positive")
     store = StateStore(spec)
     label = labeller(spec.predicates)
-    reward_of = {a.name: a.reward for a in spec.actions}
     export: list = [0]  # discovery number -> export number, None past the cap
     states: list = []  # export number -> (key, KeptState)
     rows = TransitionStore(spec.kind)
-    labels, state_reward, action_reward = [], [], []
-    same: dict = {}  # a label set, reward or action-reward map -> one object
+    labels, state_reward = [], []
+    same: dict = {}  # a label set or reward -> one object
     truncated = False
     level = [0]
     while level:
@@ -537,10 +527,8 @@ def build_transition_system(
         for n, j in enumerate(level, len(states)):
             export[j] = n
         for n, choices in enumerate(expanded, len(rows)):
-            row = _row(spec.kind, n, choices, export, store.keys)
-            rows.add(row, len(states) + len(level))
-            per = {a: reward_of[a] for a, _ in row if a in reward_of}
-            action_reward.append(same.setdefault(tuple(per.items()), per))
+            rows.add(_row(spec.kind, n, choices, export, store.keys),
+                     len(states) + len(level))
     ts = TransitionSystem(
         kind=spec.kind,
         states=states,
@@ -548,7 +536,7 @@ def build_transition_system(
         labels=labels,
         label_names=tuple(p.name for p in spec.predicates),
         state_reward=state_reward,
-        action_reward=action_reward,
+        action_reward={a.name: a.reward for a in spec.actions},
         complete=not truncated,
     )
     if truncated:
@@ -560,10 +548,12 @@ def build_transition_system(
 
 
 def _row(kind: str, n: int, choices, export: list, keys: list) -> list:
-    """Row n from its choices over discovery numbers, in stored order; an
-    sbrs choice sums the rates, a pbrs or abrs choice is normalized (the
-    delta on n if empty).  A row never expanded (choices None), or leading
-    past the cap, is terminal: the delta for a pbrs, empty otherwise."""
+    """Row n from its choices over discovery numbers, in `_step`'s order,
+    which `TransitionStore.add` then puts in stored order; an sbrs choice
+    sums the rates, a pbrs or abrs choice is normalized (the delta on n if
+    empty), and a brs choice lists its successors in key order.  A row
+    never expanded (choices None), or leading past the cap, is terminal:
+    the delta for a pbrs, empty otherwise."""
     if choices is None or any(export[j] is None for _, es in choices for _, j, _ in es):
         return [(None, {n: Fraction(1)})] if kind == "pbrs" else []
 
@@ -572,12 +562,12 @@ def _row(kind: str, n: int, choices, export: list, keys: list) -> list:
             succs = sorted({j for _, j, _ in es}, key=keys.__getitem__)
             return dict.fromkeys((export[j] for j in succs), 1)
         masses: dict = {}
-        for j, m in sorted((export[j], m) for _, j, m in es):
+        for _, j, m in es:
+            j = export[j]
             masses[j] = masses[j] + m if j in masses else m
         if kind == "sbrs":
             return masses
         total = sum(masses.values())
         return {j: m / total for j, m in masses.items()} if total else {n: Fraction(1)}
 
-    return sorted(((a and a.name, entries(es)) for a, es in choices),
-                  key=lambda c: c[0])
+    return [(a and a.name, entries(es)) for a, es in choices]

@@ -86,9 +86,10 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
         total mass, running sums of the masses).  The total is the float
         of the exact sum and the running sums add the masses as floats in
         entry order; a draw x picks the first entry whose sum exceeds x.
-        sbrs rates beyond or below the double range are refused, and so
-        is a pbrs or abrs choice with an exact probability (mass / total)
-        below it, as in the closure; the masses themselves are brought
+        As in the closure, the masses of one successor are merged before
+        they are checked: an sbrs rate beyond or below the double range is
+        refused, and so is a pbrs or abrs choice with an exact probability
+        (merged mass / total) below it.  The masses themselves are brought
         into the range by `_scaled`."""
         row = []
         for action, entries in store.expand(i):
@@ -98,13 +99,18 @@ def simulate(spec: SystemSpec, steps: int, seed: int | None = None) -> list[Trac
                     first.setdefault(e[1], e)
                 entries = list(first.values())
             masses = [e[2] for e in entries]
-            if kind == "sbrs":
-                check_doubles(i, "mass", masses)
-            elif kind != "brs" and masses:
-                total = sum(masses)
-                # the least probability is the one that can round to 0
-                check_doubles(i, "probability", [min(masses) / total])
-                masses = _scaled(masses, total)
+            if kind != "brs" and masses:
+                merged: dict = {}
+                for _, j, m in entries:
+                    merged[j] = merged[j] + m if j in merged else m
+                if kind == "sbrs":
+                    check_doubles(f"state {i}", "rate", list(merged.values()))
+                else:
+                    total = sum(masses)
+                    # the least probability is the one that can round to 0
+                    check_doubles(f"state {i}", "probability",
+                                  [min(merged.values()) / total])
+                    masses = _scaled(masses, total)
             row.append((
                 action.name if action else None,
                 tuple(e[0] for e in entries),

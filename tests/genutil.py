@@ -532,13 +532,17 @@ def twin_rules() -> list:
 def random_mdp(rng: random.Random, lo: int = 2, hi: int = 12) -> TransitionSystem:
     """An MDP of lo..hi states with rational probabilities: about a fifth
     of the states are terminal (empty rows), the others have one to three
-    actions of one to four targets each.  Actions carry random rewards
-    (some zero), states random state rewards, and some states the label
+    actions of one to four targets each.  Each action carries one random
+    reward (some zero), states random state rewards, and some states the label
     "goal"."""
     n = rng.randint(lo, hi)
-    rows, action_reward = [], []
+    action_reward = {
+        name: Fraction(rng.choice([0, 0, 1, 2, 5]), rng.randint(1, 4))
+        for name in "abcde"
+    }
+    rows = []
     for _ in range(n):
-        row, rewards = [], {}
+        row = []
         if rng.random() >= 0.2:
             for name in rng.sample("abcde", rng.randint(1, 3)):
                 targets = rng.sample(range(n), rng.randint(1, min(4, n)))
@@ -548,9 +552,7 @@ def random_mdp(rng: random.Random, lo: int = 2, hi: int = 12) -> TransitionSyste
                     name,
                     {j: Fraction(w, total) for j, w in zip(targets, weights)},
                 ))
-                rewards[name] = Fraction(rng.choice([0, 0, 1, 2, 5]), rng.randint(1, 4))
         rows.append(row)
-        action_reward.append(rewards)
     return TransitionSystem(
         kind="abrs",
         states=[(f"m{i}".encode(), None) for i in range(n)],

@@ -966,14 +966,12 @@ def reference_closure(spec, max_states: int = 1_000_000) -> TransitionSystem:
             row = [(None, {key: Fraction(1)})] if spec.kind == "pbrs" else []
         rows.append([(a, {index[k]: m for k, m in es.items()}) for a, es in row])
     marks = [reference_labels(g, spec.predicates) for _, g in states]
-    reward_of = {a.name: a.reward for a in spec.actions}
     return TransitionSystem(
         spec.kind, [(k, KeptState(form_of(g))) for k, g in states], rows,
         labels=[ls for ls, _ in marks],
         label_names=tuple(p.name for p in spec.predicates),
         state_reward=[r for _, r in marks],
-        action_reward=[{a: reward_of[a] for a, _ in row if a in reward_of}
-                       for row in rows],
+        action_reward={a.name: a.reward for a in spec.actions},
         complete=complete,
     )
 
@@ -1072,11 +1070,11 @@ def brute_mdp_expected_cost(ts, horizon: int, mode: str) -> float:
     n = ts.n_states
     srew = [float(r) for r in ts.state_reward] if ts.state_reward else [0.0] * n
     rows = []
-    for i, row in enumerate(ts.rows):
-        arew = ts.action_reward[i] if ts.action_reward else {}
+    for row in ts.rows:
         rows.append(
             [
-                (float(arew.get(name, 0)), [(j, float(p)) for j, p in dist.items()])
+                (float(ts.action_reward.get(name, 0)),
+                 [(j, float(p)) for j, p in dist.items()])
                 for name, dist in row
             ]
         )
@@ -1236,26 +1234,27 @@ def system_to_json(ts: TransitionSystem) -> dict:
     doc: dict = {"kind": ts.kind, "states": ts.n_states, "complete": ts.complete}
     weight = "rate" if ts.kind == "sbrs" else "prob"
     doc["transitions"] = []
-    for i, name, j, p in ts.transitions():
+    for i, name, j, k in ts.rows.entries():
         edge = {"src": i, "dst": j}
         if name is not None:
             edge["action"] = name
-        if p is not None:
-            edge[weight] = float(p)
+        if ts.kind != "brs":
+            edge[weight] = float(ts.rows.masses[k])
         doc["transitions"].append(edge)
     doc["labels"] = {str(i): sorted(ls) for i, ls in enumerate(ts.labels) if ls}
     if any(r != 0 for r in ts.state_reward):
         doc["state_rewards"] = {
             str(i): float(r) for i, r in enumerate(ts.state_reward) if r != 0
         }
-    if ts.kind == "abrs" and any(
-        r != 0 for per in ts.action_reward for r in per.values()
-    ):
-        doc["action_rewards"] = {
-            str(i): {name: float(r) for name, r in sorted(per.items()) if r != 0}
-            for i, per in enumerate(ts.action_reward)
-            if any(r != 0 for r in per.values())
-        }
+    if ts.kind == "abrs":
+        per_state = {}
+        for i, row in enumerate(ts.rows):
+            per = {name: float(ts.action_reward.get(name, 0)) for name, _ in row}
+            per = {name: r for name, r in sorted(per.items()) if r != 0}
+            if per:
+                per_state[str(i)] = per
+        if per_state:
+            doc["action_rewards"] = per_state
     doc["state_bigraphs"] = [
         to_json(s.bigraph()) if s is not None else None for _, s in ts.states
     ]
@@ -1328,7 +1327,6 @@ def load_prism_dtmc(tra_path, lab_path) -> TransitionSystem:
         labels=[frozenset(ls - {"init"}) for ls in labels],
         label_names=tuple(sorted(set(names.values()) - {"init"})),
         state_reward=[0.0] * n,
-        action_reward=[{} for _ in range(n)],
     )
 
 

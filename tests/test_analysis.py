@@ -41,7 +41,6 @@ def dtmc(rows, labels, rewards=None):
         labels=[frozenset(ls) for ls in labels],
         label_names=tuple(sorted({l for ls in labels for l in ls})),
         state_reward=list(rewards or [Fraction(0)] * n),
-        action_reward=[{} for _ in range(n)],
     )
 
 
@@ -57,7 +56,6 @@ def ctmc(rows, labels):
         labels=[frozenset(ls) for ls in labels],
         label_names=tuple(sorted({l for ls in labels for l in ls})),
         state_reward=[Fraction(0)] * n,
-        action_reward=[{} for _ in range(n)],
     )
 
 
@@ -73,7 +71,7 @@ def mdp(rows, labels, state_rewards=None, action_rewards=None):
         labels=[frozenset(ls) for ls in labels],
         label_names=tuple(sorted({l for ls in labels for l in ls})),
         state_reward=list(state_rewards or [Fraction(0)] * n),
-        action_reward=list(action_rewards or [{} for _ in range(n)]),
+        action_reward=action_rewards or {},
     )
 
 
@@ -391,7 +389,7 @@ def test_mdp_cost_one_step_choice():
             [],
         ],
         labels=[set(), set()],
-        action_rewards=[{"cheap": Fraction(1), "dear": Fraction(3)}, {}],
+        action_rewards={"cheap": Fraction(1), "dear": Fraction(3)},
     )
     assert mdp_expected_cost(two, 1, "min") == 1
     assert mdp_expected_cost(two, 1, "max") == 3

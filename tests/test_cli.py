@@ -240,7 +240,7 @@ def test_rate_beyond_the_double_range_exits_1(tmp_path, capsys, case, fmt):
     assert capsys.readouterr() == ("", "error: state 0: rate beyond the double range\n")
     assert not out.exists()
     assert main(["sim", str(model), "--steps", "3", "--seed", "1"]) == 1
-    assert capsys.readouterr() == ("", "error: state 0: mass beyond the double range\n")
+    assert capsys.readouterr() == ("", "error: state 0: rate beyond the double range\n")
 
 
 # a positive rate or probability whose double is 0: two sbrs rates of
@@ -271,10 +271,31 @@ def test_mass_below_the_double_range_exits_1(tmp_path, capsys, case):
         assert not out.exists()
     # the walk refuses what the closure refuses
     assert main(["sim", str(model), "--steps", "2", "--seed", "1"]) == 1
-    what = "mass" if kind == "sbrs" else what
     assert capsys.readouterr() == (
         "", f"error: state 0: {what} below the double range\n"
     )
+
+
+@pytest.mark.parametrize("kind", ["pbrs", "sbrs"])
+def test_masses_of_one_successor_are_checked_merged(tmp_path, capsys, kind):
+    # 1e-400 alone is below the double range, but it adds to the 1 of the
+    # other rule's entry for the same successor: the closure builds the
+    # row `0 1 1` (and a pbrs the delta on state 1), and the walk takes
+    # what the closure builds
+    model = tmp_path / "merged.big"
+    model.write_text(
+        "ctrl A = 0;\nctrl B = 0;\nbig s = A;\n"
+        "react r = A -[ 1 ]-> B;\nreact q = A -[ 1e-400 ]-> B;\n"
+        f"begin {kind} init = s; rules = [r, q]; end\n"
+    )
+    out = tmp_path / "out"
+    assert main(["full", str(model), "--out", str(out), "--format", "prism"]) == 0
+    delta = "1 1 1\n" if kind == "pbrs" else ""
+    assert (out / "merged.tra").read_text() == f"2 {1 + bool(delta)}\n0 1 1\n{delta}"
+    capsys.readouterr()
+    assert main(["sim", str(model), "--steps", "1", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["rule"] for line in lines] == ["r"]
 
 
 def test_reward_beyond_the_double_range_exits_1(tmp_path, capsys):
@@ -290,6 +311,17 @@ def test_reward_beyond_the_double_range_exits_1(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["full", str(model), "--out", str(out), "--format", "json"]) == 1
     assert capsys.readouterr() == error
+    assert not out.exists()
+    # the reward of an action that no state enables is checked too
+    model.write_text(
+        "ctrl A = 0;\nctrl B = 0;\nctrl C = 0;\nbig s = A;\n"
+        "react r = A -[1.0]-> B;\nreact q = C -[1.0]-> B;\n"
+        "begin abrs init = s; rules = [r, q];\n"
+        "  actions = [go = {r}, idle[1e400] = {q}]; end\n"
+    )
+    assert main(["full", str(model), "--out", str(out), "--format", "json"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: action idle: reward beyond the double range\n")
     assert not out.exists()
 
 
@@ -322,6 +354,16 @@ with contextlib.redirect_stdout(printed):
     assert cli.main(["check", {str(model)!r}, "--query", unbounded]) == 0
 assert printed.getvalue() == "1\\n", printed.getvalue()
 assert "numpy" not in sys.modules, "numpy loaded by an unbounded query"
+refused = "Rmin=? [ C<=3 ]"
+try:
+    bigrs.run_query(ts, bigrs.parse_query(refused))
+except bigrs.AnalysisError:
+    pass
+else:
+    raise AssertionError("an MDP query ran on a DTMC")
+with contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["check", {str(model)!r}, "--query", refused]) == 1
+assert "numpy" not in sys.modules, "numpy loaded by a refused query"
 value = bigrs.run_query(ts, bigrs.parse_query({query!r}))
 assert "numpy" in sys.modules
 print(repr(value))

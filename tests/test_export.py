@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bigrs.analysis import dtmc_bounded_reach, dtmc_reach
+from bigrs.analysis import dtmc_bounded_reach, dtmc_reach, mdp_bounded_reach
 from bigrs.canon import canonical_key
 from bigrs import export
 from bigrs.export import (
@@ -85,7 +85,6 @@ def test_lab_contains_only_init_when_unlabelled():
         rows=[[(None, {0: Fraction(1)})]],
         labels=[frozenset()],
         state_reward=[Fraction(0)],
-        action_reward=[{}],
     )
     assert render_lab(ts) == '0="init"\n0: 0\n'
 
@@ -154,14 +153,14 @@ def test_rewards_to_states_folding():
         ],
         labels=[frozenset(), frozenset({"done"})],
         state_reward=[Fraction(0), Fraction(0)],
-        action_reward=[{"free": Fraction(0), "paid": Fraction(2)}, {}],
+        action_reward={"free": Fraction(0), "paid": Fraction(2)},
     )
     folded = rewards_to_states(ts)
     assert folded.n_states == 3  # s1 split into charged and uncharged copies
     for row in folded.rows:  # stored in name and then index order
         assert [a for a, _ in row] == sorted(a for a, _ in row)
         assert all(list(es) == sorted(es) for _, es in row)
-    assert all(all(r == 0 for r in per.values()) for per in folded.action_reward)
+    assert folded.action_reward == {}
     charged = [i for i, ls in enumerate(folded.labels) if "charged(2)" in ls]
     assert len(charged) == 1
     assert folded.state_reward[charged[0]] == 2
@@ -201,7 +200,7 @@ def _hand_built(kind, rows, labels, state_reward=None, action_reward=None):
         rows=rows,
         labels=[frozenset(ls) for ls in labels],
         state_reward=state_reward or [Fraction(0)] * n,
-        action_reward=action_reward or [{} for _ in range(n)],
+        action_reward=action_reward or {},
     )
 
 
@@ -235,11 +234,7 @@ ABRS = _hand_built(
     ],
     [set(), {"failed"}, {"sent"}],
     state_reward=[Fraction(1), Fraction(0), Fraction(0)],
-    action_reward=[
-        {"go": Fraction(3, 2), "back": Fraction(0)},
-        {"retry": Fraction(1)},
-        {},
-    ],
+    action_reward={"go": Fraction(3, 2), "back": Fraction(0), "retry": Fraction(1)},
 )
 
 DOT_HEAD = "digraph ts {\n  node [shape=circle];\n"
@@ -333,10 +328,10 @@ def test_ctmc_tra_exact():
 
 
 def test_transitions_order():
-    assert list(BRS.transitions()) == [
-        (0, None, 2, None), (0, None, 0, None), (0, None, 1, None), (1, None, 0, None)
+    assert [(i, a, j) for i, a, j, _ in BRS.rows.entries()] == [
+        (0, None, 2), (0, None, 0), (0, None, 1), (1, None, 0)
     ]
-    assert [(i, a, j) for i, a, j, _ in ABRS.transitions()] == [
+    assert [(i, a, j) for i, a, j, _ in ABRS.rows.entries()] == [
         (0, "back", 0), (0, "go", 1), (0, "go", 2), (1, "retry", 0), (1, "retry", 2)
     ]
 
@@ -537,7 +532,7 @@ def test_reward_marker_refuses_a_predicate_of_its_name():
     # the predicate `charged(2)` holds on s0, the marker would on s1's copy
     ts = _hand_built(
         "abrs", [[("paid", {1: Fraction(1)})], []], [{"charged(2)"}, set()],
-        action_reward=[{"paid": Fraction(2)}, {}],
+        action_reward={"paid": Fraction(2)},
     )
     with pytest.raises(ExportError, match=re.escape("'charged(2)'")):
         rewards_to_states(ts)
@@ -546,6 +541,38 @@ def test_reward_marker_refuses_a_predicate_of_its_name():
     with pytest.raises(ExportError, match=re.escape("'charged(2)'")):
         rewards_to_states(declared)
     assert rewards_to_states(replace(ts, labels=[{"charged(1)"}, set()])).n_states == 2
+
+
+def test_folded_system_keeps_the_declared_labels():
+    # a declared label that no state holds answers 0, folded or not
+    ts = replace(
+        _hand_built("abrs", [[("paid", {1: Fraction(1)})], []], [set(), set()],
+                    action_reward={"paid": Fraction(2)}),
+        label_names=("never",),
+    )
+    folded = rewards_to_states(ts)
+    assert folded.label_names == ("never",)
+    assert mdp_bounded_reach(folded, "never", 3, "max") == 0
+    assert mdp_bounded_reach(ts, "never", 3, "max") == 0
+
+
+def test_tau_self_loop_of_a_terminal_state_takes_no_reward():
+    # state 1 is terminal and exports the tau self-loop, which is no stored
+    # choice: a rewarded action named tau gives only state 0 a .trew row
+    ts = _hand_built("abrs", [[("tau", {1: Fraction(1)})], []], [set(), set()],
+                     action_reward={"tau": Fraction(2)})
+    assert render_tra(ts) == "2 2 2\n0 0 1 1 tau\n1 0 1 1 tau\n"
+    assert render_trew(ts) == "2 1\n0 0 2\n"
+    assert system_to_json(ts)["action_rewards"] == {"0": {"tau": 2.0}}
+
+
+def test_reward_of_an_action_no_choice_takes_is_not_written(tmp_path):
+    ts = _hand_built("abrs", [[("go", {1: Fraction(1)})], []], [set(), set()],
+                     action_reward={"go": Fraction(0), "idle": Fraction(5)})
+    assert export_prism(ts, tmp_path, "m").trew_file is None
+    assert render_trew(ts) == "2 0\n"
+    doc = json.loads(export_json(ts, tmp_path, "m").read_text())
+    assert "action_rewards" not in doc
 
 
 def test_tra_refuses_an_action_it_cannot_write(tmp_path):

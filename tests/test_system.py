@@ -223,7 +223,6 @@ def test_mdp_choice_names_are_refused_naming_the_state(case):
     ("rows", [_ONE, _ONE]),
     ("labels", [frozenset(), frozenset()]),
     ("state_reward", [Fraction(0)] * 2),
-    ("action_reward", [{}, {}]),
 ])
 def test_lists_longer_than_the_states_are_refused(field, values):
     # one state, so a second row would be exported as a state that is not
@@ -292,13 +291,12 @@ def test_store_footprint(request, name, entries, masses):
 
 @pytest.mark.parametrize("name", ["virus_ts", "sink2_ts"])
 def test_equal_marks_are_one_object(request, name):
-    # equal label sets, state rewards and action-reward maps of one closure
+    # equal label sets and state rewards of one closure
     ts = request.getfixturevalue(name)
-    for values in (ts.labels, ts.state_reward, ts.action_reward):
+    for values in (ts.labels, ts.state_reward):
         first: dict = {}
         for v in values:
-            key = tuple(sorted(v.items())) if isinstance(v, dict) else v
-            assert first.setdefault(key, v) is v
+            assert first.setdefault(v, v) is v
         assert len(first) < ts.n_states
 
 
@@ -325,7 +323,11 @@ DOUBLE_CASES = [
     ("state-reward", "pbrs", [_ONE], {"state_reward": [_HUGE]},
      "state 0: state reward beyond"),
     ("action-reward", "abrs", [[("go", {0: Fraction(1)})]],
-     {"action_reward": [{"go": _HUGE}]}, "state 0: reward of action go beyond"),
+     {"action_reward": {"go": _HUGE}}, "action go: reward beyond"),
+    # an action that no state enables is checked too
+    ("unused-action-reward", "abrs", [[("go", {0: Fraction(1)})]],
+     {"action_reward": {"go": Fraction(1), "idle": _HUGE}},
+     "action idle: reward beyond"),
     ("tiny-rate", "sbrs", [[(None, {0: _TINY})]], {}, "state 0: rate below"),
     ("tiny-probability", "pbrs", [[(None, {0: 1 - _TINY, 1: _TINY})], _ONE], {},
      "state 0: probability below"),
@@ -350,7 +352,7 @@ def test_rates_and_rewards_beyond_the_double_range_are_refused(
 def test_mdp_choices_stored_in_name_order():
     # hand-built choices out of name order, entries out of index order:
     # stored sorted, so every export equals that of the sorted rows
-    rewards = [{"go": Fraction(3, 2), "back": Fraction(0)}, {}]
+    rewards = {"go": Fraction(3, 2), "back": Fraction(0)}
     shuffled = hand_built(
         "abrs",
         [[("go", {1: Fraction(1, 3), 0: Fraction(2, 3)}),
